@@ -291,8 +291,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rows.append(
             _run_one(scenario, args.scenario, oracle_policy, args.seed, out_dir, solver)
         )
-    except OracleTooLargeError:
-        pass  # comparison table simply omits the oracle row
+    except OracleTooLargeError as exc:
+        print(f"note: oracle row omitted: {exc}", file=sys.stderr)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

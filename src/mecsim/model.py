@@ -263,6 +263,13 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
             )
         slot_sets: list[tuple[int, ...]] = []
         for k, stations in enumerate(per_user):
+            if not all(
+                isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+                for j in stations
+            ):
+                raise ParseError(
+                    f"coverage of user {k} at slot {t} must list integer station indices"
+                )
             cleaned = sorted({int(j) for j in stations})
             if any(j < 0 or j >= m for j in cleaned):
                 raise DimensionMismatchError(

@@ -2,19 +2,27 @@
 
 Minimizes the non-switching delay over the relaxed polytope (column-stochastic
 placement and selection weights under storage, coverage, and capacity-margin
-constraints) with a conditional-gradient outer loop whose linear subproblems
-take the per-user argmin vertex when it respects storage and capacity and go
-to an LP solver otherwise, then rounds the fractional point to an integral
-decision by per-user categorical sampling with greedy repair as fallback.
+constraints) with a conditional-gradient outer loop, then rounds the
+fractional point to an integral decision by per-user categorical sampling
+with greedy repair as fallback.
+
+The linear subproblems split into an x block and a y block that share no
+row. When each block's per-user argmin vertex respects that block's storage
+or capacity rows, the pair is optimal; otherwise one HiGHS model of the slot
+LP, built once per polytope and reused with only its costs changed, solves
+it from a cold start. A discrete local search around the descent endpoint
+values each probed move as the current objective plus the change in the
+terms of the stations and users the move touches.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .delays import non_switching_delay
 from .errors import (
@@ -79,77 +87,147 @@ class SolverReport:
 
 
 @dataclass(frozen=True)
-class Polytope:
-    """Relaxed feasible set for one slot, prebuilt in LP standard form.
+class _Block:
+    """One of the two blocks of the slot LP, which share no row.
 
-    Variable vector: x flattened row-major (cloud-major), then y. Selection
-    weights outside coverage are pinned to zero through their bounds.
+    Variables v[r, k], flattened row-major: the weight user k puts on cloud
+    (x block) or station (y block) r. Each user column sums to one over its
+    allowed rows, each row r keeps sum_k weight[k] * v[r, k] <= cap[r], and
+    entries outside ``allowed`` are pinned to zero through their bounds.
     """
+
+    weight: np.ndarray   # (n,) service sizes or demands
+    cap: np.ndarray      # (m,) storage, or station capacity minus the margin
+    allowed: np.ndarray  # (m, n) bool
+
+    def argmin_vertex(self, cost: np.ndarray) -> np.ndarray | None:
+        """Each column's cheapest allowed entry set to one, if that fits the rows."""
+        m, n = self.allowed.shape
+        rows = np.argmin(np.where(self.allowed, cost, np.inf), axis=0)
+        if not np.all(np.bincount(rows, weights=self.weight, minlength=m) <= self.cap):
+            return None
+        vertex = np.zeros((m, n))
+        vertex[rows, np.arange(n)] = 1.0
+        return vertex
+
+
+@dataclass(frozen=True)
+class Polytope:
+    """Relaxed feasible set for one slot: the x block (storage rows) and the
+    y block (coverage bounds and capacity-margin rows)."""
 
     num_clouds: int
     num_users: int
-    covered: np.ndarray  # (m, n) bool: station j reaches user k in slot t
     margin: float
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    bounds: tuple[tuple[float, float], ...]
+    x_block: _Block
+    y_block: _Block
 
-    def split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mn = self.num_clouds * self.num_users
-        shape = (self.num_clouds, self.num_users)
-        return flat[:mn].reshape(shape), flat[mn:].reshape(shape)
+    @cached_property
+    def _highs(self) -> Callable[[np.ndarray], np.ndarray]:
+        """HiGHS model of the whole LP, built on the first solve that needs one.
+
+        Variables: x, then y. Rows in the order linprog stacks them: the
+        storage rows, the capacity rows, then one column-sum row per user
+        for x and for y; a y column has no column-sum entry outside coverage.
+        """
+        m, n = self.num_clouds, self.num_users
+        blocks = (self.x_block, self.y_block)
+        r, k = np.divmod(np.arange(m * n), n)
+        index, value, count = [], [], []
+        for b, block in enumerate(blocks):
+            # per column: its capacity-row entry, then its column-sum entry
+            rows = np.stack([b * m + r, 2 * m + b * n + k], axis=1)
+            entries = np.stack([block.weight[k], np.ones(m * n)], axis=1)
+            keep = np.stack([np.ones(m * n, dtype=bool), block.allowed.ravel()], axis=1)
+            index.append(rows[keep])
+            value.append(entries[keep])
+            count.append(keep.sum(axis=1))
+        return _highs_lp(
+            np.concatenate([[0], np.cumsum(np.concatenate(count))]),
+            np.concatenate(index),
+            np.concatenate(value),
+            row_lower=np.concatenate([np.full(2 * m, -np.inf), np.ones(2 * n)]),
+            row_upper=np.concatenate([self.x_block.cap, self.y_block.cap, np.ones(2 * n)]),
+            col_upper=np.concatenate([b.allowed.ravel() for b in blocks]).astype(float),
+        )
 
 
 def build_polytope(s: Scenario, t: int, margin: float) -> Polytope:
     m, n = s.num_clouds, s.num_users
-    mn = m * n
-    cov = s.coverage[t]
-
-    def x_idx(i: int, k: int) -> int:
-        return i * n + k
-
-    def y_idx(j: int, k: int) -> int:
-        return mn + j * n + k
-
-    a_eq = np.zeros((2 * n, 2 * mn))
-    for k in range(n):
-        for i in range(m):
-            a_eq[k, x_idx(i, k)] = 1.0
-        for j in cov[k]:
-            a_eq[n + k, y_idx(j, k)] = 1.0
-    b_eq = np.ones(2 * n)
-
-    a_ub = np.zeros((2 * m, 2 * mn))
-    b_ub = np.empty(2 * m)
-    for i in range(m):
-        for k in range(n):
-            a_ub[i, x_idx(i, k)] = s.service_size[k]
-        b_ub[i] = s.cloud_capacity[i]
-    for j in range(m):
-        for k in range(n):
-            a_ub[m + j, y_idx(j, k)] = s.demand[t][k]
-        b_ub[m + j] = s.bs_capacity[j] - margin
-
     covered = np.zeros((m, n), dtype=bool)
-    for k in range(n):
-        covered[list(cov[k]), k] = True
-    bounds = [(0.0, 1.0)] * mn + [
-        (0.0, 1.0) if ok else (0.0, 0.0) for ok in covered.ravel()
-    ]
-
+    for k, stations in enumerate(s.coverage[t]):
+        covered[list(stations), k] = True
     return Polytope(
         num_clouds=m,
         num_users=n,
-        covered=covered,
         margin=margin,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        bounds=tuple(bounds),
+        x_block=_Block(s.service_size, s.cloud_capacity, np.ones((m, n), dtype=bool)),
+        y_block=_Block(s.demand[t], s.bs_capacity - margin, covered),
     )
+
+
+def _highs_lp(
+    start: np.ndarray,
+    index: np.ndarray,
+    value: np.ndarray,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    col_upper: np.ndarray,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Reusable HiGHS model of min c @ v over row_lower <= A v <= row_upper,
+    0 <= v <= col_upper, with A given column-wise (CSC start, index, value).
+
+    Returns solve(c) -> minimizing v. The model and the settings of
+    linprog(method="highs-ds") with lp_solve's tolerances are passed once;
+    each solve changes only the costs and clears the basis and solution
+    before running, so it starts cold and returns the vertex a fresh
+    linprog call on the same LP returns. linprog builds and validates a new
+    model on every call; SciPy's private HiGHS binding, which can keep one,
+    is reached here only.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    num_col, num_row = len(start) - 1, len(row_lower)
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = num_col, num_row
+    lp.col_cost_ = np.zeros(num_col)
+    lp.col_lower_ = np.zeros(num_col)
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = np.where(np.isinf(row_lower), -highs.kHighsInf, row_lower)
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = num_col, num_row
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
+    model = highs._Highs()
+    dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    for name, setting in (
+        ("output_flag", False),
+        ("presolve", "on"),
+        ("solver", "simplex"),
+        ("simplex_strategy", int(dual)),
+        ("primal_feasibility_tolerance", 1e-10),
+        ("dual_feasibility_tolerance", 1e-9),
+    ):
+        if model.setOptionValue(name, setting) != highs.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected option {name}={setting!r}")
+    if model.passModel(lp) != highs.HighsStatus.kOk:
+        raise RuntimeError("HiGHS rejected the LP model")
+    cols = np.arange(num_col, dtype=np.int32)
+
+    def solve(cost: np.ndarray) -> np.ndarray:
+        model.changeColsCost(num_col, cols, cost)
+        model.clearSolver()
+        model.run()
+        status = model.getModelStatus()
+        if status == highs.HighsModelStatus.kInfeasible:
+            raise InfeasibleError("slot polytope is empty")
+        if status != highs.HighsModelStatus.kOptimal:
+            raise RuntimeError(f"LP solver failed: {model.modelStatusToString(status)}")
+        return np.asarray(model.getSolution().col_value)
+
+    return solve
 
 
 def lp_solve(
@@ -157,49 +235,34 @@ def lp_solve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vertex of the polytope minimizing the given linear cost.
 
-    Fast path: without the storage and capacity rows (a_ub) the polytope is
-    a product of per-user simplices, one per x column over all clouds and
-    one per y column over the user's coverage. Its minimizing vertex puts
-    each column's whole weight on that column's cheapest entry. When this
-    vertex also satisfies a_ub @ v <= b_ub, compared with no tolerance, it
-    lies in the full polytope, which is a subset of the one without those
-    rows, so it is optimal there too and is returned without an LP solve.
-    Ties go to the lowest index (np.argmin): an all-zero cost yields cloud 0
-    and each user's lowest-numbered covered station whenever those fit.
+    The x and y blocks share no row. Without its storage or capacity rows a
+    block is a product of per-user simplices, one per column over all
+    clouds (x) or the user's coverage (y), and its minimizing vertex puts
+    each column's whole weight on that column's cheapest entry. When each
+    block's vertex also satisfies that block's rows, compared with no
+    tolerance, the pair lies in the full polytope, which is a subset of the
+    one without those rows, so it is optimal there too and is returned
+    without an LP solve. Ties go to the lowest index (np.argmin): an
+    all-zero cost yields cloud 0 and each user's lowest-numbered covered
+    station whenever those fit.
 
-    Otherwise HiGHS dual simplex solves the full LP, which keeps the result
-    on a vertex; raises InfeasibleError when the polytope is empty.
+    Otherwise HiGHS dual simplex solves the whole LP, which keeps the result
+    on a vertex. The polytope builds that model once, on its first such
+    solve, and reuses it with only the costs changed; every solve starts
+    cold. Raises ValueError on a non-finite cost and InfeasibleError when
+    the polytope is empty.
     """
-    c = np.concatenate([np.ravel(cost_x), np.ravel(cost_y)])
-    if np.isfinite(c).all():  # non-finite costs go to linprog, which rejects them
-        m, n = p.num_clouds, p.num_users
-        cols = np.arange(n)
-        rows_x = np.argmin(c[: m * n].reshape(m, n), axis=0)
-        rows_y = np.argmin(np.where(p.covered, c[m * n :].reshape(m, n), np.inf), axis=0)
-        vertex = np.zeros(c.shape)
-        vertex[rows_x * n + cols] = 1.0
-        vertex[m * n + rows_y * n + cols] = 1.0
-        if np.all(p.a_ub @ vertex <= p.b_ub):
-            return p.split(vertex)
-    res = linprog(
-        c,
-        A_ub=p.a_ub,
-        b_ub=p.b_ub,
-        A_eq=p.a_eq,
-        b_eq=p.b_eq,
-        bounds=list(p.bounds),
-        method="highs-ds",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-9,
-        },
-    )
-    if res.status == 2:
-        raise InfeasibleError("slot polytope is empty")
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed with status {res.status}: {res.message}")
-    flat = np.clip(res.x, 0.0, 1.0)
-    return p.split(flat)
+    shape = (p.num_clouds, p.num_users)
+    cost_x = np.asarray(cost_x, dtype=float).reshape(shape)
+    cost_y = np.asarray(cost_y, dtype=float).reshape(shape)
+    if not (np.isfinite(cost_x).all() and np.isfinite(cost_y).all()):
+        raise ValueError("LP costs must be finite")
+    vx = p.x_block.argmin_vertex(cost_x)
+    vy = p.y_block.argmin_vertex(cost_y)
+    if vx is not None and vy is not None:
+        return vx, vy
+    flat = np.clip(p._highs(np.concatenate([cost_x.ravel(), cost_y.ravel()])), 0.0, 1.0)
+    return flat[: cost_x.size].reshape(shape), flat[cost_x.size :].reshape(shape)
 
 
 def objective(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> float:
@@ -458,15 +521,17 @@ def _frank_wolfe(
 class _SearchState:
     """Integral decision with incremental bookkeeping for the discrete search.
 
-    Plain lists keep probes cheap. A probe applies a batch of per-user
-    (cloud, station) reassignments, evaluates the closed-form non-switching
-    delay, and reverts; batches that break storage, coverage, or the capacity
-    margin are rejected without evaluation.
+    Plain lists keep probes cheap. ``f`` is the non-switching delay of the
+    current decision, recomputed in full by every ``apply``. A probe values
+    a batch of per-user (cloud, station) reassignments, distinct users each,
+    as ``f`` plus the change in the terms of the stations and users it
+    touches, without applying it; batches that break storage, coverage, or
+    the capacity margin are rejected without evaluation.
     """
 
     __slots__ = (
         "m", "n", "sizes", "demand", "cloud_cap", "bs_cap", "margin", "lat",
-        "cov", "covsets", "placement", "selection", "used", "load", "users_on",
+        "cov", "covsets", "placement", "selection", "used", "load", "users_on", "f",
     )
 
     def __init__(
@@ -492,6 +557,7 @@ class _SearchState:
             self.used[self.placement[k]] += self.sizes[k]
             self.load[self.selection[k]] += self.demand[k]
             self.users_on[self.selection[k]] += 1
+        self.f = self.value()
 
     def value(self) -> float:
         f = 0.0
@@ -505,28 +571,33 @@ class _SearchState:
     def probe(self, batch: list[tuple[int, int, int]]) -> float | None:
         storage_delta: dict[int, float] = {}
         load_delta: dict[int, float] = {}
+        on_delta: dict[int, int] = {}
+        delta = 0.0
         for k, i, j in batch:
             if j not in self.covsets[k]:
                 return None
-            storage_delta[self.placement[k]] = (
-                storage_delta.get(self.placement[k], 0.0) - self.sizes[k]
-            )
+            i0, j0 = self.placement[k], self.selection[k]
+            storage_delta[i0] = storage_delta.get(i0, 0.0) - self.sizes[k]
             storage_delta[i] = storage_delta.get(i, 0.0) + self.sizes[k]
-            load_delta[self.selection[k]] = (
-                load_delta.get(self.selection[k], 0.0) - self.demand[k]
-            )
+            load_delta[j0] = load_delta.get(j0, 0.0) - self.demand[k]
             load_delta[j] = load_delta.get(j, 0.0) + self.demand[k]
+            on_delta[j0] = on_delta.get(j0, 0) - 1
+            on_delta[j] = on_delta.get(j, 0) + 1
+            delta += self.lat[i][j] - self.lat[i0][j0]
         for r, d in storage_delta.items():
             if self.used[r] + d > self.cloud_cap[r]:
                 return None
         for r, d in load_delta.items():
             if self.load[r] + d > self.bs_cap[r] - self.margin:
                 return None
-        undo = [(k, self.placement[k], self.selection[k]) for k, _, _ in batch]
-        self.apply(batch)
-        f = self.value()
-        self.apply(undo)
-        return f
+        for r, d in load_delta.items():
+            on = self.users_on[r]
+            if on:
+                delta -= on / (self.bs_cap[r] - self.load[r])
+            on += on_delta[r]
+            if on:
+                delta += on / (self.bs_cap[r] - (self.load[r] + d))
+        return self.f + delta
 
     def apply(self, batch: list[tuple[int, int, int]]) -> None:
         for k, i, j in batch:
@@ -538,6 +609,7 @@ class _SearchState:
             self.used[i] += self.sizes[k]
             self.load[j] += self.demand[k]
             self.users_on[j] += 1
+        self.f = self.value()
 
     def decision(self) -> SlotDecision:
         return SlotDecision(
@@ -558,7 +630,6 @@ def _local_search(
     """
     state = _SearchState(s, t, d.placement, d.selection, margin)
     m, n = state.m, state.n
-    f = state.value()
     max_phi = max(len(c) for c in state.cov)
     scan_pairs = (
         n >= 2 and (n * (n - 1) // 2) * (m * max_phi) ** 2 <= _PAIR_SCAN_BUDGET
@@ -569,7 +640,7 @@ def _local_search(
 
         def consider(f2: float | None, batch: list[tuple[int, int, int]]) -> None:
             nonlocal best
-            if f2 is not None and f2 < f - 1e-12 and (best is None or f2 < best[0]):
+            if f2 is not None and f2 < state.f - 1e-12 and (best is None or f2 < best[0]):
                 best = (f2, batch)
 
         for k in range(n):
@@ -615,9 +686,8 @@ def _local_search(
                             consider(state.probe(batch), batch)
         if best is None:
             break
-        f = best[0]
         state.apply(best[1])
-    return state.decision(), f
+    return state.decision(), state.f
 
 
 def _kick(

@@ -210,6 +210,20 @@ def test_compare_with_empty_beta_runs_baselines_only(walkthrough_path, tmp_path)
     assert [r["policy"] for r in rows] == ["always", "never", "oracle"]
 
 
+def test_compare_notes_an_omitted_oracle_row(walkthrough_path, tmp_path, monkeypatch, capsys):
+    exact = ms.oracle.offline_optimal
+    monkeypatch.setattr(
+        ms.oracle, "offline_optimal", lambda s, **kw: exact(s, budget=1, **kw)
+    )
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--scenario", str(walkthrough_path),
+               "--beta", "1", "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    assert "note: oracle row omitted" in capsys.readouterr().err
+    rows = _read_rows(out / "comparison.csv")
+    assert [r["policy"] for r in rows] == ["threshold", "always", "never"]
+
+
 def test_compare_rejects_malformed_beta_list(walkthrough_path, tmp_path):
     rc = main(["compare", "--scenario", str(walkthrough_path),
                "--beta", "0,x", "--out", str(tmp_path / "o")])

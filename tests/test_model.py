@@ -76,6 +76,14 @@ def test_coverage_station_out_of_range_rejected():
         ms.validate_scenario(doc)
 
 
+@pytest.mark.parametrize("entry", [0.7, True, 2.9, "1"])
+def test_coverage_entry_that_is_not_an_integer_rejected(entry):
+    doc = make_doc()
+    doc["coverage"][0][1] = [0, entry]
+    with pytest.raises(ms.ParseError, match="user 1 at slot 0"):
+        ms.validate_scenario(doc)
+
+
 # ---------------------------------------------------------------------------
 # decision types
 

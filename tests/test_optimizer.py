@@ -7,11 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import mecsim as ms
 import reference as ref
 from conftest import make_doc, random_doc
+from mecsim.optimizer import _SearchState
 from mecsim.seeding import substream_seed
 
 
@@ -135,6 +138,39 @@ def _fits(doc, x, y, margin):
     )
 
 
+def _full_lp(doc, margin):
+    """Slot-0 LP in one piece, as linprog keyword arguments.
+
+    Variables: x flattened cloud-major, then y. Rows: storage, capacity
+    minus margin, one x column sum and one y column sum over coverage per
+    user; selections outside coverage are pinned to zero by their bounds.
+    """
+    m, n = doc["num_clouds"], doc["num_users"]
+    mn = m * n
+    a_ub = np.zeros((2 * m, 2 * mn))
+    a_eq = np.zeros((2 * n, 2 * mn))
+    upper = [1.0] * mn
+    for i in range(m):
+        a_ub[i, i * n : (i + 1) * n] = doc["service_size"]
+        a_ub[m + i, mn + i * n : mn + (i + 1) * n] = doc["demand"][0]
+    for k in range(n):
+        a_eq[k, k:mn:n] = 1.0
+        for j in doc["coverage"][0][k]:
+            a_eq[n + k, mn + j * n + k] = 1.0
+    upper += [
+        1.0 if j in doc["coverage"][0][k] else 0.0 for j in range(m) for k in range(n)
+    ]
+    return {
+        "A_ub": a_ub,
+        "b_ub": np.concatenate(
+            [doc["cloud_capacity"], np.asarray(doc["bs_capacity"]) - margin]
+        ),
+        "A_eq": a_eq,
+        "b_eq": np.ones(2 * n),
+        "bounds": [(0.0, u) for u in upper],
+    }
+
+
 def test_lp_solve_matches_linprog_optimum_on_and_off_the_fast_path():
     rng = np.random.default_rng(59)
     margin = 1e-6
@@ -151,10 +187,7 @@ def test_lp_solve_matches_linprog_optimum_on_and_off_the_fast_path():
                     # one cloud is every user's cheapest: storage breaks when tight
                     cost_x[int(rng.integers(3)), :] -= 10.0
                 c = np.concatenate([cost_x.ravel(), cost_y.ravel()])
-                direct = linprog(
-                    c, A_ub=poly.a_ub, b_ub=poly.b_ub, A_eq=poly.a_eq,
-                    b_eq=poly.b_eq, bounds=list(poly.bounds), method="highs",
-                )
+                direct = linprog(c, **_full_lp(doc, margin), method="highs")
                 if direct.status == 2:
                     with pytest.raises(ms.InfeasibleError):
                         ms.lp_solve(poly, cost_x, cost_y)
@@ -199,6 +232,82 @@ def test_lp_zero_cost_returns_lowest_index_vertex():
         assert _fits(doc, lowest_x, lowest_y, 1e-6)
         assert np.array_equal(x, lowest_x)
         assert np.array_equal(y, lowest_y)
+
+
+def _block_case_doc():
+    """Three clouds and users; everyone on cloud 0 or on station 0 overflows."""
+    return make_doc(
+        num_users=3,
+        service_size=[1.0, 1.0, 1.0],
+        cloud_capacity=[1.5, 5.0, 5.0],
+        bs_capacity=[2.5, 10.0, 10.0],
+        coverage=[[[0, 1, 2]] * 3] * 2,
+        demand=[[1.0, 1.0, 1.0]] * 2,
+    )
+
+
+def _block_costs(rng, crowd_x, crowd_y):
+    """Noisy costs whose argmin spreads users out, or crowds them onto index 0."""
+    spread = np.ones((3, 3)) - np.eye(3)
+    cost_x = spread + rng.uniform(0.0, 0.1, size=(3, 3))
+    cost_y = spread + rng.uniform(0.0, 0.1, size=(3, 3))
+    if crowd_x:
+        cost_x[0] -= 10.0
+    if crowd_y:
+        cost_y[0] -= 10.0
+    return cost_x, cost_y
+
+
+@pytest.mark.parametrize("crowd_x, crowd_y", [(True, False), (False, True), (True, True)])
+def test_lp_blocks_that_break_their_rows_reach_the_full_lp_optimum(crowd_x, crowd_y):
+    doc = _block_case_doc()
+    s = _validate(doc)
+    margin = 1e-6
+    poly = ms.build_polytope(s, 0, margin)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        cost_x, cost_y = _block_costs(rng, crowd_x, crowd_y)
+        vx, vy = _argmin_vertex(doc, cost_x, cost_y)
+        storage = vx @ np.asarray(doc["service_size"])
+        load = vy @ np.asarray(doc["demand"][0])
+        assert np.any(storage > doc["cloud_capacity"]) == crowd_x
+        assert np.any(load > np.asarray(doc["bs_capacity"]) - margin) == crowd_y
+        c = np.concatenate([cost_x.ravel(), cost_y.ravel()])
+        direct = linprog(c, **_full_lp(doc, margin), method="highs")
+        assert direct.status == 0
+        x, y = ms.lp_solve(poly, cost_x, cost_y)
+        got = float(np.sum(cost_x * x) + np.sum(cost_y * y))
+        assert got == pytest.approx(direct.fun, abs=1e-9)
+        assert np.all(x @ np.asarray(doc["service_size"])
+                      <= np.asarray(doc["cloud_capacity"]) + 1e-9)
+        assert np.all(y @ np.asarray(doc["demand"][0])
+                      <= np.asarray(doc["bs_capacity"]) - margin + 1e-9)
+
+
+def test_lp_reused_polytope_matches_fresh_polytopes():
+    doc = _block_case_doc()
+    s = _validate(doc)
+    shared = ms.build_polytope(s, 0, 1e-6)
+    rng = np.random.default_rng(11)
+    zeros = (np.zeros((3, 3)), np.zeros((3, 3)))  # every vertex ties: a kept basis shows
+    costs = []
+    for crowd in [(True, False), (False, False), (True, True), (False, True)] * 2:
+        costs += [_block_costs(rng, *crowd), zeros]
+    for cost_x, cost_y in costs:
+        got = ms.lp_solve(shared, cost_x, cost_y)
+        fresh = ms.lp_solve(ms.build_polytope(s, 0, 1e-6), cost_x, cost_y)
+        assert np.array_equal(got[0], fresh[0]) and np.array_equal(got[1], fresh[1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_lp_non_finite_cost_is_rejected(bad, block):
+    s = _validate(_block_case_doc())
+    poly = ms.build_polytope(s, 0, 1e-6)
+    cost = {"x": np.zeros((3, 3)), "y": np.zeros((3, 3))}
+    cost[block][1, 2] = bad
+    with pytest.raises(ValueError):
+        ms.lp_solve(poly, cost["x"], cost["y"])
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +472,73 @@ def test_solve_fractional_no_interior_point():
     s = _validate(doc)
     with pytest.raises(ms.NoInteriorPointError):
         ms.solve_fractional(s, 0)
+
+
+# ---------------------------------------------------------------------------
+# discrete search probes
+
+
+@st.composite
+def _search_case(draw):
+    """A feasible integral decision and a batch of 1-3 distinct users' moves.
+
+    Sizes, demands and capacities lie on a 1/8 grid, so storage and load
+    sums are exact in any order and feasibility has one answer.
+    """
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(3, 6))
+    eighths = st.integers(1, 16).map(lambda v: v / 8.0)
+    placement = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    selection = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    sizes = draw(st.lists(eighths, min_size=n, max_size=n))
+    demand = draw(st.lists(eighths, min_size=n, max_size=n))
+    used = np.bincount(placement, weights=sizes, minlength=m)
+    load = np.bincount(selection, weights=demand, minlength=m)
+    lat = draw(st.lists(st.floats(0.0, 5.0), min_size=m * m, max_size=m * m))
+    coverage = [
+        sorted({selection[k], *draw(st.lists(st.integers(0, m - 1), max_size=m))})
+        for k in range(n)
+    ]
+    doc = {
+        "num_clouds": m,
+        "num_users": n,
+        "num_slots": 1,
+        "cloud_capacity": [u + draw(st.integers(0 if u else 1, 16)) / 8.0 for u in used],
+        "bs_capacity": [v + draw(eighths) for v in load],
+        "service_size": sizes,
+        "link_latency": [np.reshape(lat, (m, m)).tolist()],
+        "coverage": [coverage],
+        "demand": [demand],
+    }
+    users = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    batch = [
+        (k, draw(st.integers(0, m - 1)),
+         draw(st.sampled_from(coverage[k]) | st.integers(0, m - 1)))
+        for k in users
+    ]
+    return doc, placement, selection, batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_case())
+def test_search_probe_is_the_value_after_the_move(case):
+    doc, placement, selection, batch = case
+    s = _validate(doc)
+    margin = 1e-6
+    state = _SearchState(s, 0, tuple(placement), tuple(selection), margin)
+    before = (state.decision(), state.f)
+    got = state.probe(batch)
+    assert (state.decision(), state.f) == before  # a probe moves nothing
+    moved_p, moved_s = list(placement), list(selection)
+    for k, i, j in batch:
+        moved_p[k], moved_s[k] = i, j
+    moved = ms.SlotDecision(tuple(moved_p), tuple(moved_s))
+    assert (got is None) == (not ms.decision_feasible(s, 0, moved, margin))
+    if got is not None:
+        state.apply(batch)
+        assert state.decision() == moved
+        assert got == pytest.approx(state.value(), rel=1e-9)
+        assert state.f == state.value()
 
 
 # ---------------------------------------------------------------------------
