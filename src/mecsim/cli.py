@@ -1,7 +1,9 @@
 """Command-line front end: generate scenarios, run policies, compare them.
 
-Exit codes: 0 success, 2 malformed config or input file, 3 infeasible
-scenario, 4 exact search too large. Output files are written atomically and
+Exit codes: 0 success, 2 malformed config, input file or argument, 3
+infeasible scenario, 4 exact search too large. Exit 2 is for ParseError,
+ScenarioError, UncoverableAreaError and unreadable files; any other
+ValueError is a bug and propagates. Output files are written atomically and
 contain nothing nondeterministic, so identical invocations produce
 byte-identical artifacts.
 """
@@ -52,7 +54,7 @@ def _load_config(path: str | None) -> dict[str, Any]:
         return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from None
     try:
         doc = json.loads(text)
@@ -77,26 +79,40 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return dict(doc)
 
 
+def _config_number(solver: Mapping[str, Any], key: str, kind: type) -> Any:
+    try:
+        return kind(solver[key])
+    except (TypeError, ValueError):
+        raise ParseError(f"solver.{key} must be a number, got {solver[key]!r}") from None
+
+
 def _solver_config(config: Mapping[str, Any], args: argparse.Namespace) -> SolverConfig:
     solver = config.get("solver", {})
     cfg = DEFAULT_CONFIG
-    if "max_iters" in solver:
-        cfg = replace(cfg, max_iters=int(solver["max_iters"]))
-    if "tol" in solver:
-        cfg = replace(cfg, tol=float(solver["tol"]))
-    if "margin" in solver:
-        cfg = replace(cfg, margin=float(solver["margin"]))
-    if "max_attempts" in solver:
-        cfg = replace(cfg, max_attempts=int(solver["max_attempts"]))
+    for key, kind in (("max_iters", int), ("tol", float), ("margin", float),
+                      ("max_attempts", int)):
+        if key in solver:
+            cfg = replace(cfg, **{key: _config_number(solver, key, kind)})
     if getattr(args, "max_iters", None) is not None:
         cfg = replace(cfg, max_iters=args.max_iters)
     if getattr(args, "tol", None) is not None:
         cfg = replace(cfg, tol=args.tol)
     if getattr(args, "margin", None) is not None:
         cfg = replace(cfg, margin=args.margin)
-    if cfg.max_iters < 1 or cfg.tol <= 0 or cfg.margin < 0 or cfg.max_attempts < 1:
+    if not (
+        cfg.max_iters >= 1
+        and 0 < cfg.tol < math.inf
+        and 0 <= cfg.margin < math.inf
+        and cfg.max_attempts >= 1
+    ):
         raise ParseError("solver settings out of range")
     return cfg
+
+
+def _run_seed(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ParseError(f"--seed must be nonnegative, got {args.seed}")
+    return args.seed
 
 
 def _out_dir(config: Mapping[str, Any], args: argparse.Namespace) -> Path:
@@ -246,10 +262,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     solver = _solver_config(config, args)
     policy = _parse_policy(config, args)
+    seed = _run_seed(args)
     scenario = load_scenario(args.scenario)
     out_dir = _out_dir(config, args)
-    summary = _run_one(scenario, args.scenario, policy, args.seed, out_dir, solver)
-    stem = _run_stem(policy, args.seed)
+    summary = _run_one(scenario, args.scenario, policy, seed, out_dir, solver)
+    stem = _run_stem(policy, seed)
     print(
         f"wrote {out_dir / stem}.csv and .json "
         f"(total {summary['totals']['total']:.6g}, "
@@ -261,6 +278,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     solver = _solver_config(config, args)
+    seed = _run_seed(args)
     scenario = load_scenario(args.scenario)
     out_dir = _out_dir(config, args)
 
@@ -285,11 +303,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     rows = []
     for policy in policies:
-        summary = _run_one(scenario, args.scenario, policy, args.seed, out_dir, solver)
+        summary = _run_one(scenario, args.scenario, policy, seed, out_dir, solver)
         rows.append(summary)
     try:
         rows.append(
-            _run_one(scenario, args.scenario, oracle_policy, args.seed, out_dir, solver)
+            _run_one(scenario, args.scenario, oracle_policy, seed, out_dir, solver)
         )
     except OracleTooLargeError as exc:
         print(f"note: oracle row omitted: {exc}", file=sys.stderr)
@@ -357,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EmptyCoverageError as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ScenarioError, UncoverableAreaError, ValueError) as exc:
+    except (ParseError, ScenarioError, UncoverableAreaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

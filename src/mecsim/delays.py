@@ -1,8 +1,10 @@
 """Per-slot delay components for placement/selection decisions.
 
 All functions accept (clouds, users) matrices, either 0/1 indicators or
-fractional column-stochastic weights. Users are summed in the outer loop
-and resources in the inner loop so results are bit-reproducible.
+fractional column-stochastic weights. Each sum lays its terms out
+user-major (user, then cloud, then station) and adds them strictly left to
+right with ``np.add.accumulate``, never with the pairwise ``np.sum``, so a
+result is the same float as the literal nested loop over those terms.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ def _as_decision_matrix(s: Scenario, name: str, matrix: np.ndarray) -> np.ndarra
     return out
 
 
+def _sequential_sum(terms: np.ndarray) -> float:
+    """Left-to-right sum of the terms in row-major order.
+
+    Zero terms may stay in: adding +-0.0 changes no partial sum. The final
+    ``+ 0.0`` turns an all-zero -0.0 into 0.0, as a loop from 0.0 gives.
+    """
+    return float(np.add.accumulate(terms.ravel())[-1] + 0.0)
+
+
 def station_loads(s: Scenario, t: int, y: np.ndarray) -> np.ndarray:
     """Demand-weighted load per station: load[j] = sum_k c_k(t) * y[j, k]."""
     return np.asarray(y, dtype=float) @ s.demand[t]
@@ -47,15 +58,10 @@ def switching_delay(s: Scenario, x_now: np.ndarray, x_prev: np.ndarray) -> float
     """
     x_now = _as_decision_matrix(s, "x_now", x_now)
     x_prev = _as_decision_matrix(s, "x_prev", x_prev)
-    total = 0.0
-    for k in range(s.num_users):
-        gained = 0.0
-        for i in range(s.num_clouds):
-            diff = x_now[i, k] - x_prev[i, k]
-            if diff > 0.0:
-                gained += diff
-        total += s.service_size[k] * gained
-    return float(total)
+    diff = x_now - x_prev
+    # per user, the positive differences added cloud by cloud
+    gained = np.add.accumulate(np.where(diff > 0.0, diff, 0.0), axis=0)[-1]
+    return _sequential_sum(s.service_size * gained)
 
 
 def queuing_delay(s: Scenario, t: int, y: np.ndarray) -> float:
@@ -66,18 +72,14 @@ def queuing_delay(s: Scenario, t: int, y: np.ndarray) -> float:
     load_j >= C_j (the queue never drains).
     """
     y = _as_decision_matrix(s, "y", y)
-    load = station_loads(s, t, y)
-    slack = s.bs_capacity - load
-    for j in range(s.num_clouds):
-        if slack[j] <= 0.0 and np.any(y[j, :] > 0.0):
-            return math.inf
-    total = 0.0
-    for k in range(s.num_users):
-        for j in range(s.num_clouds):
-            w = y[j, k]
-            if w != 0.0:
-                total += w / slack[j]
-    return float(total)
+    slack = s.bs_capacity - station_loads(s, t, y)
+    full = slack <= 0.0
+    if full.any() and (y[full] > 0.0).any():
+        return math.inf
+    terms = np.divide(
+        y.T, slack, out=np.zeros((s.num_users, s.num_clouds)), where=y.T != 0.0
+    )
+    return _sequential_sum(terms)
 
 
 def communication_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> float:
@@ -87,18 +89,8 @@ def communication_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> fl
     """
     x = _as_decision_matrix(s, "x", x)
     y = _as_decision_matrix(s, "y", y)
-    lat = s.link_latency[t]
-    total = 0.0
-    for k in range(s.num_users):
-        for i in range(s.num_clouds):
-            xv = x[i, k]
-            if xv == 0.0:
-                continue
-            for j in range(s.num_clouds):
-                w = y[j, k]
-                if w != 0.0:
-                    total += w * xv * lat[i, j]
-    return float(total)
+    terms = (y.T[:, None, :] * x.T[:, :, None]) * s.link_latency[t]
+    return _sequential_sum(terms)
 
 
 def non_switching_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> float:

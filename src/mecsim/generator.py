@@ -82,11 +82,11 @@ class GeneratorConfig:
             if f.name.endswith("_range"):
                 try:
                     lo, hi = value
+                    value = (float(lo), float(hi))
                 except (TypeError, ValueError):
                     raise ParseError(
-                        f"generator.{f.name} must be a [lo, hi] pair"
+                        f"generator.{f.name} must be a [lo, hi] pair of numbers"
                     ) from None
-                value = (float(lo), float(hi))
             kwargs[f.name] = value
         return cls(**kwargs)
 

@@ -304,8 +304,9 @@ def decision_feasible(
     """True iff the integral decision satisfies every slot-t constraint.
 
     Placement, storage, and coverage are exact checks; station load must stay
-    at or below capacity minus ``margin`` (the queuing delay diverges at
-    capacity, so feasibility is defined strictly inside it).
+    at or below capacity minus ``margin`` and strictly below capacity (the
+    queuing delay diverges at capacity, so feasibility is defined strictly
+    inside it, also when ``margin`` is 0).
     """
     if d.num_users != s.num_users:
         return False
@@ -327,6 +328,6 @@ def decision_feasible(
     load = np.bincount(
         d.selection, weights=s.demand[t], minlength=s.num_clouds
     )
-    if np.any(load > s.bs_capacity - margin):
+    if np.any(load > s.bs_capacity - margin) or np.any(load >= s.bs_capacity):
         return False
     return True

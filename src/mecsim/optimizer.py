@@ -12,12 +12,14 @@ or capacity rows, the pair is optimal; otherwise one HiGHS model of the slot
 LP, built once per polytope and reused with only its costs changed, solves
 it from a cold start. A discrete local search around the descent endpoint
 values each probed move as the current objective plus the change in the
-terms of the stations and users the move touches.
+terms of the stations and users the move touches; one-user moves are all
+valued in one scan that computes each station's term once per step.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -376,7 +378,7 @@ def _greedy_indicator(s: Scenario, t: int, margin: float) -> SlotDecision | None
                 continue
             for j in cov[k]:
                 new_load = load[j] + s.demand[t][k]
-                if new_load > s.bs_capacity[j] - margin:
+                if new_load > s.bs_capacity[j] - margin or new_load >= s.bs_capacity[j]:
                     continue
                 cost = 1.0 / (s.bs_capacity[j] - new_load) + lat[i, j]
                 if cost < best_cost - 1e-15:
@@ -526,7 +528,9 @@ class _SearchState:
     a batch of per-user (cloud, station) reassignments, distinct users each,
     as ``f`` plus the change in the terms of the stations and users it
     touches, without applying it; batches that break storage, coverage, or
-    the capacity margin are rejected without evaluation.
+    the capacity margin, or that fill a station to capacity, are rejected
+    without evaluation. ``best_single_move`` values every one-user move with
+    the same arithmetic in one scan.
     """
 
     __slots__ = (
@@ -568,6 +572,10 @@ class _SearchState:
             f += self.lat[self.placement[k]][self.selection[k]]
         return f
 
+    def fits(self, r: int, load: float) -> bool:
+        """Station r can carry ``load``: within the margin and below capacity."""
+        return load <= self.bs_cap[r] - self.margin and load < self.bs_cap[r]
+
     def probe(self, batch: list[tuple[int, int, int]]) -> float | None:
         storage_delta: dict[int, float] = {}
         load_delta: dict[int, float] = {}
@@ -588,7 +596,7 @@ class _SearchState:
             if self.used[r] + d > self.cloud_cap[r]:
                 return None
         for r, d in load_delta.items():
-            if self.load[r] + d > self.bs_cap[r] - self.margin:
+            if not self.fits(r, self.load[r] + d):
                 return None
         for r, d in load_delta.items():
             on = self.users_on[r]
@@ -598,6 +606,75 @@ class _SearchState:
             if on:
                 delta += on / (self.bs_cap[r] - (self.load[r] + d))
         return self.f + delta
+
+    def best_single_move(self) -> tuple[float, tuple[int, int, int]] | None:
+        """First minimum of ``probe([(k, i, j)])`` over every one-user move
+        but staying put, in (user, cloud, coverage-order station) order, as
+        (value, move); None when no such move is feasible.
+
+        Each value comes out of the same float operations as ``probe``'s,
+        in the same order: the current stations' terms on / (C - L) are
+        computed once, the term for leaving a user's station once per user,
+        and the term for arriving at a station once per user and station.
+        """
+        m, f = self.m, self.f
+        used, cloud_cap = self.used, self.cloud_cap
+        load, bs_cap, users_on = self.load, self.bs_cap, self.users_on
+        out = [
+            on / (bs_cap[r] - load[r]) if on else None for r, on in enumerate(users_on)
+        ]
+        best: tuple[float, tuple[int, int, int]] | None = None
+        for k in range(self.n):
+            i0, j0 = self.placement[k], self.selection[k]
+            size, c = self.sizes[k], self.demand[k]
+            lat0 = self.lat[i0][j0]
+            out0 = out[j0]
+            on0 = users_on[j0]
+            leave_load = load[j0] + (0.0 - c)
+            leaving = self.fits(j0, leave_load)
+            leave = 0.0
+            if leaving and on0 - 1:
+                leave = (on0 - 1) / (bs_cap[j0] - leave_load)
+            # per covered station that can take the user: (j, the term probe
+            # subtracts for j besides j0's, None if none, the term it adds)
+            stations = []
+            for j in self.cov[k]:
+                if j == j0:
+                    stay_load = load[j0] + ((0.0 - c) + c)
+                    if self.fits(j0, stay_load):
+                        stations.append((j, None, on0 / (bs_cap[j0] - stay_load)))
+                elif leaving:
+                    arrive_load = load[j] + (0.0 + c)
+                    if self.fits(j, arrive_load):
+                        arrive = (users_on[j] + 1) / (bs_cap[j] - arrive_load)
+                        stations.append((j, out[j], arrive))
+            if not stations:
+                continue
+            stay_fits = used[i0] + ((0.0 - size) + size) <= cloud_cap[i0]
+            leave_fits = used[i0] + (0.0 - size) <= cloud_cap[i0]
+            for i in range(m):
+                if i == i0:
+                    if not stay_fits:
+                        continue
+                elif not (leave_fits and used[i] + (0.0 + size) <= cloud_cap[i]):
+                    continue
+                lat_i = self.lat[i]
+                for j, out_j, arrive in stations:
+                    if j == j0:
+                        if i == i0:
+                            continue
+                        delta = ((0.0 + (lat_i[j] - lat0)) - out0) + arrive
+                    else:
+                        delta = (0.0 + (lat_i[j] - lat0)) - out0
+                        if on0 - 1:
+                            delta += leave
+                        if out_j is not None:
+                            delta -= out_j
+                        delta += arrive
+                    value = f + delta
+                    if best is None or value < best[0]:
+                        best = (value, (k, i, j))
+        return best
 
     def apply(self, batch: list[tuple[int, int, int]]) -> None:
         for k, i, j in batch:
@@ -626,7 +703,9 @@ def _local_search(
     Moves: one user to any feasible (cloud, station); two users jointly to
     any pair (full rescans only while cheap, plain exchanges otherwise); and
     three users rotating their assignments. Rotations matter when tight
-    storage makes good decisions permutations of each other.
+    storage makes good decisions permutations of each other. Each step takes
+    the first best move in that order: one-user moves come from one
+    ``best_single_move`` scan, every other move from ``probe``.
     """
     state = _SearchState(s, t, d.placement, d.selection, margin)
     m, n = state.m, state.n
@@ -643,14 +722,9 @@ def _local_search(
             if f2 is not None and f2 < state.f - 1e-12 and (best is None or f2 < best[0]):
                 best = (f2, batch)
 
-        for k in range(n):
-            i0, j0 = state.placement[k], state.selection[k]
-            for i in range(m):
-                for j in state.cov[k]:
-                    if i == i0 and j == j0:
-                        continue
-                    batch = [(k, i, j)]
-                    consider(state.probe(batch), batch)
+        single = state.best_single_move()
+        if single is not None:
+            consider(single[0], [single[1]])
         for a in range(n):
             for b in range(a + 1, n):
                 if scan_pairs:
@@ -829,13 +903,23 @@ def solve_fractional(
     return FractionalDecision(x=x, y=y), report
 
 
-def _sample_column(rng: np.random.Generator, weights: np.ndarray) -> int:
-    p = np.clip(weights, 0.0, None)
-    total = p.sum()
-    if total <= 0.0:
-        p = np.ones_like(p)
-        total = p.sum()
-    return int(rng.choice(len(p), p=p / total))
+def _column_cdfs(columns: np.ndarray) -> list[list[float]]:
+    """Per row of ``columns`` (one user's weights each), the CDF that
+    ``Generator.choice(len(p), p=p)`` searches: p is the row clipped at zero
+    over its total, uniform when nothing is left, and choice builds
+    cumsum(p) / its last entry, then returns the first index whose entry
+    exceeds one ``rng.random()`` draw. A row's total is the same float as
+    the 1-D sum of that row.
+    """
+    p = np.clip(np.ascontiguousarray(columns), 0.0, None)
+    total = p.sum(axis=1, keepdims=True)
+    empty = total[:, 0] <= 0.0
+    if empty.any():
+        p[empty] = 1.0
+        total[empty] = p.shape[1]
+    cdf = np.cumsum(p / total, axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf.tolist()
 
 
 def round_decision(
@@ -848,23 +932,29 @@ def round_decision(
     """Sample an integral decision from the fractional columns.
 
     Per user: hosting cloud from its x column, station from its y column
-    restricted to coverage. Infeasible joint samples are redrawn up to
-    max_attempts times; after that the last sample is repaired greedily.
-    Returns (decision, attempts used, repair moves).
+    restricted to coverage, each with probability proportional to its
+    weight clipped at zero (uniform over a column with no weight left).
+    Infeasible joint samples are redrawn up to max_attempts times; after
+    that the last sample is repaired greedily. Returns (decision, attempts
+    used, repair moves).
+
+    Every column's CDF is built once per call. An attempt then takes 2n
+    uniform draws in one call, the cloud then the station for each user in
+    turn, and picks entries with ``bisect_right``: the same stream and the
+    same picks as one ``rng.choice(len(p), p=p)`` per column.
     """
     rng = np.random.default_rng(rng_seed)
     cov = s.coverage[t]
-    m, n = s.num_clouds, s.num_users
+    n = s.num_users
+    x_cdf = _column_cdfs(frac.x.T)
+    y_cdf = [_column_cdfs(frac.y[list(cov[k]), k][None, :])[0] for k in range(n)]
     decision = None
     for attempt in range(1, config.max_attempts + 1):
-        placement = []
-        selection = []
-        for k in range(n):
-            placement.append(_sample_column(rng, frac.x[:, k]))
-            stations = cov[k]
-            picked = _sample_column(rng, frac.y[list(stations), k])
-            selection.append(stations[picked])
-        decision = SlotDecision(tuple(placement), tuple(selection))
+        u = rng.random(2 * n).tolist()
+        decision = SlotDecision(
+            tuple(bisect_right(x_cdf[k], u[2 * k]) for k in range(n)),
+            tuple(cov[k][bisect_right(y_cdf[k], u[2 * k + 1])] for k in range(n)),
+        )
         if decision_feasible(s, t, decision, config.margin):
             return decision, attempt, 0
     assert decision is not None
@@ -916,7 +1006,7 @@ def _greedy_repair(
 
     for _ in range(2 * m * n + 1):
         load = np.bincount(selection, weights=s.demand[t], minlength=m)
-        if not np.any(load > s.bs_capacity - margin):
+        if not (np.any(load > s.bs_capacity - margin) or np.any(load >= s.bs_capacity)):
             break
         j_bad = int(np.argmax(load - (s.bs_capacity - margin)))
         movers = sorted(
@@ -930,7 +1020,7 @@ def _greedy_repair(
                 if j == j_bad:
                     continue
                 new_load = load[j] + s.demand[t][k]
-                if new_load <= s.bs_capacity[j] - margin:
+                if new_load <= s.bs_capacity[j] - margin and new_load < s.bs_capacity[j]:
                     cost = 1.0 / (s.bs_capacity[j] - new_load) + lat[placement[k], j]
                     options.append((cost, j))
             if options:

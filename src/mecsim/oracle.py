@@ -38,7 +38,7 @@ def _feasible_selections(s: Scenario, t: int, margin: float) -> list[tuple[int, 
     out = []
     for sel in itertools.product(*s.coverage[t]):
         load = np.bincount(sel, weights=s.demand[t], minlength=s.num_clouds)
-        if np.all(load <= s.bs_capacity - margin):
+        if np.all(load <= s.bs_capacity - margin) and np.all(load < s.bs_capacity):
             out.append(sel)
     return out
 

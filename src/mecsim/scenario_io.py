@@ -46,7 +46,10 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario file {path} is not UTF-8 text: {exc}") from None
     try:
         raw: Any = json.loads(text)
     except json.JSONDecodeError as exc:

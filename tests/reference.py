@@ -126,7 +126,8 @@ def _decision_ok(doc, t, placement, selection, margin):
             return False
         load[selection[k]] += float(doc["demand"][t][k])
     for j in range(m):
-        if load[j] > float(doc["bs_capacity"][j]) - margin:
+        capacity = float(doc["bs_capacity"][j])
+        if load[j] > capacity - margin or load[j] >= capacity:
             return False
     return True
 

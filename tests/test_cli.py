@@ -228,3 +228,48 @@ def test_compare_rejects_malformed_beta_list(walkthrough_path, tmp_path):
     rc = main(["compare", "--scenario", str(walkthrough_path),
                "--beta", "0,x", "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# exit 2 is for bad input only
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [{"max_iters": "many"}, {"tol": [0.1]}, {"margin": "nan"}, {"max_attempts": None}],
+)
+def test_run_malformed_solver_config_value_exits_2(walkthrough_path, tmp_path, solver):
+    config = _write_json(tmp_path / "c.json", {"solver": solver})
+    rc = main(["run", "--scenario", str(walkthrough_path), "--config", config,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_negative_seed_exits_2(walkthrough_path, tmp_path, capsys, command):
+    rc = main([command, "--scenario", str(walkthrough_path), "--seed", "-1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(
+    walkthrough_path, tmp_path, monkeypatch
+):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bookkeeping failed")
+
+    monkeypatch.setattr(ms.policy, "solve_slot", broken)
+    with pytest.raises(ValueError, match="internal bookkeeping"):
+        main(["run", "--scenario", str(walkthrough_path), "--out", str(tmp_path / "o")])
+
+
+def test_generate_non_numeric_range_exits_2(tmp_path):
+    config = _gen_config(tmp_path, demand_range=["low", 1.0])
+    assert main(["generate", "--config", config, "--out", str(tmp_path / "s.json")]) == 2
+
+
+def test_run_non_utf8_scenario_exits_2(tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_bytes(b"\xff\xfe{")
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2

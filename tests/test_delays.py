@@ -10,6 +10,7 @@ import pytest
 import mecsim as ms
 import reference as ref
 from conftest import make_doc, random_doc
+from mecsim.delays import station_loads
 
 
 def _scenario(**overrides):
@@ -231,3 +232,51 @@ def test_matches_reference_on_random_integer_decisions():
         # second, coarser path: per-user link lookup for integral decisions
         per_user = sum(lat[placement[k]][selection[k]] for k in range(n))
         assert math.isclose(got.communication, per_user, rel_tol=1e-12, abs_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# summation order: the same float as the term-by-term loop
+
+
+def _random_point(rng, m, n, sparse):
+    """Column-stochastic (x, y); sparse points keep about a third of entries."""
+    x, y = rng.random((m, n)), rng.random((m, n))
+    if sparse:
+        x *= rng.random((m, n)) < 0.35
+        y *= rng.random((m, n)) < 0.35
+        x[rng.integers(0, m, size=n), np.arange(n)] += 0.5
+        y[rng.integers(0, m, size=n), np.arange(n)] += 0.5
+    return x / x.sum(axis=0), y / y.sum(axis=0)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_sums_add_terms_user_major_left_to_right(sparse):
+    rng = np.random.default_rng(7 + sparse)
+    for seed in range(150):
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 9))
+        doc = random_doc(seed, m=m, n=n)
+        s = ms.validate_scenario(doc)
+        x, y = _random_point(rng, m, n, sparse)
+        x_prev, _ = _random_point(rng, m, n, sparse)
+        lat = doc["link_latency"][0]
+        assert ms.communication_delay(s, 0, x, y) == ref.ref_communication(lat, x, y)
+        assert ms.switching_delay(s, x, x_prev) == ref.ref_switching(
+            doc["service_size"], x, x_prev
+        )
+        slack = s.bs_capacity - station_loads(s, 0, y)
+        want = 0.0
+        for k in range(n):
+            for j in range(m):
+                if y[j, k] != 0.0:
+                    want += y[j, k] / slack[j]
+        assert ms.queuing_delay(s, 0, y) == want
+
+
+def test_all_zero_weights_sum_to_positive_zero():
+    s = _scenario()
+    zero = np.full((3, 2), -0.0)
+    x = np.full((3, 2), 0.5)
+    assert repr(ms.queuing_delay(s, 0, zero)) == "0.0"
+    assert repr(ms.communication_delay(s, 0, x, zero)) == "0.0"
+    assert repr(ms.switching_delay(s, zero, x)) == "0.0"

@@ -148,9 +148,11 @@ def test_exact_load_violates_strict_margin():
     )
     s = ms.validate_scenario(doc)
     d = ms.SlotDecision((0, 1), (0, 0))
-    # load == capacity: allowed only when no margin is demanded
-    assert ms.decision_feasible(s, 0, d, margin=0.0)
+    # load == capacity: the queue never drains, so no margin admits it
+    assert not ms.decision_feasible(s, 0, d, margin=0.0)
     assert not ms.decision_feasible(s, 0, d, margin=1e-6)
+    # one user per station stays clear of capacity without a margin
+    assert ms.decision_feasible(s, 0, ms.SlotDecision((0, 1), (0, 1)), margin=0.0)
 
 
 def test_out_of_coverage_selection_infeasible():

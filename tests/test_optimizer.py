@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy.optimize import linprog
 import mecsim as ms
 import reference as ref
 from conftest import make_doc, random_doc
-from mecsim.optimizer import _SearchState
+from mecsim.optimizer import _greedy_repair, _SearchState
 from mecsim.seeding import substream_seed
 
 
@@ -541,8 +542,97 @@ def test_search_probe_is_the_value_after_the_move(case):
         assert state.f == state.value()
 
 
+@settings(max_examples=300, deadline=None)
+@given(_search_case())
+def test_single_move_scan_is_the_first_probe_minimum(case):
+    doc, placement, selection, _ = case
+    s = _validate(doc)
+    m, n = s.num_clouds, s.num_users
+    for margin in (1e-6, 0.0):
+        state = _SearchState(s, 0, tuple(placement), tuple(selection), margin)
+        expected = None
+        for k in range(n):
+            for i in range(m):
+                for j in s.coverage[0][k]:
+                    if (i, j) == (placement[k], selection[k]):
+                        continue
+                    value = state.probe([(k, i, j)])
+                    if value is not None and (expected is None or value < expected[0]):
+                        expected = (value, (k, i, j))
+        assert state.best_single_move() == expected
+
+
 # ---------------------------------------------------------------------------
 # randomized rounding
+
+
+def _choice_round(s, t, frac, rng_seed, config=ms.DEFAULT_CONFIG):
+    """Test oracle: rounding with one rng.choice(p=...) per column and draw."""
+
+    def sample(rng, weights):
+        p = np.clip(weights, 0.0, None)
+        total = p.sum()
+        if total <= 0.0:
+            p = np.ones_like(p)
+            total = p.sum()
+        return int(rng.choice(len(p), p=p / total))
+
+    rng = np.random.default_rng(rng_seed)
+    cov = s.coverage[t]
+    decision = None
+    for attempt in range(1, config.max_attempts + 1):
+        placement, selection = [], []
+        for k in range(s.num_users):
+            placement.append(sample(rng, frac.x[:, k]))
+            selection.append(cov[k][sample(rng, frac.y[list(cov[k]), k])])
+        decision = ms.SlotDecision(tuple(placement), tuple(selection))
+        if ms.decision_feasible(s, t, decision, config.margin):
+            return decision, attempt, 0
+    repaired, moves = _greedy_repair(s, t, decision, config.margin)
+    return repaired, config.max_attempts, moves
+
+
+def _rounding_cases():
+    """One pytest.param(scenario, fractional point) per sampler edge."""
+    rng = np.random.default_rng(11)
+    cases = []
+    s = _validate(make_doc())
+    zero = ms.FractionalDecision(x=np.zeros((3, 2)), y=np.zeros((3, 2)))
+    cases.append(pytest.param(s, zero, id="all-zero-columns"))
+    x = rng.dirichlet(np.ones(3), size=2).T
+    y = rng.dirichlet(np.ones(3), size=2).T
+    x[0, 0], y[2, 1] = -1e-17, -3e-18
+    cases.append(pytest.param(s, ms.FractionalDecision(x=x, y=y), id="slightly-negative"))
+    doc = random_doc(3, m=5, n=6)
+    for k in (0, 2, 5):
+        doc["coverage"][0][k] = [doc["coverage"][0][k][-1]]
+    _, y = _uniform_interior(doc)
+    x = rng.dirichlet(np.ones(5), size=6).T
+    cases.append(pytest.param(
+        _validate(doc), ms.FractionalDecision(x=x, y=y), id="single-station-coverage"
+    ))
+    # one service per cloud: users sharing a cloud break storage
+    s = _validate(make_doc(cloud_capacity=[1.0, 1.0, 1.0]))
+    y = np.full((3, 2), 1.0 / 3.0)
+    x = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]])
+    cases.append(pytest.param(s, ms.FractionalDecision(x=x, y=y), id="redraws"))
+    x = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    cases.append(pytest.param(s, ms.FractionalDecision(x=x, y=y), id="greedy repair"))
+    return cases
+
+
+@pytest.mark.parametrize("s, frac", _rounding_cases())
+def test_round_matches_the_per_column_choice_sampler(request, s, frac):
+    outcomes = []
+    for seed in range(200):
+        got = ms.round_decision(s, 0, frac, rng_seed=seed)
+        assert got == _choice_round(s, 0, frac, seed)
+        outcomes.append(got)
+    case = request.node.callspec.id
+    if case == "redraws":
+        assert any(attempts > 1 for _, attempts, _ in outcomes)
+    if case == "greedy repair":
+        assert all(repairs > 0 for _, _, repairs in outcomes)
 
 
 def test_round_integral_point_returned_unchanged():
@@ -665,6 +755,38 @@ def test_solve_slot_sandwich_on_random_instances():
         )
         assert report.objective <= best[2] + 1e-3
         assert rounded >= best[2] - 1e-9
+
+
+def test_solve_slot_with_zero_margin_keeps_stations_below_capacity():
+    doc = {
+        "num_clouds": 2,
+        "num_users": 2,
+        "num_slots": 1,
+        "bs_capacity": [2.0, 2.0],
+        "cloud_capacity": [5.0, 5.0],
+        "service_size": [1.0, 1.0],
+        "link_latency": [[[0.0, 1.0], [1.0, 0.0]]],
+        "coverage": [[[0, 1], [0, 1]]],
+        "demand": [[1.0, 1.0]],
+    }
+    s = _validate(doc)
+    config = ms.SolverConfig(margin=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by a zero slack anywhere
+        decision, _, report = ms.solve_slot(s, 0, config=config)
+    # two users on one station would load it exactly to capacity
+    assert sorted(decision.selection) == [0, 1]
+    delay = ms.non_switching_delay(
+        s, 0, decision.placement_matrix(2), decision.selection_matrix(2)
+    )
+    assert math.isfinite(delay) and math.isfinite(report.objective)
+    best, value = ms.best_slot_decision(s, 0, margin=0.0)
+    assert sorted(best.selection) == [0, 1]
+    assert math.isfinite(value)
+    # every draw fills station 0, so greedy repair must move one user off
+    crowded = ms.FractionalDecision(x=np.eye(2), y=np.array([[1.0, 1.0], [0.0, 0.0]]))
+    repaired, _, moves = ms.round_decision(s, 0, crowded, rng_seed=0, config=config)
+    assert sorted(repaired.selection) == [0, 1] and moves == 1
 
 
 def test_solve_slot_honors_margin_setting():
