@@ -87,6 +87,18 @@ class GeneratorConfig:
                     raise ParseError(
                         f"generator.{f.name} must be a [lo, hi] pair of numbers"
                     ) from None
+                if not all(map(math.isfinite, value)):
+                    raise ParseError(f"generator.{f.name} must be finite")
+            elif (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
+                raise ParseError(
+                    f"generator.{f.name} must be a finite number, got {value!r}"
+                )
+            elif f.type == "int" and not isinstance(value, int):
+                raise ParseError(f"generator.{f.name} must be an integer, got {value!r}")
             kwargs[f.name] = value
         return cls(**kwargs)
 

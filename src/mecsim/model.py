@@ -209,6 +209,16 @@ def _as_float_array(name: str, value: Any, shape: tuple[int, ...]) -> np.ndarray
     return np.ascontiguousarray(arr)
 
 
+def _entries(value: Any, what: str) -> list:
+    """The items of a list field; a scalar, string or mapping is a parse error."""
+    if isinstance(value, (str, bytes, Mapping)):
+        raise ParseError(f"{what} must be a list")
+    try:
+        return list(value)
+    except TypeError:
+        raise ParseError(f"{what} must be a list") from None
+
+
 def _positive(name: str, arr: np.ndarray) -> None:
     if np.any(arr <= 0):
         raise NonPositiveCapacityError(f"field {name} must be strictly positive")
@@ -250,19 +260,21 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     if np.any(link_latency < 0):
         raise ParseError("field link_latency must be nonnegative")
 
-    raw_coverage = _require(raw, "coverage")
+    raw_coverage = _entries(_require(raw, "coverage"), "field coverage")
     if len(raw_coverage) != horizon:
         raise DimensionMismatchError(
             f"field coverage has {len(raw_coverage)} slots, expected {horizon}"
         )
     coverage: list[tuple[tuple[int, ...], ...]] = []
     for t, per_user in enumerate(raw_coverage):
+        per_user = _entries(per_user, f"field coverage slot {t}")
         if len(per_user) != n:
             raise DimensionMismatchError(
                 f"field coverage slot {t} lists {len(per_user)} users, expected {n}"
             )
         slot_sets: list[tuple[int, ...]] = []
         for k, stations in enumerate(per_user):
+            stations = _entries(stations, f"coverage of user {k} at slot {t}")
             if not all(
                 isinstance(j, (int, np.integer)) and not isinstance(j, bool)
                 for j in stations

@@ -57,7 +57,6 @@ class SolverConfig:
     tol: float = 1e-4           # stop when gap <= tol * current objective
     margin: float = 1e-6        # station load must stay <= C_j - margin
     max_attempts: int = 50      # rounding resamples before greedy repair
-    max_halvings: int = 30      # step halvings when the default step ascends
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -68,6 +67,7 @@ DEFAULT_CONFIG = SolverConfig()
 # deterministic: the kick stream is fixed, never derived from caller seeds.
 _STALL_REL = 2e-5           # accepted steps improving less count as stalled
 _STALL_PATIENCE = 5         # consecutive stalled steps before stopping early
+_MAX_HALVINGS = 30          # step halvings when the default step ascends
 _PAIR_SCAN_BUDGET = 8000    # full two-user rescans only while this cheap
 _ROTATION_BUDGET = 4000     # three-user rotations only while n**3 fits
 _KICK_ROUNDS = 6            # perturbation restarts of the discrete search
@@ -500,7 +500,7 @@ def _frank_wolfe(
         dx, dy = vx - x, vy - y
         f_next = objective(s, t, x + gamma * dx, y + gamma * dy)
         halvings = 0
-        while f_next > f and halvings < config.max_halvings:
+        while f_next > f and halvings < _MAX_HALVINGS:
             gamma *= 0.5
             f_next = objective(s, t, x + gamma * dx, y + gamma * dy)
             halvings += 1

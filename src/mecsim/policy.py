@@ -1,19 +1,32 @@
 """Online migration control across slots.
 
-The threshold policy keeps a service where it is while the non-switching
-delay accumulated since the last migration (T2) stays below beta times the
-switching cost of the current candidate (T1); otherwise it migrates. A stay
-freezes both the placement and the station selection. Coverage loss or an
-overloaded station forces a migration regardless of the comparison.
+Every online policy runs one rule, the ski-rental rule: keep the previous
+decision while the non-switching delay accumulated since the last migration
+(T2) stays below beta times the switching cost of the slot's candidate (T1);
+otherwise migrate to the candidate. A stay freezes both the placement and
+the station selection. ``always`` is this rule at beta = 0 and ``never`` at
+beta = inf; ``run_policy`` sets those betas, ``threshold`` brings its own.
+
+Three corner cases hold for every policy:
+
+- A slot is *forced* when staying is infeasible (coverage lost or a station
+  overloaded). It migrates whatever beta says, and ``forced`` is set.
+- When the candidate solve is infeasible but staying works, the slot stays
+  with T1 = inf, at beta = 0 too.
+- At beta = inf the comparison can never favour the candidate, so a
+  candidate is solved only on forced slots. T1 is inf whenever no
+  candidate was solved.
+
+The oracle replays the offline DP sequence through the same accounting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import oracle as oracle_mod
-from .delays import queuing_delay, total_delay
+from .delays import queuing_delay, switching_delay, total_delay
 from .errors import InfeasibleError
 from .model import ControllerState, DelayBreakdown, Scenario, SlotDecision
 from .optimizer import DEFAULT_CONFIG, SolverConfig, solve_slot
@@ -30,10 +43,16 @@ __all__ = [
 
 POLICY_KINDS = ("threshold", "always", "never", "oracle")
 
+_BASELINE_BETA = {"always": 0.0, "never": math.inf}
+
 
 @dataclass(frozen=True)
 class Policy:
-    """Which controller drives slots 1..end; beta only matters for threshold."""
+    """Which controller drives slots 1..end; beta only matters for threshold.
+
+    ``always`` runs as beta = 0 and ``never`` as beta = inf whatever beta
+    holds (see ``run_policy``).
+    """
 
     kind: str
     beta: float = math.inf
@@ -68,9 +87,11 @@ class SlotOutcome:
     slot: int
     decision: SlotDecision
     migrated: bool
-    forced: bool
+    forced: bool           # staying on the previous decision was infeasible
     delay: DelayBreakdown
-    t1_candidate: float    # switching cost of the slot's candidate (0 at slot 0)
+    t1_candidate: float    # switching cost of the slot's candidate: 0 at slot 0,
+                           # inf when no candidate was solved or it was infeasible,
+                           # the adopted decision's for the oracle
     t2_accumulated: float  # accumulator value after the slot
 
 
@@ -82,23 +103,33 @@ def _stay_feasible(s: Scenario, t: int, d: SlotDecision) -> bool:
     return math.isfinite(queuing_delay(s, t, d.selection_matrix(s.num_clouds)))
 
 
+def _outcome(
+    s: Scenario, t: int, prev: SlotDecision, decision: SlotDecision,
+    t2_before: float, migrated: bool, forced: bool, t1: float,
+) -> SlotOutcome:
+    """Account slot t adopting ``decision`` after ``prev``.
+
+    T2 restarts at the slot's non-switching delay on a migration and
+    accumulates it otherwise.
+    """
+    m = s.num_clouds
+    delay = total_delay(
+        s, t, decision.placement_matrix(m), prev.placement_matrix(m),
+        decision.selection_matrix(m),
+    )
+    t2 = delay.non_switching if migrated else t2_before + delay.non_switching
+    return SlotOutcome(
+        slot=t, decision=decision, migrated=migrated, forced=forced,
+        delay=delay, t1_candidate=t1, t2_accumulated=t2,
+    )
+
+
 def initial_slot(
     s: Scenario, rng_seed: int, config: SolverConfig = DEFAULT_CONFIG
 ) -> SlotOutcome:
     """Solve slot 0; there is no prior placement, so switching is 0."""
     decision, _, _ = solve_slot(s, 0, warm_start=None, rng_seed=rng_seed, config=config)
-    m = s.num_clouds
-    x = decision.placement_matrix(m)
-    delay = total_delay(s, 0, x, x, decision.selection_matrix(m))
-    return SlotOutcome(
-        slot=0,
-        decision=decision,
-        migrated=False,
-        forced=False,
-        delay=delay,
-        t1_candidate=0.0,
-        t2_accumulated=delay.non_switching,
-    )
+    return _outcome(s, 0, decision, decision, 0.0, False, False, 0.0)
 
 
 def step(
@@ -108,161 +139,36 @@ def step(
     rng_seed: int,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> tuple[SlotOutcome, ControllerState]:
-    """One threshold-policy slot: candidate solve, compare, adopt."""
-    m = s.num_clouds
+    """One slot of the rule: solve a candidate if it can win, compare, adopt."""
     prev = state.prev_decision
-    x_prev = prev.placement_matrix(m)
     forced = not _stay_feasible(s, t, prev)
-
-    candidate = None
-    try:
-        candidate, _, _ = solve_slot(
-            s, t, warm_start=prev, rng_seed=rng_seed, config=config
-        )
-    except InfeasibleError:
-        if forced:
-            raise  # nothing to stay on and nothing to move to
-    if candidate is None:
-        # candidate unavailable but staying works; keep the decision
-        stay = total_delay(s, t, x_prev, x_prev, prev.selection_matrix(m))
-        t2 = state.accumulated_t2 + stay.non_switching
-        outcome = SlotOutcome(
-            slot=t,
-            decision=prev,
-            migrated=False,
-            forced=False,
-            delay=stay,
-            t1_candidate=math.inf,
-            t2_accumulated=t2,
-        )
-        return outcome, ControllerState(
-            prev_decision=prev,
-            last_migration_slot=state.last_migration_slot,
-            accumulated_t2=t2,
-            beta=state.beta,
-        )
-
-    x_cand = candidate.placement_matrix(m)
-    cand_delay = total_delay(s, t, x_cand, x_prev, candidate.selection_matrix(m))
-    t1 = cand_delay.switching
+    candidate, t1 = None, math.inf
+    if forced or not math.isinf(state.beta):
+        try:
+            candidate, _, _ = solve_slot(
+                s, t, warm_start=prev, rng_seed=rng_seed, config=config
+            )
+        except InfeasibleError:
+            if forced:
+                raise  # nothing to stay on and nothing to move to
+        else:
+            m = s.num_clouds
+            t1 = switching_delay(
+                s, candidate.placement_matrix(m), prev.placement_matrix(m)
+            )
 
     if not forced:
-        stay = total_delay(s, t, x_prev, x_prev, prev.selection_matrix(m))
-        t2 = state.accumulated_t2 + stay.non_switching
-        threshold = math.inf if math.isinf(state.beta) else state.beta * t1
-        if t2 < threshold:
-            outcome = SlotOutcome(
-                slot=t,
-                decision=prev,
-                migrated=False,
-                forced=False,
-                delay=stay,
-                t1_candidate=t1,
-                t2_accumulated=t2,
-            )
-            return outcome, ControllerState(
-                prev_decision=prev,
-                last_migration_slot=state.last_migration_slot,
-                accumulated_t2=t2,
-                beta=state.beta,
-            )
+        stay = _outcome(s, t, prev, prev, state.accumulated_t2, False, False, t1)
+        if candidate is None or stay.t2_accumulated < state.beta * t1:
+            return stay, replace(state, accumulated_t2=stay.t2_accumulated)
 
-    t2_reset = cand_delay.non_switching
-    outcome = SlotOutcome(
-        slot=t,
-        decision=candidate,
-        migrated=True,
-        forced=forced,
-        delay=cand_delay,
-        t1_candidate=t1,
-        t2_accumulated=t2_reset,
-    )
-    return outcome, ControllerState(
+    moved = _outcome(s, t, prev, candidate, state.accumulated_t2, True, forced, t1)
+    return moved, replace(
+        state,
         prev_decision=candidate,
         last_migration_slot=t,
-        accumulated_t2=t2_reset,
-        beta=state.beta,
+        accumulated_t2=moved.t2_accumulated,
     )
-
-
-def _run_always(
-    s: Scenario, first: SlotOutcome, rng_seed: int, config: SolverConfig
-) -> list[SlotOutcome]:
-    outcomes = [first]
-    prev = first.decision
-    m = s.num_clouds
-    for t in range(1, s.num_slots):
-        decision, _, _ = solve_slot(
-            s, t, warm_start=prev, rng_seed=substream_seed(rng_seed, ROUNDING, t),
-            config=config,
-        )
-        delay = total_delay(
-            s, t, decision.placement_matrix(m), prev.placement_matrix(m),
-            decision.selection_matrix(m),
-        )
-        outcomes.append(
-            SlotOutcome(
-                slot=t,
-                decision=decision,
-                migrated=True,
-                forced=False,
-                delay=delay,
-                t1_candidate=delay.switching,
-                t2_accumulated=delay.non_switching,
-            )
-        )
-        prev = decision
-    return outcomes
-
-
-def _run_never(
-    s: Scenario, first: SlotOutcome, rng_seed: int, config: SolverConfig
-) -> list[SlotOutcome]:
-    outcomes = [first]
-    prev = first.decision
-    t2 = first.t2_accumulated
-    m = s.num_clouds
-    for t in range(1, s.num_slots):
-        if _stay_feasible(s, t, prev):
-            delay = total_delay(
-                s, t, prev.placement_matrix(m), prev.placement_matrix(m),
-                prev.selection_matrix(m),
-            )
-            t2 += delay.non_switching
-            outcomes.append(
-                SlotOutcome(
-                    slot=t,
-                    decision=prev,
-                    migrated=False,
-                    forced=False,
-                    delay=delay,
-                    t1_candidate=0.0,
-                    t2_accumulated=t2,
-                )
-            )
-            continue
-        decision, _, _ = solve_slot(
-            s, t, warm_start=prev, rng_seed=substream_seed(rng_seed, ROUNDING, t),
-            config=config,
-        )
-        delay = total_delay(
-            s, t, decision.placement_matrix(m), prev.placement_matrix(m),
-            decision.selection_matrix(m),
-        )
-        t2 = delay.non_switching
-        outcomes.append(
-            SlotOutcome(
-                slot=t,
-                decision=decision,
-                migrated=True,
-                forced=True,
-                delay=delay,
-                t1_candidate=delay.switching,
-                t2_accumulated=t2,
-            )
-        )
-        prev = decision
-    return outcomes
 
 
 def _run_oracle(
@@ -272,27 +178,15 @@ def _run_oracle(
         s, margin=config.margin, first_decision=first.decision
     )
     outcomes = [first]
-    t2 = first.t2_accumulated
     m = s.num_clouds
     for t in range(1, s.num_slots):
         prev, decision = sequence[t - 1], sequence[t]
-        delay = total_delay(
-            s, t, decision.placement_matrix(m), prev.placement_matrix(m),
-            decision.selection_matrix(m),
-        )
         migrated = decision != prev
-        t2 = delay.non_switching if migrated else t2 + delay.non_switching
-        outcomes.append(
-            SlotOutcome(
-                slot=t,
-                decision=decision,
-                migrated=migrated,
-                forced=migrated and not _stay_feasible(s, t, prev),
-                delay=delay,
-                t1_candidate=delay.switching,
-                t2_accumulated=t2,
-            )
-        )
+        t1 = switching_delay(s, decision.placement_matrix(m), prev.placement_matrix(m))
+        outcomes.append(_outcome(
+            s, t, prev, decision, outcomes[-1].t2_accumulated, migrated,
+            migrated and not _stay_feasible(s, t, prev), t1,
+        ))
     return outcomes
 
 
@@ -306,12 +200,10 @@ def run_policy(
 
     Slot 0 is solved identically for every policy (same derived sub-seed),
     so runs with a shared run seed are comparable decision-for-decision.
+    Every online policy then runs through ``step``: ``always`` with beta = 0,
+    ``never`` with beta = inf, ``threshold`` with its own beta.
     """
     first = initial_slot(s, substream_seed(rng_seed, ROUNDING, 0), config)
-    if policy.kind == "always":
-        return _run_always(s, first, rng_seed, config)
-    if policy.kind == "never":
-        return _run_never(s, first, rng_seed, config)
     if policy.kind == "oracle":
         return _run_oracle(s, first, config)
 
@@ -319,8 +211,8 @@ def run_policy(
     state = ControllerState(
         prev_decision=first.decision,
         last_migration_slot=0,
-        accumulated_t2=first.delay.non_switching,
-        beta=policy.beta,
+        accumulated_t2=first.t2_accumulated,
+        beta=_BASELINE_BETA.get(policy.kind, policy.beta),
     )
     for t in range(1, s.num_slots):
         outcome, state = step(

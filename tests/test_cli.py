@@ -273,3 +273,26 @@ def test_run_non_utf8_scenario_exits_2(tmp_path):
     scenario = tmp_path / "s.json"
     scenario.write_bytes(b"\xff\xfe{")
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", "x"), ("num_users", 2.5), ("spacing", True),
+     ("spacing", float("nan")), ("demand_range", [0.5, float("inf")])],
+)
+def test_generate_malformed_field_type_exits_2(tmp_path, capsys, field, value):
+    config = _gen_config(tmp_path, **{field: value})
+    assert main(["generate", "--config", config, "--out", str(tmp_path / "s.json")]) == 2
+    assert f"generator.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])  # the whole field, a slot, a user
+def test_run_coverage_not_a_list_exits_2(tmp_path, capsys, depth):
+    doc = make_doc()
+    holder, key = doc, "coverage"
+    for _ in range(depth):
+        holder, key = holder[key], 0
+    holder[key] = 5
+    scenario = _write_json(tmp_path / "s.json", doc)
+    assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 2
+    assert "must be a list" in capsys.readouterr().err

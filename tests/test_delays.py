@@ -90,6 +90,16 @@ def test_queuing_single_term():
     assert ms.queuing_delay(s, 0, y) == 1.0
 
 
+def test_queuing_counts_demand_in_the_load_only():
+    # demands 2 and 3 share a station of capacity 10, so L = 5 and each user
+    # waits 1 / (10 - 5): 2 / 5 in all, where weighting each term by its
+    # demand (sum_k y_jk * c_k / (C_j - L_j)) would give 5 / 5
+    s = _scenario(bs_capacity=[10.0, 10.0, 10.0], demand=[[2.0, 3.0]] * 2)
+    y = ms.SlotDecision((0, 0), (0, 0)).selection_matrix(3)
+    assert ms.queuing_delay(s, 0, y) == 0.4
+    assert ref.ref_queuing([10.0] * 3, [2.0, 3.0], y.tolist()) == pytest.approx(0.4)
+
+
 def test_queuing_infinite_at_exact_capacity():
     s = _scenario(demand=[[5.0, 5.0]] * 2)
     y = ms.SlotDecision((0, 1), (0, 0)).selection_matrix(3)

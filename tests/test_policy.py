@@ -84,6 +84,46 @@ def test_beta_zero_matches_always_migrate():
     assert [o.decision for o in zero] == [o.decision for o in always]
 
 
+def _fields(outcomes):
+    return [
+        (o.decision, o.migrated, o.forced, repr(o.delay), repr(o.t1_candidate),
+         repr(o.t2_accumulated))
+        for o in outcomes
+    ]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_baselines_are_the_threshold_rule_at_its_extremes(seed):
+    s = ms.generate(ms.GeneratorConfig(seed=seed, grid_width=2, grid_height=2,
+                                       num_users=3, num_slots=8))
+    for baseline, beta in ((ms.Policy.always(), 0.0), (ms.Policy.never(), math.inf)):
+        assert _fields(ms.run_policy(s, baseline, rng_seed=seed)) == _fields(
+            ms.run_policy(s, ms.Policy.threshold(beta), rng_seed=seed)
+        ), baseline.kind
+
+
+@pytest.mark.parametrize("policy", [ms.Policy.threshold(math.inf), ms.Policy.never()])
+def test_infinite_beta_solves_a_candidate_only_on_forced_slots(monkeypatch, policy):
+    doc = _coverage_loss_doc()  # slot 1 keeps station 0; slot 2 loses it
+    doc["num_slots"] = 3
+    doc["coverage"] = [[[0]], [[0]], [[1]]]
+    doc["link_latency"] = doc["link_latency"][:1] * 3
+    doc["demand"] = doc["demand"][:1] * 3
+    s = ms.validate_scenario(doc)
+    solved = []
+    real = ms.policy.solve_slot
+
+    def counting(s, t, *args, **kwargs):
+        solved.append(t)
+        return real(s, t, *args, **kwargs)
+
+    monkeypatch.setattr(ms.policy, "solve_slot", counting)
+    outcomes = ms.run_policy(s, policy, rng_seed=1)
+    assert solved == [0, 2]  # slot 0 by initial_slot, then the forced slot only
+    assert not outcomes[1].migrated and outcomes[1].t1_candidate == math.inf
+    assert outcomes[2].forced and math.isfinite(outcomes[2].t1_candidate)
+
+
 def test_coverage_loss_forces_migration_for_every_policy():
     s = ms.validate_scenario(_coverage_loss_doc())
     policies = {
@@ -96,8 +136,7 @@ def test_coverage_loss_forces_migration_for_every_policy():
         outcomes = ms.run_policy(s, policy, rng_seed=1)
         assert outcomes[1].migrated, name
         assert outcomes[1].decision.selection == (1,), name
-        if name != "always":
-            assert outcomes[1].forced, name
+        assert outcomes[1].forced, name
 
 
 def test_stay_kept_when_candidate_solve_is_infeasible():
@@ -105,12 +144,13 @@ def test_stay_kept_when_candidate_solve_is_infeasible():
     doc["demand"] = [[0.5], [1.0]]
     s = ms.validate_scenario(doc)
     config = ms.SolverConfig(margin=0.5)
-    outcomes = ms.run_policy(s, ms.Policy.threshold(1.0), rng_seed=0, config=config)
-    # slot 1 load fits the true capacity but not capacity minus the margin,
-    # so the candidate solve fails while staying put remains legal
-    assert not outcomes[1].migrated
-    assert outcomes[1].decision == outcomes[0].decision
-    assert outcomes[1].t1_candidate == math.inf
+    for policy in (ms.Policy.threshold(1.0), ms.Policy.always()):
+        outcomes = ms.run_policy(s, policy, rng_seed=0, config=config)
+        # slot 1 load fits the true capacity but not capacity minus the
+        # margin, so the candidate solve fails while staying put remains legal
+        assert not outcomes[1].migrated, policy.kind
+        assert outcomes[1].decision == outcomes[0].decision, policy.kind
+        assert outcomes[1].t1_candidate == math.inf, policy.kind
 
 
 def test_t2_matches_a_hand_maintained_accumulator():
