@@ -1,10 +1,9 @@
 """Service placement and base-station selection over discrete time slots.
 
-Per slot, a relaxed conditional-gradient solve plus randomized rounding
-proposes where each user's service should sit and which station serves it;
-an online threshold controller decides whether migrating is worth the
-switching cost. Exact enumeration and an offline DP provide ground truth on
-small instances.
+Per slot, a discrete local search proposes where each user's service should
+sit and which station serves it; an online threshold controller decides
+whether migrating is worth the switching cost. Exact enumeration and an
+offline DP provide ground truth on small instances.
 """
 
 from .delays import (
@@ -40,15 +39,11 @@ from .model import (
 from .oracle import ENUMERATION_BUDGET, best_slot_decision, offline_optimal
 from .optimizer import (
     DEFAULT_CONFIG,
-    Polytope,
     SolverConfig,
     SolverReport,
-    build_polytope,
-    lp_solve,
     objective,
     objective_gradient,
     round_decision,
-    solve_fractional,
     solve_slot,
 )
 from .policy import Policy, SlotOutcome, initial_slot, run_policy, step
@@ -72,7 +67,6 @@ __all__ = [
     "Policy",
     "SolverConfig",
     "SolverReport",
-    "Polytope",
     "GeneratorConfig",
     "validate_scenario",
     "decision_feasible",
@@ -81,11 +75,8 @@ __all__ = [
     "communication_delay",
     "non_switching_delay",
     "total_delay",
-    "build_polytope",
-    "lp_solve",
     "objective",
     "objective_gradient",
-    "solve_fractional",
     "round_decision",
     "solve_slot",
     "initial_slot",

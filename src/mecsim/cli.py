@@ -44,7 +44,7 @@ CSV_HEADER = (
 )
 
 _CONFIG_SECTIONS = {"generator", "solver", "controller", "output"}
-_SOLVER_KEYS = {"max_iters", "tol", "margin", "max_attempts"}
+_SOLVER_KEYS = {"margin", "max_attempts"}
 _CONTROLLER_KEYS = {"beta", "policy"}
 _OUTPUT_KEYS = {"dir"}
 
@@ -89,22 +89,12 @@ def _config_number(solver: Mapping[str, Any], key: str, kind: type) -> Any:
 def _solver_config(config: Mapping[str, Any], args: argparse.Namespace) -> SolverConfig:
     solver = config.get("solver", {})
     cfg = DEFAULT_CONFIG
-    for key, kind in (("max_iters", int), ("tol", float), ("margin", float),
-                      ("max_attempts", int)):
+    for key, kind in (("margin", float), ("max_attempts", int)):
         if key in solver:
             cfg = replace(cfg, **{key: _config_number(solver, key, kind)})
-    if getattr(args, "max_iters", None) is not None:
-        cfg = replace(cfg, max_iters=args.max_iters)
-    if getattr(args, "tol", None) is not None:
-        cfg = replace(cfg, tol=args.tol)
     if getattr(args, "margin", None) is not None:
         cfg = replace(cfg, margin=args.margin)
-    if not (
-        cfg.max_iters >= 1
-        and 0 < cfg.tol < math.inf
-        and 0 <= cfg.margin < math.inf
-        and cfg.max_attempts >= 1
-    ):
+    if not (0 <= cfg.margin < math.inf and cfg.max_attempts >= 1):
         raise ParseError("solver settings out of range")
     return cfg
 
@@ -193,8 +183,6 @@ def _summary_doc(
         "totals": totals,
         "config": {
             "solver": {
-                "max_iters": solver.max_iters,
-                "tol": solver.tol,
                 "margin": solver.margin,
                 "max_attempts": solver.max_attempts,
             },
@@ -349,8 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (solver/controller/output)")
         p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
         p.add_argument("--out", help="output directory (default: config output.dir or ./out)")
-        p.add_argument("--max-iters", type=int, dest="max_iters", help="descent iteration cap")
-        p.add_argument("--tol", type=float, help="relative convergence gap")
         p.add_argument("--margin", type=float, help="station capacity safety margin")
 
     r = sub.add_parser("run", help="run one policy over a scenario")

@@ -22,6 +22,11 @@ from .seeding import GENERATION, substream_seed
 __all__ = ["GeneratorConfig", "generate"]
 
 
+def _is_number(value: Any) -> bool:
+    """A real number as JSON gives one: int or float, bools excluded."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int
@@ -80,20 +85,19 @@ class GeneratorConfig:
                 continue
             value = doc[f.name]
             if f.name.endswith("_range"):
-                try:
-                    lo, hi = value
-                    value = (float(lo), float(hi))
-                except (TypeError, ValueError):
+                if not (
+                    isinstance(value, (list, tuple))
+                    and len(value) == 2
+                    and all(map(_is_number, value))
+                ):
                     raise ParseError(
-                        f"generator.{f.name} must be a [lo, hi] pair of numbers"
-                    ) from None
+                        f"generator.{f.name} must be a [lo, hi] pair of numbers, "
+                        f"got {value!r}"
+                    )
+                value = (float(value[0]), float(value[1]))
                 if not all(map(math.isfinite, value)):
                     raise ParseError(f"generator.{f.name} must be finite")
-            elif (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(value)
-            ):
+            elif not _is_number(value) or not math.isfinite(value):
                 raise ParseError(
                     f"generator.{f.name} must be a finite number, got {value!r}"
                 )

@@ -1,28 +1,27 @@
-"""Per-slot relaxed optimizer.
+"""Per-slot solver.
 
-Minimizes the non-switching delay over the relaxed polytope (column-stochastic
-placement and selection weights under storage, coverage, and capacity-margin
-constraints) with a conditional-gradient outer loop, then rounds the
-fractional point to an integral decision by per-user categorical sampling
-with greedy repair as fallback.
+Picks the integral service placement and station selection that minimize
+the slot's non-switching delay, under storage, coverage and the
+capacity margin. A discrete local search does the work. It starts from
+fixed-seed randomized roundings of the uniform fractional point (repaired
+under storage and capacity), from a greedy per-user assignment, and from
+the warm start pushed back into coverage and capacity by greedy repair.
+The best local optimum then takes a few seeded perturbation restarts.
 
-The linear subproblems split into an x block and a y block that share no
-row. When each block's per-user argmin vertex respects that block's storage
-or capacity rows, the pair is optimal; otherwise one HiGHS model of the slot
-LP, built once per polytope and reused with only its costs changed, solves
-it from a cold start. A discrete local search around the descent endpoint
-values each probed move as the current objective plus the change in the
-terms of the stations and users the move touches; one-user moves are all
-valued in one scan that computes each station's term once per step.
+The search values each probed move as the current objective plus the
+change in the terms of the stations and users the move touches; one-user
+moves are all valued in one scan that computes each station's term once
+per step. When the uniform point cannot be repaired, one zero-cost LP
+supplies the point to round; it also tells an empty slot from one with no
+point clear of the margin. That LP is the only use of SciPy, imported
+when it runs.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Callable
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +37,8 @@ from .model import FractionalDecision, Scenario, SlotDecision, decision_feasible
 __all__ = [
     "SolverConfig",
     "SolverReport",
-    "Polytope",
-    "build_polytope",
-    "lp_solve",
     "objective",
     "objective_gradient",
-    "solve_fractional",
     "round_decision",
     "solve_slot",
 ]
@@ -51,23 +46,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the fractional solve and the rounding stage."""
+    """Knobs for the slot solve and the rounding that seeds it."""
 
-    max_iters: int = 300        # conditional-gradient iteration cap
-    tol: float = 1e-4           # stop when gap <= tol * current objective
     margin: float = 1e-6        # station load must stay <= C_j - margin
     max_attempts: int = 50      # rounding resamples before greedy repair
 
 
 DEFAULT_CONFIG = SolverConfig()
 
-# The relaxed objective is nonconvex, so a single descent can stall on a poor
-# stationary point. A discrete companion search improves integral candidates
-# around the descent endpoint; these knobs bound its effort. All of it is
-# deterministic: the kick stream is fixed, never derived from caller seeds.
-_STALL_REL = 2e-5           # accepted steps improving less count as stalled
-_STALL_PATIENCE = 5         # consecutive stalled steps before stopping early
-_MAX_HALVINGS = 30          # step halvings when the default step ascends
+# Effort bounds of the discrete search. All of it is deterministic: the
+# seed roundings and the kick stream use fixed seeds, never caller seeds.
 _PAIR_SCAN_BUDGET = 8000    # full two-user rescans only while this cheap
 _ROTATION_BUDGET = 4000     # three-user rotations only while n**3 fits
 _KICK_ROUNDS = 6            # perturbation restarts of the discrete search
@@ -79,192 +67,11 @@ _CANDIDATE_SEEDS = (0, 1, 2)  # rounding draws that seed the discrete search
 class SolverReport:
     """What the per-slot solve did and where it ended."""
 
-    iterations: int             # LP subproblems solved, summed over starts
-    objective: float            # objective at the returned fractional point
-    gap: float                  # linearized gap at the returned point, >= 0
-    rounding_attempts: int = 0
-    repair_actions: int = 0
-    starts: int = 1
-    objective_trace: tuple[float, ...] = ()  # accepted iterates, winning start
-
-
-@dataclass(frozen=True)
-class _Block:
-    """One of the two blocks of the slot LP, which share no row.
-
-    Variables v[r, k], flattened row-major: the weight user k puts on cloud
-    (x block) or station (y block) r. Each user column sums to one over its
-    allowed rows, each row r keeps sum_k weight[k] * v[r, k] <= cap[r], and
-    entries outside ``allowed`` are pinned to zero through their bounds.
-    """
-
-    weight: np.ndarray   # (n,) service sizes or demands
-    cap: np.ndarray      # (m,) storage, or station capacity minus the margin
-    allowed: np.ndarray  # (m, n) bool
-
-    def argmin_vertex(self, cost: np.ndarray) -> np.ndarray | None:
-        """Each column's cheapest allowed entry set to one, if that fits the rows."""
-        m, n = self.allowed.shape
-        rows = np.argmin(np.where(self.allowed, cost, np.inf), axis=0)
-        if not np.all(np.bincount(rows, weights=self.weight, minlength=m) <= self.cap):
-            return None
-        vertex = np.zeros((m, n))
-        vertex[rows, np.arange(n)] = 1.0
-        return vertex
-
-
-@dataclass(frozen=True)
-class Polytope:
-    """Relaxed feasible set for one slot: the x block (storage rows) and the
-    y block (coverage bounds and capacity-margin rows)."""
-
-    num_clouds: int
-    num_users: int
-    margin: float
-    x_block: _Block
-    y_block: _Block
-
-    @cached_property
-    def _highs(self) -> Callable[[np.ndarray], np.ndarray]:
-        """HiGHS model of the whole LP, built on the first solve that needs one.
-
-        Variables: x, then y. Rows in the order linprog stacks them: the
-        storage rows, the capacity rows, then one column-sum row per user
-        for x and for y; a y column has no column-sum entry outside coverage.
-        """
-        m, n = self.num_clouds, self.num_users
-        blocks = (self.x_block, self.y_block)
-        r, k = np.divmod(np.arange(m * n), n)
-        index, value, count = [], [], []
-        for b, block in enumerate(blocks):
-            # per column: its capacity-row entry, then its column-sum entry
-            rows = np.stack([b * m + r, 2 * m + b * n + k], axis=1)
-            entries = np.stack([block.weight[k], np.ones(m * n)], axis=1)
-            keep = np.stack([np.ones(m * n, dtype=bool), block.allowed.ravel()], axis=1)
-            index.append(rows[keep])
-            value.append(entries[keep])
-            count.append(keep.sum(axis=1))
-        return _highs_lp(
-            np.concatenate([[0], np.cumsum(np.concatenate(count))]),
-            np.concatenate(index),
-            np.concatenate(value),
-            row_lower=np.concatenate([np.full(2 * m, -np.inf), np.ones(2 * n)]),
-            row_upper=np.concatenate([self.x_block.cap, self.y_block.cap, np.ones(2 * n)]),
-            col_upper=np.concatenate([b.allowed.ravel() for b in blocks]).astype(float),
-        )
-
-
-def build_polytope(s: Scenario, t: int, margin: float) -> Polytope:
-    m, n = s.num_clouds, s.num_users
-    covered = np.zeros((m, n), dtype=bool)
-    for k, stations in enumerate(s.coverage[t]):
-        covered[list(stations), k] = True
-    return Polytope(
-        num_clouds=m,
-        num_users=n,
-        margin=margin,
-        x_block=_Block(s.service_size, s.cloud_capacity, np.ones((m, n), dtype=bool)),
-        y_block=_Block(s.demand[t], s.bs_capacity - margin, covered),
-    )
-
-
-def _highs_lp(
-    start: np.ndarray,
-    index: np.ndarray,
-    value: np.ndarray,
-    row_lower: np.ndarray,
-    row_upper: np.ndarray,
-    col_upper: np.ndarray,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Reusable HiGHS model of min c @ v over row_lower <= A v <= row_upper,
-    0 <= v <= col_upper, with A given column-wise (CSC start, index, value).
-
-    Returns solve(c) -> minimizing v. The model and the settings of
-    linprog(method="highs-ds") with lp_solve's tolerances are passed once;
-    each solve changes only the costs and clears the basis and solution
-    before running, so it starts cold and returns the vertex a fresh
-    linprog call on the same LP returns. linprog builds and validates a new
-    model on every call; SciPy's private HiGHS binding, which can keep one,
-    is reached here only.
-    """
-    from scipy.optimize._highspy import _core as highs
-
-    num_col, num_row = len(start) - 1, len(row_lower)
-    lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = num_col, num_row
-    lp.col_cost_ = np.zeros(num_col)
-    lp.col_lower_ = np.zeros(num_col)
-    lp.col_upper_ = col_upper
-    lp.row_lower_ = np.where(np.isinf(row_lower), -highs.kHighsInf, row_lower)
-    lp.row_upper_ = row_upper
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = num_col, num_row
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-    model = highs._Highs()
-    dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    for name, setting in (
-        ("output_flag", False),
-        ("presolve", "on"),
-        ("solver", "simplex"),
-        ("simplex_strategy", int(dual)),
-        ("primal_feasibility_tolerance", 1e-10),
-        ("dual_feasibility_tolerance", 1e-9),
-    ):
-        if model.setOptionValue(name, setting) != highs.HighsStatus.kOk:
-            raise RuntimeError(f"HiGHS rejected option {name}={setting!r}")
-    if model.passModel(lp) != highs.HighsStatus.kOk:
-        raise RuntimeError("HiGHS rejected the LP model")
-    cols = np.arange(num_col, dtype=np.int32)
-
-    def solve(cost: np.ndarray) -> np.ndarray:
-        model.changeColsCost(num_col, cols, cost)
-        model.clearSolver()
-        model.run()
-        status = model.getModelStatus()
-        if status == highs.HighsModelStatus.kInfeasible:
-            raise InfeasibleError("slot polytope is empty")
-        if status != highs.HighsModelStatus.kOptimal:
-            raise RuntimeError(f"LP solver failed: {model.modelStatusToString(status)}")
-        return np.asarray(model.getSolution().col_value)
-
-    return solve
-
-
-def lp_solve(
-    p: Polytope, cost_x: np.ndarray, cost_y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex of the polytope minimizing the given linear cost.
-
-    The x and y blocks share no row. Without its storage or capacity rows a
-    block is a product of per-user simplices, one per column over all
-    clouds (x) or the user's coverage (y), and its minimizing vertex puts
-    each column's whole weight on that column's cheapest entry. When each
-    block's vertex also satisfies that block's rows, compared with no
-    tolerance, the pair lies in the full polytope, which is a subset of the
-    one without those rows, so it is optimal there too and is returned
-    without an LP solve. Ties go to the lowest index (np.argmin): an
-    all-zero cost yields cloud 0 and each user's lowest-numbered covered
-    station whenever those fit.
-
-    Otherwise HiGHS dual simplex solves the whole LP, which keeps the result
-    on a vertex. The polytope builds that model once, on its first such
-    solve, and reuses it with only the costs changed; every solve starts
-    cold. Raises ValueError on a non-finite cost and InfeasibleError when
-    the polytope is empty.
-    """
-    shape = (p.num_clouds, p.num_users)
-    cost_x = np.asarray(cost_x, dtype=float).reshape(shape)
-    cost_y = np.asarray(cost_y, dtype=float).reshape(shape)
-    if not (np.isfinite(cost_x).all() and np.isfinite(cost_y).all()):
-        raise ValueError("LP costs must be finite")
-    vx = p.x_block.argmin_vertex(cost_x)
-    vy = p.y_block.argmin_vertex(cost_y)
-    if vx is not None and vy is not None:
-        return vx, vy
-    flat = np.clip(p._highs(np.concatenate([cost_x.ravel(), cost_y.ravel()])), 0.0, 1.0)
-    return flat[: cost_x.size].reshape(shape), flat[cost_x.size :].reshape(shape)
+    iterations: int             # improving search moves applied, all starts
+    objective: float            # non-switching delay of the returned decision
+    rounding_attempts: int = 0  # draws spent by the seed roundings
+    repair_actions: int = 0     # greedy-repair moves on seeds and warm start
+    starts: int = 1             # distinct seeds the search started from
 
 
 def objective(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> float:
@@ -392,132 +199,53 @@ def _greedy_indicator(s: Scenario, t: int, margin: float) -> SlotDecision | None
     return SlotDecision(tuple(int(v) for v in placement), tuple(int(v) for v in selection))
 
 
-def _greedy_point(
-    s: Scenario, t: int, margin: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Greedy indicator blended toward uniform and repaired."""
-    d = _greedy_indicator(s, t, margin)
-    if d is None:
-        return None
-    return _blend_decision(s, t, d, margin)
-
-
-def _blend_decision(
-    s: Scenario, t: int, d: SlotDecision, margin: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """0.9 * indicator + 0.1 * uniform, clipped to coverage and repaired."""
-    m, n = s.num_clouds, s.num_users
-    cov = s.coverage[t]
-    x = 0.9 * d.placement_matrix(m) + 0.1 / m
-    y = 0.9 * d.selection_matrix(m)
-    for k in range(n):
-        stations = list(cov[k])
-        y[:, k] *= np.isin(np.arange(m), stations)  # drop out-of-coverage mass
-        y[stations, k] += 0.1 / len(stations)
-        y[:, k] /= y[:, k].sum()
-    all_clouds = tuple(tuple(range(m)) for _ in range(n))
-    ok_x = _repair_columns(x, s.service_size, s.cloud_capacity.copy(), all_clouds)
-    ok_y = _repair_columns(y, s.demand[t], s.bs_capacity - margin, cov)
-    if not (ok_x and ok_y):
-        return None
-    return x, y
-
-
 def _feasible_point_via_lp(
-    s: Scenario, t: int, poly: Polytope
+    s: Scenario, t: int, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-cost LP feasibility solve; classifies emptiness when it fails."""
-    zeros = np.zeros((poly.num_clouds, poly.num_users))
-    try:
-        return lp_solve(poly, zeros, zeros)
-    except InfeasibleError:
-        if poly.margin > 0.0:
-            relaxed = build_polytope(s, t, 0.0)
-            try:
-                lp_solve(relaxed, zeros, zeros)
-            except InfeasibleError:
-                raise InfeasibleError(
-                    f"no fractional decision satisfies slot {t} constraints"
-                ) from None
+    """Some point of the relaxed slot, from a zero-cost LP.
+
+    Variables: x then y, each (M, N) flattened cloud-major. Rows: storage
+    and capacity-minus-margin as inequalities, one column sum per user for
+    x and for y; selections outside coverage are pinned to zero by their
+    bounds. When the LP is empty, the same LP with no margin tells
+    NoInteriorPointError (only loads at capacity fit) from InfeasibleError.
+    """
+    from scipy.optimize import linprog
+
+    m, n = s.num_clouds, s.num_users
+    covered = np.zeros((m, n))
+    for k, stations in enumerate(s.coverage[t]):
+        covered[list(stations), k] = 1.0
+    rows = np.eye(m)
+    a_ub = np.block([
+        [np.kron(rows, s.service_size), np.zeros((m, m * n))],
+        [np.zeros((m, m * n)), np.kron(rows, s.demand[t])],
+    ])
+    a_eq = np.kron(np.eye(2), np.kron(np.ones(m), np.eye(n)))
+    upper = np.concatenate([np.ones(m * n), covered.ravel()])
+
+    def solve(station_margin: float):
+        return linprog(
+            np.zeros(2 * m * n),
+            A_ub=a_ub,
+            b_ub=np.concatenate([s.cloud_capacity, s.bs_capacity - station_margin]),
+            A_eq=a_eq,
+            b_eq=np.ones(2 * n),
+            bounds=np.stack([np.zeros_like(upper), upper], axis=1),
+            method="highs-ds",
+        )
+
+    result = solve(margin)
+    if result.status == 2:
+        if margin > 0.0 and solve(0.0).status == 0:
             raise NoInteriorPointError(
                 f"slot {t} has no point clear of station capacity by the margin"
-            ) from None
-        raise
-
-
-def _check_init(s: Scenario, t: int, init: FractionalDecision, margin: float) -> None:
-    m, n = s.num_clouds, s.num_users
-    if init.x.shape != (m, n):
-        raise ValueError(f"init has shape {init.x.shape}, expected {(m, n)}")
-    col_err = max(
-        np.abs(init.x.sum(axis=0) - 1.0).max(),
-        np.abs(init.y.sum(axis=0) - 1.0).max(),
-    )
-    load = init.y @ s.demand[t]
-    storage = init.x @ s.service_size
-    if (
-        col_err > 1e-6
-        or np.any(load > s.bs_capacity - margin + 1e-9)
-        or np.any(storage > s.cloud_capacity + 1e-9)
-        or np.any(init.x < -1e-12)
-        or np.any(init.y < -1e-12)
-    ):
-        raise ValueError("init point is outside the feasible polytope")
-
-
-def _frank_wolfe(
-    s: Scenario,
-    t: int,
-    poly: Polytope,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    config: SolverConfig,
-) -> tuple[np.ndarray, np.ndarray, float, float, int, tuple[float, ...]]:
-    """Conditional-gradient descent from one start point.
-
-    Default step 2/(iter+2); the step is halved while the objective would
-    increase (the objective is nonconvex, so plain steps can overshoot).
-    Accepted-iterate objectives are non-increasing by construction. The loop
-    also stops once several consecutive steps improve below _STALL_REL
-    relative: the schedule's tail shrinks like 1/iter, so remaining progress
-    past that point is negligible against the gap tolerance.
-    """
-    x, y = x0.copy(), y0.copy()
-    f = objective(s, t, x, y)
-    trace = [f]
-    gap = math.inf
-    iterations = 0
-    stalled = 0
-    for it in range(config.max_iters):
-        iterations += 1
-        grad_x, grad_y = objective_gradient(s, t, x, y)
-        vx, vy = lp_solve(poly, grad_x, grad_y)
-        gap = float(np.sum(grad_x * (x - vx)) + np.sum(grad_y * (y - vy)))
-        gap = max(gap, 0.0)
-        if gap <= config.tol * max(abs(f), 1e-12):
-            break
-        gamma = 2.0 / (it + 2.0)
-        dx, dy = vx - x, vy - y
-        f_next = objective(s, t, x + gamma * dx, y + gamma * dy)
-        halvings = 0
-        while f_next > f and halvings < _MAX_HALVINGS:
-            gamma *= 0.5
-            f_next = objective(s, t, x + gamma * dx, y + gamma * dy)
-            halvings += 1
-        if f_next > f:
-            break  # no descent along the LP direction at any tried step
-        improvement = (f - f_next) / max(abs(f), 1e-12)
-        x += gamma * dx
-        y += gamma * dy
-        f = f_next
-        trace.append(f)
-        if improvement < _STALL_REL:
-            stalled += 1
-            if stalled >= _STALL_PATIENCE:
-                break
-        else:
-            stalled = 0
-    return x, y, f, gap, iterations, tuple(trace)
+            )
+        raise InfeasibleError(f"no fractional decision satisfies slot {t} constraints")
+    if result.status != 0:
+        raise RuntimeError(f"LP solver failed: {result.message}")
+    point = np.clip(result.x, 0.0, 1.0).reshape(2, m, n)
+    return point[0], point[1]
 
 
 class _SearchState:
@@ -697,8 +425,9 @@ class _SearchState:
 
 def _local_search(
     s: Scenario, t: int, d: SlotDecision, margin: float
-) -> tuple[SlotDecision, float]:
-    """Best-improvement descent over integral decisions.
+) -> tuple[SlotDecision, float, int]:
+    """Best-improvement descent over integral decisions; returns the local
+    optimum, its value and the number of moves applied.
 
     Moves: one user to any feasible (cloud, station); two users jointly to
     any pair (full rescans only while cheap, plain exchanges otherwise); and
@@ -714,6 +443,7 @@ def _local_search(
         n >= 2 and (n * (n - 1) // 2) * (m * max_phi) ** 2 <= _PAIR_SCAN_BUDGET
     )
     rotations = n >= 3 and n**3 <= _ROTATION_BUDGET
+    moves = 0
     for _ in range(500):
         best: tuple[float, list[tuple[int, int, int]]] | None = None
 
@@ -761,7 +491,8 @@ def _local_search(
         if best is None:
             break
         state.apply(best[1])
-    return state.decision(), state.f
+        moves += 1
+    return state.decision(), state.f, moves
 
 
 def _kick(
@@ -786,34 +517,26 @@ def _kick(
 
 
 def _integral_search(
-    s: Scenario, t: int, frac: FractionalDecision, config: SolverConfig
-) -> tuple[SlotDecision, float] | None:
-    """Discrete companion search around a fractional point.
+    s: Scenario, t: int, seeds: list[SlotDecision], margin: float
+) -> tuple[SlotDecision, float, int, int] | None:
+    """Local search from each distinct seed, then perturbation restarts.
 
-    Fixed-seed roundings of the point and the greedy indicator seed a local
-    search; the incumbent then takes a few seeded perturbation restarts. The
-    winner is re-verified against the authoritative feasibility check and
-    re-valued with the canonical objective.
+    The best local optimum (the first on ties) takes a few seeded kicks,
+    each followed by a local search. The winner is re-verified against the
+    authoritative feasibility check and re-valued with the canonical
+    objective. Returns (decision, value, distinct seeds, moves applied), or
+    None when there is no seed or the result fails the check.
     """
-    candidates: list[SlotDecision] = []
-    for seed in _CANDIDATE_SEEDS:
-        try:
-            d, _, _ = round_decision(s, t, frac, seed, config)
-        except RoundingFailedError:
-            continue
-        candidates.append(d)
-    greedy = _greedy_indicator(s, t, config.margin)
-    if greedy is not None:
-        candidates.append(greedy)
-
     best: tuple[SlotDecision, float] | None = None
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for d in candidates:
+    moves = 0
+    for d in seeds:
         key = (d.placement, d.selection)
         if key in seen:
             continue
         seen.add(key)
-        improved, value = _local_search(s, t, d, config.margin)
+        improved, value, used = _local_search(s, t, d, margin)
+        moves += used
         if best is None or value < best[1]:
             best = (improved, value)
     if best is None:
@@ -821,86 +544,22 @@ def _integral_search(
 
     rng = np.random.default_rng(_KICK_SEED)
     for _ in range(_KICK_ROUNDS):
-        kicked = _kick(s, t, best[0], rng, config.margin)
+        kicked = _kick(s, t, best[0], rng, margin)
         if kicked is None:
             continue
-        improved, value = _local_search(s, t, kicked, config.margin)
+        improved, value, used = _local_search(s, t, kicked, margin)
+        moves += used
         if value < best[1] - 1e-12:
             best = (improved, value)
 
     winner = best[0]
-    if not decision_feasible(s, t, winner, config.margin):
+    if not decision_feasible(s, t, winner, margin):
         return None  # incremental float bookkeeping drifted; drop the result
     m = s.num_clouds
     value = objective(
         s, t, winner.placement_matrix(m), winner.selection_matrix(m)
     )
-    return winner, value
-
-
-def solve_fractional(
-    s: Scenario,
-    t: int,
-    init: FractionalDecision | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> tuple[FractionalDecision, SolverReport]:
-    """Minimize the relaxed non-switching delay for one slot.
-
-    Conditional-gradient descents run from the repaired uniform start and a
-    deterministic greedy start (or from the explicit init alone). Because the
-    objective is nonconvex, a discrete search then hunts for an integral
-    point below the best endpoint, and when it finds one a final descent
-    restarts there. The best point seen wins; integral decisions are valid
-    members of the relaxed polytope, so the result may be integral.
-    """
-    poly = build_polytope(s, t, config.margin)
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
-    if init is not None:
-        _check_init(s, t, init, config.margin)
-        starts.append((init.x.copy(), init.y.copy()))
-    else:
-        uniform = _uniform_point(s, t, config.margin)
-        if uniform is None:
-            uniform = _feasible_point_via_lp(s, t, poly)
-        starts.append(uniform)
-        greedy = _greedy_point(s, t, config.margin)
-        if greedy is not None:
-            starts.append(greedy)
-
-    best: tuple[np.ndarray, np.ndarray, float, float, tuple[float, ...]] | None = None
-    total_iterations = 0
-    for x0, y0 in starts:
-        x, y, f, gap, iterations, trace = _frank_wolfe(s, t, poly, x0, y0, config)
-        total_iterations += iterations
-        if best is None or f < best[2]:
-            best = (x, y, f, gap, trace)
-    assert best is not None
-
-    num_starts = len(starts)
-    integral = _integral_search(
-        s, t, FractionalDecision(x=best[0], y=best[1]), config
-    )
-    if integral is not None and integral[1] < best[2] - 1e-12:
-        d, value = integral
-        x0 = d.placement_matrix(s.num_clouds)
-        y0 = d.selection_matrix(s.num_clouds)
-        x, y, f, gap, iterations, trace = _frank_wolfe(s, t, poly, x0, y0, config)
-        total_iterations += iterations
-        num_starts += 1
-        if f < value:
-            best = (x, y, f, gap, trace)
-        else:
-            best = (x0, y0, value, gap, trace)
-
-    x, y, f, gap, trace = best
-    report = SolverReport(
-        iterations=total_iterations,
-        objective=f,
-        gap=gap,
-        starts=num_starts,
-        objective_trace=trace,
-    )
-    return FractionalDecision(x=x, y=y), report
+    return winner, value, len(seen), moves
 
 
 def _column_cdfs(columns: np.ndarray) -> list[list[float]]:
@@ -965,18 +624,48 @@ def round_decision(
 def _greedy_repair(
     s: Scenario, t: int, d: SlotDecision, margin: float
 ) -> tuple[SlotDecision, int]:
-    """Move the heaviest users off violated resources to the cheapest room.
+    """Move users off violated resources to the cheapest room.
 
-    Storage violations move placements, capacity violations move selections;
-    each move targets a resource with room left, so total violation strictly
-    decreases. Raises RoundingFailedError when a violation has no outlet.
+    First each user whose station is outside its coverage moves to a
+    covered station. Then storage violations move the heaviest placements
+    and capacity violations the heaviest selections. Every move targets a
+    resource with room left, so total violation strictly decreases; a moved
+    selection goes to the station with the least queue-plus-latency cost
+    after the move. Raises RoundingFailedError when a violation has no
+    outlet.
     """
     m, n = s.num_clouds, s.num_users
     lat = s.link_latency[t]
     cov = s.coverage[t]
+    demand = s.demand[t]
     placement = list(d.placement)
     selection = list(d.selection)
     moves = 0
+
+    def cheapest_room(k: int, load: np.ndarray, skip: int) -> int | None:
+        options = []
+        for j in cov[k]:
+            if j == skip:
+                continue
+            new_load = load[j] + demand[k]
+            if new_load <= s.bs_capacity[j] - margin and new_load < s.bs_capacity[j]:
+                cost = 1.0 / (s.bs_capacity[j] - new_load) + lat[placement[k], j]
+                options.append((cost, j))
+        return min(options)[1] if options else None
+
+    load = np.bincount(selection, weights=demand, minlength=m)
+    for k in range(n):
+        if selection[k] in cov[k]:
+            continue
+        j = cheapest_room(k, load, skip=-1)
+        if j is None:
+            raise RoundingFailedError(
+                f"user {k} has no covered station with room at slot {t}"
+            )
+        load[selection[k]] -= demand[k]
+        load[j] += demand[k]
+        selection[k] = j
+        moves += 1
 
     for _ in range(2 * m * n + 1):
         storage = np.bincount(placement, weights=s.service_size, minlength=m)
@@ -1005,26 +694,19 @@ def _greedy_repair(
             )
 
     for _ in range(2 * m * n + 1):
-        load = np.bincount(selection, weights=s.demand[t], minlength=m)
+        load = np.bincount(selection, weights=demand, minlength=m)
         if not (np.any(load > s.bs_capacity - margin) or np.any(load >= s.bs_capacity)):
             break
         j_bad = int(np.argmax(load - (s.bs_capacity - margin)))
         movers = sorted(
             (k for k in range(n) if selection[k] == j_bad),
-            key=lambda k: (-s.demand[t][k], k),
+            key=lambda k: (-demand[k], k),
         )
         moved = False
         for k in movers:
-            options = []
-            for j in cov[k]:
-                if j == j_bad:
-                    continue
-                new_load = load[j] + s.demand[t][k]
-                if new_load <= s.bs_capacity[j] - margin and new_load < s.bs_capacity[j]:
-                    cost = 1.0 / (s.bs_capacity[j] - new_load) + lat[placement[k], j]
-                    options.append((cost, j))
-            if options:
-                selection[k] = min(options)[1]
+            j = cheapest_room(k, load, skip=j_bad)
+            if j is not None:
+                selection[k] = j
                 moves += 1
                 moved = True
                 break
@@ -1046,19 +728,58 @@ def solve_slot(
     rng_seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> tuple[SlotDecision, FractionalDecision, SolverReport]:
-    """Fractional solve plus rounding for one slot.
+    """The discrete search's best integral decision for one slot.
 
-    A warm start seeds the descent with its indicator matrices pushed inside
-    the polytope (0.9/0.1 blend with uniform, then capacity repair); when the
-    blend cannot be repaired the cold-start path is used instead.
+    Search seeds: the ``_CANDIDATE_SEEDS`` roundings of the repaired
+    uniform point (of the zero-cost LP point when the uniform point cannot
+    be repaired), the greedy indicator, and the warm start after greedy
+    repair. A seed whose rounding or repair fails is dropped. The returned
+    fractional decision is the decision's indicator matrices and
+    ``report.objective`` its non-switching delay. The solve is
+    deterministic; ``rng_seed`` is accepted and not drawn from.
+
+    Raises InfeasibleError (NoInteriorPointError when only loads at
+    capacity fit) when the relaxed slot is empty, and RoundingFailedError
+    when no seed yields a feasible decision.
     """
-    init = None
+    point = _uniform_point(s, t, config.margin)
+    if point is None:
+        point = _feasible_point_via_lp(s, t, config.margin)
+    relaxed = FractionalDecision(x=point[0], y=point[1])
+    seeds: list[SlotDecision] = []
+    attempts = repairs = 0
+    for seed in _CANDIDATE_SEEDS:
+        try:
+            d, used, moves = round_decision(s, t, relaxed, seed, config)
+        except RoundingFailedError:
+            attempts += config.max_attempts
+            continue
+        seeds.append(d)
+        attempts += used
+        repairs += moves
+    greedy = _greedy_indicator(s, t, config.margin)
+    if greedy is not None:
+        seeds.append(greedy)
     if warm_start is not None:
-        blended = _blend_decision(s, t, warm_start, config.margin)
-        if blended is not None:
-            init = FractionalDecision(x=blended[0], y=blended[1])
-    frac, report = solve_fractional(s, t, init=init, config=config)
-    decision, attempts, repairs = round_decision(s, t, frac, rng_seed, config)
-    return decision, frac, replace(
-        report, rounding_attempts=attempts, repair_actions=repairs
+        try:
+            d, moves = _greedy_repair(s, t, warm_start, config.margin)
+        except RoundingFailedError:
+            pass
+        else:
+            seeds.append(d)
+            repairs += moves
+
+    found = _integral_search(s, t, seeds, config.margin)
+    if found is None:
+        raise RoundingFailedError(f"no feasible integral decision found at slot {t}")
+    decision, value, starts, moves = found
+    m = s.num_clouds
+    frac = FractionalDecision(x=decision.placement_matrix(m), y=decision.selection_matrix(m))
+    report = SolverReport(
+        iterations=moves,
+        objective=value,
+        rounding_attempts=attempts,
+        repair_actions=repairs,
+        starts=starts,
     )
+    return decision, frac, report

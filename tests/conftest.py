@@ -77,6 +77,36 @@ def random_doc(seed, m=3, n=3, slots=1, tight=False):
     }
 
 
+def moderate_doc(seed, m=3, n=3):
+    """Random instance family of the acceptance sandwich sweep (criterion 3).
+
+    ``seed`` is anything ``np.random.default_rng`` takes.
+    """
+    rng = np.random.default_rng(seed)
+    lat = rng.uniform(0.5, 5.0, size=(m, m))
+    lat = (lat + lat.T) / 2.0
+    np.fill_diagonal(lat, 0.0)
+    demand = rng.uniform(0.5, 1.5, size=(1, n))
+    sizes = rng.uniform(0.5, 2.0, size=n)
+    bs = rng.uniform(1.6, 2.5, size=m) * demand.sum()
+    st = rng.uniform(1.2, 2.0, size=m) * sizes.max()
+    coverage = [
+        sorted(rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False).tolist())
+        for _ in range(n)
+    ]
+    return {
+        "num_clouds": m,
+        "num_users": n,
+        "num_slots": 1,
+        "bs_capacity": bs.tolist(),
+        "cloud_capacity": st.tolist(),
+        "service_size": sizes.tolist(),
+        "link_latency": [lat.tolist()],
+        "coverage": [coverage],
+        "demand": demand.tolist(),
+    }
+
+
 @pytest.fixture
 def walkthrough_path() -> Path:
     return WALKTHROUGH

@@ -17,7 +17,7 @@ import pytest
 
 import mecsim as ms
 import reference as ref
-from conftest import WALKTHROUGH
+from conftest import WALKTHROUGH, moderate_doc
 from mecsim.cli import main
 
 
@@ -51,33 +51,6 @@ def _random_case(rng):
     prev = tuple(int(v) for v in rng.integers(0, m, size=n))
     selection = tuple(int(rng.choice(coverage[k])) for k in range(n))
     return doc, placement, prev, selection
-
-
-def _moderate_doc(seed: int, m: int = 3, n: int = 3):
-    """Random instance family used for the relaxation sandwich sweep."""
-    rng = np.random.default_rng(seed)
-    lat = rng.uniform(0.5, 5.0, size=(m, m))
-    lat = (lat + lat.T) / 2.0
-    np.fill_diagonal(lat, 0.0)
-    demand = rng.uniform(0.5, 1.5, size=(1, n))
-    sizes = rng.uniform(0.5, 2.0, size=n)
-    bs = rng.uniform(1.6, 2.5, size=m) * demand.sum()
-    st = rng.uniform(1.2, 2.0, size=m) * sizes.max()
-    coverage = [
-        sorted(rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False).tolist())
-        for _ in range(n)
-    ]
-    return {
-        "num_clouds": m,
-        "num_users": n,
-        "num_slots": 1,
-        "bs_capacity": bs.tolist(),
-        "cloud_capacity": st.tolist(),
-        "service_size": sizes.tolist(),
-        "link_latency": [lat.tolist()],
-        "coverage": [coverage],
-        "demand": demand.tolist(),
-    }
 
 
 def test_criterion_1_delay_formulas_match_reference():
@@ -115,7 +88,7 @@ def test_criterion_2_gradient_matches_central_differences():
     started = time.perf_counter()
     worst = 0.0
     for seed in range(100):
-        doc = _moderate_doc(seed, m=3, n=3)
+        doc = moderate_doc(seed, m=3, n=3)
         s = ms.validate_scenario(doc)
         x = np.full((3, 3), 1.0 / 3.0)
         y = np.zeros((3, 3))
@@ -142,7 +115,7 @@ def test_criterion_3_relaxation_sandwich():
     started = time.perf_counter()
     worst_gap = -math.inf
     for seed in range(100):
-        doc = _moderate_doc(seed)
+        doc = moderate_doc(seed)
         s = ms.validate_scenario(doc)
         decision, frac, report = ms.solve_slot(s, 0, rng_seed=seed)
         _, oracle_value = ms.best_slot_decision(s, 0)
@@ -195,10 +168,10 @@ def test_criterion_5_rounded_decisions_always_feasible():
     failures = 0
     for index in range(40):
         if index < 25:
-            doc = _moderate_doc(200 + index)
+            doc = moderate_doc(200 + index)
         else:
             rng = np.random.default_rng(300 + index)
-            doc = _moderate_doc(300 + index)
+            doc = moderate_doc(300 + index)
             doc["cloud_capacity"] = (
                 rng.uniform(1.1, 1.5, size=3) * max(doc["service_size"])
             ).tolist()

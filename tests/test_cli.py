@@ -52,7 +52,7 @@ def test_generate_missing_seed_exits_2(tmp_path, capsys):
 
 
 def test_generate_missing_section_exits_2(tmp_path):
-    config = _write_json(tmp_path / "c.json", {"solver": {"tol": 0.1}})
+    config = _write_json(tmp_path / "c.json", {"solver": {"margin": 0.1}})
     assert main(["generate", "--config", config, "--out", str(tmp_path / "s.json")]) == 2
 
 
@@ -155,21 +155,37 @@ def test_run_negative_beta_exits_2(walkthrough_path, tmp_path):
 
 
 def test_run_solver_flags_reach_the_summary(walkthrough_path, tmp_path):
-    config = _write_json(tmp_path / "c.json", {"output": {"dir": str(tmp_path / "od")}})
+    config = _write_json(tmp_path / "c.json", {
+        "solver": {"margin": 0.5, "max_attempts": 7},
+        "output": {"dir": str(tmp_path / "od")},
+    })
     rc = main(["run", "--scenario", str(walkthrough_path), "--config", config,
-               "--max-iters", "5", "--tol", "0.01", "--seed", "2"])
+               "--margin", "0.001", "--seed", "2"])
     assert rc == 0
     summary = json.loads(
         (tmp_path / "od" / "threshold_beta1.0_seed2.json").read_text(encoding="utf-8")
     )
-    assert summary["config"]["solver"]["max_iters"] == 5
-    assert summary["config"]["solver"]["tol"] == 0.01
+    assert summary["config"]["solver"] == {"margin": 0.001, "max_attempts": 7}
 
 
 def test_run_rejects_out_of_range_solver_settings(walkthrough_path, tmp_path):
-    rc = main(["run", "--scenario", str(walkthrough_path), "--tol", "0",
+    rc = main(["run", "--scenario", str(walkthrough_path), "--margin", "-1",
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("key", ["max_iters", "tol"])
+def test_run_retired_solver_setting_exits_2(walkthrough_path, tmp_path, capsys, key):
+    config = _write_json(tmp_path / "c.json", {"solver": {key: 1}})
+    rc = main(["run", "--scenario", str(walkthrough_path), "--config", config,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"unknown field: solver.{key}" in capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(walkthrough_path), flag, "1",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
 
 
 def test_run_oracle_policy_on_large_scenario_exits_4(tmp_path):
@@ -236,7 +252,7 @@ def test_compare_rejects_malformed_beta_list(walkthrough_path, tmp_path):
 
 @pytest.mark.parametrize(
     "solver",
-    [{"max_iters": "many"}, {"tol": [0.1]}, {"margin": "nan"}, {"max_attempts": None}],
+    [{"max_attempts": "many"}, {"margin": [0.1]}, {"margin": "nan"}, {"max_attempts": None}],
 )
 def test_run_malformed_solver_config_value_exits_2(walkthrough_path, tmp_path, solver):
     config = _write_json(tmp_path / "c.json", {"solver": solver})
@@ -278,7 +294,8 @@ def test_run_non_utf8_scenario_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "field, value",
     [("seed", "x"), ("num_users", 2.5), ("spacing", True),
-     ("spacing", float("nan")), ("demand_range", [0.5, float("inf")])],
+     ("spacing", float("nan")), ("demand_range", [0.5, float("inf")]),
+     ("demand_range", ["0.5", "1.5"]), ("speed_range", [0.05, True])],
 )
 def test_generate_malformed_field_type_exits_2(tmp_path, capsys, field, value):
     config = _gen_config(tmp_path, **{field: value})

@@ -1,21 +1,28 @@
-"""Relaxed solver internals: polytope, LP step, gradient, descent, rounding."""
+"""Slot solver internals: LP fallback, gradient, search, rounding, composition."""
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 import mecsim as ms
 import reference as ref
-from conftest import make_doc, random_doc
-from mecsim.optimizer import _greedy_repair, _SearchState
+from conftest import make_doc, moderate_doc, random_doc
+from mecsim.optimizer import (
+    _feasible_point_via_lp,
+    _greedy_repair,
+    _SearchState,
+    _uniform_point,
+)
 from mecsim.seeding import substream_seed
 
 
@@ -36,19 +43,15 @@ def _uniform_interior(doc):
 
 
 # ---------------------------------------------------------------------------
-# polytope + LP subproblem
+# LP fallback point
 
 
 def test_lp_points_satisfy_constraints_tightly():
-    rng = np.random.default_rng(31)
     for seed in range(10):
         doc = random_doc(seed, tight=True)
         s = _validate(doc)
-        poly = ms.build_polytope(s, 0, 1e-6)
-        cost_x = rng.normal(size=(3, 3))
-        cost_y = rng.normal(size=(3, 3))
         try:
-            x, y = ms.lp_solve(poly, cost_x, cost_y)
+            x, y = _feasible_point_via_lp(s, 0, 1e-6)
         except ms.InfeasibleError:
             continue
         assert np.abs(x.sum(axis=0) - 1.0).max() <= 1e-8
@@ -64,251 +67,31 @@ def test_lp_points_satisfy_constraints_tightly():
         assert np.all(load <= np.asarray(doc["bs_capacity"]) - 1e-6 + 1e-8)
 
 
-def test_lp_decouples_per_user_without_binding_capacity():
-    rng = np.random.default_rng(17)
-    doc = random_doc(8, m=4, n=3)
-    doc["bs_capacity"] = [1e6] * 4
-    doc["cloud_capacity"] = [1e6] * 4
-    s = _validate(doc)
-    poly = ms.build_polytope(s, 0, 1e-6)
-    cost_x = rng.uniform(0.0, 1.0, size=(4, 3))
-    cost_y = rng.uniform(0.0, 1.0, size=(4, 3))
-    x, y = ms.lp_solve(poly, cost_x, cost_y)
-    for k in range(3):
-        assert x[int(np.argmin(cost_x[:, k])), k] == pytest.approx(1.0, abs=1e-9)
-        stations = doc["coverage"][0][k]
-        best = min(stations, key=lambda j: cost_y[j, k])
-        assert y[best, k] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_lp_capacity_forces_the_unique_split():
-    doc = make_doc(
-        service_size=[1.0, 1.0],
-        cloud_capacity=[1.0, 1.0, 0.001],
-        bs_capacity=[100.0, 100.0, 100.0],
-    )
-    # cloud 2 is effectively closed; both users prefer cloud 0 but only one fits
-    s = _validate(doc)
-    poly = ms.build_polytope(s, 0, 1e-6)
-    cost_x = np.array([[0.0, 0.1], [1.0, 1.0], [9.0, 9.0]])
-    cost_y = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
-    x, y = ms.lp_solve(poly, cost_x, cost_y)
-
-    best = None
-    for placement in itertools.product(range(3), repeat=2):
-        storage = [0.0, 0.0, 0.0]
-        for k, i in enumerate(placement):
-            storage[i] += doc["service_size"][k]
-        if any(a > b for a, b in zip(storage, doc["cloud_capacity"])):
-            continue
-        cost = sum(cost_x[i, k] for k, i in enumerate(placement))
-        if best is None or cost < best[1]:
-            best = (placement, cost)
-    assert best is not None and best[0] == (0, 1)
-    assert x[0, 0] == pytest.approx(1.0, abs=1e-9)
-    assert x[1, 1] == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(y[0], 1.0, atol=1e-9)
-
-
 def test_lp_infeasible_when_storage_cannot_fit():
     doc = make_doc(service_size=[4.0, 4.0], cloud_capacity=[2.0, 2.0, 2.0])
     s = _validate(doc)
-    poly = ms.build_polytope(s, 0, 1e-6)
-    with pytest.raises(ms.InfeasibleError):
-        ms.lp_solve(poly, np.zeros((3, 2)), np.zeros((3, 2)))
+    with pytest.raises(ms.InfeasibleError) as err:
+        _feasible_point_via_lp(s, 0, 1e-6)
+    assert not isinstance(err.value, ms.NoInteriorPointError)
 
 
-def _argmin_vertex(doc, cost_x, cost_y):
-    """Per-column argmin vertex ignoring storage and capacity, lowest index on ties."""
-    m, n = cost_x.shape
-    cov = doc["coverage"][0]
-    x = np.zeros((m, n))
-    y = np.zeros((m, n))
-    for k in range(n):
-        x[int(np.argmin(cost_x[:, k])), k] = 1.0
-        y[min(cov[k], key=lambda j: (cost_y[j, k], j)), k] = 1.0
-    return x, y
-
-
-def _fits(doc, x, y, margin):
-    storage = x @ np.asarray(doc["service_size"])
-    load = y @ np.asarray(doc["demand"][0])
-    return bool(
-        np.all(storage <= np.asarray(doc["cloud_capacity"]))
-        and np.all(load <= np.asarray(doc["bs_capacity"]) - margin)
+def test_solve_slot_rounds_the_lp_point_when_the_uniform_point_cannot_be_repaired():
+    # Scaling station 1 under its margin takes a sliver from user 1, whose
+    # only station it is, so the uniform point's repair fails; user 0 can
+    # still move to station 0.
+    doc = make_doc(
+        num_clouds=2,
+        bs_capacity=[1.5, 1.5],
+        cloud_capacity=[5.0, 5.0],
+        link_latency=[[[0.0, 1.0], [1.0, 0.0]]] * 2,
+        coverage=[[[0, 1], [1]]] * 2,
     )
-
-
-def _full_lp(doc, margin):
-    """Slot-0 LP in one piece, as linprog keyword arguments.
-
-    Variables: x flattened cloud-major, then y. Rows: storage, capacity
-    minus margin, one x column sum and one y column sum over coverage per
-    user; selections outside coverage are pinned to zero by their bounds.
-    """
-    m, n = doc["num_clouds"], doc["num_users"]
-    mn = m * n
-    a_ub = np.zeros((2 * m, 2 * mn))
-    a_eq = np.zeros((2 * n, 2 * mn))
-    upper = [1.0] * mn
-    for i in range(m):
-        a_ub[i, i * n : (i + 1) * n] = doc["service_size"]
-        a_ub[m + i, mn + i * n : mn + (i + 1) * n] = doc["demand"][0]
-    for k in range(n):
-        a_eq[k, k:mn:n] = 1.0
-        for j in doc["coverage"][0][k]:
-            a_eq[n + k, mn + j * n + k] = 1.0
-    upper += [
-        1.0 if j in doc["coverage"][0][k] else 0.0 for j in range(m) for k in range(n)
-    ]
-    return {
-        "A_ub": a_ub,
-        "b_ub": np.concatenate(
-            [doc["cloud_capacity"], np.asarray(doc["bs_capacity"]) - margin]
-        ),
-        "A_eq": a_eq,
-        "b_eq": np.ones(2 * n),
-        "bounds": [(0.0, u) for u in upper],
-    }
-
-
-def test_lp_solve_matches_linprog_optimum_on_and_off_the_fast_path():
-    rng = np.random.default_rng(59)
-    margin = 1e-6
-    paths = {"argmin vertex": 0, "linprog": 0}
-    for seed in range(15):
-        for tight in (False, True):
-            doc = random_doc(seed, m=3, n=4, tight=tight)
-            s = _validate(doc)
-            poly = ms.build_polytope(s, 0, margin)
-            for crowd in (False, True):
-                cost_x = rng.normal(size=(3, 4))
-                cost_y = rng.normal(size=(3, 4))
-                if crowd:
-                    # one cloud is every user's cheapest: storage breaks when tight
-                    cost_x[int(rng.integers(3)), :] -= 10.0
-                c = np.concatenate([cost_x.ravel(), cost_y.ravel()])
-                direct = linprog(c, **_full_lp(doc, margin), method="highs")
-                if direct.status == 2:
-                    with pytest.raises(ms.InfeasibleError):
-                        ms.lp_solve(poly, cost_x, cost_y)
-                    continue
-                assert direct.status == 0
-                x, y = ms.lp_solve(poly, cost_x, cost_y)
-                got = float(np.sum(cost_x * x) + np.sum(cost_y * y))
-                assert got == pytest.approx(direct.fun, abs=1e-9), (seed, tight, crowd)
-                vx, vy = _argmin_vertex(doc, cost_x, cost_y)
-                if _fits(doc, vx, vy, margin):
-                    paths["argmin vertex"] += 1
-                    assert np.array_equal(x, vx) and np.array_equal(y, vy)
-                else:
-                    paths["linprog"] += 1
-    assert paths["argmin vertex"] >= 10 and paths["linprog"] >= 10, paths
-
-
-def test_lp_argmin_vertex_over_storage_by_a_hair_is_not_returned():
-    # both users prefer cloud 0, which misses room for both by 1e-9
-    doc = make_doc(cloud_capacity=[2.0 - 1e-9, 5.0, 5.0])
     s = _validate(doc)
-    poly = ms.build_polytope(s, 0, 1e-6)
-    cost_x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    x, _ = ms.lp_solve(poly, cost_x, np.zeros((3, 2)))
-    storage = x[0] @ np.asarray(doc["service_size"])
-    assert storage <= doc["cloud_capacity"][0] + 1e-12
-    assert storage == pytest.approx(doc["cloud_capacity"][0], abs=1e-12)
-
-
-def test_lp_zero_cost_returns_lowest_index_vertex():
-    for seed in range(5):
-        doc = random_doc(seed, m=4, n=3)
-        s = _validate(doc)
-        poly = ms.build_polytope(s, 0, 1e-6)
-        zeros = np.zeros((4, 3))
-        x, y = ms.lp_solve(poly, zeros, zeros)
-        lowest_x = np.zeros((4, 3))
-        lowest_x[0, :] = 1.0
-        lowest_y = np.zeros((4, 3))
-        for k, stations in enumerate(doc["coverage"][0]):
-            lowest_y[stations[0], k] = 1.0
-        assert _fits(doc, lowest_x, lowest_y, 1e-6)
-        assert np.array_equal(x, lowest_x)
-        assert np.array_equal(y, lowest_y)
-
-
-def _block_case_doc():
-    """Three clouds and users; everyone on cloud 0 or on station 0 overflows."""
-    return make_doc(
-        num_users=3,
-        service_size=[1.0, 1.0, 1.0],
-        cloud_capacity=[1.5, 5.0, 5.0],
-        bs_capacity=[2.5, 10.0, 10.0],
-        coverage=[[[0, 1, 2]] * 3] * 2,
-        demand=[[1.0, 1.0, 1.0]] * 2,
-    )
-
-
-def _block_costs(rng, crowd_x, crowd_y):
-    """Noisy costs whose argmin spreads users out, or crowds them onto index 0."""
-    spread = np.ones((3, 3)) - np.eye(3)
-    cost_x = spread + rng.uniform(0.0, 0.1, size=(3, 3))
-    cost_y = spread + rng.uniform(0.0, 0.1, size=(3, 3))
-    if crowd_x:
-        cost_x[0] -= 10.0
-    if crowd_y:
-        cost_y[0] -= 10.0
-    return cost_x, cost_y
-
-
-@pytest.mark.parametrize("crowd_x, crowd_y", [(True, False), (False, True), (True, True)])
-def test_lp_blocks_that_break_their_rows_reach_the_full_lp_optimum(crowd_x, crowd_y):
-    doc = _block_case_doc()
-    s = _validate(doc)
-    margin = 1e-6
-    poly = ms.build_polytope(s, 0, margin)
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        cost_x, cost_y = _block_costs(rng, crowd_x, crowd_y)
-        vx, vy = _argmin_vertex(doc, cost_x, cost_y)
-        storage = vx @ np.asarray(doc["service_size"])
-        load = vy @ np.asarray(doc["demand"][0])
-        assert np.any(storage > doc["cloud_capacity"]) == crowd_x
-        assert np.any(load > np.asarray(doc["bs_capacity"]) - margin) == crowd_y
-        c = np.concatenate([cost_x.ravel(), cost_y.ravel()])
-        direct = linprog(c, **_full_lp(doc, margin), method="highs")
-        assert direct.status == 0
-        x, y = ms.lp_solve(poly, cost_x, cost_y)
-        got = float(np.sum(cost_x * x) + np.sum(cost_y * y))
-        assert got == pytest.approx(direct.fun, abs=1e-9)
-        assert np.all(x @ np.asarray(doc["service_size"])
-                      <= np.asarray(doc["cloud_capacity"]) + 1e-9)
-        assert np.all(y @ np.asarray(doc["demand"][0])
-                      <= np.asarray(doc["bs_capacity"]) - margin + 1e-9)
-
-
-def test_lp_reused_polytope_matches_fresh_polytopes():
-    doc = _block_case_doc()
-    s = _validate(doc)
-    shared = ms.build_polytope(s, 0, 1e-6)
-    rng = np.random.default_rng(11)
-    zeros = (np.zeros((3, 3)), np.zeros((3, 3)))  # every vertex ties: a kept basis shows
-    costs = []
-    for crowd in [(True, False), (False, False), (True, True), (False, True)] * 2:
-        costs += [_block_costs(rng, *crowd), zeros]
-    for cost_x, cost_y in costs:
-        got = ms.lp_solve(shared, cost_x, cost_y)
-        fresh = ms.lp_solve(ms.build_polytope(s, 0, 1e-6), cost_x, cost_y)
-        assert np.array_equal(got[0], fresh[0]) and np.array_equal(got[1], fresh[1])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("block", ["x", "y"])
-def test_lp_non_finite_cost_is_rejected(bad, block):
-    s = _validate(_block_case_doc())
-    poly = ms.build_polytope(s, 0, 1e-6)
-    cost = {"x": np.zeros((3, 3)), "y": np.zeros((3, 3))}
-    cost[block][1, 2] = bad
-    with pytest.raises(ValueError):
-        ms.lp_solve(poly, cost["x"], cost["y"])
+    assert _uniform_point(s, 0, 1e-6) is None
+    decision, _, report = ms.solve_slot(s, 0)
+    _, value = ms.best_slot_decision(s, 0)
+    assert decision.selection == (0, 1)
+    assert report.objective == pytest.approx(value, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +155,7 @@ def test_gradient_rejects_overloaded_point():
 
 
 # ---------------------------------------------------------------------------
-# fractional solve
+# slot solve: seeds and errors
 
 
 def _dominant_doc():
@@ -389,42 +172,15 @@ def _dominant_doc():
     }
 
 
-def test_solve_fractional_concentrates_on_dominant_option():
+def test_solve_slot_concentrates_on_dominant_option():
     s = _validate(_dominant_doc())
-    frac, report = ms.solve_fractional(s, 0)
-    assert frac.x[0, 0] >= 0.99
-    assert frac.y[0, 0] >= 0.99
-    assert report.gap >= 0.0
+    decision, frac, report = ms.solve_slot(s, 0)
+    assert decision == ms.SlotDecision((0,), (0,))
+    assert frac.x[0, 0] == 1.0 and frac.y[0, 0] == 1.0
+    assert report.objective == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 
-def test_solve_fractional_init_at_optimum_stops_immediately(walkthrough_path):
-    s = ms.load_scenario(walkthrough_path)
-    init = ms.FractionalDecision(
-        x=np.array([[0.2], [0.0], [0.8]]), y=np.array([[1.0], [0.0], [0.0]])
-    )
-    frac, report = ms.solve_fractional(s, 0, init=init)
-    assert report.iterations == 1
-    assert report.gap <= ms.DEFAULT_CONFIG.tol * max(abs(report.objective), 1e-12)
-    assert report.objective == pytest.approx(49.0 / 30.0, abs=1e-9)
-    assert frac.x[2, 0] >= 0.75
-
-
-def test_solve_fractional_trace_non_increasing():
-    for seed in (0, 3, 11, 42):
-        doc = random_doc(seed, tight=True)
-        s = _validate(doc)
-        frac, report = ms.solve_fractional(s, 0)
-        trace = report.objective_trace
-        assert len(trace) >= 1
-        for a, b in zip(trace, trace[1:]):
-            assert b <= a + 1e-12
-        assert report.objective <= trace[-1] + 1e-9
-        assert report.gap >= -1e-12
-        value = ms.objective(s, 0, frac.x, frac.y)
-        assert value == pytest.approx(report.objective, abs=1e-9)
-
-
-def test_solve_fractional_matches_enumeration_on_symmetric_instance():
+def test_solve_slot_matches_enumeration_on_symmetric_instance():
     doc = {
         "num_clouds": 2,
         "num_users": 2,
@@ -437,28 +193,21 @@ def test_solve_fractional_matches_enumeration_on_symmetric_instance():
         "demand": [[1.0, 1.0]],
     }
     s = _validate(doc)
-    _, report = ms.solve_fractional(s, 0)
+    _, _, report = ms.solve_slot(s, 0)
     best = ref.brute_best(doc, 0)
     assert best is not None
     assert abs(report.objective - best[2]) <= 1e-3
 
 
-def test_solve_fractional_rejects_bad_init():
-    s = _validate(make_doc())
-    bad = ms.FractionalDecision(x=np.full((3, 2), 0.1), y=np.full((3, 2), 1 / 3))
-    with pytest.raises(ValueError):
-        ms.solve_fractional(s, 0, init=bad)
-
-
-def test_solve_fractional_infeasible_storage():
+def test_solve_slot_infeasible_storage():
     doc = make_doc(service_size=[4.0, 4.0], cloud_capacity=[2.0, 2.0, 2.0])
     s = _validate(doc)
     with pytest.raises(ms.InfeasibleError) as err:
-        ms.solve_fractional(s, 0)
+        ms.solve_slot(s, 0)
     assert not isinstance(err.value, ms.NoInteriorPointError)
 
 
-def test_solve_fractional_no_interior_point():
+def test_solve_slot_no_interior_point():
     doc = {
         "num_clouds": 1,
         "num_users": 1,
@@ -472,7 +221,7 @@ def test_solve_fractional_no_interior_point():
     }
     s = _validate(doc)
     with pytest.raises(ms.NoInteriorPointError):
-        ms.solve_fractional(s, 0)
+        ms.solve_slot(s, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +397,8 @@ def test_round_integral_point_returned_unchanged():
 def test_round_is_deterministic_per_seed_and_feasible():
     doc = random_doc(5, tight=True)
     s = _validate(doc)
-    frac, _ = ms.solve_fractional(s, 0)
+    x, y = _uniform_point(s, 0, ms.DEFAULT_CONFIG.margin)  # the point solve_slot rounds
+    frac = ms.FractionalDecision(x=x, y=y)
     seen = set()
     for seed in range(200):
         first, _, _ = ms.round_decision(s, 0, frac, rng_seed=seed)
@@ -730,7 +480,9 @@ def test_solve_slot_walkthrough_decision(walkthrough_path):
     for seed in (0, 1, 7, 123):
         decision, frac, report = ms.solve_slot(s, 0, rng_seed=seed)
         assert decision == ms.SlotDecision((2,), (0,))
-        assert report.objective <= 49.0 / 30.0 + 1e-6
+        assert np.array_equal(frac.x, decision.placement_matrix(3))
+        assert np.array_equal(frac.y, decision.selection_matrix(3))
+        assert report.objective == ms.objective(s, 0, frac.x, frac.y)
 
 
 def test_solve_slot_warm_start_keeps_dominant_decision():
@@ -798,6 +550,74 @@ def test_solve_slot_honors_margin_setting():
     except ms.InfeasibleError:
         pytest.skip("margin 0.2 leaves no feasible decision on this draw")
     assert ms.decision_feasible(s, 0, decision, margin=0.2)
+
+
+@pytest.mark.parametrize("seed", [[25, 27], [103, 8], [103, 10], [7, 22]])
+def test_solve_slot_reaches_the_optimum_on_former_sandwich_misses(seed):
+    # The descent-then-round solver reported objectives 1e-3 to 2e-2 above
+    # the optimum on these criterion-3-family instances.
+    s = _validate(moderate_doc(seed))
+    decision, _, report = ms.solve_slot(s, 0)
+    _, value = ms.best_slot_decision(s, 0)
+    assert report.objective == pytest.approx(value, abs=1e-9)
+    assert ms.decision_feasible(s, 0, decision, ms.DEFAULT_CONFIG.margin)
+
+
+@pytest.mark.parametrize("seed", [11, 13, 20, 99])
+def test_solve_slot_finds_feasible_decisions_on_tight_instances(seed):
+    # Each has feasible decisions that rounding and repair alone missed.
+    s = _validate(random_doc(seed, m=4, n=5, tight=True))
+    decision, _, report = ms.solve_slot(s, 0, rng_seed=seed)
+    assert ms.decision_feasible(s, 0, decision, ms.DEFAULT_CONFIG.margin)
+    if seed == 13:
+        _, value = ms.best_slot_decision(s, 0)
+        assert report.objective == pytest.approx(value, abs=1e-9)
+
+
+def test_greedy_repair_moves_users_back_into_coverage():
+    doc = make_doc(
+        num_users=3,
+        service_size=[1.0, 1.0, 1.0],
+        bs_capacity=[2.5, 10.0, 10.0],
+        coverage=[[[0, 1], [0, 2], [0, 1]]] * 2,
+        demand=[[1.0, 1.0, 1.0]] * 2,
+    )
+    s = _validate(doc)
+    # user 1 sits on station 1, outside its coverage; station 0 has room for
+    # one more user, at a lower cost than station 2 from cloud 0
+    repaired, moves = _greedy_repair(s, 0, ms.SlotDecision((0, 0, 1), (0, 1, 1)), 1e-6)
+    assert repaired == ms.SlotDecision((0, 0, 1), (0, 0, 1))
+    assert moves == 1
+    with pytest.raises(ms.RoundingFailedError):
+        # no covered station of user 1 has room once stations 0 and 2 are full
+        full = _validate({**doc, "bs_capacity": [1.5, 10.0, 0.5]})
+        _greedy_repair(full, 0, ms.SlotDecision((0, 0, 1), (0, 1, 1)), 1e-6)
+
+
+def test_solve_slot_repairs_a_warm_start_that_left_coverage():
+    doc = make_doc(coverage=[[[0, 1, 2], [0, 1, 2]], [[1, 2], [2]]])
+    s = _validate(doc)
+    warm = ms.SlotDecision((0, 0), (0, 0))
+    decision, _, report = ms.solve_slot(s, 1, warm_start=warm)
+    _, value = ms.best_slot_decision(s, 1)
+    assert ms.decision_feasible(s, 1, decision, ms.DEFAULT_CONFIG.margin)
+    assert report.objective == pytest.approx(value, abs=1e-12)
+    assert report.repair_actions >= 2  # both users left station 0's coverage
+
+
+def test_importing_mecsim_and_its_cli_loads_no_scipy():
+    code = (
+        "import sys, mecsim, mecsim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(ms.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

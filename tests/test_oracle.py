@@ -75,7 +75,7 @@ def test_value_bounds_the_fractional_objective():
         doc = random_doc(seed)
         s = ms.validate_scenario(doc)
         _, value = ms.best_slot_decision(s, 0)
-        _, report = ms.solve_fractional(s, 0)
+        _, _, report = ms.solve_slot(s, 0)
         assert report.objective <= value + 1e-9
 
 
