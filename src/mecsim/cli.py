@@ -30,7 +30,7 @@ from .errors import (
     ScenarioError,
     UncoverableAreaError,
 )
-from .generator import GeneratorConfig, generate
+from .generator import GeneratorConfig, _is_number, generate
 from .model import Scenario
 from .optimizer import DEFAULT_CONFIG, SolverConfig
 from .policy import POLICY_KINDS, Policy, SlotOutcome, run_policy
@@ -80,10 +80,11 @@ def _load_config(path: str | None) -> dict[str, Any]:
 
 
 def _config_number(solver: Mapping[str, Any], key: str, kind: type) -> Any:
-    try:
-        return kind(solver[key])
-    except (TypeError, ValueError):
-        raise ParseError(f"solver.{key} must be a number, got {solver[key]!r}") from None
+    value = solver[key]
+    if not _is_number(value) or (kind is int and not isinstance(value, int)):
+        what = "an integer" if kind is int else "a number"
+        raise ParseError(f"solver.{key} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def _solver_config(config: Mapping[str, Any], args: argparse.Namespace) -> SolverConfig:
@@ -106,9 +107,10 @@ def _run_seed(args: argparse.Namespace) -> int:
 
 
 def _out_dir(config: Mapping[str, Any], args: argparse.Namespace) -> Path:
-    if getattr(args, "out", None):
-        return Path(args.out)
-    return Path(config.get("output", {}).get("dir", "out"))
+    out = config.get("output", {}).get("dir", "out")
+    if not isinstance(out, str):
+        raise ParseError(f"output.dir must be a string, got {out!r}")
+    return Path(args.out or out)
 
 
 def _beta_str(policy: Policy) -> str:
@@ -196,15 +198,14 @@ def _parse_policy(config: Mapping[str, Any], args: argparse.Namespace) -> Policy
     kind = getattr(args, "policy", None) or controller.get("policy", "threshold")
     if kind not in POLICY_KINDS:
         raise ParseError(f"unknown policy: {kind!r}")
+    beta = controller.get("beta", 1.0)
+    if beta == "inf":  # the form a run summary writes
+        beta = math.inf
+    elif not _is_number(beta):
+        raise ParseError(f"controller.beta must be a number or \"inf\", got {beta!r}")
     if kind != "threshold":
         return Policy(kind=kind)
-    beta = getattr(args, "beta", None)
-    if beta is None:
-        beta = controller.get("beta", 1.0)
-    try:
-        beta = float(beta)
-    except (TypeError, ValueError):
-        raise ParseError(f"beta must be a number, got {beta!r}") from None
+    beta = float(beta if args.beta is None else args.beta)
     if math.isnan(beta) or beta < 0:
         raise ParseError("beta must be nonnegative")
     return Policy.threshold(beta)

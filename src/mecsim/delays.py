@@ -10,6 +10,7 @@ result is the same float as the literal nested loop over those terms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -91,6 +92,46 @@ def communication_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> fl
     y = _as_decision_matrix(s, "y", y)
     terms = (y.T[:, None, :] * x.T[:, :, None]) * s.link_latency[t]
     return _sequential_sum(terms)
+
+
+class _IndexCosts:
+    """Slot-t delays of integral decisions as index sequences: user k on
+    cloud ``placement[k]`` and station ``selection[k]``. Plain lists keep a
+    call cheap; sums run user by user, as in the matrix forms, and a station
+    at or over capacity gives +inf.
+    """
+
+    __slots__ = ("sizes", "demand", "bs_cap", "lat")
+
+    def __init__(self, s: Scenario, t: int) -> None:
+        self.sizes = s.service_size.tolist()
+        self.demand = s.demand[t].tolist()
+        self.bs_cap = s.bs_capacity.tolist()
+        self.lat = s.link_latency[t].tolist()
+
+    def non_switching(self, placement: Sequence[int], selection: Sequence[int]) -> float:
+        """Queuing plus communication delay of the decision at slot t."""
+        load = [0.0] * len(self.bs_cap)
+        for k, j in enumerate(selection):
+            load[j] += self.demand[k]
+        queuing = 0.0
+        for j in selection:
+            slack = self.bs_cap[j] - load[j]
+            if slack <= 0.0:
+                return math.inf
+            queuing += 1.0 / slack
+        communication = 0.0
+        for i, j in zip(placement, selection):
+            communication += self.lat[i][j]
+        return queuing + communication
+
+    def switching(self, p_now: Sequence[int], p_prev: Sequence[int]) -> float:
+        """Migration cost: each user whose cloud changed pays its size."""
+        total = 0.0
+        for size, i_now, i_prev in zip(self.sizes, p_now, p_prev):
+            if i_now != i_prev:
+                total += size
+        return total
 
 
 def non_switching_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> float:

@@ -340,6 +340,12 @@ def decision_feasible(
     load = np.bincount(
         d.selection, weights=s.demand[t], minlength=s.num_clouds
     )
-    if np.any(load > s.bs_capacity - margin) or np.any(load >= s.bs_capacity):
-        return False
-    return True
+    return bool(np.all(load <= station_limit(s.bs_capacity, margin)))
+
+
+def station_limit(capacity: np.ndarray, margin: float) -> np.ndarray:
+    """Highest load each station may carry, the station rule of integral
+    decisions: a load fits when it is at most ``capacity - margin`` and
+    strictly below ``capacity``, that is at most this limit.
+    """
+    return np.minimum(capacity - margin, np.nextafter(capacity, -np.inf))

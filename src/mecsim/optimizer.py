@@ -19,20 +19,25 @@ when it runs.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .delays import non_switching_delay
+from .delays import _IndexCosts, non_switching_delay
 from .errors import (
     InfeasibleError,
     NoInteriorPointError,
     OverloadedPointError,
     RoundingFailedError,
 )
-from .model import FractionalDecision, Scenario, SlotDecision, decision_feasible
+from .model import (
+    FractionalDecision,
+    Scenario,
+    SlotDecision,
+    decision_feasible,
+    station_limit,
+)
 
 __all__ = [
     "SolverConfig",
@@ -49,18 +54,20 @@ class SolverConfig:
     """Knobs for the slot solve and the rounding that seeds it."""
 
     margin: float = 1e-6        # station load must stay <= C_j - margin
-    max_attempts: int = 50      # rounding resamples before greedy repair
+    max_attempts: int = 50      # rounding draws before repair; *_tight_instances[13]
 
 
 DEFAULT_CONFIG = SolverConfig()
 
 # Effort bounds of the discrete search. All of it is deterministic: the
 # seed roundings and the kick stream use fixed seeds, never caller seeds.
-_PAIR_SCAN_BUDGET = 8000    # full two-user rescans only while this cheap
-_ROTATION_BUDGET = 4000     # three-user rotations only while n**3 fits
-_KICK_ROUNDS = 6            # perturbation restarts of the discrete search
+# Each knob's comment (and max_attempts') ends with the test_solve_slot_*
+# test in tests/test_optimizer.py that fails without it.
+_PAIR_SCAN_BUDGET = 8000    # two-user rescans only while cheap; *_tight_instances[13]
+_ROTATION_BUDGET = 4000     # three-user rotations while n**3 fits; *_tight_instances[70]
+_KICK_ROUNDS = 6            # perturbation restarts; *_kicks_escape_local_optima
 _KICK_SEED = 271828182
-_CANDIDATE_SEEDS = (0, 1, 2)  # rounding draws that seed the discrete search
+_CANDIDATE_SEEDS = (0, 1, 2)  # roundings; *_reaches_the_optimum_on_former_sandwich_misses
 
 
 @dataclass(frozen=True)
@@ -168,35 +175,47 @@ def _uniform_point(
     return x, y
 
 
+def _cheapest_room(
+    s: Scenario, t: int, k: int, i: int, load: np.ndarray, limit: np.ndarray,
+    skip: int = -1,
+) -> tuple[float, int] | None:
+    """User k's cheapest covered station but ``skip`` that can take its
+    demand on top of ``load``, by queue-plus-latency cost with k on cloud i,
+    as (cost, station); the lowest station index on ties, None if none fits.
+    """
+    best = None
+    for j in s.coverage[t][k]:
+        new_load = load[j] + s.demand[t][k]
+        if j != skip and new_load <= limit[j]:
+            cost = 1.0 / (s.bs_capacity[j] - new_load) + s.link_latency[t][i, j]
+            if best is None or cost < best[0]:
+                best = (cost, j)
+    return best
+
+
 def _greedy_indicator(s: Scenario, t: int, margin: float) -> SlotDecision | None:
     """Sequential per-user joint argmin of queue-plus-latency cost."""
     m, n = s.num_clouds, s.num_users
-    cov = s.coverage[t]
+    limit = station_limit(s.bs_capacity, margin)
     storage = np.zeros(m)
     load = np.zeros(m)
-    placement = np.empty(n, dtype=int)
-    selection = np.empty(n, dtype=int)
-    lat = s.link_latency[t]
+    placement, selection = [], []
     for k in range(n):
-        best_cost = math.inf
         best = None
         for i in range(m):
             if storage[i] + s.service_size[k] > s.cloud_capacity[i]:
                 continue
-            for j in cov[k]:
-                new_load = load[j] + s.demand[t][k]
-                if new_load > s.bs_capacity[j] - margin or new_load >= s.bs_capacity[j]:
-                    continue
-                cost = 1.0 / (s.bs_capacity[j] - new_load) + lat[i, j]
-                if cost < best_cost - 1e-15:
-                    best_cost = cost
-                    best = (i, j)
+            room = _cheapest_room(s, t, k, i, load, limit)
+            if room is not None and (best is None or room[0] < best[0]):
+                best = (room[0], i, room[1])
         if best is None:
             return None
-        placement[k], selection[k] = best
-        storage[best[0]] += s.service_size[k]
-        load[best[1]] += s.demand[t][k]
-    return SlotDecision(tuple(int(v) for v in placement), tuple(int(v) for v in selection))
+        _, i, j = best
+        placement.append(i)
+        selection.append(j)
+        storage[i] += s.service_size[k]
+        load[j] += s.demand[t][k]
+    return SlotDecision(tuple(placement), tuple(selection))
 
 
 def _feasible_point_via_lp(
@@ -252,17 +271,17 @@ class _SearchState:
     """Integral decision with incremental bookkeeping for the discrete search.
 
     Plain lists keep probes cheap. ``f`` is the non-switching delay of the
-    current decision, recomputed in full by every ``apply``. A probe values
-    a batch of per-user (cloud, station) reassignments, distinct users each,
-    as ``f`` plus the change in the terms of the stations and users it
-    touches, without applying it; batches that break storage, coverage, or
-    the capacity margin, or that fill a station to capacity, are rejected
-    without evaluation. ``best_single_move`` values every one-user move with
-    the same arithmetic in one scan.
+    current decision, which ``apply`` recomputes with ``_IndexCosts``. A
+    probe values a batch of per-user (cloud, station) reassignments,
+    distinct users each, as ``f`` plus the change in the terms of the
+    stations and users it touches, without applying it; batches that break
+    storage, coverage or the station limit are rejected without evaluation.
+    ``best_single_move`` values every one-user move with the same arithmetic
+    in one scan.
     """
 
     __slots__ = (
-        "m", "n", "sizes", "demand", "cloud_cap", "bs_cap", "margin", "lat",
+        "m", "n", "costs", "sizes", "demand", "cloud_cap", "bs_cap", "limit", "lat",
         "cov", "covsets", "placement", "selection", "used", "load", "users_on", "f",
     )
 
@@ -272,12 +291,13 @@ class _SearchState:
     ) -> None:
         self.m = s.num_clouds
         self.n = s.num_users
-        self.sizes = [float(v) for v in s.service_size]
-        self.demand = [float(v) for v in s.demand[t]]
-        self.cloud_cap = [float(v) for v in s.cloud_capacity]
-        self.bs_cap = [float(v) for v in s.bs_capacity]
-        self.margin = margin
-        self.lat = [[float(v) for v in row] for row in s.link_latency[t]]
+        self.costs = _IndexCosts(s, t)
+        self.sizes = self.costs.sizes
+        self.demand = self.costs.demand
+        self.cloud_cap = s.cloud_capacity.tolist()
+        self.bs_cap = self.costs.bs_cap
+        self.limit = station_limit(s.bs_capacity, margin).tolist()
+        self.lat = self.costs.lat
         self.cov = s.coverage[t]
         self.covsets = [frozenset(c) for c in self.cov]
         self.placement = list(placement)
@@ -292,17 +312,7 @@ class _SearchState:
         self.f = self.value()
 
     def value(self) -> float:
-        f = 0.0
-        for j in range(self.m):
-            if self.users_on[j]:
-                f += self.users_on[j] / (self.bs_cap[j] - self.load[j])
-        for k in range(self.n):
-            f += self.lat[self.placement[k]][self.selection[k]]
-        return f
-
-    def fits(self, r: int, load: float) -> bool:
-        """Station r can carry ``load``: within the margin and below capacity."""
-        return load <= self.bs_cap[r] - self.margin and load < self.bs_cap[r]
+        return self.costs.non_switching(self.placement, self.selection)
 
     def probe(self, batch: list[tuple[int, int, int]]) -> float | None:
         storage_delta: dict[int, float] = {}
@@ -324,7 +334,7 @@ class _SearchState:
             if self.used[r] + d > self.cloud_cap[r]:
                 return None
         for r, d in load_delta.items():
-            if not self.fits(r, self.load[r] + d):
+            if self.load[r] + d > self.limit[r]:
                 return None
         for r, d in load_delta.items():
             on = self.users_on[r]
@@ -347,7 +357,7 @@ class _SearchState:
         """
         m, f = self.m, self.f
         used, cloud_cap = self.used, self.cloud_cap
-        load, bs_cap, users_on = self.load, self.bs_cap, self.users_on
+        load, bs_cap, limit, users_on = self.load, self.bs_cap, self.limit, self.users_on
         out = [
             on / (bs_cap[r] - load[r]) if on else None for r, on in enumerate(users_on)
         ]
@@ -359,7 +369,7 @@ class _SearchState:
             out0 = out[j0]
             on0 = users_on[j0]
             leave_load = load[j0] + (0.0 - c)
-            leaving = self.fits(j0, leave_load)
+            leaving = leave_load <= limit[j0]
             leave = 0.0
             if leaving and on0 - 1:
                 leave = (on0 - 1) / (bs_cap[j0] - leave_load)
@@ -369,11 +379,11 @@ class _SearchState:
             for j in self.cov[k]:
                 if j == j0:
                     stay_load = load[j0] + ((0.0 - c) + c)
-                    if self.fits(j0, stay_load):
+                    if stay_load <= limit[j0]:
                         stations.append((j, None, on0 / (bs_cap[j0] - stay_load)))
                 elif leaving:
                     arrive_load = load[j] + (0.0 + c)
-                    if self.fits(j, arrive_load):
+                    if arrive_load <= limit[j]:
                         arrive = (users_on[j] + 1) / (bs_cap[j] - arrive_load)
                         stations.append((j, out[j], arrive))
             if not stations:
@@ -638,30 +648,21 @@ def _greedy_repair(
     lat = s.link_latency[t]
     cov = s.coverage[t]
     demand = s.demand[t]
+    limit = station_limit(s.bs_capacity, margin)
     placement = list(d.placement)
     selection = list(d.selection)
     moves = 0
-
-    def cheapest_room(k: int, load: np.ndarray, skip: int) -> int | None:
-        options = []
-        for j in cov[k]:
-            if j == skip:
-                continue
-            new_load = load[j] + demand[k]
-            if new_load <= s.bs_capacity[j] - margin and new_load < s.bs_capacity[j]:
-                cost = 1.0 / (s.bs_capacity[j] - new_load) + lat[placement[k], j]
-                options.append((cost, j))
-        return min(options)[1] if options else None
 
     load = np.bincount(selection, weights=demand, minlength=m)
     for k in range(n):
         if selection[k] in cov[k]:
             continue
-        j = cheapest_room(k, load, skip=-1)
-        if j is None:
+        room = _cheapest_room(s, t, k, placement[k], load, limit)
+        if room is None:
             raise RoundingFailedError(
                 f"user {k} has no covered station with room at slot {t}"
             )
+        j = room[1]
         load[selection[k]] -= demand[k]
         load[j] += demand[k]
         selection[k] = j
@@ -695,18 +696,18 @@ def _greedy_repair(
 
     for _ in range(2 * m * n + 1):
         load = np.bincount(selection, weights=demand, minlength=m)
-        if not (np.any(load > s.bs_capacity - margin) or np.any(load >= s.bs_capacity)):
+        if np.all(load <= limit):
             break
-        j_bad = int(np.argmax(load - (s.bs_capacity - margin)))
+        j_bad = int(np.argmax(load - limit))
         movers = sorted(
             (k for k in range(n) if selection[k] == j_bad),
             key=lambda k: (-demand[k], k),
         )
         moved = False
         for k in movers:
-            j = cheapest_room(k, load, skip=j_bad)
-            if j is not None:
-                selection[k] = j
+            room = _cheapest_room(s, t, k, placement[k], load, limit, skip=j_bad)
+            if room is not None:
+                selection[k] = room[1]
                 moves += 1
                 moved = True
                 break
@@ -757,6 +758,7 @@ def solve_slot(
         seeds.append(d)
         attempts += used
         repairs += moves
+    # needed by test_solve_slot_finds_feasible_decisions_on_tight_instances[5]
     greedy = _greedy_indicator(s, t, config.margin)
     if greedy is not None:
         seeds.append(greedy)

@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 
+from .delays import _IndexCosts
 from .errors import InfeasibleError, OracleTooLargeError
-from .model import Scenario, SlotDecision
+from .model import Scenario, SlotDecision, station_limit
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -35,34 +36,13 @@ def _feasible_placements(s: Scenario) -> list[tuple[int, ...]]:
 
 
 def _feasible_selections(s: Scenario, t: int, margin: float) -> list[tuple[int, ...]]:
+    limit = station_limit(s.bs_capacity, margin)
     out = []
     for sel in itertools.product(*s.coverage[t]):
         load = np.bincount(sel, weights=s.demand[t], minlength=s.num_clouds)
-        if np.all(load <= s.bs_capacity - margin) and np.all(load < s.bs_capacity):
+        if np.all(load <= limit):
             out.append(sel)
     return out
-
-
-def _queuing(s: Scenario, t: int, sel: tuple[int, ...]) -> float:
-    load = np.bincount(sel, weights=s.demand[t], minlength=s.num_clouds)
-    slack = s.bs_capacity - load
-    total = 0.0
-    for j in sel:
-        if slack[j] <= 0.0:
-            return math.inf
-        total += 1.0 / slack[j]
-    return total
-
-
-def _communication(s: Scenario, t: int, p: tuple[int, ...], sel: tuple[int, ...]) -> float:
-    lat = s.link_latency[t]
-    return float(sum(lat[i, j] for i, j in zip(p, sel)))
-
-
-def _switch_cost(s: Scenario, p_new: tuple[int, ...], p_old: tuple[int, ...]) -> float:
-    return float(
-        sum(s.service_size[k] for k in range(s.num_users) if p_new[k] != p_old[k])
-    )
 
 
 def best_slot_decision(
@@ -87,13 +67,13 @@ def best_slot_decision(
     if not placements or not selections:
         raise InfeasibleError(f"no feasible decision at slot {t}")
 
-    prev_p = x_prev.placement if x_prev is not None else None
+    costs = _IndexCosts(s, t)
     best_value = math.inf
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for p in placements:
-        switch = _switch_cost(s, p, prev_p) if prev_p is not None else 0.0
+        switch = costs.switching(p, x_prev.placement) if x_prev is not None else 0.0
         for sel in selections:
-            value = _queuing(s, t, sel) + _communication(s, t, p, sel) + switch
+            value = costs.non_switching(p, sel) + switch
             if value < best_value:
                 best_value = value
                 best = (p, sel)
@@ -130,82 +110,50 @@ def offline_optimal(
             f"offline DP workload exceeds the budget of {budget}"
         )
 
-    def slot_values(t: int, pls: list[tuple[int, ...]]) -> list[list[float]]:
-        q = [_queuing(s, t, sel) for sel in selections[t]]
-        return [
-            [q[yi] + _communication(s, t, p, selections[t][yi]) for yi in range(len(selections[t]))]
-            for p in pls
-        ]
+    costs = [_IndexCosts(s, t) for t in range(s.num_slots)]
+
+    def first_min(values: list[float]) -> int:
+        return min(range(len(values)), key=values.__getitem__)
+
+    def best_selection(t: int, p: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
+        """Least non-switching delay of placement p at slot t, and the first
+        selection that reaches it: the selection does not couple slots."""
+        values = [costs[t].non_switching(p, sel) for sel in selections[t]]
+        yi = first_min(values)
+        return values[yi], selections[t][yi]
 
     if first_decision is not None:
         p0 = tuple(first_decision.placement)
         y0 = tuple(first_decision.selection)
         if p0 not in placements or y0 not in selections[0]:
             raise InfeasibleError("pinned slot-0 decision is not feasible")
-        slot0_p = [p0]
-        slot0_y = [[y0]]
-        value = [[_queuing(s, 0, y0) + _communication(s, 0, p0, y0)]]
+        layer = [(p0, costs[0].non_switching(p0, y0), y0)]
     else:
-        slot0_p = placements
-        slot0_y = [selections[0] for _ in placements]
-        value = slot_values(0, placements)
+        layer = [(p, *best_selection(0, p)) for p in placements]
 
-    # value[pi][yi]: best total through slot t ending at (placement pi, selection yi)
-    prev_p = slot0_p
-    back_p: list[list[int]] = []   # per slot >=1: chosen previous placement index
-    best_y: list[list[int]] = []   # per slot >=0: argmin selection per placement
-
-    def argmin_y(vals: list[list[float]]) -> list[int]:
-        out = []
-        for row in vals:
-            best_i = 0
-            for i in range(1, len(row)):
-                if row[i] < row[best_i]:
-                    best_i = i
-            out.append(best_i)
-        return out
-
-    best_y.append(argmin_y(value))
+    # layers[t][pi]: (placement, best total through slot t ending there, its
+    # selection); back[t - 1][pi]: the index of its placement at slot t - 1
+    layers = [layer]
+    back: list[list[int]] = []
     for t in range(1, s.num_slots):
-        w = [value[pi][best_y[-1][pi]] for pi in range(len(prev_p))]
-        ns = slot_values(t, placements)
-        new_value: list[list[float]] = []
-        bp: list[int] = []
-        for pi, p in enumerate(placements):
-            best_prev = 0
-            best_cost = math.inf
-            for qi, p_old in enumerate(prev_p):
-                cost = w[qi] + _switch_cost(s, p, p_old)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_prev = qi
-            bp.append(best_prev)
-            new_value.append([best_cost + v for v in ns[pi]])
-        back_p.append(bp)
-        value = new_value
-        prev_p = placements
-        best_y.append(argmin_y(value))
+        prev = layers[-1]
+        layer, bp = [], []
+        for p in placements:
+            arrive = [value + costs[t].switching(p, q) for q, value, _ in prev]
+            qi = first_min(arrive)
+            ns, sel = best_selection(t, p)
+            layer.append((p, arrive[qi] + ns, sel))
+            bp.append(qi)
+        layers.append(layer)
+        back.append(bp)
 
-    final_pi = 0
-    final_value = math.inf
-    for pi in range(len(prev_p)):
-        v = value[pi][best_y[-1][pi]]
-        if v < final_value:
-            final_value = v
-            final_pi = pi
-
-    # walk the backpointers from the last slot to slot 0
+    pi = first_min([value for _, value, _ in layers[-1]])
+    final_value = layers[-1][pi][1]
     path: list[SlotDecision] = []
-    pi = final_pi
     for t in range(s.num_slots - 1, -1, -1):
-        if t == 0:
-            p = slot0_p[pi]
-            sel = slot0_y[pi][best_y[0][pi]]
-        else:
-            p = placements[pi]
-            sel = selections[t][best_y[t][pi]]
+        p, _, sel = layers[t][pi]
         path.append(SlotDecision(p, sel))
         if t >= 1:
-            pi = back_p[t - 1][pi]
+            pi = back[t - 1][pi]
     path.reverse()
     return path, final_value

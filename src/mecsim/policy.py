@@ -9,8 +9,8 @@ beta = inf; ``run_policy`` sets those betas, ``threshold`` brings its own.
 
 Three corner cases hold for every policy:
 
-- A slot is *forced* when staying is infeasible (coverage lost or a station
-  overloaded). It migrates whatever beta says, and ``forced`` is set.
+- A slot is *forced* when staying is infeasible at margin 0 (coverage lost
+  or a station at capacity). It migrates whatever beta says; ``forced`` is set.
 - When the candidate solve is infeasible but staying works, the slot stays
   with T1 = inf, at beta = 0 too.
 - At beta = inf the comparison can never favour the candidate, so a
@@ -26,9 +26,15 @@ import math
 from dataclasses import dataclass, replace
 
 from . import oracle as oracle_mod
-from .delays import queuing_delay, switching_delay, total_delay
+from .delays import switching_delay, total_delay
 from .errors import InfeasibleError
-from .model import ControllerState, DelayBreakdown, Scenario, SlotDecision
+from .model import (
+    ControllerState,
+    DelayBreakdown,
+    Scenario,
+    SlotDecision,
+    decision_feasible,
+)
 from .optimizer import DEFAULT_CONFIG, SolverConfig, solve_slot
 from .seeding import ROUNDING, substream_seed
 
@@ -95,14 +101,6 @@ class SlotOutcome:
     t2_accumulated: float  # accumulator value after the slot
 
 
-def _stay_feasible(s: Scenario, t: int, d: SlotDecision) -> bool:
-    """Previous decision still usable: coverage holds, queues stay finite."""
-    for k, j in enumerate(d.selection):
-        if j not in s.coverage[t][k]:
-            return False
-    return math.isfinite(queuing_delay(s, t, d.selection_matrix(s.num_clouds)))
-
-
 def _outcome(
     s: Scenario, t: int, prev: SlotDecision, decision: SlotDecision,
     t2_before: float, migrated: bool, forced: bool, t1: float,
@@ -141,7 +139,7 @@ def step(
 ) -> tuple[SlotOutcome, ControllerState]:
     """One slot of the rule: solve a candidate if it can win, compare, adopt."""
     prev = state.prev_decision
-    forced = not _stay_feasible(s, t, prev)
+    forced = not decision_feasible(s, t, prev, 0.0)
     candidate, t1 = None, math.inf
     if forced or not math.isinf(state.beta):
         try:
@@ -185,7 +183,7 @@ def _run_oracle(
         t1 = switching_delay(s, decision.placement_matrix(m), prev.placement_matrix(m))
         outcomes.append(_outcome(
             s, t, prev, decision, outcomes[-1].t2_accumulated, migrated,
-            migrated and not _stay_feasible(s, t, prev), t1,
+            migrated and not decision_feasible(s, t, prev, 0.0), t1,
         ))
     return outcomes
 

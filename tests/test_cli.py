@@ -252,13 +252,34 @@ def test_compare_rejects_malformed_beta_list(walkthrough_path, tmp_path):
 
 @pytest.mark.parametrize(
     "solver",
-    [{"max_attempts": "many"}, {"margin": [0.1]}, {"margin": "nan"}, {"max_attempts": None}],
+    [
+        {"max_attempts": "many"}, {"margin": [0.1]}, {"margin": "nan"},
+        {"max_attempts": None}, {"margin": "0.001"}, {"margin": False},
+        {"max_attempts": 7.9}, {"max_attempts": True}, {"max_attempts": "7"},
+    ],
 )
 def test_run_malformed_solver_config_value_exits_2(walkthrough_path, tmp_path, solver):
     config = _write_json(tmp_path / "c.json", {"solver": solver})
     rc = main(["run", "--scenario", str(walkthrough_path), "--config", config,
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "doc, rc",
+    [
+        ({"controller": {"beta": "2"}}, 2),
+        ({"controller": {"beta": True}}, 2),
+        ({"output": {"dir": 5}}, 2),
+        ({"controller": {"beta": "inf"}}, 0),  # as a run summary writes it
+    ],
+)
+def test_run_controller_and_output_config_values(
+    walkthrough_path, tmp_path, monkeypatch, doc, rc
+):
+    monkeypatch.chdir(tmp_path)
+    config = _write_json(tmp_path / "c.json", doc)
+    assert main(["run", "--scenario", str(walkthrough_path), "--config", config]) == rc
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

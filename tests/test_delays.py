@@ -10,7 +10,7 @@ import pytest
 import mecsim as ms
 import reference as ref
 from conftest import make_doc, random_doc
-from mecsim.delays import station_loads
+from mecsim.delays import _IndexCosts, station_loads
 
 
 def _scenario(**overrides):
@@ -242,6 +242,18 @@ def test_matches_reference_on_random_integer_decisions():
         # second, coarser path: per-user link lookup for integral decisions
         per_user = sum(lat[placement[k]][selection[k]] for k in range(n))
         assert math.isclose(got.communication, per_user, rel_tol=1e-12, abs_tol=1e-12)
+
+        # third path: the index-form evaluator of the search and the oracle
+        costs = _IndexCosts(s, 0)
+        got_ns = costs.non_switching(placement, selection)
+        assert math.isclose(got_ns, got.non_switching, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(
+            got_ns, ms.non_switching_delay(s, 0, x, y), rel_tol=1e-12, abs_tol=1e-12
+        )
+        assert math.isclose(got_ns, want_q + want_c, rel_tol=1e-12, abs_tol=1e-12)
+        got_sw = costs.switching(placement, prev)
+        assert math.isclose(got_sw, got.switching, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(got_sw, want_s, rel_tol=1e-12, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
