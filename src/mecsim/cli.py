@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -30,7 +30,7 @@ from .errors import (
     ScenarioError,
     UncoverableAreaError,
 )
-from .generator import GeneratorConfig, _is_number, generate
+from .generator import GeneratorConfig, _is_number, _to_float, generate
 from .model import Scenario
 from .optimizer import DEFAULT_CONFIG, SolverConfig
 from .policy import POLICY_KINDS, Policy, SlotOutcome, run_policy
@@ -84,20 +84,20 @@ def _config_number(solver: Mapping[str, Any], key: str, kind: type) -> Any:
     if not _is_number(value) or (kind is int and not isinstance(value, int)):
         what = "an integer" if kind is int else "a number"
         raise ParseError(f"solver.{key} must be {what}, got {value!r}")
-    return kind(value)
+    return value if kind is int else _to_float(value, f"solver.{key}")
 
 
 def _solver_config(config: Mapping[str, Any], args: argparse.Namespace) -> SolverConfig:
     solver = config.get("solver", {})
-    cfg = DEFAULT_CONFIG
+    values = asdict(DEFAULT_CONFIG)
     for key, kind in (("margin", float), ("max_attempts", int)):
         if key in solver:
-            cfg = replace(cfg, **{key: _config_number(solver, key, kind)})
+            values[key] = _config_number(solver, key, kind)
     if getattr(args, "margin", None) is not None:
-        cfg = replace(cfg, margin=args.margin)
-    if not (0 <= cfg.margin < math.inf and cfg.max_attempts >= 1):
+        values["margin"] = args.margin
+    if not (0 <= values["margin"] < math.inf and values["max_attempts"] >= 1):
         raise ParseError("solver settings out of range")
-    return cfg
+    return SolverConfig(**values)
 
 
 def _run_seed(args: argparse.Namespace) -> int:
@@ -205,7 +205,7 @@ def _parse_policy(config: Mapping[str, Any], args: argparse.Namespace) -> Policy
         raise ParseError(f"controller.beta must be a number or \"inf\", got {beta!r}")
     if kind != "threshold":
         return Policy(kind=kind)
-    beta = float(beta if args.beta is None else args.beta)
+    beta = _to_float(beta if args.beta is None else args.beta, "controller.beta")
     if math.isnan(beta) or beta < 0:
         raise ParseError("beta must be nonnegative")
     return Policy.threshold(beta)

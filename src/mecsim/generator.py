@@ -27,6 +27,15 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _to_float(value: int | float, what: str) -> float:
+    """``float(value)`` for a number ``_is_number`` accepts; ParseError for
+    an integer too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int
@@ -94,10 +103,13 @@ class GeneratorConfig:
                         f"generator.{f.name} must be a [lo, hi] pair of numbers, "
                         f"got {value!r}"
                     )
-                value = (float(value[0]), float(value[1]))
+                what = f"generator.{f.name}"
+                value = (_to_float(value[0], what), _to_float(value[1], what))
                 if not all(map(math.isfinite, value)):
                     raise ParseError(f"generator.{f.name} must be finite")
-            elif not _is_number(value) or not math.isfinite(value):
+            elif not _is_number(value) or not math.isfinite(
+                _to_float(value, f"generator.{f.name}")
+            ):
                 raise ParseError(
                     f"generator.{f.name} must be a finite number, got {value!r}"
                 )

@@ -9,9 +9,10 @@ the warm start pushed back into coverage and capacity by greedy repair.
 The best local optimum then takes a few seeded perturbation restarts.
 
 The search values each probed move as the current objective plus the
-change in the terms of the stations and users the move touches; one-user
-moves are all valued in one scan that computes each station's term once
-per step. When the uniform point cannot be repaired, one zero-cost LP
+change in the terms of the stations and users the move touches. Each step
+values every one-user move in one scan that computes each station's term
+once, and every plain two-user exchange in one NumPy pass over (N, N)
+arrays. When the uniform point cannot be repaired, one zero-cost LP
 supplies the point to round; it also tells an empty slot from one with no
 point clear of the margin. That LP is the only use of SciPy, imported
 when it runs.
@@ -19,6 +20,8 @@ when it runs.
 
 from __future__ import annotations
 
+import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -48,6 +51,8 @@ __all__ = [
     "solve_slot",
 ]
 
+_log = logging.getLogger("mecsim")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -55,6 +60,16 @@ class SolverConfig:
 
     margin: float = 1e-6        # station load must stay <= C_j - margin
     max_attempts: int = 50      # rounding draws before repair; *_tight_instances[13]
+
+    def __post_init__(self) -> None:
+        attempts = self.max_attempts
+        if isinstance(attempts, bool) or not isinstance(attempts, int) or attempts < 1:
+            raise ValueError(f"max_attempts must be an integer >= 1, got {attempts!r}")
+        margin = self.margin
+        if isinstance(margin, bool) or not isinstance(margin, (int, float)) or not (
+            math.isfinite(margin) and margin >= 0
+        ):
+            raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -277,12 +292,13 @@ class _SearchState:
     stations and users it touches, without applying it; batches that break
     storage, coverage or the station limit are rejected without evaluation.
     ``best_single_move`` values every one-user move with the same arithmetic
-    in one scan.
+    in one scan, ``best_exchange`` every two-user exchange in one array pass.
     """
 
     __slots__ = (
         "m", "n", "costs", "sizes", "demand", "cloud_cap", "bs_cap", "limit", "lat",
         "cov", "covsets", "placement", "selection", "used", "load", "users_on", "f",
+        "exchange_arrays",
     )
 
     def __init__(
@@ -310,6 +326,8 @@ class _SearchState:
             self.load[self.selection[k]] += self.demand[k]
             self.users_on[self.selection[k]] += 1
         self.f = self.value()
+        # static per-user arrays of best_exchange, built on its first call
+        self.exchange_arrays: tuple[np.ndarray, ...] | None = None
 
     def value(self) -> float:
         return self.costs.non_switching(self.placement, self.selection)
@@ -414,6 +432,69 @@ class _SearchState:
                         best = (value, (k, i, j))
         return best
 
+    def best_exchange(self) -> tuple[float, list[tuple[int, int, int]]] | None:
+        """First minimum of ``probe([(a, i_b, j_b), (b, i_a, j_a)])`` over
+        every exchange of two users a < b on different stations, in (a, b)
+        order, as (value, batch); None when no such exchange is feasible.
+
+        Each value is the float ``probe`` computes. An exchange's latency
+        change (y - x) + (x - y) is exactly 0.0, so the value is
+        f + ((((0.0 - q_ja) + q'_ja) - q_jb) + q'_jb), with
+        q_j = on_j / (C_j - L_j) and the primed terms at loads
+        L_ja + (c_b - c_a) and L_jb + (c_a - c_b). An exchange on one station
+        values exactly f and can never improve. Storage moves by s_b - s_a
+        on a's cloud, by 0.0 when a and b share it.
+        """
+        if self.exchange_arrays is None:
+            covered = np.zeros((self.n, self.m), dtype=bool)
+            for k, stations in enumerate(self.cov):
+                covered[k, list(stations)] = True
+            sizes = np.array(self.sizes)
+            demand = np.array(self.demand)
+            self.exchange_arrays = (
+                covered,
+                sizes[None, :] - sizes[:, None],    # [a, b] = s_b - s_a
+                demand[None, :] - demand[:, None],  # [a, b] = c_b - c_a
+                np.array(self.cloud_cap),
+                np.array(self.bs_cap),
+                np.array(self.limit),
+                np.triu(np.ones((self.n, self.n), dtype=bool), 1),
+            )
+        covered, size_gap, demand_gap, cloud_cap, bs_cap, limit, upper = (
+            self.exchange_arrays
+        )
+        pl = np.array(self.placement)
+        sel = np.array(self.selection)
+        used = np.array(self.used)[pl]
+        cap = cloud_cap[pl]
+        load = np.array(self.load)[sel]
+        room = bs_cap[sel]
+        lim = limit[sel]
+        on = np.array(self.users_on)[sel]
+        # [a, b]: b's station covers a, and a's station covers b
+        reach = covered[:, sel]
+        ok = upper & (sel[:, None] != sel[None, :]) & reach & reach.T
+        size_gap = np.where(pl[:, None] == pl[None, :], 0.0, size_gap)
+        ok &= used[:, None] + size_gap <= cap[:, None]
+        ok &= used[None, :] + size_gap.T <= cap[None, :]
+        load_a = load[:, None] + demand_gap
+        load_b = load[None, :] + demand_gap.T
+        ok &= (load_a <= lim[:, None]) & (load_b <= lim[None, :])
+        a, b = np.nonzero(ok)
+        if not a.size:
+            return None
+        q = on / (room - load)
+        delta = (
+            ((0.0 - q[a]) + on[a] / (room[a] - load_a[a, b])) - q[b]
+        ) + on[b] / (room[b] - load_b[a, b])
+        values = self.f + delta
+        w = int(np.argmin(values))
+        a, b = int(a[w]), int(b[w])
+        return float(values[w]), [
+            (a, self.placement[b], self.selection[b]),
+            (b, self.placement[a], self.selection[a]),
+        ]
+
     def apply(self, batch: list[tuple[int, int, int]]) -> None:
         for k, i, j in batch:
             self.used[self.placement[k]] -= self.sizes[k]
@@ -444,7 +525,8 @@ def _local_search(
     three users rotating their assignments. Rotations matter when tight
     storage makes good decisions permutations of each other. Each step takes
     the first best move in that order: one-user moves come from one
-    ``best_single_move`` scan, every other move from ``probe``.
+    ``best_single_move`` scan, plain exchanges from one ``best_exchange``
+    pass, every other move from ``probe``.
     """
     state = _SearchState(s, t, d.placement, d.selection, margin)
     m, n = state.m, state.n
@@ -465,9 +547,9 @@ def _local_search(
         single = state.best_single_move()
         if single is not None:
             consider(single[0], [single[1]])
-        for a in range(n):
-            for b in range(a + 1, n):
-                if scan_pairs:
+        if scan_pairs:
+            for a in range(n):
+                for b in range(a + 1, n):
                     for i1 in range(m):
                         for j1 in state.cov[a]:
                             for i2 in range(m):
@@ -481,12 +563,10 @@ def _local_search(
                                         continue
                                     batch = [(a, i1, j1), (b, i2, j2)]
                                     consider(state.probe(batch), batch)
-                else:
-                    batch = [
-                        (a, state.placement[b], state.selection[b]),
-                        (b, state.placement[a], state.selection[a]),
-                    ]
-                    consider(state.probe(batch), batch)
+        else:
+            exchange = state.best_exchange()
+            if exchange is not None:
+                consider(*exchange)
         if rotations:
             for a in range(n):
                 for b in range(a + 1, n):
@@ -564,7 +644,11 @@ def _integral_search(
 
     winner = best[0]
     if not decision_feasible(s, t, winner, margin):
-        return None  # incremental float bookkeeping drifted; drop the result
+        _log.warning(
+            "slot %d: dropped the search result; its bookkeeping called it "
+            "feasible and the feasibility check does not", t,
+        )
+        return None
     m = s.num_clouds
     value = objective(
         s, t, winner.placement_matrix(m), winner.selection_matrix(m)
@@ -617,7 +701,6 @@ def round_decision(
     n = s.num_users
     x_cdf = _column_cdfs(frac.x.T)
     y_cdf = [_column_cdfs(frac.y[list(cov[k]), k][None, :])[0] for k in range(n)]
-    decision = None
     for attempt in range(1, config.max_attempts + 1):
         u = rng.random(2 * n).tolist()
         decision = SlotDecision(
@@ -626,7 +709,6 @@ def round_decision(
         )
         if decision_feasible(s, t, decision, config.margin):
             return decision, attempt, 0
-    assert decision is not None
     repaired, moves = _greedy_repair(s, t, decision, config.margin)
     return repaired, config.max_attempts, moves
 
@@ -745,6 +827,7 @@ def solve_slot(
     """
     point = _uniform_point(s, t, config.margin)
     if point is None:
+        _log.debug("slot %d: uniform point cannot be repaired; solving the LP", t)
         point = _feasible_point_via_lp(s, t, config.margin)
     relaxed = FractionalDecision(x=point[0], y=point[1])
     seeds: list[SlotDecision] = []
@@ -765,8 +848,8 @@ def solve_slot(
     if warm_start is not None:
         try:
             d, moves = _greedy_repair(s, t, warm_start, config.margin)
-        except RoundingFailedError:
-            pass
+        except RoundingFailedError as exc:
+            _log.debug("slot %d: dropped the warm start: %s", t, exc)
         else:
             seeds.append(d)
             repairs += moves

@@ -256,6 +256,7 @@ def test_compare_rejects_malformed_beta_list(walkthrough_path, tmp_path):
         {"max_attempts": "many"}, {"margin": [0.1]}, {"margin": "nan"},
         {"max_attempts": None}, {"margin": "0.001"}, {"margin": False},
         {"max_attempts": 7.9}, {"max_attempts": True}, {"max_attempts": "7"},
+        {"margin": 10**400},
     ],
 )
 def test_run_malformed_solver_config_value_exits_2(walkthrough_path, tmp_path, solver):
@@ -272,6 +273,7 @@ def test_run_malformed_solver_config_value_exits_2(walkthrough_path, tmp_path, s
         ({"controller": {"beta": True}}, 2),
         ({"output": {"dir": 5}}, 2),
         ({"controller": {"beta": "inf"}}, 0),  # as a run summary writes it
+        ({"controller": {"beta": 10**400}}, 2),  # too large for a float
     ],
 )
 def test_run_controller_and_output_config_values(
@@ -301,8 +303,9 @@ def test_internal_value_error_is_not_reported_as_bad_input(
         main(["run", "--scenario", str(walkthrough_path), "--out", str(tmp_path / "o")])
 
 
-def test_generate_non_numeric_range_exits_2(tmp_path):
-    config = _gen_config(tmp_path, demand_range=["low", 1.0])
+@pytest.mark.parametrize("bounds", [["low", 1.0], [0.5, 10**400]])
+def test_generate_non_numeric_range_exits_2(tmp_path, bounds):
+    config = _gen_config(tmp_path, demand_range=bounds)
     assert main(["generate", "--config", config, "--out", str(tmp_path / "s.json")]) == 2
 
 
@@ -316,7 +319,8 @@ def test_run_non_utf8_scenario_exits_2(tmp_path):
     "field, value",
     [("seed", "x"), ("num_users", 2.5), ("spacing", True),
      ("spacing", float("nan")), ("demand_range", [0.5, float("inf")]),
-     ("demand_range", ["0.5", "1.5"]), ("speed_range", [0.05, True])],
+     ("demand_range", ["0.5", "1.5"]), ("speed_range", [0.05, True]),
+     ("spacing", 10**400)],
 )
 def test_generate_malformed_field_type_exits_2(tmp_path, capsys, field, value):
     config = _gen_config(tmp_path, **{field: value})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import subprocess
@@ -75,23 +76,47 @@ def test_lp_infeasible_when_storage_cannot_fit():
     assert not isinstance(err.value, ms.NoInteriorPointError)
 
 
-def test_solve_slot_rounds_the_lp_point_when_the_uniform_point_cannot_be_repaired():
+def _lp_fallback_doc():
     # Scaling station 1 under its margin takes a sliver from user 1, whose
     # only station it is, so the uniform point's repair fails; user 0 can
     # still move to station 0.
-    doc = make_doc(
+    return make_doc(
         num_clouds=2,
         bs_capacity=[1.5, 1.5],
         cloud_capacity=[5.0, 5.0],
         link_latency=[[[0.0, 1.0], [1.0, 0.0]]] * 2,
         coverage=[[[0, 1], [1]]] * 2,
     )
-    s = _validate(doc)
+
+
+def test_solve_slot_rounds_the_lp_point_when_the_uniform_point_cannot_be_repaired():
+    s = _validate(_lp_fallback_doc())
     assert _uniform_point(s, 0, 1e-6) is None
     decision, _, report = ms.solve_slot(s, 0)
     _, value = ms.best_slot_decision(s, 0)
     assert decision.selection == (0, 1)
     assert report.objective == pytest.approx(value, abs=1e-12)
+
+
+def test_solve_slot_logs_its_rare_paths(caplog, monkeypatch):
+    s = _validate(_lp_fallback_doc())
+    caplog.set_level(logging.DEBUG, logger="mecsim")
+    # User 1 sits outside its coverage, and user 0 fills its only station.
+    ms.solve_slot(s, 0, warm_start=ms.SlotDecision((0, 0), (1, 0)))
+    assert [(r.name, r.levelno) for r in caplog.records] == [
+        ("mecsim", logging.DEBUG), ("mecsim", logging.DEBUG)
+    ]
+    assert "solving the LP" in caplog.records[0].getMessage()
+    assert "dropped the warm start" in caplog.records[1].getMessage()
+
+    caplog.clear()
+    monkeypatch.setattr("mecsim.optimizer.decision_feasible", lambda *args: False)
+    with pytest.raises(ms.RoundingFailedError):
+        ms.solve_slot(s, 0)
+    assert [(r.name, r.levelno) for r in caplog.records] == [
+        ("mecsim", logging.DEBUG), ("mecsim", logging.WARNING)
+    ]
+    assert "dropped the search result" in caplog.records[-1].getMessage()
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +334,48 @@ def test_single_move_scan_is_the_first_probe_minimum(case):
                     if value is not None and (expected is None or value < expected[0]):
                         expected = (value, (k, i, j))
         assert state.best_single_move() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_case())
+def test_exchange_scan_is_the_first_probe_minimum(case):
+    doc, placement, selection, _ = case
+    s = _validate(doc)
+    n = s.num_users
+    for margin in (1e-6, 0.0):
+        state = _SearchState(s, 0, tuple(placement), tuple(selection), margin)
+        expected = None
+        for a in range(n):
+            for b in range(a + 1, n):
+                if selection[a] == selection[b]:
+                    continue
+                batch = [
+                    (a, placement[b], selection[b]),
+                    (b, placement[a], selection[a]),
+                ]
+                value = state.probe(batch)
+                if value is not None and (expected is None or value < expected[0]):
+                    expected = (value, batch)
+        assert state.best_exchange() == expected
+
+
+def test_cold_solve_does_not_probe_exchanges_one_by_one(monkeypatch):
+    # One array pass per search step values the plain exchanges; probing
+    # them pair by pair took 125,168 probe calls on this slot.
+    s = ms.generate(ms.GeneratorConfig(
+        seed=0, grid_width=4, grid_height=4, num_users=40, num_slots=12
+    ))
+    calls = 0
+    probe = _SearchState.probe
+
+    def counted(self, batch):
+        nonlocal calls
+        calls += 1
+        return probe(self, batch)
+
+    monkeypatch.setattr(_SearchState, "probe", counted)
+    ms.solve_slot(s, 0)
+    assert calls < 5_000
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +606,17 @@ def test_solve_slot_with_zero_margin_keeps_stations_below_capacity():
     crowded = ms.FractionalDecision(x=np.eye(2), y=np.array([[1.0, 1.0], [0.0, 0.0]]))
     repaired, _, moves = ms.round_decision(s, 0, crowded, rng_seed=0, config=config)
     assert sorted(repaired.selection) == [0, 1] and moves == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_attempts", 0), ("max_attempts", -3), ("max_attempts", 2.0),
+     ("max_attempts", True), ("margin", -1e-9), ("margin", math.inf),
+     ("margin", math.nan), ("margin", "0.1"), ("margin", False)],
+)
+def test_solver_config_rejects_bad_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        ms.SolverConfig(**{field: value})
 
 
 def test_solve_slot_honors_margin_setting():
