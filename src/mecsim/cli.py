@@ -58,8 +58,8 @@ def _load_config(path: str | None) -> dict[str, Any]:
         raise ParseError(f"cannot read config file {path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config file {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # bad syntax, or an integer over Python's digit limit
+        raise ParseError(f"config file {path} is not readable JSON: {exc}") from None
     if not isinstance(doc, Mapping):
         raise ParseError("config document must be a mapping of sections")
     unknown = set(doc) - _CONFIG_SECTIONS

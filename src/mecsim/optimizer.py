@@ -10,12 +10,14 @@ The best local optimum then takes a few seeded perturbation restarts.
 
 The search values each probed move as the current objective plus the
 change in the terms of the stations and users the move touches. Each step
-values every one-user move in one scan that computes each station's term
-once, and every plain two-user exchange in one NumPy pass over (N, N)
-arrays. When the uniform point cannot be repaired, one zero-cost LP
-supplies the point to round; it also tells an empty slot from one with no
-point clear of the margin. That LP is the only use of SciPy, imported
-when it runs.
+walks the one-user moves in latency order: a move's value never falls as
+its link latency grows, so per user and covered station only the nearest
+cloud with room can hold the least value, and only the winning user's
+moves are then valued one by one to find the first minimum. Every plain
+two-user exchange is valued in one NumPy pass over (N, N) arrays. When the
+uniform point cannot be repaired, one zero-cost LP supplies the point to
+round; it also tells an empty slot from one with no point clear of the
+margin. That LP is the only use of SciPy, imported when it runs.
 """
 
 from __future__ import annotations
@@ -291,14 +293,15 @@ class _SearchState:
     distinct users each, as ``f`` plus the change in the terms of the
     stations and users it touches, without applying it; batches that break
     storage, coverage or the station limit are rejected without evaluation.
-    ``best_single_move`` values every one-user move with the same arithmetic
-    in one scan, ``best_exchange`` every two-user exchange in one array pass.
+    ``best_single_move`` finds the first best one-user move with the same
+    arithmetic by a walk in latency order, ``best_exchange`` the first best
+    two-user exchange in one array pass.
     """
 
     __slots__ = (
         "m", "n", "costs", "sizes", "demand", "cloud_cap", "bs_cap", "limit", "lat",
         "cov", "covsets", "placement", "selection", "used", "load", "users_on", "f",
-        "exchange_arrays",
+        "cloud_order", "exchange_arrays",
     )
 
     def __init__(
@@ -326,6 +329,9 @@ class _SearchState:
             self.load[self.selection[k]] += self.demand[k]
             self.users_on[self.selection[k]] += 1
         self.f = self.value()
+        # per station, the clouds by (latency, index); built on the first
+        # best_single_move call
+        self.cloud_order: list[list[int]] | None = None
         # static per-user arrays of best_exchange, built on its first call
         self.exchange_arrays: tuple[np.ndarray, ...] | None = None
 
@@ -368,69 +374,93 @@ class _SearchState:
         but staying put, in (user, cloud, coverage-order station) order, as
         (value, move); None when no such move is feasible.
 
-        Each value comes out of the same float operations as ``probe``'s,
-        in the same order: the current stations' terms on / (C - L) are
-        computed once, the term for leaving a user's station once per user,
-        and the term for arriving at a station once per user and station.
+        Each value is the float ``probe`` computes:
+        f + (((((0.0 + (lat[i][j] - lat0)) - out0) + leave) - out_j) + arrive),
+        where out0 and out_j are the terms on / (C - L) of the user's station
+        and of j, leave and arrive those of the two stations after the move.
+        A term ``probe`` leaves out (j is the user's station, its station
+        keeps no user, j is empty) enters as 0.0 here and changes no value:
+        no partial sum is -0.0, and x + 0.0 and x - 0.0 are x for any other x.
+        Every step is a float add or subtract, so for one user and station
+        the value never falls as lat[i][j] grows: the first cloud with room
+        in (lat[i][j], i) order holds the least. One walk per user and
+        covered station values only that move, and the first user whose
+        least value is strictly lowest holds the first minimum. Only that
+        user's moves are then valued in probe order, to find which it is.
+        Arrival terms are divided out only where the station limit holds.
         """
-        m, f = self.m, self.f
+        order = self.cloud_order
+        if order is None:
+            order = self.cloud_order = [
+                sorted(range(self.m), key=column.__getitem__) for column in zip(*self.lat)
+            ]
+        f, lat = self.f, self.lat
         used, cloud_cap = self.used, self.cloud_cap
         load, bs_cap, limit, users_on = self.load, self.bs_cap, self.limit, self.users_on
-        out = [
-            on / (bs_cap[r] - load[r]) if on else None for r, on in enumerate(users_on)
-        ]
-        best: tuple[float, tuple[int, int, int]] | None = None
+        out = [on / (bs_cap[r] - load[r]) if on else 0.0 for r, on in enumerate(users_on)]
+        best = None  # (least value, user, the user's terms)
         for k in range(self.n):
             i0, j0 = self.placement[k], self.selection[k]
             size, c = self.sizes[k], self.demand[k]
-            lat0 = self.lat[i0][j0]
-            out0 = out[j0]
             on0 = users_on[j0]
             leave_load = load[j0] + (0.0 - c)
             leaving = leave_load <= limit[j0]
             leave = 0.0
             if leaving and on0 - 1:
                 leave = (on0 - 1) / (bs_cap[j0] - leave_load)
-            # per covered station that can take the user: (j, the term probe
-            # subtracts for j besides j0's, None if none, the term it adds)
+            # per covered station that can take the user: (j, leave, out_j, arrive)
             stations = []
             for j in self.cov[k]:
                 if j == j0:
                     stay_load = load[j0] + ((0.0 - c) + c)
                     if stay_load <= limit[j0]:
-                        stations.append((j, None, on0 / (bs_cap[j0] - stay_load)))
+                        stations.append((j, 0.0, 0.0, on0 / (bs_cap[j0] - stay_load)))
                 elif leaving:
                     arrive_load = load[j] + (0.0 + c)
                     if arrive_load <= limit[j]:
                         arrive = (users_on[j] + 1) / (bs_cap[j] - arrive_load)
-                        stations.append((j, out[j], arrive))
+                        stations.append((j, leave, out[j], arrive))
             if not stations:
                 continue
+            lat0, out0 = lat[i0][j0], out[j0]
             stay_fits = used[i0] + ((0.0 - size) + size) <= cloud_cap[i0]
             leave_fits = used[i0] + (0.0 - size) <= cloud_cap[i0]
-            for i in range(m):
-                if i == i0:
-                    if not stay_fits:
-                        continue
-                elif not (leave_fits and used[i] + (0.0 + size) <= cloud_cap[i]):
-                    continue
-                lat_i = self.lat[i]
-                for j, out_j, arrive in stations:
-                    if j == j0:
-                        if i == i0:
+            least = None
+            for j, leave_j, out_j, arrive in stations:
+                for i in order[j]:
+                    if i == i0:
+                        if j == j0 or not stay_fits:
                             continue
-                        delta = ((0.0 + (lat_i[j] - lat0)) - out0) + arrive
-                    else:
-                        delta = (0.0 + (lat_i[j] - lat0)) - out0
-                        if on0 - 1:
-                            delta += leave
-                        if out_j is not None:
-                            delta -= out_j
-                        delta += arrive
-                    value = f + delta
-                    if best is None or value < best[0]:
-                        best = (value, (k, i, j))
-        return best
+                    elif not (leave_fits and used[i] + (0.0 + size) <= cloud_cap[i]):
+                        continue
+                    value = f + (
+                        ((((0.0 + (lat[i][j] - lat0)) - out0) + leave_j) - out_j) + arrive
+                    )
+                    if least is None or value < least:
+                        least = value
+                    break
+            if least is not None and (best is None or least < best[0]):
+                best = (least, k, i0, j0, lat0, out0, size, stay_fits, leave_fits, stations)
+        if best is None:
+            return None
+        _, k, i0, j0, lat0, out0, size, stay_fits, leave_fits, stations = best
+        first: tuple[float, tuple[int, int, int]] | None = None
+        for i in range(self.m):
+            if i == i0:
+                if not stay_fits:
+                    continue
+            elif not (leave_fits and used[i] + (0.0 + size) <= cloud_cap[i]):
+                continue
+            lat_i = lat[i]
+            for j, leave_j, out_j, arrive in stations:
+                if i == i0 and j == j0:
+                    continue
+                value = f + (
+                    ((((0.0 + (lat_i[j] - lat0)) - out0) + leave_j) - out_j) + arrive
+                )
+                if first is None or value < first[0]:
+                    first = (value, (k, i, j))
+        return first
 
     def best_exchange(self) -> tuple[float, list[tuple[int, int, int]]] | None:
         """First minimum of ``probe([(a, i_b, j_b), (b, i_a, j_a)])`` over

@@ -17,11 +17,15 @@ Three corner cases hold for every policy:
   candidate is solved only on forced slots. T1 is inf whenever no
   candidate was solved.
 
+``step`` logs the first two at info level to the ``mecsim`` logger, which
+this package gives no handler.
+
 The oracle replays the offline DP sequence through the same accounting.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -50,6 +54,8 @@ __all__ = [
 POLICY_KINDS = ("threshold", "always", "never", "oracle")
 
 _BASELINE_BETA = {"always": 0.0, "never": math.inf}
+
+_log = logging.getLogger("mecsim")
 
 
 @dataclass(frozen=True)
@@ -146,9 +152,10 @@ def step(
             candidate, _, _ = solve_slot(
                 s, t, warm_start=prev, rng_seed=rng_seed, config=config
             )
-        except InfeasibleError:
+        except InfeasibleError as exc:
             if forced:
                 raise  # nothing to stay on and nothing to move to
+            _log.info("slot %d: the candidate is infeasible, staying: %s", t, exc)
         else:
             m = s.num_clouds
             t1 = switching_delay(
@@ -160,6 +167,8 @@ def step(
         if candidate is None or stay.t2_accumulated < state.beta * t1:
             return stay, replace(state, accumulated_t2=stay.t2_accumulated)
 
+    if forced:
+        _log.info("slot %d: staying is infeasible; forced migration", t)
     moved = _outcome(s, t, prev, candidate, state.accumulated_t2, True, forced, t1)
     return moved, replace(
         state,

@@ -52,8 +52,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ParseError(f"scenario file {path} is not UTF-8 text: {exc}") from None
     try:
         raw: Any = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario file {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # bad syntax, or an integer over Python's digit limit
+        raise ParseError(f"scenario file {path} is not readable JSON: {exc}") from None
     return validate_scenario(raw)
 
 

@@ -309,6 +309,23 @@ def test_generate_non_numeric_range_exits_2(tmp_path, bounds):
     assert main(["generate", "--config", config, "--out", str(tmp_path / "s.json")]) == 2
 
 
+@pytest.mark.parametrize("where", ["config", "scenario"])
+def test_json_integer_over_the_digit_limit_exits_2(walkthrough_path, tmp_path, capsys, where):
+    # json.loads refuses integers of more than 4,300 digits with ValueError
+    huge = "1" + "0" * 5000
+    config = tmp_path / "c.json"
+    config.write_text('{"solver": {"max_attempts": %s}}' % huge, encoding="utf-8")
+    scenario = tmp_path / "s.json"
+    scenario.write_text(
+        json.dumps(make_doc()).replace('"num_clouds": 3', f'"num_clouds": {huge}'),
+        encoding="utf-8",
+    )
+    args = {"config": ["--scenario", str(walkthrough_path), "--config", str(config)],
+            "scenario": ["--scenario", str(scenario)]}[where]
+    assert main(["run", *args, "--out", str(tmp_path / "o")]) == 2
+    assert f"{where} file" in capsys.readouterr().err
+
+
 def test_run_non_utf8_scenario_exits_2(tmp_path):
     scenario = tmp_path / "s.json"
     scenario.write_bytes(b"\xff\xfe{")

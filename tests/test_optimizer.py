@@ -316,24 +316,104 @@ def test_search_probe_is_the_value_after_the_move(case):
         assert state.f == state.value()
 
 
+def _first_probe_single_move(state):
+    """First strict minimum of ``probe`` over every one-user move but
+    staying put, in (user, cloud, coverage-order station) order."""
+    expected = None
+    for k in range(state.n):
+        for i in range(state.m):
+            for j in state.cov[k]:
+                if (i, j) == (state.placement[k], state.selection[k]):
+                    continue
+                value = state.probe([(k, i, j)])
+                if value is not None and (expected is None or value < expected[0]):
+                    expected = (value, (k, i, j))
+    return expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(_search_case())
 def test_single_move_scan_is_the_first_probe_minimum(case):
     doc, placement, selection, _ = case
     s = _validate(doc)
-    m, n = s.num_clouds, s.num_users
     for margin in (1e-6, 0.0):
         state = _SearchState(s, 0, tuple(placement), tuple(selection), margin)
-        expected = None
-        for k in range(n):
-            for i in range(m):
-                for j in s.coverage[0][k]:
-                    if (i, j) == (placement[k], selection[k]):
-                        continue
-                    value = state.probe([(k, i, j)])
-                    if value is not None and (expected is None or value < expected[0]):
-                        expected = (value, (k, i, j))
-        assert state.best_single_move() == expected
+        assert state.best_single_move() == _first_probe_single_move(state)
+
+
+@st.composite
+def _tie_case(draw):
+    """A feasible integral decision on a coarse grid, where values tie.
+
+    Latencies take the values 0, 1/2 and 1, and 2^-60, which vanishes when
+    added to 1/2 or 1, so many moves of one user, and of different users,
+    share a value. Storage
+    leaves each cloud at most one small service of room, and station room
+    is a multiple of 1/2 on demands of 1/2 and 1, so clouds fill and, at
+    margin 0, an arrival can land exactly on a station's capacity.
+    """
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(2, 8))
+    halves = st.sampled_from([0.5, 1.0])
+    placement = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    selection = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    sizes = draw(st.lists(halves, min_size=n, max_size=n))
+    demand = draw(st.lists(halves, min_size=n, max_size=n))
+    used = np.bincount(placement, weights=sizes, minlength=m)
+    load = np.bincount(selection, weights=demand, minlength=m)
+    grid = st.sampled_from([0.0, 2.0**-60, 0.5, 1.0])
+    lat = draw(st.lists(grid, min_size=m * m, max_size=m * m))
+    coverage = [
+        sorted({selection[k], *draw(st.lists(st.integers(0, m - 1), max_size=m))})
+        for k in range(n)
+    ]
+    doc = {
+        "num_clouds": m,
+        "num_users": n,
+        "num_slots": 1,
+        "cloud_capacity": [
+            u + draw(st.sampled_from([0.5] if u == 0 else [0.0, 0.0, 0.5])) for u in used
+        ],
+        "bs_capacity": [v + draw(st.sampled_from([0.5, 1.0, 1.5])) for v in load],
+        "service_size": sizes,
+        "link_latency": [np.reshape(lat, (m, m)).tolist()],
+        "coverage": [coverage],
+        "demand": [demand],
+    }
+    return doc, placement, selection
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_case())
+def test_single_move_scan_breaks_ties_as_probe_does(case):
+    doc, placement, selection = case
+    s = _validate(doc)
+    for margin in (1e-6, 0.0):
+        state = _SearchState(s, 0, tuple(placement), tuple(selection), margin)
+        assert state.best_single_move() == _first_probe_single_move(state)
+
+
+def test_single_move_scan_along_a_large_cold_solve(monkeypatch):
+    # Slot 0 of the online-large benchmark scenario (M=16, N=40): every
+    # tenth one-user scan of the search is checked against every probe.
+    s = ms.generate(ms.GeneratorConfig(
+        seed=0, grid_width=4, grid_height=4, num_users=40, num_slots=12
+    ))
+    scan = _SearchState.best_single_move
+    calls = checked = 0
+
+    def checking(self):
+        nonlocal calls, checked
+        got = scan(self)
+        if calls % 10 == 0:
+            assert got == _first_probe_single_move(self)
+            checked += 1
+        calls += 1
+        return got
+
+    monkeypatch.setattr(_SearchState, "best_single_move", checking)
+    ms.solve_slot(s, 0)
+    assert checked >= 10
 
 
 @settings(max_examples=300, deadline=None)

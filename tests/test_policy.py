@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -139,18 +140,36 @@ def test_coverage_loss_forces_migration_for_every_policy():
         assert outcomes[1].forced, name
 
 
-def test_stay_kept_when_candidate_solve_is_infeasible():
+def _infeasible_candidate_doc():
+    """At margin 0.5, slot 1's load fits the true capacity but not capacity
+    minus the margin: the candidate solve fails while staying put is legal."""
     doc = _static_doc(slots=2, bs=[1.4])
     doc["demand"] = [[0.5], [1.0]]
-    s = ms.validate_scenario(doc)
+    return doc
+
+
+def test_stay_kept_when_candidate_solve_is_infeasible():
+    s = ms.validate_scenario(_infeasible_candidate_doc())
     config = ms.SolverConfig(margin=0.5)
     for policy in (ms.Policy.threshold(1.0), ms.Policy.always()):
         outcomes = ms.run_policy(s, policy, rng_seed=0, config=config)
-        # slot 1 load fits the true capacity but not capacity minus the
-        # margin, so the candidate solve fails while staying put remains legal
         assert not outcomes[1].migrated, policy.kind
         assert outcomes[1].decision == outcomes[0].decision, policy.kind
         assert outcomes[1].t1_candidate == math.inf, policy.kind
+
+
+def test_step_logs_its_rare_paths(caplog):
+    caplog.set_level(logging.INFO, logger="mecsim")
+    s = ms.validate_scenario(_coverage_loss_doc())
+    ms.run_policy(s, ms.Policy.threshold(1.0), rng_seed=1)
+    assert [(r.name, r.levelno) for r in caplog.records] == [("mecsim", logging.INFO)]
+    assert "slot 1: staying is infeasible; forced migration" in caplog.records[0].getMessage()
+
+    caplog.clear()
+    s = ms.validate_scenario(_infeasible_candidate_doc())
+    ms.run_policy(s, ms.Policy.always(), rng_seed=0, config=ms.SolverConfig(margin=0.5))
+    assert [(r.name, r.levelno) for r in caplog.records] == [("mecsim", logging.INFO)]
+    assert "slot 1: the candidate is infeasible, staying" in caplog.records[0].getMessage()
 
 
 def test_t2_matches_a_hand_maintained_accumulator():
