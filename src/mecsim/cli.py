@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import math
 import sys
 from dataclasses import asdict
@@ -47,6 +48,8 @@ _CONFIG_SECTIONS = {"generator", "solver", "controller", "output"}
 _SOLVER_KEYS = {"margin", "max_attempts"}
 _CONTROLLER_KEYS = {"beta", "policy"}
 _OUTPUT_KEYS = {"dir"}
+
+_log = logging.getLogger("mecsim")
 
 
 def _load_config(path: str | None) -> dict[str, Any]:
@@ -299,6 +302,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             _run_one(scenario, args.scenario, oracle_policy, seed, out_dir, solver)
         )
     except OracleTooLargeError as exc:
+        _log.info("oracle row omitted: %s", exc)
         print(f"note: oracle row omitted: {exc}", file=sys.stderr)
 
     buf = io.StringIO()

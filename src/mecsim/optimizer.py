@@ -13,8 +13,12 @@ change in the terms of the stations and users the move touches. Each step
 walks the one-user moves in latency order: a move's value never falls as
 its link latency grows, so per user and covered station only the nearest
 cloud with room can hold the least value, and only the winning user's
-moves are then valued one by one to find the first minimum. Every plain
-two-user exchange is valued in one NumPy pass over (N, N) arrays. When the
+moves are then valued one by one to find the first minimum. Two-user moves
+are valued in one NumPy pass per step: on small slots the full rescan of
+any two users to any two spots, otherwise every plain exchange over (N, N)
+arrays. Single probes value only three-user rotations and the kicks. The
+slot's static data is built once per solve and shared by all its searches
+and kicks. When the
 uniform point cannot be repaired, one zero-cost LP supplies the point to
 round; it also tells an empty slot from one with no point clear of the
 margin. That LP is the only use of SciPy, imported when it runs.
@@ -26,6 +30,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +85,7 @@ DEFAULT_CONFIG = SolverConfig()
 # seed roundings and the kick stream use fixed seeds, never caller seeds.
 # Each knob's comment (and max_attempts') ends with the test_solve_slot_*
 # test in tests/test_optimizer.py that fails without it.
-_PAIR_SCAN_BUDGET = 8000    # two-user rescans only while cheap; *_tight_instances[13]
+_PAIR_SCAN_BUDGET = 8000    # two-user rescans of <= 8000 batches; *_tight_instances[13]
 _ROTATION_BUDGET = 4000     # three-user rotations while n**3 fits; *_tight_instances[70]
 _KICK_ROUNDS = 6            # perturbation restarts; *_kicks_escape_local_optima
 _KICK_SEED = 271828182
@@ -284,6 +289,118 @@ def _feasible_point_via_lp(
     return point[0], point[1]
 
 
+class _SlotTables:
+    """The slot data of one solve, shared by all its search states and kicks.
+
+    All of it depends only on the slot and the margin: the cost model, the
+    storage and station limits, the coverage sets and which move scans the
+    search runs (``scan_pairs``, ``rotations``). The clouds' latency order,
+    the exchange arrays and the pair enumeration are built on first use,
+    so each is built at most once per solve.
+    """
+
+    def __init__(self, s: Scenario, t: int, margin: float) -> None:
+        self.s, self.t, self.margin = s, t, margin
+        m = self.m = s.num_clouds
+        n = self.n = s.num_users
+        self.costs = _IndexCosts(s, t)
+        self.cloud_cap = s.cloud_capacity.tolist()
+        self.limit = station_limit(s.bs_capacity, margin).tolist()
+        self.cov = s.coverage[t]
+        self.covsets = [frozenset(c) for c in self.cov]
+        max_phi = max(len(c) for c in self.cov)
+        self.scan_pairs = (
+            n >= 2 and (n * (n - 1) // 2) * (m * max_phi) ** 2 <= _PAIR_SCAN_BUDGET
+        )
+        self.rotations = n >= 3 and n**3 <= _ROTATION_BUDGET
+
+    @cached_property
+    def cloud_order(self) -> list[list[int]]:
+        """Per station, the clouds by (latency, index)."""
+        return [
+            sorted(range(self.m), key=column.__getitem__) for column in zip(*self.costs.lat)
+        ]
+
+    @cached_property
+    def exchange_arrays(self) -> tuple[np.ndarray, ...]:
+        """The static per-user arrays of ``_SearchState.best_exchange``."""
+        covered = np.zeros((self.n, self.m), dtype=bool)
+        for k, stations in enumerate(self.cov):
+            covered[k, list(stations)] = True
+        sizes = np.array(self.costs.sizes)
+        demand = np.array(self.costs.demand)
+        return (
+            covered,
+            sizes[None, :] - sizes[:, None],    # [a, b] = s_b - s_a
+            demand[None, :] - demand[:, None],  # [a, b] = c_b - c_a
+            np.array(self.cloud_cap),
+            np.array(self.costs.bs_cap),
+            np.array(self.limit),
+            np.triu(np.ones((self.n, self.n), dtype=bool), 1),
+        )
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, ...]:
+        """The static arrays of ``_SearchState.best_pair_move``.
+
+        The full two-user rescan is every batch [(a, i1, j1), (b, i2, j2)]
+        with a < b, i1 and i2 any cloud, j1 in cov[a] and j2 in cov[b], in
+        that loop order. A batch has four positions, in the insertion order
+        of ``probe``'s dicts: clouds (i0a, i1, i0b, i2) and stations (j0a,
+        j1, j0b, j2), with i0 and j0 a user's cloud and station now. Each
+        position changes three quantities of the state's vector used + load
+        + users_on: its cloud's storage, its station's load and its
+        station's user count. In that order the tuple holds:
+        - the batches, as rows a, b, i1, j1, i2, j2, (6, P);
+        - per position and quantity, where its entry's index sits in
+          placement + (M + selection) + (2M + selection) + range(3M), (4, 3, P);
+        - the signed changes per position: -s_a, s_a, -s_b, s_b for
+          storage, the same in c for load, and -1, 1, -1, 1 for users,
+          (4, 1, 3, P);
+        - [q, p] is q < p, for "an earlier position", (4, 4, 1);
+        - the latencies at the targets, lat[i1, j1] and lat[i2, j2], (2, P);
+        - the limits of used + load + users_on, none on the counts, (3M,);
+        - the station capacities C, (M,).
+        """
+        m, n, cov = self.m, self.n, self.cov
+        batches = np.array([
+            (a, b, i1, j1, i2, j2)
+            for a in range(n)
+            for b in range(a + 1, n)
+            for i1 in range(m)
+            for j1 in cov[a]
+            for i2 in range(m)
+            for j2 in cov[b]
+        ], dtype=np.intp).T
+        a, b, i1, j1, i2, j2 = batches
+        fixed = 3 * n  # where range(3M) starts
+        index = np.stack([
+            (a, n + a, 2 * n + a),
+            (fixed + i1, fixed + m + j1, fixed + 2 * m + j1),
+            (b, n + b, 2 * n + b),
+            (fixed + i2, fixed + m + j2, fixed + 2 * m + j2),
+        ])
+        sizes = np.array(self.costs.sizes)
+        demand = np.array(self.costs.demand)
+        one = np.ones(a.size)
+        change = np.stack([
+            (-sizes[a], -demand[a], -one),
+            (sizes[a], demand[a], one),
+            (-sizes[b], -demand[b], -one),
+            (sizes[b], demand[b], one),
+        ])[:, None]
+        lat = np.array(self.costs.lat)
+        return (
+            batches,
+            index,
+            change,
+            np.tri(4, k=-1, dtype=bool).T[:, :, None],
+            np.stack((lat[i1, j1], lat[i2, j2])),
+            np.array(self.cloud_cap + self.limit + [math.inf] * m),
+            np.array(self.costs.bs_cap),
+        )
+
+
 class _SearchState:
     """Integral decision with incremental bookkeeping for the discrete search.
 
@@ -293,32 +410,33 @@ class _SearchState:
     distinct users each, as ``f`` plus the change in the terms of the
     stations and users it touches, without applying it; batches that break
     storage, coverage or the station limit are rejected without evaluation.
-    ``best_single_move`` finds the first best one-user move with the same
-    arithmetic by a walk in latency order, ``best_exchange`` the first best
-    two-user exchange in one array pass.
+    The scans find the first best move of a kind with the same arithmetic:
+    ``best_single_move`` by a walk in latency order, ``best_pair_move`` over
+    the full two-user rescan and ``best_exchange`` over the plain exchanges
+    in one array pass each. ``probe`` itself serves only rotations and
+    kicks. The slot's static data comes from the solve's ``_SlotTables``.
     """
 
     __slots__ = (
-        "m", "n", "costs", "sizes", "demand", "cloud_cap", "bs_cap", "limit", "lat",
-        "cov", "covsets", "placement", "selection", "used", "load", "users_on", "f",
-        "cloud_order", "exchange_arrays",
+        "tables", "m", "n", "costs", "sizes", "demand", "cloud_cap", "bs_cap", "limit",
+        "lat", "cov", "covsets", "placement", "selection", "used", "load", "users_on", "f",
     )
 
     def __init__(
-        self, s: Scenario, t: int,
-        placement: tuple[int, ...], selection: tuple[int, ...], margin: float,
+        self, tables: _SlotTables, placement: tuple[int, ...], selection: tuple[int, ...],
     ) -> None:
-        self.m = s.num_clouds
-        self.n = s.num_users
-        self.costs = _IndexCosts(s, t)
+        self.tables = tables
+        self.m = tables.m
+        self.n = tables.n
+        self.costs = tables.costs
         self.sizes = self.costs.sizes
         self.demand = self.costs.demand
-        self.cloud_cap = s.cloud_capacity.tolist()
+        self.cloud_cap = tables.cloud_cap
         self.bs_cap = self.costs.bs_cap
-        self.limit = station_limit(s.bs_capacity, margin).tolist()
+        self.limit = tables.limit
         self.lat = self.costs.lat
-        self.cov = s.coverage[t]
-        self.covsets = [frozenset(c) for c in self.cov]
+        self.cov = tables.cov
+        self.covsets = tables.covsets
         self.placement = list(placement)
         self.selection = list(selection)
         self.used = [0.0] * self.m
@@ -329,11 +447,6 @@ class _SearchState:
             self.load[self.selection[k]] += self.demand[k]
             self.users_on[self.selection[k]] += 1
         self.f = self.value()
-        # per station, the clouds by (latency, index); built on the first
-        # best_single_move call
-        self.cloud_order: list[list[int]] | None = None
-        # static per-user arrays of best_exchange, built on its first call
-        self.exchange_arrays: tuple[np.ndarray, ...] | None = None
 
     def value(self) -> float:
         return self.costs.non_switching(self.placement, self.selection)
@@ -389,11 +502,7 @@ class _SearchState:
         user's moves are then valued in probe order, to find which it is.
         Arrival terms are divided out only where the station limit holds.
         """
-        order = self.cloud_order
-        if order is None:
-            order = self.cloud_order = [
-                sorted(range(self.m), key=column.__getitem__) for column in zip(*self.lat)
-            ]
+        order = self.tables.cloud_order
         f, lat = self.f, self.lat
         used, cloud_cap = self.used, self.cloud_cap
         load, bs_cap, limit, users_on = self.load, self.bs_cap, self.limit, self.users_on
@@ -462,6 +571,62 @@ class _SearchState:
                     first = (value, (k, i, j))
         return first
 
+    def best_pair_move(self) -> tuple[float, list[tuple[int, int, int]]] | None:
+        """First minimum of ``probe([(a, i1, j1), (b, i2, j2)])`` over the
+        full two-user rescan of ``_SlotTables.pairs``, in its order, but the
+        batch that moves nothing, as (value, batch); None when no such batch
+        is feasible.
+
+        Each value is the float ``probe`` computes. A quantity after the
+        batch is its entry now plus the left sum, in position order, of the
+        changes of the positions that share the entry; the other positions'
+        changes enter as 0.0 and change no partial sum, since sizes and
+        demands are positive and no partial sum is -0.0. The value is f plus
+        the left sum of the latency change (0.0 + (lat[i1, j1] - lat[i0a,
+        j0a])) + (lat[i2, j2] - lat[i0b, j0b]) and then, position by
+        position, minus the queue term on / (C - L) of its station now and
+        plus the one after the batch. Both enter only at a station's first
+        position, and as 0.0 at its others, so each station counts once, in
+        ``probe``'s order. Terms after the batch are divided out only over
+        feasible batches.
+        """
+        batches, index, change, earlier, lat_to, limit, bs_cap = self.tables.pairs
+        m = self.m
+        # the entry of used + load + users_on at each position and quantity
+        entry = np.array([
+            *self.placement, *(m + j for j in self.selection),
+            *(2 * m + j for j in self.selection), *range(3 * m),
+        ])[index]
+        # [q, p, quantity, batch]: positions q and p share the entry
+        same = entry[:, None] == entry[None]
+        shared = np.where(same, change, 0.0)
+        after = np.array(self.used + self.load + self.users_on)[entry] + (
+            shared[0] + shared[1] + shared[2] + shared[3]
+        )
+        moved = (entry[0::2] != entry[1::2]).reshape(6, -1).any(axis=0)
+        w = np.flatnonzero(moved & (after <= limit[entry]).reshape(12, -1).all(axis=0))
+        if not w.size:
+            return None
+        stations = entry[:, 1].take(w, axis=1) - m
+        # only a station's first position counts its queue terms
+        first = ~(same[:, :, 1] & earlier).any(axis=0).take(w, axis=1)
+        after = after.take(w, axis=2)
+        out = np.array([
+            on / (c - load) if on else 0.0
+            for on, c, load in zip(self.users_on, self.bs_cap, self.load)
+        ])
+        leave = np.where(first, out[stations], 0.0)
+        arrive = np.where(first, after[:, 2] / (bs_cap[stations] - after[:, 1]), 0.0)
+        lat0 = np.array([self.lat[i][j] for i, j in zip(self.placement, self.selection)])
+        latency = lat_to - lat0[batches[:2]]
+        delta = ((0.0 + latency[0]) + latency[1]).take(w)
+        for p in range(4):
+            delta = (delta - leave[p]) + arrive[p]
+        values = self.f + delta
+        best = int(np.argmin(values))
+        a, b, i1, j1, i2, j2 = batches[:, w[best]].tolist()
+        return float(values[best]), [(a, i1, j1), (b, i2, j2)]
+
     def best_exchange(self) -> tuple[float, list[tuple[int, int, int]]] | None:
         """First minimum of ``probe([(a, i_b, j_b), (b, i_a, j_a)])`` over
         every exchange of two users a < b on different stations, in (a, b)
@@ -475,23 +640,8 @@ class _SearchState:
         values exactly f and can never improve. Storage moves by s_b - s_a
         on a's cloud, by 0.0 when a and b share it.
         """
-        if self.exchange_arrays is None:
-            covered = np.zeros((self.n, self.m), dtype=bool)
-            for k, stations in enumerate(self.cov):
-                covered[k, list(stations)] = True
-            sizes = np.array(self.sizes)
-            demand = np.array(self.demand)
-            self.exchange_arrays = (
-                covered,
-                sizes[None, :] - sizes[:, None],    # [a, b] = s_b - s_a
-                demand[None, :] - demand[:, None],  # [a, b] = c_b - c_a
-                np.array(self.cloud_cap),
-                np.array(self.bs_cap),
-                np.array(self.limit),
-                np.triu(np.ones((self.n, self.n), dtype=bool), 1),
-            )
         covered, size_gap, demand_gap, cloud_cap, bs_cap, limit, upper = (
-            self.exchange_arrays
+            self.tables.exchange_arrays
         )
         pl = np.array(self.placement)
         sel = np.array(self.selection)
@@ -545,7 +695,7 @@ class _SearchState:
 
 
 def _local_search(
-    s: Scenario, t: int, d: SlotDecision, margin: float
+    tables: _SlotTables, d: SlotDecision
 ) -> tuple[SlotDecision, float, int]:
     """Best-improvement descent over integral decisions; returns the local
     optimum, its value and the number of moves applied.
@@ -555,16 +705,11 @@ def _local_search(
     three users rotating their assignments. Rotations matter when tight
     storage makes good decisions permutations of each other. Each step takes
     the first best move in that order: one-user moves come from one
-    ``best_single_move`` scan, plain exchanges from one ``best_exchange``
-    pass, every other move from ``probe``.
+    ``best_single_move`` scan, two-user moves from one ``best_pair_move`` or
+    ``best_exchange`` pass, and only rotations from ``probe``.
     """
-    state = _SearchState(s, t, d.placement, d.selection, margin)
-    m, n = state.m, state.n
-    max_phi = max(len(c) for c in state.cov)
-    scan_pairs = (
-        n >= 2 and (n * (n - 1) // 2) * (m * max_phi) ** 2 <= _PAIR_SCAN_BUDGET
-    )
-    rotations = n >= 3 and n**3 <= _ROTATION_BUDGET
+    state = _SearchState(tables, d.placement, d.selection)
+    n = state.n
     moves = 0
     for _ in range(500):
         best: tuple[float, list[tuple[int, int, int]]] | None = None
@@ -577,27 +722,10 @@ def _local_search(
         single = state.best_single_move()
         if single is not None:
             consider(single[0], [single[1]])
-        if scan_pairs:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    for i1 in range(m):
-                        for j1 in state.cov[a]:
-                            for i2 in range(m):
-                                for j2 in state.cov[b]:
-                                    if (
-                                        i1 == state.placement[a]
-                                        and j1 == state.selection[a]
-                                        and i2 == state.placement[b]
-                                        and j2 == state.selection[b]
-                                    ):
-                                        continue
-                                    batch = [(a, i1, j1), (b, i2, j2)]
-                                    consider(state.probe(batch), batch)
-        else:
-            exchange = state.best_exchange()
-            if exchange is not None:
-                consider(*exchange)
-        if rotations:
+        pair = state.best_pair_move() if tables.scan_pairs else state.best_exchange()
+        if pair is not None:
+            consider(*pair)
+        if tables.rotations:
             for a in range(n):
                 for b in range(a + 1, n):
                     for c in range(b + 1, n):
@@ -616,10 +744,10 @@ def _local_search(
 
 
 def _kick(
-    s: Scenario, t: int, d: SlotDecision, rng: np.random.Generator, margin: float
+    tables: _SlotTables, d: SlotDecision, rng: np.random.Generator
 ) -> SlotDecision | None:
     """Reassign two random users to random feasible spots, for restarts."""
-    state = _SearchState(s, t, d.placement, d.selection, margin)
+    state = _SearchState(tables, d.placement, d.selection)
     movers = rng.choice(state.n, size=min(2, state.n), replace=False)
     for k in movers:
         k = int(k)
@@ -637,7 +765,7 @@ def _kick(
 
 
 def _integral_search(
-    s: Scenario, t: int, seeds: list[SlotDecision], margin: float
+    tables: _SlotTables, seeds: list[SlotDecision]
 ) -> tuple[SlotDecision, float, int, int] | None:
     """Local search from each distinct seed, then perturbation restarts.
 
@@ -655,7 +783,7 @@ def _integral_search(
         if key in seen:
             continue
         seen.add(key)
-        improved, value, used = _local_search(s, t, d, margin)
+        improved, value, used = _local_search(tables, d)
         moves += used
         if best is None or value < best[1]:
             best = (improved, value)
@@ -664,16 +792,16 @@ def _integral_search(
 
     rng = np.random.default_rng(_KICK_SEED)
     for _ in range(_KICK_ROUNDS):
-        kicked = _kick(s, t, best[0], rng, margin)
+        kicked = _kick(tables, best[0], rng)
         if kicked is None:
             continue
-        improved, value, used = _local_search(s, t, kicked, margin)
+        improved, value, used = _local_search(tables, kicked)
         moves += used
         if value < best[1] - 1e-12:
             best = (improved, value)
 
-    winner = best[0]
-    if not decision_feasible(s, t, winner, margin):
+    s, t, winner = tables.s, tables.t, best[0]
+    if not decision_feasible(s, t, winner, tables.margin):
         _log.warning(
             "slot %d: dropped the search result; its bookkeeping called it "
             "feasible and the feasibility check does not", t,
@@ -739,6 +867,10 @@ def round_decision(
         )
         if decision_feasible(s, t, decision, config.margin):
             return decision, attempt, 0
+    _log.debug(
+        "slot %d: no feasible draw in %d attempts; repairing the last greedily",
+        t, config.max_attempts,
+    )
     repaired, moves = _greedy_repair(s, t, decision, config.margin)
     return repaired, config.max_attempts, moves
 
@@ -884,7 +1016,7 @@ def solve_slot(
             seeds.append(d)
             repairs += moves
 
-    found = _integral_search(s, t, seeds, config.margin)
+    found = _integral_search(_SlotTables(s, t, config.margin), seeds)
     if found is None:
         raise RoundingFailedError(f"no feasible integral decision found at slot {t}")
     decision, value, starts, moves = found

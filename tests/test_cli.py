@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,21 @@ def test_compare_notes_an_omitted_oracle_row(walkthrough_path, tmp_path, monkeyp
     assert "note: oracle row omitted" in capsys.readouterr().err
     rows = _read_rows(out / "comparison.csv")
     assert [r["policy"] for r in rows] == ["threshold", "always", "never"]
+
+
+def test_compare_logs_the_omitted_oracle_row(tmp_path, caplog):
+    # 3x3 grid, N=5: the offline DP is over its budget (as in the oracle
+    # exit-4 test above), so compare drops the oracle row.
+    config = _gen_config(tmp_path, grid_width=3, grid_height=3,
+                         num_users=5, num_slots=2)
+    scenario = tmp_path / "big.json"
+    assert main(["generate", "--config", config, "--out", str(scenario)]) == 0
+    caplog.set_level(logging.INFO, logger="mecsim")
+    rc = main(["compare", "--scenario", str(scenario), "--beta", "1",
+               "--seed", "5", "--out", str(tmp_path / "cmp")])
+    assert rc == 0
+    omitted = [r for r in caplog.records if "oracle row omitted" in r.getMessage()]
+    assert [(r.name, r.levelno) for r in omitted] == [("mecsim", logging.INFO)]
 
 
 def test_compare_rejects_malformed_beta_list(walkthrough_path, tmp_path):

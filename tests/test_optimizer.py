@@ -16,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mecsim as ms
+import mecsim.optimizer as mecsim_optimizer
 import reference as ref
 from conftest import make_doc, moderate_doc, random_doc
 from mecsim.optimizer import (
     _feasible_point_via_lp,
     _greedy_repair,
     _SearchState,
+    _SlotTables,
     _uniform_point,
 )
 from mecsim.seeding import substream_seed
@@ -110,12 +112,17 @@ def test_solve_slot_logs_its_rare_paths(caplog, monkeypatch):
     assert "dropped the warm start" in caplog.records[1].getMessage()
 
     caplog.clear()
+    # No draw passes the check, so each of the three seed roundings falls
+    # back to greedy repair, and the search result is dropped.
     monkeypatch.setattr("mecsim.optimizer.decision_feasible", lambda *args: False)
     with pytest.raises(ms.RoundingFailedError):
         ms.solve_slot(s, 0)
     assert [(r.name, r.levelno) for r in caplog.records] == [
-        ("mecsim", logging.DEBUG), ("mecsim", logging.WARNING)
-    ]
+        ("mecsim", logging.DEBUG)
+    ] * 4 + [("mecsim", logging.WARNING)]
+    assert all(
+        "no feasible draw in 50 attempts" in r.getMessage() for r in caplog.records[1:4]
+    )
     assert "dropped the search result" in caplog.records[-1].getMessage()
 
 
@@ -300,7 +307,7 @@ def test_search_probe_is_the_value_after_the_move(case):
     doc, placement, selection, batch = case
     s = _validate(doc)
     margin = 1e-6
-    state = _SearchState(s, 0, tuple(placement), tuple(selection), margin)
+    state = _state(s, placement, selection, margin)
     before = (state.decision(), state.f)
     got = state.probe(batch)
     assert (state.decision(), state.f) == before  # a probe moves nothing
@@ -316,19 +323,66 @@ def test_search_probe_is_the_value_after_the_move(case):
         assert state.f == state.value()
 
 
-def _first_probe_single_move(state):
-    """First strict minimum of ``probe`` over every one-user move but
-    staying put, in (user, cloud, coverage-order station) order."""
-    expected = None
-    for k in range(state.n):
-        for i in range(state.m):
-            for j in state.cov[k]:
-                if (i, j) == (state.placement[k], state.selection[k]):
-                    continue
-                value = state.probe([(k, i, j)])
-                if value is not None and (expected is None or value < expected[0]):
-                    expected = (value, (k, i, j))
-    return expected
+def _state(s, placement, selection, margin):
+    return _SearchState(_SlotTables(s, 0, margin), tuple(placement), tuple(selection))
+
+
+def _first_probe(state, batches):
+    """First strict minimum of ``probe`` over the batches, in their order,
+    as (value, batch); None when no batch is feasible. Every scan of the
+    search is checked against this rule."""
+    first = None
+    for batch in batches:
+        value = state.probe(batch)
+        if value is not None and (first is None or value < first[0]):
+            first = (value, batch)
+    return first
+
+
+def _single_moves(state):
+    """Every one-user move but staying put, in (user, cloud,
+    coverage-order station) order."""
+    return [
+        [(k, i, j)]
+        for k in range(state.n)
+        for i in range(state.m)
+        for j in state.cov[k]
+        if (i, j) != (state.placement[k], state.selection[k])
+    ]
+
+
+def _exchanges(state):
+    """Every exchange of two users a < b on different stations, in (a, b)
+    order."""
+    pl, sel = state.placement, state.selection
+    return [
+        [(a, pl[b], sel[b]), (b, pl[a], sel[a])]
+        for a in range(state.n)
+        for b in range(a + 1, state.n)
+        if sel[a] != sel[b]
+    ]
+
+
+def _pair_moves(state):
+    """The full two-user rescan: users a < b to any cloud and covered
+    station each, but the batch that moves nothing, in (a, b, cloud of a,
+    station of a, cloud of b, station of b) order."""
+    now = list(zip(state.placement, state.selection))
+    return [
+        [(a, i1, j1), (b, i2, j2)]
+        for a in range(state.n)
+        for b in range(a + 1, state.n)
+        for i1 in range(state.m)
+        for j1 in state.cov[a]
+        for i2 in range(state.m)
+        for j2 in state.cov[b]
+        if ((i1, j1), (i2, j2)) != (now[a], now[b])
+    ]
+
+
+def _as_batch(single):
+    """A ``best_single_move`` result with its move as a batch."""
+    return None if single is None else (single[0], [single[1]])
 
 
 @settings(max_examples=300, deadline=None)
@@ -337,8 +391,10 @@ def test_single_move_scan_is_the_first_probe_minimum(case):
     doc, placement, selection, _ = case
     s = _validate(doc)
     for margin in (1e-6, 0.0):
-        state = _SearchState(s, 0, tuple(placement), tuple(selection), margin)
-        assert state.best_single_move() == _first_probe_single_move(state)
+        state = _state(s, placement, selection, margin)
+        assert _as_batch(state.best_single_move()) == _first_probe(
+            state, _single_moves(state)
+        )
 
 
 @st.composite
@@ -389,8 +445,10 @@ def test_single_move_scan_breaks_ties_as_probe_does(case):
     doc, placement, selection = case
     s = _validate(doc)
     for margin in (1e-6, 0.0):
-        state = _SearchState(s, 0, tuple(placement), tuple(selection), margin)
-        assert state.best_single_move() == _first_probe_single_move(state)
+        state = _state(s, placement, selection, margin)
+        assert _as_batch(state.best_single_move()) == _first_probe(
+            state, _single_moves(state)
+        )
 
 
 def test_single_move_scan_along_a_large_cold_solve(monkeypatch):
@@ -406,7 +464,7 @@ def test_single_move_scan_along_a_large_cold_solve(monkeypatch):
         nonlocal calls, checked
         got = scan(self)
         if calls % 10 == 0:
-            assert got == _first_probe_single_move(self)
+            assert _as_batch(got) == _first_probe(self, _single_moves(self))
             checked += 1
         calls += 1
         return got
@@ -421,22 +479,67 @@ def test_single_move_scan_along_a_large_cold_solve(monkeypatch):
 def test_exchange_scan_is_the_first_probe_minimum(case):
     doc, placement, selection, _ = case
     s = _validate(doc)
-    n = s.num_users
     for margin in (1e-6, 0.0):
-        state = _SearchState(s, 0, tuple(placement), tuple(selection), margin)
-        expected = None
-        for a in range(n):
-            for b in range(a + 1, n):
-                if selection[a] == selection[b]:
-                    continue
-                batch = [
-                    (a, placement[b], selection[b]),
-                    (b, placement[a], selection[a]),
-                ]
-                value = state.probe(batch)
-                if value is not None and (expected is None or value < expected[0]):
-                    expected = (value, batch)
-        assert state.best_exchange() == expected
+        state = _state(s, placement, selection, margin)
+        assert state.best_exchange() == _first_probe(state, _exchanges(state))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_case())
+def test_pair_scan_is_the_first_probe_minimum(case):
+    # The 1/8 grid makes clouds and stations shared across a batch common.
+    doc, placement, selection, _ = case
+    s = _validate(doc)
+    for margin in (1e-6, 0.0):
+        state = _state(s, placement, selection, margin)
+        assert state.best_pair_move() == _first_probe(state, _pair_moves(state))
+
+
+@st.composite
+def _float_case(draw):
+    """A ``_search_case`` decision with sizes and demands off the 1/8 grid,
+    so a sum of three of them can round differently in another order."""
+    doc, placement, selection, _ = draw(_search_case())
+    m = doc["num_clouds"]
+    scale = st.floats(0.5, 2.0)
+    doc["service_size"] = [v * draw(scale) for v in doc["service_size"]]
+    doc["demand"] = [[v * draw(scale) for v in doc["demand"][0]]]
+    used = np.bincount(placement, weights=doc["service_size"], minlength=m)
+    load = np.bincount(selection, weights=doc["demand"][0], minlength=m)
+    doc["cloud_capacity"] = [u + draw(st.floats(0.0 if u else 0.1, 2.0)) for u in used]
+    doc["bs_capacity"] = [v + draw(st.floats(0.1, 2.0)) for v in load]
+    return doc, placement, selection
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_case())
+def test_pair_scan_sums_in_probe_order(case):
+    doc, placement, selection = case
+    s = _validate(doc)
+    for margin in (1e-6, 0.0):
+        state = _state(s, placement, selection, margin)
+        assert state.best_pair_move() == _first_probe(state, _pair_moves(state))
+
+
+def test_pair_scan_along_a_small_cold_solve(monkeypatch):
+    # Slot 0 of a compare-small benchmark scenario (3x1 grid, N=3): every
+    # full two-user rescan of the search is checked against every probe.
+    s = ms.generate(ms.GeneratorConfig(
+        seed=9, grid_width=3, grid_height=1, num_users=3, num_slots=16
+    ))
+    scan = _SearchState.best_pair_move
+    checked = 0
+
+    def checking(self):
+        nonlocal checked
+        got = scan(self)
+        assert got == _first_probe(self, _pair_moves(self))
+        checked += 1
+        return got
+
+    monkeypatch.setattr(_SearchState, "best_pair_move", checking)
+    ms.solve_slot(s, 0)
+    assert checked >= 10
 
 
 def test_cold_solve_does_not_probe_exchanges_one_by_one(monkeypatch):
@@ -456,6 +559,33 @@ def test_cold_solve_does_not_probe_exchanges_one_by_one(monkeypatch):
     monkeypatch.setattr(_SearchState, "probe", counted)
     ms.solve_slot(s, 0)
     assert calls < 5_000
+
+
+def test_cold_small_solve_builds_its_slot_tables_once(monkeypatch):
+    # Instance 0 of the slot-cold-small benchmark workload (M=3, N=3). The
+    # full two-user rescans, valued batch by batch, took 3,081 probe calls,
+    # and each search state and kick built its own cost model, 16 in all.
+    s = _validate(moderate_doc([0, 0]))
+    calls = built = 0
+    probe = _SearchState.probe
+    costs = mecsim_optimizer._IndexCosts
+
+    def counted(self, batch):
+        nonlocal calls
+        calls += 1
+        return probe(self, batch)
+
+    class Counted(costs):
+        def __init__(self, *args):
+            nonlocal built
+            built += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(_SearchState, "probe", counted)
+    monkeypatch.setattr(mecsim_optimizer, "_IndexCosts", Counted)
+    ms.solve_slot(s, 0)
+    assert calls < 500
+    assert built == 1
 
 
 # ---------------------------------------------------------------------------
