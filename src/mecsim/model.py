@@ -185,7 +185,7 @@ class ControllerState:
     beta: float
 
     def __post_init__(self):
-        if self.beta < 0:
+        if math.isnan(self.beta) or self.beta < 0:
             raise ValueError("beta must be nonnegative")
 
 

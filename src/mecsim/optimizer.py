@@ -18,10 +18,13 @@ are valued in one NumPy pass per step: on small slots the full rescan of
 any two users to any two spots, otherwise every plain exchange over (N, N)
 arrays. Single probes value only three-user rotations and the kicks. The
 slot's static data is built once per solve and shared by all its searches
-and kicks. When the
-uniform point cannot be repaired, one zero-cost LP supplies the point to
-round; it also tells an empty slot from one with no point clear of the
-margin. That LP is the only use of SciPy, imported when it runs.
+and kicks, together with a record of the solve's descents: a descent
+depends only on its decision and the slot, so a search that starts at or
+reaches a decision an earlier search of the solve descended from stops
+there with that descent's local optimum. When the uniform point cannot be
+repaired, one zero-cost LP supplies the point to round; it also tells an
+empty slot from one with no point clear of the margin. That LP is the only
+use of SciPy, imported when it runs.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ DEFAULT_CONFIG = SolverConfig()
 _PAIR_SCAN_BUDGET = 8000    # two-user rescans of <= 8000 batches; *_tight_instances[13]
 _ROTATION_BUDGET = 4000     # three-user rotations while n**3 fits; *_tight_instances[70]
 _KICK_ROUNDS = 6            # perturbation restarts; *_kicks_escape_local_optima
+_MAX_MOVES = 500            # cap on one descent's moves, a safety bound, not a tuned knob
 _KICK_SEED = 271828182
 _CANDIDATE_SEEDS = (0, 1, 2)  # roundings; *_reaches_the_optimum_on_former_sandwich_misses
 
@@ -297,6 +301,12 @@ class _SlotTables:
     search runs (``scan_pairs``, ``rotations``). The clouds' latency order,
     the exchange arrays and the pair enumeration are built on first use,
     so each is built at most once per solve.
+
+    ``descents`` is the solve's record of ``_local_search``: it maps each
+    decision (placement, selection) of a descent that ended at a local
+    optimum to (that optimum, its value, the moves from the decision to
+    it). A descent depends only on its start and these tables, so the
+    record lives and dies with them.
     """
 
     def __init__(self, s: Scenario, t: int, margin: float) -> None:
@@ -313,6 +323,9 @@ class _SlotTables:
             n >= 2 and (n * (n - 1) // 2) * (m * max_phi) ** 2 <= _PAIR_SCAN_BUDGET
         )
         self.rotations = n >= 3 and n**3 <= _ROTATION_BUDGET
+        self.descents: dict[
+            tuple[tuple[int, ...], tuple[int, ...]], tuple[SlotDecision, float, int]
+        ] = {}
 
     @cached_property
     def cloud_order(self) -> list[list[int]]:
@@ -402,14 +415,16 @@ class _SlotTables:
 
 
 class _SearchState:
-    """Integral decision with incremental bookkeeping for the discrete search.
+    """Integral decision with the bookkeeping of the discrete search.
 
     Plain lists keep probes cheap. ``f`` is the non-switching delay of the
-    current decision, which ``apply`` recomputes with ``_IndexCosts``. A
-    probe values a batch of per-user (cloud, station) reassignments,
-    distinct users each, as ``f`` plus the change in the terms of the
-    stations and users it touches, without applying it; batches that break
-    storage, coverage or the station limit are rejected without evaluation.
+    current decision. ``apply`` sums storage, load and users again from the
+    decision and recomputes ``f`` with ``_IndexCosts``, so no state carries
+    rounding from the moves that led to it. A probe values a batch of
+    per-user (cloud, station) reassignments, distinct users each, as ``f``
+    plus the change in the terms of the stations and users it touches,
+    without applying it; batches that break storage, coverage or the
+    station limit are rejected without evaluation.
     The scans find the first best move of a kind with the same arithmetic:
     ``best_single_move`` by a walk in latency order, ``best_pair_move`` over
     the full two-user rescan and ``best_exchange`` over the plain exchanges
@@ -439,13 +454,19 @@ class _SearchState:
         self.covsets = tables.covsets
         self.placement = list(placement)
         self.selection = list(selection)
-        self.used = [0.0] * self.m
-        self.load = [0.0] * self.m
-        self.users_on = [0] * self.m
-        for k in range(self.n):
-            self.used[self.placement[k]] += self.sizes[k]
-            self.load[self.selection[k]] += self.demand[k]
-            self.users_on[self.selection[k]] += 1
+        self._tally()
+
+    def _tally(self) -> None:
+        """Sum storage, load and users user by user from the decision, and
+        value it, so the state is a function of the decision alone."""
+        used = [0.0] * self.m
+        load = [0.0] * self.m
+        users_on = [0] * self.m
+        for i, j, size, c in zip(self.placement, self.selection, self.sizes, self.demand):
+            used[i] += size
+            load[j] += c
+            users_on[j] += 1
+        self.used, self.load, self.users_on = used, load, users_on
         self.f = self.value()
 
     def value(self) -> float:
@@ -677,15 +698,9 @@ class _SearchState:
 
     def apply(self, batch: list[tuple[int, int, int]]) -> None:
         for k, i, j in batch:
-            self.used[self.placement[k]] -= self.sizes[k]
-            self.load[self.selection[k]] -= self.demand[k]
-            self.users_on[self.selection[k]] -= 1
             self.placement[k] = i
             self.selection[k] = j
-            self.used[i] += self.sizes[k]
-            self.load[j] += self.demand[k]
-            self.users_on[j] += 1
-        self.f = self.value()
+        self._tally()
 
     def decision(self) -> SlotDecision:
         return SlotDecision(
@@ -698,7 +713,8 @@ def _local_search(
     tables: _SlotTables, d: SlotDecision
 ) -> tuple[SlotDecision, float, int]:
     """Best-improvement descent over integral decisions; returns the local
-    optimum, its value and the number of moves applied.
+    optimum, its value and the number of moves applied, at most
+    ``_MAX_MOVES``.
 
     Moves: one user to any feasible (cloud, station); two users jointly to
     any pair (full rescans only while cheap, plain exchanges otherwise); and
@@ -707,11 +723,22 @@ def _local_search(
     the first best move in that order: one-user moves come from one
     ``best_single_move`` scan, two-user moves from one ``best_pair_move`` or
     ``best_exchange`` pass, and only rotations from ``probe``.
+
+    The steps from a decision depend only on it and the slot tables, so a
+    start in ``tables.descents`` returns the recorded result, and a descent
+    that reaches a recorded decision after ``moves`` moves ends with its
+    optimum after ``moves + rest``, where continuing would end, while that
+    stays within the cap. A descent that ends at a local optimum records
+    every decision on its path; one stopped by the cap records none.
     """
+    descents = tables.descents
+    key = (d.placement, d.selection)
+    if key in descents:
+        return descents[key]
     state = _SearchState(tables, d.placement, d.selection)
     n = state.n
-    moves = 0
-    for _ in range(500):
+    path = [key]
+    while len(path) <= _MAX_MOVES:
         best: tuple[float, list[tuple[int, int, int]]] | None = None
 
         def consider(f2: float | None, batch: list[tuple[int, int, int]]) -> None:
@@ -737,10 +764,21 @@ def _local_search(
                             ]
                             consider(state.probe(batch), batch)
         if best is None:
+            optimum, value, moves = state.decision(), state.f, len(path) - 1
             break
         state.apply(best[1])
-        moves += 1
-    return state.decision(), state.f, moves
+        key = (tuple(state.placement), tuple(state.selection))
+        known = descents.get(key)
+        if known is not None and len(path) + known[2] <= _MAX_MOVES:
+            optimum, value, rest = known
+            moves = len(path) + rest
+            break
+        path.append(key)
+    else:  # stopped by the cap, maybe short of a local optimum: record nothing
+        return state.decision(), state.f, _MAX_MOVES
+    for done, visited in enumerate(path):
+        descents[visited] = (optimum, value, moves - done)
+    return optimum, value, moves
 
 
 def _kick(
@@ -983,10 +1021,15 @@ def solve_slot(
     ``report.objective`` its non-switching delay. The solve is
     deterministic; ``rng_seed`` is accepted and not drawn from.
 
-    Raises InfeasibleError (NoInteriorPointError when only loads at
-    capacity fit) when the relaxed slot is empty, and RoundingFailedError
-    when no seed yields a feasible decision.
+    Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
+    InfeasibleError (NoInteriorPointError when only loads at capacity fit)
+    when the relaxed slot is empty, and RoundingFailedError when no seed
+    yields a feasible decision.
     """
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not (
+        0 <= t < s.num_slots
+    ):
+        raise ValueError(f"slot must be an integer in range({s.num_slots}), got {t!r}")
     point = _uniform_point(s, t, config.margin)
     if point is None:
         _log.debug("slot %d: uniform point cannot be repaired; solving the LP", t)

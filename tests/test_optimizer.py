@@ -522,8 +522,9 @@ def test_pair_scan_sums_in_probe_order(case):
 
 
 def test_pair_scan_along_a_small_cold_solve(monkeypatch):
-    # Slot 0 of a compare-small benchmark scenario (3x1 grid, N=3): every
-    # full two-user rescan of the search is checked against every probe.
+    # Slots 0 and 1 of a compare-small benchmark scenario (3x1 grid, N=3),
+    # solved cold: every full two-user rescan of the searches is checked
+    # against every probe.
     s = ms.generate(ms.GeneratorConfig(
         seed=9, grid_width=3, grid_height=1, num_users=3, num_slots=16
     ))
@@ -539,6 +540,7 @@ def test_pair_scan_along_a_small_cold_solve(monkeypatch):
 
     monkeypatch.setattr(_SearchState, "best_pair_move", checking)
     ms.solve_slot(s, 0)
+    ms.solve_slot(s, 1)
     assert checked >= 10
 
 
@@ -586,6 +588,52 @@ def test_cold_small_solve_builds_its_slot_tables_once(monkeypatch):
     ms.solve_slot(s, 0)
     assert calls < 500
     assert built == 1
+
+
+def test_cold_small_solve_scans_no_decision_twice(monkeypatch):
+    # Instance 0 of the slot-cold-small benchmark workload. Searches that
+    # descended back to a local optimum an earlier search had reached
+    # rescanned every decision on the way: 21 scans of 11 decisions.
+    s = _validate(moderate_doc([0, 0]))
+    scan = _SearchState.best_single_move
+    scanned = []
+
+    def recorded(self):
+        scanned.append((tuple(self.placement), tuple(self.selection)))
+        return scan(self)
+
+    monkeypatch.setattr(_SearchState, "best_single_move", recorded)
+    ms.solve_slot(s, 0)
+    assert len(scanned) > 1
+    assert len(scanned) == len(set(scanned))
+
+
+def test_recorded_descents_equal_fresh_descents(monkeypatch):
+    # Every search of the solves, kicked starts included, against the same
+    # descent on fresh slot tables, whose record is empty.
+    search = mecsim_optimizer._local_search
+    calls = reused = 0
+
+    def checked(tables, d):
+        nonlocal calls, reused
+        before = len(tables.descents)
+        got = search(tables, d)
+        assert got == search(_SlotTables(tables.s, tables.t, tables.margin), d)
+        calls += 1
+        # a descent that ran its whole path adds moves + 1 decisions
+        reused += len(tables.descents) - before < got[2] + 1
+        return got
+
+    monkeypatch.setattr(mecsim_optimizer, "_local_search", checked)
+    for seed in range(20):
+        ms.solve_slot(_validate(moderate_doc(seed)), 0)
+    for seed in range(20):
+        try:
+            ms.solve_slot(_validate(random_doc(seed, m=4, n=5, tight=True)), 0)
+        except ms.RoundingFailedError:
+            pass  # seeds 9 and 15 give the search no feasible seed
+    assert calls >= 200
+    assert reused >= calls // 4
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +875,13 @@ def test_solve_slot_with_zero_margin_keeps_stations_below_capacity():
 def test_solver_config_rejects_bad_settings(field, value):
     with pytest.raises(ValueError, match=field):
         ms.SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("t", [-1, 2, 1.0, True, "0"])
+def test_solve_slot_rejects_a_slot_outside_the_horizon(t):
+    s = _validate(random_doc(0, slots=2))
+    with pytest.raises(ValueError, match="slot"):
+        ms.solve_slot(s, t)
 
 
 def test_solve_slot_honors_margin_setting():

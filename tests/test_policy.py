@@ -53,6 +53,18 @@ def test_policy_kinds_validated():
     assert ms.Policy.threshold(math.inf).beta == math.inf
 
 
+@pytest.mark.parametrize("beta", [-0.5, math.nan])
+def test_controller_state_rejects_bad_beta(beta):
+    # A NaN beta would make every stay test false and migrate on every slot.
+    with pytest.raises(ValueError, match="beta"):
+        ms.ControllerState(
+            prev_decision=ms.SlotDecision((0,), (0,)),
+            last_migration_slot=0,
+            accumulated_t2=0.0,
+            beta=beta,
+        )
+
+
 def test_zero_t1_takes_the_migrate_branch_at_no_cost():
     s = ms.validate_scenario(_static_doc())
     outcomes = ms.run_policy(s, ms.Policy.threshold(1.0), rng_seed=0)
