@@ -34,7 +34,7 @@ from .errors import (
 from .generator import GeneratorConfig, _is_number, _to_float, generate
 from .model import Scenario
 from .optimizer import DEFAULT_CONFIG, SolverConfig
-from .policy import POLICY_KINDS, Policy, SlotOutcome, run_policy
+from .policy import POLICY_KINDS, Policy, SlotOutcome, Solved, run_policy
 from .scenario_io import load_scenario, save_scenario, scenario_digest, write_text_atomic
 
 __all__ = ["main", "cmd_generate", "cmd_run", "cmd_compare", "CSV_HEADER"]
@@ -235,8 +235,9 @@ def _run_one(
     seed: int,
     out_dir: Path,
     solver: SolverConfig,
+    solved: Solved | None = None,
 ) -> dict[str, Any]:
-    outcomes = run_policy(scenario, policy, seed, solver)
+    outcomes = run_policy(scenario, policy, seed, solver, solved=solved)
     digest = scenario_digest(scenario_path)
     stem = _run_stem(policy, seed)
     csv_path = out_dir / f"{stem}.csv"
@@ -293,13 +294,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     policies.append(Policy.never())
     oracle_policy = Policy.oracle()
 
+    # Each distinct (slot, warm start) is solved once and shared by the rows.
+    solved: Solved = {}
     rows = []
     for policy in policies:
-        summary = _run_one(scenario, args.scenario, policy, seed, out_dir, solver)
+        summary = _run_one(
+            scenario, args.scenario, policy, seed, out_dir, solver, solved
+        )
         rows.append(summary)
     try:
         rows.append(
-            _run_one(scenario, args.scenario, oracle_policy, seed, out_dir, solver)
+            _run_one(
+                scenario, args.scenario, oracle_policy, seed, out_dir, solver, solved
+            )
         )
     except OracleTooLargeError as exc:
         _log.info("oracle row omitted: %s", exc)

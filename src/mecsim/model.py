@@ -318,8 +318,10 @@ def decision_feasible(
     Placement, storage, and coverage are exact checks; station load must stay
     at or below capacity minus ``margin`` and strictly below capacity (the
     queuing delay diverges at capacity, so feasibility is defined strictly
-    inside it, also when ``margin`` is 0).
+    inside it, also when ``margin`` is 0). Raises ValueError unless ``t``
+    is an integer in ``range(s.num_slots)``.
     """
+    check_slot(s, t)
     if d.num_users != s.num_users:
         return False
     if math.isinf(margin) or math.isnan(margin) or margin < 0:
@@ -341,6 +343,17 @@ def decision_feasible(
         d.selection, weights=s.demand[t], minlength=s.num_clouds
     )
     return bool(np.all(load <= station_limit(s.bs_capacity, margin)))
+
+
+def check_slot(s: Scenario, t: Any) -> None:
+    """Raise ValueError unless ``t`` is an integer in ``range(s.num_slots)``.
+
+    Without it a negative slot would index from the end of the horizon.
+    """
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not (
+        0 <= t < s.num_slots
+    ):
+        raise ValueError(f"slot must be an integer in range({s.num_slots}), got {t!r}")
 
 
 def station_limit(capacity: np.ndarray, margin: float) -> np.ndarray:

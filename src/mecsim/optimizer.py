@@ -48,6 +48,7 @@ from .model import (
     FractionalDecision,
     Scenario,
     SlotDecision,
+    check_slot,
     decision_feasible,
     station_limit,
 )
@@ -1026,10 +1027,7 @@ def solve_slot(
     when the relaxed slot is empty, and RoundingFailedError when no seed
     yields a feasible decision.
     """
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not (
-        0 <= t < s.num_slots
-    ):
-        raise ValueError(f"slot must be an integer in range({s.num_slots}), got {t!r}")
+    check_slot(s, t)
     point = _uniform_point(s, t, config.margin)
     if point is None:
         _log.debug("slot %d: uniform point cannot be repaired; solving the LP", t)

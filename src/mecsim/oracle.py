@@ -15,7 +15,7 @@ import numpy as np
 
 from .delays import _IndexCosts
 from .errors import InfeasibleError, OracleTooLargeError
-from .model import Scenario, SlotDecision, station_limit
+from .model import Scenario, SlotDecision, check_slot, station_limit
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -55,8 +55,10 @@ def best_slot_decision(
     """Exhaustive slot optimum.
 
     Minimizes the non-switching delay, plus the switching cost against
-    ``x_prev`` when given. Returns the decision and its value.
+    ``x_prev`` when given. Returns the decision and its value. Raises
+    ValueError unless ``t`` is an integer in ``range(s.num_slots)``.
     """
+    check_slot(s, t)
     max_cov = max(len(s.coverage[t][k]) for k in range(s.num_users))
     if s.num_clouds**s.num_users * max_cov**s.num_users > budget:
         raise OracleTooLargeError(

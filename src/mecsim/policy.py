@@ -20,6 +20,11 @@ Three corner cases hold for every policy:
 ``step`` logs the first two at info level to the ``mecsim`` logger, which
 this package gives no handler.
 
+A slot's solve depends only on the slot and its warm start, so ``compare``
+runs every policy with one ``solved`` mapping: each distinct (slot, warm
+start) is solved once and its decision, or its infeasibility, is shared by
+every row that needs it. Each row is the one ``run_policy`` gives alone.
+
 The oracle replays the offline DP sequence through the same accounting.
 """
 
@@ -37,6 +42,7 @@ from .model import (
     DelayBreakdown,
     Scenario,
     SlotDecision,
+    check_slot,
     decision_feasible,
 )
 from .optimizer import DEFAULT_CONFIG, SolverConfig, solve_slot
@@ -128,11 +134,53 @@ def _outcome(
     )
 
 
+# (slot, warm start) -> the slot solve's decision, or the InfeasibleError it raised
+Solved = dict[tuple[int, SlotDecision | None], SlotDecision | InfeasibleError]
+
+
+def _solve(
+    s: Scenario,
+    t: int,
+    warm_start: SlotDecision | None,
+    rng_seed: int,
+    config: SolverConfig,
+    solved: Solved | None,
+) -> SlotDecision:
+    """``solve_slot``'s decision, taken from ``solved`` when it holds the
+    (slot, warm start) and added to it otherwise.
+
+    An InfeasibleError is kept and raised again; RoundingFailedError
+    propagates unkept. One mapping belongs to one scenario and one config.
+    """
+    if solved is None:
+        solved = {}
+    key = (t, warm_start)
+    if key not in solved:
+        try:
+            solved[key] = solve_slot(
+                s, t, warm_start=warm_start, rng_seed=rng_seed, config=config
+            )[0]
+        except InfeasibleError as exc:
+            solved[key] = exc
+    found = solved[key]
+    if isinstance(found, InfeasibleError):
+        raise found
+    return found
+
+
 def initial_slot(
-    s: Scenario, rng_seed: int, config: SolverConfig = DEFAULT_CONFIG
+    s: Scenario,
+    rng_seed: int,
+    config: SolverConfig = DEFAULT_CONFIG,
+    *,
+    solved: Solved | None = None,
 ) -> SlotOutcome:
-    """Solve slot 0; there is no prior placement, so switching is 0."""
-    decision, _, _ = solve_slot(s, 0, warm_start=None, rng_seed=rng_seed, config=config)
+    """Solve slot 0; there is no prior placement, so switching is 0.
+
+    ``solved`` shares solves between runs on the same scenario and config;
+    without it the slot is solved afresh.
+    """
+    decision = _solve(s, 0, None, rng_seed, config, solved)
     return _outcome(s, 0, decision, decision, 0.0, False, False, 0.0)
 
 
@@ -142,16 +190,20 @@ def step(
     state: ControllerState,
     rng_seed: int,
     config: SolverConfig = DEFAULT_CONFIG,
+    *,
+    solved: Solved | None = None,
 ) -> tuple[SlotOutcome, ControllerState]:
-    """One slot of the rule: solve a candidate if it can win, compare, adopt."""
+    """One slot of the rule: solve a candidate if it can win, compare, adopt.
+
+    ``solved`` is as for ``initial_slot``.
+    """
+    check_slot(s, t)
     prev = state.prev_decision
     forced = not decision_feasible(s, t, prev, 0.0)
     candidate, t1 = None, math.inf
     if forced or not math.isinf(state.beta):
         try:
-            candidate, _, _ = solve_slot(
-                s, t, warm_start=prev, rng_seed=rng_seed, config=config
-            )
+            candidate = _solve(s, t, prev, rng_seed, config, solved)
         except InfeasibleError as exc:
             if forced:
                 raise  # nothing to stay on and nothing to move to
@@ -202,15 +254,21 @@ def run_policy(
     policy: Policy,
     rng_seed: int,
     config: SolverConfig = DEFAULT_CONFIG,
+    *,
+    solved: Solved | None = None,
 ) -> list[SlotOutcome]:
     """Run one policy over the whole horizon.
 
-    Slot 0 is solved identically for every policy (same derived sub-seed),
-    so runs with a shared run seed are comparable decision-for-decision.
-    Every online policy then runs through ``step``: ``always`` with beta = 0,
-    ``never`` with beta = inf, ``threshold`` with its own beta.
+    Slot 0 is solved identically for every policy, so runs are comparable
+    decision-for-decision. Every online policy then runs through ``step``:
+    ``always`` with beta = 0, ``never`` with beta = inf, ``threshold`` with
+    its own beta. Runs on the same scenario and config may share one
+    ``solved`` mapping (see ``initial_slot``) and return what each returns
+    alone.
     """
-    first = initial_slot(s, substream_seed(rng_seed, ROUNDING, 0), config)
+    first = initial_slot(
+        s, substream_seed(rng_seed, ROUNDING, 0), config, solved=solved
+    )
     if policy.kind == "oracle":
         return _run_oracle(s, first, config)
 
@@ -223,7 +281,8 @@ def run_policy(
     )
     for t in range(1, s.num_slots):
         outcome, state = step(
-            s, t, state, substream_seed(rng_seed, ROUNDING, t), config
+            s, t, state, substream_seed(rng_seed, ROUNDING, t), config,
+            solved=solved,
         )
         outcomes.append(outcome)
     return outcomes

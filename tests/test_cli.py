@@ -256,6 +256,54 @@ def test_compare_logs_the_omitted_oracle_row(tmp_path, caplog):
     assert [(r.name, r.levelno) for r in omitted] == [("mecsim", logging.INFO)]
 
 
+def _compare_scenario(tmp_path: Path) -> str:
+    """3x1 grid, N=3, 16 slots, generator seed 13: rows share many solves."""
+    config = _gen_config(tmp_path, seed=13, grid_width=3, grid_height=1,
+                         num_users=3, num_slots=16)
+    scenario = tmp_path / "scenario.json"
+    assert main(["generate", "--config", config, "--out", str(scenario)]) == 0
+    return str(scenario)
+
+
+def test_compare_solves_each_slot_and_warm_start_once(tmp_path, monkeypatch):
+    scenario = _compare_scenario(tmp_path)
+    keys = []
+    real = ms.policy.solve_slot
+
+    def counting(s, t, warm_start=None, **kwargs):
+        keys.append((t, warm_start))
+        return real(s, t, warm_start=warm_start, **kwargs)
+
+    monkeypatch.setattr(ms.policy, "solve_slot", counting)
+    rc = main(["compare", "--scenario", scenario, "--beta", "0,1,inf",
+               "--seed", "5", "--out", str(tmp_path / "cmp")])
+    assert rc == 0
+    assert [t for t, _ in keys].count(0) == 1
+    assert len(keys) == len(set(keys))
+
+
+def test_compare_rows_equal_what_run_writes(tmp_path):
+    scenario = _compare_scenario(tmp_path)
+    compared = tmp_path / "cmp"
+    assert main(["compare", "--scenario", scenario, "--beta", "0,1,inf",
+                 "--seed", "7", "--out", str(compared)]) == 0
+    alone = tmp_path / "run"
+    for flags in (["--policy", "threshold", "--beta", "0"],
+                  ["--policy", "threshold", "--beta", "1"],
+                  ["--policy", "threshold", "--beta", "inf"],
+                  ["--policy", "always"], ["--policy", "never"],
+                  ["--policy", "oracle"]):
+        assert main(["run", "--scenario", scenario, *flags,
+                     "--seed", "7", "--out", str(alone)]) == 0
+    names = sorted(p.name for p in alone.iterdir())
+    assert len(names) == 12
+    assert sorted(p.name for p in compared.iterdir()) == sorted(
+        names + ["comparison.csv"]
+    )
+    for name in names:
+        assert (compared / name).read_bytes() == (alone / name).read_bytes(), name
+
+
 def test_compare_rejects_malformed_beta_list(walkthrough_path, tmp_path):
     rc = main(["compare", "--scenario", str(walkthrough_path),
                "--beta", "0,x", "--out", str(tmp_path / "o")])

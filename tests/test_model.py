@@ -184,6 +184,29 @@ def test_margin_must_be_finite():
         ms.decision_feasible(s, 0, d, margin=math.inf)
 
 
+def _slot_callers():
+    """The callers of ``check_slot`` besides ``solve_slot``, which
+    ``test_solve_slot_rejects_a_slot_outside_the_horizon`` covers."""
+    d = ms.SlotDecision((0, 0, 0), (0, 0, 0))
+    state = ms.ControllerState(
+        prev_decision=d, last_migration_slot=0, accumulated_t2=0.0, beta=1.0
+    )
+    return {
+        "decision_feasible": lambda s, t: ms.decision_feasible(s, t, d),
+        "best_slot_decision": lambda s, t: ms.best_slot_decision(s, t),
+        "step": lambda s, t: ms.step(s, t, state, 0),
+    }
+
+
+@pytest.mark.parametrize("caller", sorted(_slot_callers()))
+@pytest.mark.parametrize("t", [-1, 2])
+def test_slot_outside_the_horizon_is_rejected(caller, t):
+    # -1 would silently read the last slot and 2 raise a bare IndexError.
+    s = ms.validate_scenario(random_doc(0, slots=2))
+    with pytest.raises(ValueError, match=r"slot must be an integer in range\(2\)"):
+        _slot_callers()[caller](s, t)
+
+
 def test_feasibility_monotone_in_margin():
     margins = [0.0, 1e-6, 1e-3, 0.1, 1.0, 5.0]
     rng = np.random.default_rng(7)

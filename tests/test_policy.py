@@ -170,6 +170,30 @@ def test_stay_kept_when_candidate_solve_is_infeasible():
         assert outcomes[1].t1_candidate == math.inf, policy.kind
 
 
+def test_shared_memo_keeps_an_infeasible_candidate(monkeypatch, caplog):
+    s = ms.validate_scenario(_infeasible_candidate_doc())
+    config = ms.SolverConfig(margin=0.5)
+    solved_slots = []
+    real = ms.policy.solve_slot
+
+    def counting(s, t, *args, **kwargs):
+        solved_slots.append(t)
+        return real(s, t, *args, **kwargs)
+
+    monkeypatch.setattr(ms.policy, "solve_slot", counting)
+    caplog.set_level(logging.INFO, logger="mecsim")
+    solved = {}
+    for policy in (ms.Policy.threshold(1.0), ms.Policy.always()):
+        outcomes = ms.run_policy(s, policy, rng_seed=0, config=config, solved=solved)
+        assert not outcomes[1].migrated, policy.kind
+        assert outcomes[1].decision == outcomes[0].decision, policy.kind
+        assert outcomes[1].t1_candidate == math.inf, policy.kind
+    assert solved_slots == [0, 1]  # once each, by the first policy
+    staying = [r for r in caplog.records
+               if "slot 1: the candidate is infeasible, staying" in r.getMessage()]
+    assert len(staying) == 2  # logged by each policy
+
+
 def test_step_logs_its_rare_paths(caplog):
     caplog.set_level(logging.INFO, logger="mecsim")
     s = ms.validate_scenario(_coverage_loss_doc())
