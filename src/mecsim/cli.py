@@ -82,25 +82,18 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return dict(doc)
 
 
-def _config_number(solver: Mapping[str, Any], key: str, kind: type) -> Any:
-    value = solver[key]
-    if not _is_number(value) or (kind is int and not isinstance(value, int)):
-        what = "an integer" if kind is int else "a number"
-        raise ParseError(f"solver.{key} must be {what}, got {value!r}")
-    return value if kind is int else _to_float(value, f"solver.{key}")
-
-
 def _solver_config(config: Mapping[str, Any], args: argparse.Namespace) -> SolverConfig:
-    solver = config.get("solver", {})
-    values = asdict(DEFAULT_CONFIG)
-    for key, kind in (("margin", float), ("max_attempts", int)):
-        if key in solver:
-            values[key] = _config_number(solver, key, kind)
-    if getattr(args, "margin", None) is not None:
+    """The config's solver section over the defaults, ``--margin`` over both;
+    ``SolverConfig`` validates every value."""
+    values = {**asdict(DEFAULT_CONFIG), **config.get("solver", {})}
+    if _is_number(values["margin"]):
+        values["margin"] = _to_float(values["margin"], "solver.margin")
+    if args.margin is not None:
         values["margin"] = args.margin
-    if not (0 <= values["margin"] < math.inf and values["max_attempts"] >= 1):
-        raise ParseError("solver settings out of range")
-    return SolverConfig(**values)
+    try:
+        return SolverConfig(**values)
+    except ValueError as exc:
+        raise ParseError(f"bad solver setting: {exc}") from None
 
 
 def _run_seed(args: argparse.Namespace) -> int:
@@ -196,22 +189,26 @@ def _summary_doc(
     }
 
 
+def _policy(kind: Any, beta: float = math.inf) -> Policy:
+    """``Policy(kind, beta)``; ``Policy`` validates both."""
+    try:
+        return Policy(kind=kind, beta=beta)
+    except ValueError as exc:
+        raise ParseError(f"bad policy setting: {exc}") from None
+
+
 def _parse_policy(config: Mapping[str, Any], args: argparse.Namespace) -> Policy:
     controller = config.get("controller", {})
-    kind = getattr(args, "policy", None) or controller.get("policy", "threshold")
-    if kind not in POLICY_KINDS:
-        raise ParseError(f"unknown policy: {kind!r}")
+    kind = args.policy or controller.get("policy", "threshold")
     beta = controller.get("beta", 1.0)
     if beta == "inf":  # the form a run summary writes
         beta = math.inf
     elif not _is_number(beta):
         raise ParseError(f"controller.beta must be a number or \"inf\", got {beta!r}")
     if kind != "threshold":
-        return Policy(kind=kind)
+        return _policy(kind)
     beta = _to_float(beta if args.beta is None else args.beta, "controller.beta")
-    if math.isnan(beta) or beta < 0:
-        raise ParseError("beta must be nonnegative")
-    return Policy.threshold(beta)
+    return _policy(kind, beta)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -275,7 +272,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     out_dir = _out_dir(config, args)
 
-    betas: list[float] = []
+    policies: list[Policy] = []
     if args.beta:
         for chunk in str(args.beta).split(","):
             chunk = chunk.strip()
@@ -285,11 +282,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 value = float(chunk)
             except ValueError:
                 raise ParseError(f"beta list entry is not a number: {chunk!r}") from None
-            if math.isnan(value) or value < 0:
-                raise ParseError("beta must be nonnegative")
-            betas.append(value)
-
-    policies = [Policy.threshold(b) for b in betas]
+            policies.append(_policy("threshold", value))
     policies.append(Policy.always())
     policies.append(Policy.never())
     oracle_policy = Policy.oracle()

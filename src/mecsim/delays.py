@@ -1,10 +1,12 @@
 """Per-slot delay components for placement/selection decisions.
 
-All functions accept (clouds, users) matrices, either 0/1 indicators or
+``_IndexCosts`` is the one valuation of integral decisions. The public
+functions accept (clouds, users) matrices, either 0/1 indicators or
 fractional column-stochastic weights. Each sum lays its terms out
 user-major (user, then cloud, then station) and adds them strictly left to
 right with ``np.add.accumulate``, never with the pairwise ``np.sum``, so a
-result is the same float as the literal nested loop over those terms.
+result is the same float as the literal nested loop over those terms: on
+indicator matrices, the float ``_IndexCosts`` gives.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ def _sequential_sum(terms: np.ndarray) -> float:
 
 
 def station_loads(s: Scenario, t: int, y: np.ndarray) -> np.ndarray:
-    """Demand-weighted load per station: load[j] = sum_k c_k(t) * y[j, k]."""
-    return np.asarray(y, dtype=float) @ s.demand[t]
+    """Demand-weighted load per station: load[j] = sum_k c_k(t) * y[j, k],
+    added user by user from the left."""
+    terms = np.asarray(y, dtype=float) * s.demand[t]
+    return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
 
 
 def switching_delay(s: Scenario, x_now: np.ndarray, x_prev: np.ndarray) -> float:
@@ -96,9 +100,10 @@ def communication_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> fl
 
 class _IndexCosts:
     """Slot-t delays of integral decisions as index sequences: user k on
-    cloud ``placement[k]`` and station ``selection[k]``. Plain lists keep a
-    call cheap; sums run user by user, as in the matrix forms, and a station
-    at or over capacity gives +inf.
+    cloud ``placement[k]`` and station ``selection[k]``. The search, the
+    oracle and the controller value integral decisions with it alone. Plain
+    lists keep a call cheap; sums run user by user, as in the matrix forms,
+    and a station at or over capacity gives +inf.
     """
 
     __slots__ = ("sizes", "demand", "bs_cap", "lat")
@@ -109,21 +114,29 @@ class _IndexCosts:
         self.bs_cap = s.bs_capacity.tolist()
         self.lat = s.link_latency[t].tolist()
 
-    def non_switching(self, placement: Sequence[int], selection: Sequence[int]) -> float:
-        """Queuing plus communication delay of the decision at slot t."""
+    def queuing(self, selection: Sequence[int]) -> float:
+        """Each user's 1 / (C_j - load_j) at its station j."""
         load = [0.0] * len(self.bs_cap)
         for k, j in enumerate(selection):
             load[j] += self.demand[k]
-        queuing = 0.0
+        total = 0.0
         for j in selection:
             slack = self.bs_cap[j] - load[j]
             if slack <= 0.0:
                 return math.inf
-            queuing += 1.0 / slack
-        communication = 0.0
+            total += 1.0 / slack
+        return total
+
+    def communication(self, placement: Sequence[int], selection: Sequence[int]) -> float:
+        """Each user's link latency between its cloud and its station."""
+        total = 0.0
         for i, j in zip(placement, selection):
-            communication += self.lat[i][j]
-        return queuing + communication
+            total += self.lat[i][j]
+        return total
+
+    def non_switching(self, placement: Sequence[int], selection: Sequence[int]) -> float:
+        """Queuing plus communication delay of the decision at slot t."""
+        return self.queuing(selection) + self.communication(placement, selection)
 
     def switching(self, p_now: Sequence[int], p_prev: Sequence[int]) -> float:
         """Migration cost: each user whose cloud changed pays its size."""
@@ -132,6 +145,16 @@ class _IndexCosts:
             if i_now != i_prev:
                 total += size
         return total
+
+    def breakdown(
+        self, placement: Sequence[int], selection: Sequence[int], p_prev: Sequence[int]
+    ) -> DelayBreakdown:
+        """The full slot cost of the decision after placement ``p_prev``."""
+        return DelayBreakdown.assemble(
+            switching=self.switching(placement, p_prev),
+            queuing=self.queuing(selection),
+            communication=self.communication(placement, selection),
+        )
 
 
 def non_switching_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> float:

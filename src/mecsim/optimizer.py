@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .delays import _IndexCosts, non_switching_delay
+from .delays import _IndexCosts, non_switching_delay, station_loads
 from .errors import (
     InfeasibleError,
     NoInteriorPointError,
@@ -126,7 +126,7 @@ def objective_gradient(
     y = np.asarray(y, dtype=float)
     lat = s.link_latency[t]
     demand = s.demand[t]
-    load = y @ demand
+    load = station_loads(s, t, y)
     slack = s.bs_capacity - load
     if np.any(slack <= 0.0):
         j = int(np.argmin(slack))
@@ -810,9 +810,9 @@ def _integral_search(
 
     The best local optimum (the first on ties) takes a few seeded kicks,
     each followed by a local search. The winner is re-verified against the
-    authoritative feasibility check and re-valued with the canonical
-    objective. Returns (decision, value, distinct seeds, moves applied), or
-    None when there is no seed or the result fails the check.
+    authoritative feasibility check; its value is the search's own
+    ``_IndexCosts`` value. Returns (decision, value, distinct seeds, moves
+    applied), or None when there is no seed or the result fails the check.
     """
     best: tuple[SlotDecision, float] | None = None
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -839,17 +839,13 @@ def _integral_search(
         if value < best[1] - 1e-12:
             best = (improved, value)
 
-    s, t, winner = tables.s, tables.t, best[0]
-    if not decision_feasible(s, t, winner, tables.margin):
+    winner, value = best
+    if not decision_feasible(tables.s, tables.t, winner, tables.margin):
         _log.warning(
             "slot %d: dropped the search result; its bookkeeping called it "
-            "feasible and the feasibility check does not", t,
+            "feasible and the feasibility check does not", tables.t,
         )
         return None
-    m = s.num_clouds
-    value = objective(
-        s, t, winner.placement_matrix(m), winner.selection_matrix(m)
-    )
     return winner, value, len(seen), moves
 
 
@@ -1018,9 +1014,11 @@ def solve_slot(
     uniform point (of the zero-cost LP point when the uniform point cannot
     be repaired), the greedy indicator, and the warm start after greedy
     repair. A seed whose rounding or repair fails is dropped. The returned
-    fractional decision is the decision's indicator matrices and
-    ``report.objective`` its non-switching delay. The solve is
-    deterministic; ``rng_seed`` is accepted and not drawn from.
+    fractional decision is the decision's indicator matrices.
+    ``report.objective`` is the decision's non-switching delay as
+    ``_IndexCosts``, the one valuation of integral decisions, gives it: the
+    value the search minimized. The solve is deterministic; ``rng_seed`` is
+    accepted and not drawn from.
 
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
     InfeasibleError (NoInteriorPointError when only loads at capacity fit)

@@ -93,10 +93,16 @@ def offline_optimal(
 
     Slot 0 pays no switching cost; later slots pay it against the previous
     placement. With ``first_decision`` the slot-0 decision is pinned and the
-    remaining slots are optimized around it. The DP workload
-    num_slots * D^2 (D = feasible decisions of the busiest slot) must stay
-    within ``budget``.
+    remaining slots are optimized around it. The raw placement count M^N
+    and every slot's raw selection count must stay within ``budget`` before
+    anything is enumerated, and the DP workload num_slots * D^2 (D =
+    feasible decisions of the busiest slot) after.
     """
+    raw_selections = max(math.prod(len(c) for c in cov) for cov in s.coverage)
+    if max(s.num_clouds**s.num_users, raw_selections) > budget:
+        raise OracleTooLargeError(
+            f"offline DP enumeration exceeds the budget of {budget} decisions"
+        )
     placements = _feasible_placements(s)
     if not placements:
         raise InfeasibleError("no storage-feasible placement exists")

@@ -26,6 +26,8 @@ start) is solved once and its decision, or its infeasibility, is shared by
 every row that needs it. Each row is the one ``run_policy`` gives alone.
 
 The oracle replays the offline DP sequence through the same accounting.
+Every adopted decision and every T1 is valued with ``_IndexCosts``, the
+cost model of the search and the offline DP.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import oracle as oracle_mod
-from .delays import switching_delay, total_delay
+from .delays import _IndexCosts
 from .errors import InfeasibleError
 from .model import (
     ControllerState,
@@ -114,19 +116,16 @@ class SlotOutcome:
 
 
 def _outcome(
-    s: Scenario, t: int, prev: SlotDecision, decision: SlotDecision,
+    t: int, costs: _IndexCosts, prev: SlotDecision, decision: SlotDecision,
     t2_before: float, migrated: bool, forced: bool, t1: float,
 ) -> SlotOutcome:
-    """Account slot t adopting ``decision`` after ``prev``.
+    """Account slot t adopting ``decision`` after ``prev``, valued with the
+    slot's ``costs``.
 
     T2 restarts at the slot's non-switching delay on a migration and
     accumulates it otherwise.
     """
-    m = s.num_clouds
-    delay = total_delay(
-        s, t, decision.placement_matrix(m), prev.placement_matrix(m),
-        decision.selection_matrix(m),
-    )
+    delay = costs.breakdown(decision.placement, decision.selection, prev.placement)
     t2 = delay.non_switching if migrated else t2_before + delay.non_switching
     return SlotOutcome(
         slot=t, decision=decision, migrated=migrated, forced=forced,
@@ -181,7 +180,7 @@ def initial_slot(
     without it the slot is solved afresh.
     """
     decision = _solve(s, 0, None, rng_seed, config, solved)
-    return _outcome(s, 0, decision, decision, 0.0, False, False, 0.0)
+    return _outcome(0, _IndexCosts(s, 0), decision, decision, 0.0, False, False, 0.0)
 
 
 def step(
@@ -198,6 +197,7 @@ def step(
     ``solved`` is as for ``initial_slot``.
     """
     check_slot(s, t)
+    costs = _IndexCosts(s, t)
     prev = state.prev_decision
     forced = not decision_feasible(s, t, prev, 0.0)
     candidate, t1 = None, math.inf
@@ -209,19 +209,16 @@ def step(
                 raise  # nothing to stay on and nothing to move to
             _log.info("slot %d: the candidate is infeasible, staying: %s", t, exc)
         else:
-            m = s.num_clouds
-            t1 = switching_delay(
-                s, candidate.placement_matrix(m), prev.placement_matrix(m)
-            )
+            t1 = costs.switching(candidate.placement, prev.placement)
 
     if not forced:
-        stay = _outcome(s, t, prev, prev, state.accumulated_t2, False, False, t1)
+        stay = _outcome(t, costs, prev, prev, state.accumulated_t2, False, False, t1)
         if candidate is None or stay.t2_accumulated < state.beta * t1:
             return stay, replace(state, accumulated_t2=stay.t2_accumulated)
 
     if forced:
         _log.info("slot %d: staying is infeasible; forced migration", t)
-    moved = _outcome(s, t, prev, candidate, state.accumulated_t2, True, forced, t1)
+    moved = _outcome(t, costs, prev, candidate, state.accumulated_t2, True, forced, t1)
     return moved, replace(
         state,
         prev_decision=candidate,
@@ -237,13 +234,13 @@ def _run_oracle(
         s, margin=config.margin, first_decision=first.decision
     )
     outcomes = [first]
-    m = s.num_clouds
     for t in range(1, s.num_slots):
         prev, decision = sequence[t - 1], sequence[t]
         migrated = decision != prev
-        t1 = switching_delay(s, decision.placement_matrix(m), prev.placement_matrix(m))
+        costs = _IndexCosts(s, t)
+        t1 = costs.switching(decision.placement, prev.placement)
         outcomes.append(_outcome(
-            s, t, prev, decision, outcomes[-1].t2_accumulated, migrated,
+            t, costs, prev, decision, outcomes[-1].t2_accumulated, migrated,
             migrated and not decision_feasible(s, t, prev, 0.0), t1,
         ))
     return outcomes

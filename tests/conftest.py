@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mecsim as ms
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 WALKTHROUGH = REPO_ROOT / "scenarios" / "walkthrough.json"
 
@@ -105,6 +107,14 @@ def moderate_doc(seed, m=3, n=3):
         "coverage": [coverage],
         "demand": demand.tolist(),
     }
+
+
+def online_large_scenario():
+    """The online-large benchmark scenario: generator seed 0, a 4x4 grid,
+    M=16, N=40, 12 slots."""
+    return ms.generate(ms.GeneratorConfig(
+        seed=0, grid_width=4, grid_height=4, num_users=40, num_slots=12
+    ))
 
 
 @pytest.fixture

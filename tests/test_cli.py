@@ -256,6 +256,21 @@ def test_compare_logs_the_omitted_oracle_row(tmp_path, caplog):
     assert [(r.name, r.levelno) for r in omitted] == [("mecsim", logging.INFO)]
 
 
+def test_compare_notes_the_omitted_oracle_row_of_a_large_scenario(tmp_path, capsys):
+    # 3x2 grid, N=8: the oracle's placements alone are over its budget.
+    config = _gen_config(tmp_path, grid_width=3, grid_height=2,
+                         num_users=8, num_slots=4)
+    scenario = tmp_path / "big.json"
+    assert main(["generate", "--config", config, "--out", str(scenario)]) == 0
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--scenario", str(scenario), "--beta", "1",
+               "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    assert "note: oracle row omitted" in capsys.readouterr().err
+    rows = _read_rows(out / "comparison.csv")
+    assert [r["policy"] for r in rows] == ["threshold", "always", "never"]
+
+
 def _compare_scenario(tmp_path: Path) -> str:
     """3x1 grid, N=3, 16 slots, generator seed 13: rows share many solves."""
     config = _gen_config(tmp_path, seed=13, grid_width=3, grid_height=1,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import mecsim as ms
 import mecsim.optimizer as mecsim_optimizer
 import reference as ref
-from conftest import make_doc, moderate_doc, random_doc
+from conftest import make_doc, moderate_doc, online_large_scenario, random_doc
 from mecsim.optimizer import (
     _feasible_point_via_lp,
     _greedy_repair,
@@ -454,9 +454,7 @@ def test_single_move_scan_breaks_ties_as_probe_does(case):
 def test_single_move_scan_along_a_large_cold_solve(monkeypatch):
     # Slot 0 of the online-large benchmark scenario (M=16, N=40): every
     # tenth one-user scan of the search is checked against every probe.
-    s = ms.generate(ms.GeneratorConfig(
-        seed=0, grid_width=4, grid_height=4, num_users=40, num_slots=12
-    ))
+    s = online_large_scenario()
     scan = _SearchState.best_single_move
     calls = checked = 0
 
@@ -547,9 +545,7 @@ def test_pair_scan_along_a_small_cold_solve(monkeypatch):
 def test_cold_solve_does_not_probe_exchanges_one_by_one(monkeypatch):
     # One array pass per search step values the plain exchanges; probing
     # them pair by pair took 125,168 probe calls on this slot.
-    s = ms.generate(ms.GeneratorConfig(
-        seed=0, grid_width=4, grid_height=4, num_users=40, num_slots=12
-    ))
+    s = online_large_scenario()
     calls = 0
     probe = _SearchState.probe
 
@@ -808,6 +804,19 @@ def test_solve_slot_walkthrough_decision(walkthrough_path):
         assert np.array_equal(frac.x, decision.placement_matrix(3))
         assert np.array_equal(frac.y, decision.selection_matrix(3))
         assert report.objective == ms.objective(s, 0, frac.x, frac.y)
+
+
+def test_report_carries_the_value_the_search_minimized():
+    # The 12 cold online-large slots. Re-valued with the matrix forms and
+    # their BLAS load sum, slots 7 and 10 reported 2 ulps less.
+    s = online_large_scenario()
+    for t in range(s.num_slots):
+        decision, frac, report = ms.solve_slot(s, t)
+        value = mecsim_optimizer._IndexCosts(s, t).non_switching(
+            decision.placement, decision.selection
+        )
+        assert report.objective == value
+        assert report.objective == ms.objective(s, t, frac.x, frac.y)
 
 
 def test_solve_slot_warm_start_keeps_dominant_decision():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import mecsim as ms
@@ -155,3 +157,15 @@ def test_offline_budget_guard():
     s = ms.validate_scenario(doc)
     with pytest.raises(ms.OracleTooLargeError):
         ms.offline_optimal(s, budget=100)
+
+
+def test_offline_budget_guard_raises_before_enumerating():
+    # 3x2 grid, N=8: 6^8 raw placements, over the default budget. Walking
+    # them all before the check took 15.6 s.
+    s = ms.generate(ms.GeneratorConfig(
+        seed=3, grid_width=3, grid_height=2, num_users=8, num_slots=4
+    ))
+    start = time.perf_counter()
+    with pytest.raises(ms.OracleTooLargeError):
+        ms.offline_optimal(s)
+    assert time.perf_counter() - start < 1.0
