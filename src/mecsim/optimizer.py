@@ -16,7 +16,13 @@ cloud with room can hold the least value, and only the winning user's
 moves are then valued one by one to find the first minimum. Two-user moves
 are valued in one NumPy pass per step: on small slots the full rescan of
 any two users to any two spots, otherwise every plain exchange over (N, N)
-arrays. Single probes value only three-user rotations and the kicks. The
+arrays. Single probes value only three-user rotations and the kicks.
+Float-safe lower bounds ("floors") skip the scans that cannot win: a user
+whose one-user moves all value at or above the least value found so far
+is not walked, and the exchange pass and the rotation probes run only
+when some move of theirs could pass the step's bar. A floor is a real
+lower bound on the value, less a slack of 1e-9 * (1 + f) that covers the
+rounding, so a skip never drops a move that would have been taken. The
 slot's static data is built once per solve and shared by all its searches
 and kicks, together with a record of the solve's descents: a descent
 depends only on its decision and the slot, so a search that starts at or
@@ -299,9 +305,11 @@ class _SlotTables:
 
     All of it depends only on the slot and the margin: the cost model, the
     storage and station limits, the coverage sets and which move scans the
-    search runs (``scan_pairs``, ``rotations``). The clouds' latency order,
-    the exchange arrays and the pair enumeration are built on first use,
-    so each is built at most once per solve.
+    search runs (``scan_pairs``, ``rotations``), and ``gap``, the most an
+    exchange or a rotation lowers a station's load. The clouds' latency
+    order, each user's ``nearest`` latency, the exchange arrays and the pair
+    enumeration are built on first use, so each is built at most once per
+    solve.
 
     ``descents`` is the solve's record of ``_local_search``: it maps each
     decision (placement, selection) of a descent that ended at a local
@@ -324,6 +332,10 @@ class _SlotTables:
             n >= 2 and (n * (n - 1) // 2) * (m * max_phi) ** 2 <= _PAIR_SCAN_BUDGET
         )
         self.rotations = n >= 3 and n**3 <= _ROTATION_BUDGET
+        # the most a station's load falls in an exchange or a rotation; the
+        # pad is far more than the rounding of probe's sums of load changes
+        demand = self.costs.demand
+        self.gap = (max(demand) - min(demand)) + 1e-12 * max(demand)
         self.descents: dict[
             tuple[tuple[int, ...], tuple[int, ...]], tuple[SlotDecision, float, int]
         ] = {}
@@ -334,6 +346,12 @@ class _SlotTables:
         return [
             sorted(range(self.m), key=column.__getitem__) for column in zip(*self.costs.lat)
         ]
+
+    @cached_property
+    def nearest(self) -> list[float]:
+        """Per user, the least latency of any cloud to a covered station."""
+        lat, order = self.costs.lat, self.cloud_order
+        return [min(lat[order[j][0]][j] for j in stations) for stations in self.cov]
 
     @cached_property
     def exchange_arrays(self) -> tuple[np.ndarray, ...]:
@@ -431,11 +449,15 @@ class _SearchState:
     the full two-user rescan and ``best_exchange`` over the plain exchanges
     in one array pass each. ``probe`` itself serves only rotations and
     kicks. The slot's static data comes from the solve's ``_SlotTables``.
+    ``user_floors`` and ``floors`` bound the values of one user's moves, of
+    all exchanges and of all rotations from below, with slack for rounding;
+    the search skips a scan whose floor is at or above what it must beat.
     """
 
     __slots__ = (
         "tables", "m", "n", "costs", "sizes", "demand", "cloud_cap", "bs_cap", "limit",
-        "lat", "cov", "covsets", "placement", "selection", "used", "load", "users_on", "f",
+        "lat", "cov", "covsets", "placement", "selection", "used", "load", "users_on", "out",
+        "f",
     )
 
     def __init__(
@@ -468,6 +490,8 @@ class _SearchState:
             load[j] += c
             users_on[j] += 1
         self.used, self.load, self.users_on = used, load, users_on
+        # each station's queue term on / (C - L), 0.0 on an empty station
+        self.out = [on / (c - v) if on else 0.0 for on, c, v in zip(users_on, self.bs_cap, load)]
         self.f = self.value()
 
     def value(self) -> float:
@@ -504,6 +528,59 @@ class _SearchState:
                 delta += on / (self.bs_cap[r] - (self.load[r] + d))
         return self.f + delta
 
+    def user_floors(self) -> list[float]:
+        """Per user k, a float-safe lower bound on the value of each of its
+        one-user moves: f + ((nearest_k - lat0) - out0), less the slack.
+
+        In ``best_single_move``'s terms a move's value is
+        f + (((((0.0 + (lat[i][j] - lat0)) - out0) + leave) - out_j) + arrive).
+        Here lat[i][j] >= nearest_k, leave >= 0, and arrive >= out_j exactly
+        in floats: when j is not the user's station, arrive divides one more
+        user by less room than out_j, and when it is, out_j is 0.0. So in
+        reals the value is at least f + (nearest_k - lat0) - out0. The slack
+        is that of ``floors``: leave only adds, and arrive exceeds out_j by
+        at least arrive / (on_j + 1), far more than the rounding it brings.
+        """
+        low = self.f - 1e-9 * (1.0 + self.f)
+        lat, out, nearest = self.lat, self.out, self.tables.nearest
+        return [
+            low + ((nearest[k] - lat[i][j]) - out[j])
+            for k, (i, j) in enumerate(zip(self.placement, self.selection))
+        ]
+
+    def floors(self) -> tuple[float, float]:
+        """Float-safe lower bounds on the value of every plain exchange and
+        of every three-user rotation, as (exchange floor, rotation floor).
+
+        Both permute the users' spots, so in reals their latency change is 0
+        and every station keeps its user count. A station whose load change
+        d is >= 0 keeps a queue term of at least q = on / (C - L). One whose
+        load falls keeps at least on / (C - (L - gap)), since d >= -gap
+        (``gap`` is padded for the rounding of probe's sums of d), and
+        L + d, C less that, and on over that all round monotonically. Both
+        hold exactly in floats. An exchange lowers one station's load, a
+        rotation at most two, as the changes sum to 0 over at most three
+        stations. So a value is at least f less the largest drop
+        q - on / (C - (L - gap)), or less the two largest.
+
+        The slack 1e-9 * (1 + f) covers the rest of the rounding, at margin
+        0 too, where a station's room C - L can be one ulp. A value or a
+        floor is a chain of at most a dozen float adds, whose rounding is at
+        most about 1e-15 times the sum of the magnitudes of its terms. Those
+        are latencies and queue terms of the decision now, each at most
+        about f since f sums them; falling terms, at most their term now;
+        and rising terms, at most 2f or rising by more than the rounding
+        they bring. So rounding moves a value or a floor by about 1e-14 * f.
+        """
+        gap = self.tables.gap
+        drops = [
+            q - on / (c - (v - gap)) if on else 0.0
+            for q, on, c, v in zip(self.out, self.users_on, self.bs_cap, self.load)
+        ]
+        second, first = sorted(drops + [0.0])[-2:]
+        low = self.f - 1e-9 * (1.0 + self.f)
+        return low - first, low - (first + second)
+
     def best_single_move(self) -> tuple[float, tuple[int, int, int]] | None:
         """First minimum of ``probe([(k, i, j)])`` over every one-user move
         but staying put, in (user, cloud, coverage-order station) order, as
@@ -523,14 +600,18 @@ class _SearchState:
         least value is strictly lowest holds the first minimum. Only that
         user's moves are then valued in probe order, to find which it is.
         Arrival terms are divided out only where the station limit holds.
+        A user whose floor (``user_floors``) is at or above the least value
+        so far cannot hold the first minimum, and is not walked.
         """
         order = self.tables.cloud_order
-        f, lat = self.f, self.lat
+        f, lat, out = self.f, self.lat, self.out
         used, cloud_cap = self.used, self.cloud_cap
         load, bs_cap, limit, users_on = self.load, self.bs_cap, self.limit, self.users_on
-        out = [on / (bs_cap[r] - load[r]) if on else 0.0 for r, on in enumerate(users_on)]
+        floors = self.user_floors()
         best = None  # (least value, user, the user's terms)
         for k in range(self.n):
+            if best is not None and floors[k] >= best[0]:
+                continue
             i0, j0 = self.placement[k], self.selection[k]
             size, c = self.sizes[k], self.demand[k]
             on0 = users_on[j0]
@@ -633,10 +714,7 @@ class _SearchState:
         # only a station's first position counts its queue terms
         first = ~(same[:, :, 1] & earlier).any(axis=0).take(w, axis=1)
         after = after.take(w, axis=2)
-        out = np.array([
-            on / (c - load) if on else 0.0
-            for on, c, load in zip(self.users_on, self.bs_cap, self.load)
-        ])
+        out = np.array(self.out)
         leave = np.where(first, out[stations], 0.0)
         arrive = np.where(first, after[:, 2] / (bs_cap[stations] - after[:, 1]), 0.0)
         lat0 = np.array([self.lat[i][j] for i, j in zip(self.placement, self.selection)])
@@ -723,7 +801,10 @@ def _local_search(
     storage makes good decisions permutations of each other. Each step takes
     the first best move in that order: one-user moves come from one
     ``best_single_move`` scan, two-user moves from one ``best_pair_move`` or
-    ``best_exchange`` pass, and only rotations from ``probe``.
+    ``best_exchange`` pass, and only rotations from ``probe``. The exchange
+    pass and the rotation probes are skipped when their floor
+    (``_SearchState.floors``) is at or above the bar a move must pass, so
+    no move they could return would be taken; a NaN floor skips nothing.
 
     The steps from a decision depend only on it and the slot tables, so a
     start in ``tables.descents`` returns the recorded result, and a descent
@@ -741,19 +822,26 @@ def _local_search(
     path = [key]
     while len(path) <= _MAX_MOVES:
         best: tuple[float, list[tuple[int, int, int]]] | None = None
+        bar = state.f - 1e-12  # a move is taken only strictly below the bar
 
         def consider(f2: float | None, batch: list[tuple[int, int, int]]) -> None:
-            nonlocal best
-            if f2 is not None and f2 < state.f - 1e-12 and (best is None or f2 < best[0]):
-                best = (f2, batch)
+            nonlocal best, bar
+            if f2 is not None and f2 < bar:
+                best, bar = (f2, batch), f2
 
         single = state.best_single_move()
         if single is not None:
             consider(single[0], [single[1]])
-        pair = state.best_pair_move() if tables.scan_pairs else state.best_exchange()
+        exchange_floor, rotation_floor = state.floors()
+        if tables.scan_pairs:
+            pair = state.best_pair_move()
+        elif exchange_floor >= bar:  # no exchange can be taken
+            pair = None
+        else:
+            pair = state.best_exchange()
         if pair is not None:
             consider(*pair)
-        if tables.rotations:
+        if tables.rotations and not rotation_floor >= bar:
             for a in range(n):
                 for b in range(a + 1, n):
                     for c in range(b + 1, n):

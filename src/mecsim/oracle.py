@@ -119,6 +119,14 @@ def offline_optimal(
         )
 
     costs = [_IndexCosts(s, t) for t in range(s.num_slots)]
+    # Each selection's queuing delay once per slot; non_switching is exactly
+    # queuing + communication, so the values are the same floats.
+    queuing = [[costs[t].queuing(sel) for sel in selections[t]] for t in range(s.num_slots)]
+    # The switching cost between two placements does not depend on the slot.
+    switch = (
+        [[costs[0].switching(p, q) for q in placements] for p in placements]
+        if s.num_slots > 1 else []
+    )
 
     def first_min(values: list[float]) -> int:
         return min(range(len(values)), key=values.__getitem__)
@@ -126,7 +134,8 @@ def offline_optimal(
     def best_selection(t: int, p: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
         """Least non-switching delay of placement p at slot t, and the first
         selection that reaches it: the selection does not couple slots."""
-        values = [costs[t].non_switching(p, sel) for sel in selections[t]]
+        communication = costs[t].communication
+        values = [q + communication(p, sel) for q, sel in zip(queuing[t], selections[t])]
         yi = first_min(values)
         return values[yi], selections[t][yi]
 
@@ -135,33 +144,35 @@ def offline_optimal(
         y0 = tuple(first_decision.selection)
         if p0 not in placements or y0 not in selections[0]:
             raise InfeasibleError("pinned slot-0 decision is not feasible")
-        layer = [(p0, costs[0].non_switching(p0, y0), y0)]
+        layer = [(placements.index(p0), costs[0].non_switching(p0, y0), y0)]
     else:
-        layer = [(p, *best_selection(0, p)) for p in placements]
+        layer = [(pi, *best_selection(0, p)) for pi, p in enumerate(placements)]
 
-    # layers[t][pi]: (placement, best total through slot t ending there, its
-    # selection); back[t - 1][pi]: the index of its placement at slot t - 1
+    # layers[t][k]: (index of a placement, best total through slot t ending
+    # there, its selection); back[t - 1][pi]: the entry of slot t - 1 that
+    # the best total ending at placement pi arrives from
     layers = [layer]
     back: list[list[int]] = []
     for t in range(1, s.num_slots):
         prev = layers[-1]
         layer, bp = [], []
-        for p in placements:
-            arrive = [value + costs[t].switching(p, q) for q, value, _ in prev]
-            qi = first_min(arrive)
+        for pi, p in enumerate(placements):
+            row = switch[pi]
+            arrive = [value + row[qi] for qi, value, _ in prev]
+            k = first_min(arrive)
             ns, sel = best_selection(t, p)
-            layer.append((p, arrive[qi] + ns, sel))
-            bp.append(qi)
+            layer.append((pi, arrive[k] + ns, sel))
+            bp.append(k)
         layers.append(layer)
         back.append(bp)
 
-    pi = first_min([value for _, value, _ in layers[-1]])
-    final_value = layers[-1][pi][1]
+    k = first_min([value for _, value, _ in layers[-1]])
+    final_value = layers[-1][k][1]
     path: list[SlotDecision] = []
     for t in range(s.num_slots - 1, -1, -1):
-        p, _, sel = layers[t][pi]
-        path.append(SlotDecision(p, sel))
+        pi, _, sel = layers[t][k]
+        path.append(SlotDecision(placements[pi], sel))
         if t >= 1:
-            pi = back[t - 1][pi]
+            k = back[t - 1][pi]
     path.reverse()
     return path, final_value

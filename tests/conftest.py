@@ -7,6 +7,8 @@ reference.py without either side translating the other's types.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +117,19 @@ def online_large_scenario():
     return ms.generate(ms.GeneratorConfig(
         seed=0, grid_width=4, grid_height=4, num_users=40, num_slots=12
     ))
+
+
+def perfbench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module once
+    per session; tests read its instance builders and workloads."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = REPO_ROOT / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 @pytest.fixture

@@ -8,25 +8,11 @@ benchmark, and this test catches it in the default run.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import perfbench_workloads
 
-
-def _load_workloads():
-    name = "perfbench_workloads"
-    path = REPO_ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-WORKLOADS = _load_workloads()
+WORKLOADS = perfbench_workloads().WORKLOADS
 
 
 @pytest.mark.parametrize(

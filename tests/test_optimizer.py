@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mecsim as ms
@@ -517,6 +517,161 @@ def test_pair_scan_sums_in_probe_order(case):
     for margin in (1e-6, 0.0):
         state = _state(s, placement, selection, margin)
         assert state.best_pair_move() == _first_probe(state, _pair_moves(state))
+
+
+@st.composite
+def _near_capacity_case(draw):
+    """A ``_float_case`` decision whose loaded stations have from one ulp
+    to 1e-9 of room, and whose demands differ by a few ulps or not at all,
+    so the load a move leaves behind rounds at the scale of the room."""
+    doc, placement, selection = draw(_float_case())
+    m, n = doc["num_clouds"], doc["num_users"]
+    base = draw(st.floats(0.5, 2.0))
+    spread = st.sampled_from([0.0, 2.0**-52, 2.0**-50, 1e-12, 1e-3])
+    doc["demand"] = [[base * (1.0 + draw(spread)) for _ in range(n)]]
+    load = np.bincount(selection, weights=doc["demand"][0], minlength=m)
+    room = st.sampled_from([1, 2, 7]) | st.sampled_from([1e-12, 1e-9])
+    capacity = []
+    for v in load.tolist():
+        r = draw(room)
+        if v == 0.0:
+            capacity.append(base * 4.0)
+        elif isinstance(r, int):
+            for _ in range(r):
+                v = math.nextafter(v, math.inf)
+            capacity.append(v)
+        else:
+            capacity.append(v + r * v)
+    doc["bs_capacity"] = capacity
+    return doc, placement, selection
+
+
+def _rotations(state):
+    """Every three-user rotation, in the order the search probes them."""
+    pl, sel, n = state.placement, state.selection, state.n
+    return [
+        [(a, pl[p], sel[p]), (b, pl[q], sel[q]), (c, pl[r], sel[r])]
+        for a in range(n)
+        for b in range(a + 1, n)
+        for c in range(b + 1, n)
+        for p, q, r in ((b, c, a), (c, a, b))
+    ]
+
+
+def _plain_case(lat, bs_capacity, demand, placement, selection):
+    """A slot with roomy clouds, services of size 1 and full coverage."""
+    m, n = len(bs_capacity), len(demand)
+    doc = {
+        "num_clouds": m,
+        "num_users": n,
+        "num_slots": 1,
+        "cloud_capacity": [100.0] * m,
+        "bs_capacity": bs_capacity,
+        "service_size": [1.0] * n,
+        "link_latency": [lat or [[0.0] * m for _ in range(m)]],
+        "coverage": [[list(range(m))] * n],
+        "demand": [demand],
+    }
+    return doc, placement, selection
+
+
+_ULP = 2.0**-52  # of 1.0
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(
+    _search_case().map(lambda case: case[:3]), _float_case(), _near_capacity_case()
+))
+# a rotation that lowers two stations' loads, by half the demand gap each
+@example(_plain_case(None, [2.1, 1.6, 100.0], [2.0, 1.5, 1.0], (0, 1, 2), (0, 1, 2)))
+# a rotation's latency changes sum to -1 ulp of f, not 0: the slack covers it
+@example(_plain_case(
+    [[1771.7, 888.7, 1406.5], [1555.1, 1732.5, 1678.1], [1076.1, 588.8, 557.4]],
+    [100.0] * 3, [1.0] * 3, (0, 1, 2), (0, 1, 2),
+))
+# station 0 has one ulp of room; an exchange lowers its load by half an ulp,
+# which rounds to a whole one: its term falls to on / (C - (L - gap)), below
+# on / ((C - L) + gap) with the bare demand gap
+@example(_plain_case(
+    None, [math.nextafter(2.0 + 2 * _ULP, math.inf), 1.001],
+    [1.0 + _ULP, 1.0 + _ULP, 1.0], (0, 0, 1), (0, 0, 1),
+))
+# station 0 has one ulp of room; a rotation's rounded load-change sum
+# lowers its load by more than the demand gap, which the pad covers
+@example(_plain_case(
+    None, [2.0 + 6 * _ULP, 8.0, 8.0, 2.0000000000002007],
+    [1.0 + 2 * _ULP, 1.0 + _ULP, 1.0 + 2 * _ULP, 1.0 + _ULP], (1, 1, 3, 3), (3, 3, 0, 0),
+))
+def test_floors_are_at_most_every_value_they_cover(case):
+    doc, placement, selection = case
+    s = _validate(doc)
+    for margin in (1e-6, 0.0):
+        state = _state(s, placement, selection, margin)
+        user_floors = state.user_floors()
+        exchange_floor, rotation_floor = state.floors()
+        for floor, batches in (
+            *((user_floors[k], [[(k, i, j)]]) for [(k, i, j)] in _single_moves(state)),
+            (exchange_floor, _exchanges(state)),
+            (rotation_floor, _rotations(state)),
+        ):
+            for batch in batches:
+                value = state.probe(batch)
+                assert value is None or floor <= value, (batch, floor, value)
+
+
+def _step_bar(state):
+    """The bar a two-user move must pass in a step of the large search: the
+    first best one-user move's value when it improves, else f - 1e-12."""
+    single = state.best_single_move()
+    bar = state.f - 1e-12
+    return bar if single is None else min(bar, single[0])
+
+
+def test_skipped_exchange_passes_would_not_have_won(monkeypatch):
+    # Slot 0 of the online-large benchmark scenario (M=16, N=40): each
+    # exchange pass the floor skips is run here; no exchange it finds would
+    # have passed the step's bar.
+    s = online_large_scenario()
+    floors = _SearchState.floors
+    skipped = 0
+
+    def checking(self):
+        nonlocal skipped
+        got = floors(self)
+        bar = _step_bar(self)
+        if got[0] >= bar:
+            found = self.best_exchange()
+            assert found is None or found[0] >= bar
+            skipped += 1
+        return got
+
+    monkeypatch.setattr(_SearchState, "floors", checking)
+    ms.solve_slot(s, 0)
+    assert skipped >= 10
+
+
+def test_cold_large_solve_skips_most_exchange_passes(monkeypatch):
+    # On slot 0 of the online-large benchmark scenario every search step ran
+    # one exchange pass; the exchange floor shows most of them cannot win.
+    s = online_large_scenario()
+    steps = passes = 0
+    floors, exchange = _SearchState.floors, _SearchState.best_exchange
+
+    def counted_step(self):
+        nonlocal steps
+        steps += 1
+        return floors(self)
+
+    def counted_pass(self):
+        nonlocal passes
+        passes += 1
+        return exchange(self)
+
+    monkeypatch.setattr(_SearchState, "floors", counted_step)
+    monkeypatch.setattr(_SearchState, "best_exchange", counted_pass)
+    ms.solve_slot(s, 0)
+    assert steps >= 20
+    assert 2 * passes <= steps
 
 
 def test_pair_scan_along_a_small_cold_solve(monkeypatch):
