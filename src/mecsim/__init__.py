@@ -41,7 +41,6 @@ from .optimizer import (
     DEFAULT_CONFIG,
     SolverConfig,
     SolverReport,
-    objective,
     objective_gradient,
     round_decision,
     solve_slot,
@@ -75,7 +74,6 @@ __all__ = [
     "communication_delay",
     "non_switching_delay",
     "total_delay",
-    "objective",
     "objective_gradient",
     "round_decision",
     "solve_slot",

@@ -45,7 +45,7 @@ CSV_HEADER = (
 )
 
 _CONFIG_SECTIONS = {"generator", "solver", "controller", "output"}
-_SOLVER_KEYS = {"margin", "max_attempts"}
+_SOLVER_KEYS = {"margin"}
 _CONTROLLER_KEYS = {"beta", "policy"}
 _OUTPUT_KEYS = {"dir"}
 
@@ -180,10 +180,7 @@ def _summary_doc(
         "forced_migrations": sum(1 for o in outcomes if o.forced),
         "totals": totals,
         "config": {
-            "solver": {
-                "margin": solver.margin,
-                "max_attempts": solver.max_attempts,
-            },
+            "solver": {"margin": solver.margin},
             "controller": {"policy": policy.kind, "beta": beta},
         },
     }
@@ -234,7 +231,9 @@ def _run_one(
     solver: SolverConfig,
     solved: Solved | None = None,
 ) -> dict[str, Any]:
-    outcomes = run_policy(scenario, policy, seed, solver, solved=solved)
+    """Run one policy and write its CSV and summary; ``seed`` only names
+    them (file stem, run id and the summary's ``seed``)."""
+    outcomes = run_policy(scenario, policy, solver, solved=solved)
     digest = scenario_digest(scenario_path)
     stem = _run_stem(policy, seed)
     csv_path = out_dir / f"{stem}.csv"
@@ -301,7 +300,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 scenario, args.scenario, oracle_policy, seed, out_dir, solver, solved
             )
         )
-    except OracleTooLargeError as exc:
+    except (OracleTooLargeError, InfeasibleError) as exc:
+        # the online rows ran, so only the offline DP can raise here: its
+        # budget, or a slot with no decision at the margin that no row needed
         _log.info("oracle row omitted: %s", exc)
         print(f"note: oracle row omitted: {exc}", file=sys.stderr)
 
@@ -340,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scenario", required=True, help="scenario file to load")
         p.add_argument("--config", help="JSON config file (solver/controller/output)")
-        p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="run seed: names the run and its files (default 0)")
         p.add_argument("--out", help="output directory (default: config output.dir or ./out)")
         p.add_argument("--margin", type=float, help="station capacity safety margin")
 

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .delays import _IndexCosts, non_switching_delay, station_loads
+from .delays import _IndexCosts, station_loads
 from .errors import (
     InfeasibleError,
     NoInteriorPointError,
@@ -62,7 +62,6 @@ from .model import (
 __all__ = [
     "SolverConfig",
     "SolverReport",
-    "objective",
     "objective_gradient",
     "round_decision",
     "solve_slot",
@@ -73,15 +72,15 @@ _log = logging.getLogger("mecsim")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the slot solve and the rounding that seeds it."""
+    """The one setting of the slot solve: the station capacity margin.
+
+    A slot's decision is a function of the scenario, the slot, the warm
+    start and this config; the search's effort bounds are module constants.
+    """
 
     margin: float = 1e-6        # station load must stay <= C_j - margin
-    max_attempts: int = 50      # rounding draws before repair; *_tight_instances[13]
 
     def __post_init__(self) -> None:
-        attempts = self.max_attempts
-        if isinstance(attempts, bool) or not isinstance(attempts, int) or attempts < 1:
-            raise ValueError(f"max_attempts must be an integer >= 1, got {attempts!r}")
         margin = self.margin
         if isinstance(margin, bool) or not isinstance(margin, (int, float)) or not (
             math.isfinite(margin) and margin >= 0
@@ -93,9 +92,11 @@ DEFAULT_CONFIG = SolverConfig()
 
 # Effort bounds of the discrete search. All of it is deterministic: the
 # seed roundings and the kick stream use fixed seeds, never caller seeds.
-# Each knob's comment (and max_attempts') ends with the test_solve_slot_*
-# test in tests/test_optimizer.py that fails without it.
+# Each knob's comment ends with the test in tests/test_optimizer.py that
+# fails without it, as *_<end of its name>[<parametrize id>], the * standing
+# for its start; test_every_pinned_knob_names_a_test_that_exists checks it.
 _PAIR_SCAN_BUDGET = 8000    # two-user rescans of <= 8000 batches; *_tight_instances[13]
+_MAX_ATTEMPTS = 50          # rounding draws before repair; *_tight_instances[13]
 _ROTATION_BUDGET = 4000     # three-user rotations while n**3 fits; *_tight_instances[70]
 _KICK_ROUNDS = 6            # perturbation restarts; *_kicks_escape_local_optima
 _MAX_MOVES = 500            # cap on one descent's moves, a safety bound, not a tuned knob
@@ -112,11 +113,6 @@ class SolverReport:
     rounding_attempts: int = 0  # draws spent by the seed roundings
     repair_actions: int = 0     # greedy-repair moves on seeds and warm start
     starts: int = 1             # distinct seeds the search started from
-
-
-def objective(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> float:
-    """Non-switching delay of a (possibly fractional) point."""
-    return non_switching_delay(s, t, x, y)
 
 
 def objective_gradient(
@@ -872,8 +868,13 @@ def _local_search(
 
 def _kick(
     tables: _SlotTables, d: SlotDecision, rng: np.random.Generator
-) -> SlotDecision | None:
-    """Reassign two random users to random feasible spots, for restarts."""
+) -> SlotDecision:
+    """Reassign two random users to random feasible spots, for restarts.
+
+    A mover's own spot passes ``probe`` while the decision's tallies are
+    within their limits, since the size and demand it takes away and adds
+    back there sum to 0.0 exactly; so a mover always has an option.
+    """
     state = _SearchState(tables, d.placement, d.selection)
     movers = rng.choice(state.n, size=min(2, state.n), replace=False)
     for k in movers:
@@ -884,8 +885,6 @@ def _kick(
             for j in state.cov[k]
             if state.probe([(k, i, j)]) is not None
         ]
-        if not options:
-            return None
         i, j = options[int(rng.integers(len(options)))]
         state.apply([(k, i, j)])
     return state.decision()
@@ -920,8 +919,6 @@ def _integral_search(
     rng = np.random.default_rng(_KICK_SEED)
     for _ in range(_KICK_ROUNDS):
         kicked = _kick(tables, best[0], rng)
-        if kicked is None:
-            continue
         improved, value, used = _local_search(tables, kicked)
         moves += used
         if value < best[1] - 1e-12:
@@ -968,7 +965,7 @@ def round_decision(
     Per user: hosting cloud from its x column, station from its y column
     restricted to coverage, each with probability proportional to its
     weight clipped at zero (uniform over a column with no weight left).
-    Infeasible joint samples are redrawn up to max_attempts times; after
+    Infeasible joint samples are redrawn up to ``_MAX_ATTEMPTS`` times; after
     that the last sample is repaired greedily. Returns (decision, attempts
     used, repair moves).
 
@@ -982,7 +979,7 @@ def round_decision(
     n = s.num_users
     x_cdf = _column_cdfs(frac.x.T)
     y_cdf = [_column_cdfs(frac.y[list(cov[k]), k][None, :])[0] for k in range(n)]
-    for attempt in range(1, config.max_attempts + 1):
+    for attempt in range(1, _MAX_ATTEMPTS + 1):
         u = rng.random(2 * n).tolist()
         decision = SlotDecision(
             tuple(bisect_right(x_cdf[k], u[2 * k]) for k in range(n)),
@@ -992,10 +989,10 @@ def round_decision(
             return decision, attempt, 0
     _log.debug(
         "slot %d: no feasible draw in %d attempts; repairing the last greedily",
-        t, config.max_attempts,
+        t, _MAX_ATTEMPTS,
     )
     repaired, moves = _greedy_repair(s, t, decision, config.margin)
-    return repaired, config.max_attempts, moves
+    return repaired, _MAX_ATTEMPTS, moves
 
 
 def _greedy_repair(
@@ -1105,8 +1102,10 @@ def solve_slot(
     fractional decision is the decision's indicator matrices.
     ``report.objective`` is the decision's non-switching delay as
     ``_IndexCosts``, the one valuation of integral decisions, gives it: the
-    value the search minimized. The solve is deterministic; ``rng_seed`` is
-    accepted and not drawn from.
+    value the search minimized. The solve is deterministic and reads only
+    ``s``, ``t``, ``warm_start`` and ``config``. ``rng_seed`` is unused: it
+    stays only because the benchmark's workloads (``perfbench/workloads.py``)
+    still pass it.
 
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
     InfeasibleError (NoInteriorPointError when only loads at capacity fit)
@@ -1125,7 +1124,7 @@ def solve_slot(
         try:
             d, used, moves = round_decision(s, t, relaxed, seed, config)
         except RoundingFailedError:
-            attempts += config.max_attempts
+            attempts += _MAX_ATTEMPTS
             continue
         seeds.append(d)
         attempts += used

@@ -20,10 +20,11 @@ Three corner cases hold for every policy:
 ``step`` logs the first two at info level to the ``mecsim`` logger, which
 this package gives no handler.
 
-A slot's solve depends only on the slot and its warm start, so ``compare``
-runs every policy with one ``solved`` mapping: each distinct (slot, warm
-start) is solved once and its decision, or its infeasibility, is shared by
-every row that needs it. Each row is the one ``run_policy`` gives alone.
+A slot's solve reads only the scenario, the slot, its warm start and the
+solver config; nothing in it is random. So ``compare`` runs every policy with
+one ``solved`` mapping: each distinct (slot, warm start) is solved once and
+its decision, or its infeasibility, is shared by every row that needs it.
+Each row is the one ``run_policy`` gives alone.
 
 The oracle replays the offline DP sequence through the same accounting.
 Every adopted decision and every T1 is valued with ``_IndexCosts``, the
@@ -48,7 +49,6 @@ from .model import (
     decision_feasible,
 )
 from .optimizer import DEFAULT_CONFIG, SolverConfig, solve_slot
-from .seeding import ROUNDING, substream_seed
 
 __all__ = [
     "Policy",
@@ -141,7 +141,6 @@ def _solve(
     s: Scenario,
     t: int,
     warm_start: SlotDecision | None,
-    rng_seed: int,
     config: SolverConfig,
     solved: Solved | None,
 ) -> SlotDecision:
@@ -156,9 +155,7 @@ def _solve(
     key = (t, warm_start)
     if key not in solved:
         try:
-            solved[key] = solve_slot(
-                s, t, warm_start=warm_start, rng_seed=rng_seed, config=config
-            )[0]
+            solved[key] = solve_slot(s, t, warm_start=warm_start, config=config)[0]
         except InfeasibleError as exc:
             solved[key] = exc
     found = solved[key]
@@ -169,7 +166,7 @@ def _solve(
 
 def initial_slot(
     s: Scenario,
-    rng_seed: int,
+    rng_seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
     *,
     solved: Solved | None = None,
@@ -177,9 +174,11 @@ def initial_slot(
     """Solve slot 0; there is no prior placement, so switching is 0.
 
     ``solved`` shares solves between runs on the same scenario and config;
-    without it the slot is solved afresh.
+    without it the slot is solved afresh. ``rng_seed`` is unused: it keeps
+    its positional place only because the benchmark's workloads
+    (``perfbench/workloads.py``) still pass it, and goes once they do not.
     """
-    decision = _solve(s, 0, None, rng_seed, config, solved)
+    decision = _solve(s, 0, None, config, solved)
     return _outcome(0, _IndexCosts(s, 0), decision, decision, 0.0, False, False, 0.0)
 
 
@@ -187,14 +186,14 @@ def step(
     s: Scenario,
     t: int,
     state: ControllerState,
-    rng_seed: int,
+    rng_seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
     *,
     solved: Solved | None = None,
 ) -> tuple[SlotOutcome, ControllerState]:
     """One slot of the rule: solve a candidate if it can win, compare, adopt.
 
-    ``solved`` is as for ``initial_slot``.
+    ``solved`` and the unused ``rng_seed`` are as for ``initial_slot``.
     """
     check_slot(s, t)
     costs = _IndexCosts(s, t)
@@ -203,7 +202,7 @@ def step(
     candidate, t1 = None, math.inf
     if forced or not math.isinf(state.beta):
         try:
-            candidate = _solve(s, t, prev, rng_seed, config, solved)
+            candidate = _solve(s, t, prev, config, solved)
         except InfeasibleError as exc:
             if forced:
                 raise  # nothing to stay on and nothing to move to
@@ -249,7 +248,6 @@ def _run_oracle(
 def run_policy(
     s: Scenario,
     policy: Policy,
-    rng_seed: int,
     config: SolverConfig = DEFAULT_CONFIG,
     *,
     solved: Solved | None = None,
@@ -263,9 +261,7 @@ def run_policy(
     ``solved`` mapping (see ``initial_slot``) and return what each returns
     alone.
     """
-    first = initial_slot(
-        s, substream_seed(rng_seed, ROUNDING, 0), config, solved=solved
-    )
+    first = initial_slot(s, config=config, solved=solved)
     if policy.kind == "oracle":
         return _run_oracle(s, first, config)
 
@@ -277,9 +273,6 @@ def run_policy(
         beta=_BASELINE_BETA.get(policy.kind, policy.beta),
     )
     for t in range(1, s.num_slots):
-        outcome, state = step(
-            s, t, state, substream_seed(rng_seed, ROUNDING, t), config,
-            solved=solved,
-        )
+        outcome, state = step(s, t, state, config=config, solved=solved)
         outcomes.append(outcome)
     return outcomes

@@ -7,7 +7,7 @@ import numpy as np
 __all__ = ["GENERATION", "ROUNDING", "substream_seed"]
 
 GENERATION = 0
-ROUNDING = 1
+ROUNDING = 1  # drawn from nowhere in mecsim; the benchmark's workloads import it
 
 
 def substream_seed(run_seed: int, stream: int, index: int = 0) -> int:

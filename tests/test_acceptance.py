@@ -193,10 +193,10 @@ def test_criterion_6_threshold_policy_semantics():
         s = ms.generate(ms.GeneratorConfig(
             seed=seed, grid_width=2, grid_height=2, num_users=3, num_slots=8
         ))
-        always = ms.run_policy(s, ms.Policy.always(), rng_seed=seed)
+        always = ms.run_policy(s, ms.Policy.always())
         counts = []
         for beta in betas:
-            outcomes = ms.run_policy(s, ms.Policy.threshold(beta), rng_seed=seed)
+            outcomes = ms.run_policy(s, ms.Policy.threshold(beta))
             counts.append(sum(1 for o in outcomes if o.migrated))
             if beta == 0.0:
                 assert [o.decision for o in outcomes] == [
@@ -227,7 +227,7 @@ def test_criterion_7_offline_oracle_dominates():
         ))
         _, offline_total = ms.offline_optimal(s)
         for name, policy in policies.items():
-            outcomes = ms.run_policy(s, policy, rng_seed=seed)
+            outcomes = ms.run_policy(s, policy)
             total = sum(o.delay.total for o in outcomes)
             assert offline_total <= total + 1e-9, (
                 f"seed {seed}: offline {offline_total} above {name} {total}"

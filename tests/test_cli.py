@@ -157,7 +157,7 @@ def test_run_negative_beta_exits_2(walkthrough_path, tmp_path):
 
 def test_run_solver_flags_reach_the_summary(walkthrough_path, tmp_path):
     config = _write_json(tmp_path / "c.json", {
-        "solver": {"margin": 0.5, "max_attempts": 7},
+        "solver": {"margin": 0.5},
         "output": {"dir": str(tmp_path / "od")},
     })
     rc = main(["run", "--scenario", str(walkthrough_path), "--config", config,
@@ -166,7 +166,7 @@ def test_run_solver_flags_reach_the_summary(walkthrough_path, tmp_path):
     summary = json.loads(
         (tmp_path / "od" / "threshold_beta1.0_seed2.json").read_text(encoding="utf-8")
     )
-    assert summary["config"]["solver"] == {"margin": 0.001, "max_attempts": 7}
+    assert summary["config"]["solver"] == {"margin": 0.001}
 
 
 def test_run_rejects_out_of_range_solver_settings(walkthrough_path, tmp_path):
@@ -175,7 +175,7 @@ def test_run_rejects_out_of_range_solver_settings(walkthrough_path, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("key", ["max_iters", "tol"])
+@pytest.mark.parametrize("key", ["max_iters", "tol", "max_attempts"])
 def test_run_retired_solver_setting_exits_2(walkthrough_path, tmp_path, capsys, key):
     config = _write_json(tmp_path / "c.json", {"solver": {key: 1}})
     rc = main(["run", "--scenario", str(walkthrough_path), "--config", config,
@@ -332,10 +332,8 @@ def test_compare_rejects_malformed_beta_list(walkthrough_path, tmp_path):
 @pytest.mark.parametrize(
     "solver",
     [
-        {"max_attempts": "many"}, {"margin": [0.1]}, {"margin": "nan"},
-        {"max_attempts": None}, {"margin": "0.001"}, {"margin": False},
-        {"max_attempts": 7.9}, {"max_attempts": True}, {"max_attempts": "7"},
-        {"margin": 10**400},
+        {"margin": [0.1]}, {"margin": "nan"}, {"margin": "0.001"},
+        {"margin": False}, {"margin": 10**400},
     ],
 )
 def test_run_malformed_solver_config_value_exits_2(walkthrough_path, tmp_path, solver):
@@ -393,7 +391,7 @@ def test_json_integer_over_the_digit_limit_exits_2(walkthrough_path, tmp_path, c
     # json.loads refuses integers of more than 4,300 digits with ValueError
     huge = "1" + "0" * 5000
     config = tmp_path / "c.json"
-    config.write_text('{"solver": {"max_attempts": %s}}' % huge, encoding="utf-8")
+    config.write_text('{"solver": {"margin": %s}}' % huge, encoding="utf-8")
     scenario = tmp_path / "s.json"
     scenario.write_text(
         json.dumps(make_doc()).replace('"num_clouds": 3', f'"num_clouds": {huge}'),
@@ -434,3 +432,115 @@ def test_run_coverage_not_a_list_exits_2(tmp_path, capsys, depth):
     scenario = _write_json(tmp_path / "s.json", doc)
     assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 2
     assert "must be a list" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the run seed names a run and changes nothing it computes
+
+
+def test_seed_only_names_the_run(tmp_path):
+    scenario = _compare_scenario(tmp_path)
+    outs = {}
+    for seed in ("1", "2"):
+        out = outs[seed] = tmp_path / f"seed{seed}"
+        assert main(["run", "--scenario", scenario, "--beta", "1", "--seed", seed,
+                     "--out", str(out)]) == 0
+        assert main(["compare", "--scenario", scenario, "--beta", "0,1,inf",
+                     "--seed", seed, "--out", str(out / "cmp")]) == 0
+    one, two = outs["1"], outs["2"]
+    assert (one / "threshold_beta1.0_seed1.csv").read_bytes() == (
+        two / "threshold_beta1.0_seed2.csv"
+    ).read_bytes()
+    first, second = (
+        json.loads((out / f"threshold_beta1.0_seed{seed}.json").read_text(encoding="utf-8"))
+        for seed, out in outs.items()
+    )
+    assert {k for k in first if first[k] != second[k]} == {"seed", "run_id"}
+    assert (one / "cmp" / "comparison.csv").read_bytes() == (
+        two / "cmp" / "comparison.csv"
+    ).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# an oracle that has no decision at the margin
+
+
+def _margin_infeasible_slot_doc() -> dict:
+    """One cloud, one user, C = 2: slot 1's demand fits at margin 0 but not
+    at the default margin, so no policy is forced there and the offline DP
+    finds no decision for it."""
+    return {
+        "num_clouds": 1, "num_users": 1, "num_slots": 2,
+        "bs_capacity": [2.0], "cloud_capacity": [5.0], "service_size": [1.0],
+        "link_latency": [[[0.0]], [[0.0]]], "coverage": [[[0]], [[0]]],
+        "demand": [[1.0], [1.9999999]],
+    }
+
+
+def test_compare_omits_an_oracle_row_with_no_feasible_slot(tmp_path, capsys, caplog):
+    scenario = _write_json(tmp_path / "s.json", _margin_infeasible_slot_doc())
+    assert main(["run", "--scenario", scenario, "--policy", "threshold", "--beta", "1",
+                 "--out", str(tmp_path / "run")]) == 0
+    rows = _read_rows(tmp_path / "run" / "threshold_beta1.0_seed0.csv")
+    assert [(r["migrated"], r["forced"]) for r in rows] == [("0", "0"), ("0", "0")]
+    assert main(["run", "--scenario", scenario, "--policy", "oracle",
+                 "--out", str(tmp_path / "run")]) == 3
+    capsys.readouterr()
+
+    caplog.set_level(logging.INFO, logger="mecsim")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", scenario, "--beta", "1", "--out", str(out)]) == 0
+    assert "note: oracle row omitted: no feasible decision at slot 1" in (
+        capsys.readouterr().err
+    )
+    assert any("oracle row omitted" in r.getMessage() for r in caplog.records)
+    rows = _read_rows(out / "comparison.csv")
+    assert [r["policy"] for r in rows] == ["threshold", "always", "never"]
+
+
+# ---------------------------------------------------------------------------
+# unreadable or misshapen inputs exit 2
+
+
+def test_run_missing_scenario_file_exits_2(tmp_path, capsys):
+    rc = main(["run", "--scenario", str(tmp_path / "absent.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "absent.json" in capsys.readouterr().err
+
+
+def test_run_unreadable_config_exits_2(walkthrough_path, tmp_path, capsys):
+    rc = main(["run", "--scenario", str(walkthrough_path),
+               "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([{"solver": {"margin": 0.1}}], "config document must be a mapping"),
+        ({"solver": [0.1]}, "config section solver must be a mapping"),
+        ({"controller": "threshold"}, "config section controller must be a mapping"),
+        ({"output": None}, "config section output must be a mapping"),
+    ],
+)
+def test_run_config_that_is_not_a_mapping_exits_2(
+    walkthrough_path, tmp_path, capsys, doc, message
+):
+    config = _write_json(tmp_path / "c.json", doc)
+    rc = main(["run", "--scenario", str(walkthrough_path), "--config", config,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_compare_skips_empty_beta_entries(walkthrough_path, tmp_path):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(walkthrough_path),
+                 "--beta", "0,,1", "--out", str(out)]) == 0
+    rows = _read_rows(out / "comparison.csv")
+    assert [(r["policy"], r["beta"]) for r in rows] == [
+        ("threshold", "0.0"), ("threshold", "1.0"),
+        ("always", ""), ("never", ""), ("oracle", ""),
+    ]

@@ -39,7 +39,7 @@ def test_cold_small_decisions_are_unchanged():
 
 
 def test_online_large_decisions_are_unchanged():
-    outcomes = ms.run_policy(online_large_scenario(), ms.Policy.threshold(1.0), rng_seed=0)
+    outcomes = ms.run_policy(online_large_scenario(), ms.Policy.threshold(1.0))
     assert _digest([o.decision for o in outcomes]) == (
         "596ca5c5ce55276f580ed194cd62d722b7942d1ee38256f6b1891458b88dbb57"
     )
@@ -55,7 +55,7 @@ def test_compare_decisions_are_unchanged():
     decisions = [
         o.decision
         for policy in policies
-        for o in ms.run_policy(s, policy, rng_seed=0, solved=solved)
+        for o in ms.run_policy(s, policy, solved=solved)
     ]
     assert _digest(decisions) == (
         "383fbd6e7b13213289b63c76430c3537817d9f4a6b594be6078d68ac4ecaea46"

@@ -109,3 +109,33 @@ def test_config_from_mapping_rejects_bad_fields():
         ms.GeneratorConfig.from_mapping({"seed": 1, "speed_range": [0.5, 0.1]})
     with pytest.raises(ms.ParseError):
         ms.GeneratorConfig.from_mapping({"seed": 1, "mystery": 2})
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"seed": -1}, "generator.seed"),
+        ({"grid_width": 0}, "generator.grid_width"),
+        ({"num_slots": 0}, "generator.num_slots"),
+        ({"spacing": 0.0}, "generator.spacing"),
+        ({"coverage_radius": -0.5}, "coverage_radius"),
+        ({"latency_per_hop": -1.0}, "generator.latency_per_hop"),
+        ({"demand_range": (1.5, 0.5)}, "generator.demand_range must be ordered"),
+        ({"pause_range": (-1.0, 2.0)}, "generator.pause_range must be nonnegative"),
+        ({"bs_capacity_range": (0.0, 2.0)}, "generator.bs_capacity_range must be strictly"),
+    ],
+)
+def test_config_rejects_out_of_range_values(fields, name):
+    with pytest.raises(ms.ParseError, match=name):
+        ms.GeneratorConfig(**{"seed": 1, **fields})
+
+
+def test_user_with_nowhere_to_go_stands_still():
+    # A 1x1 grid leaves a zero-size area and no pause: every waypoint is
+    # the user's own spot, so the walk gives up and the user stays put.
+    s = ms.generate(ms.GeneratorConfig(
+        seed=1, grid_width=1, grid_height=1, pause_range=(0.0, 0.0),
+        num_users=2, num_slots=3,
+    ))
+    assert (s.positions == 0.0).all()
+    assert s.coverage == (((0,), (0,)),) * 3

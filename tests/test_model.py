@@ -248,3 +248,75 @@ def test_truncated_file_raises_parse_error(tmp_path):
     path.write_text('{"num_clouds": 3, "num_u', encoding="utf-8")
     with pytest.raises(ms.ParseError):
         ms.load_scenario(path)
+
+
+# ---------------------------------------------------------------------------
+# validate_scenario rejections, each naming its field
+
+
+def test_non_mapping_document_rejected():
+    with pytest.raises(ms.ParseError, match="must be a mapping"):
+        ms.validate_scenario([make_doc()])
+
+
+@pytest.mark.parametrize("field", ["num_clouds", "num_users", "num_slots"])
+@pytest.mark.parametrize("value", [True, 0, 2.0])
+def test_dimension_that_is_not_a_positive_integer_rejected(field, value):
+    with pytest.raises(ms.ParseError, match=f"field {field} must be a positive integer"):
+        ms.validate_scenario(make_doc(**{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("bs_capacity", ["a", 10.0, 10.0]), ("service_size", [1.0, {}]),
+     ("demand", [[1.0, [1.0]], [1.0, 1.0]])],
+)
+def test_non_numeric_array_rejected(field, value):
+    with pytest.raises(ms.ParseError, match=f"field {field} is not numeric"):
+        ms.validate_scenario(make_doc(**{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("cloud_capacity", [5.0, math.inf, 5.0]), ("demand", [[1.0, math.nan], [1.0, 1.0]])],
+)
+def test_non_finite_array_rejected(field, value):
+    with pytest.raises(ms.ParseError, match=f"field {field} contains non-finite values"):
+        ms.validate_scenario(make_doc(**{field: value}))
+
+
+def test_coverage_with_the_wrong_slot_or_user_count_rejected():
+    doc = make_doc()
+    with pytest.raises(ms.DimensionMismatchError, match="field coverage has 1 slots"):
+        ms.validate_scenario({**doc, "coverage": doc["coverage"][:1]})
+    short = [doc["coverage"][0], doc["coverage"][1][:1]]
+    with pytest.raises(ms.DimensionMismatchError, match="field coverage slot 1 lists 1 users"):
+        ms.validate_scenario({**doc, "coverage": short})
+
+
+def test_scenario_equality_compares_every_field():
+    doc = make_doc()
+    s = ms.validate_scenario(doc)
+    assert s == ms.validate_scenario(doc)
+    assert s.__eq__(doc) is NotImplemented and s != doc
+    per_slot = ("link_latency", "coverage", "demand")
+    three = make_doc(num_slots=3, **{key: doc[key] + doc[key][:1] for key in per_slot})
+    assert s != ms.validate_scenario(three)  # dimensions
+    assert s != ms.validate_scenario(make_doc(coverage=[[[0, 1], [0, 1, 2]], doc["coverage"][1]]))
+    assert s != ms.validate_scenario(make_doc(service_size=[1.0, 2.0]))  # an array
+    positions = [[[0.0, 0.0], [1.0, 1.0]]] * 2
+    placed = ms.validate_scenario(make_doc(positions=positions))
+    assert s != placed and placed != s  # positions on one side only
+    assert placed == ms.validate_scenario(make_doc(positions=positions))
+    moved = ms.validate_scenario(make_doc(positions=[[[0.0, 0.0], [1.0, 2.0]]] * 2))
+    assert placed != moved
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(ms.scenario_io.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        ms.scenario_io.write_text_atomic(tmp_path / "out.csv", "a,b\n")
+    assert list(tmp_path.iterdir()) == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import mecsim as ms
 import mecsim.optimizer as mecsim_optimizer
 import reference as ref
-from conftest import make_doc, moderate_doc, online_large_scenario, random_doc
+from conftest import REPO_ROOT, make_doc, moderate_doc, online_large_scenario, random_doc
 from mecsim.optimizer import (
     _feasible_point_via_lp,
     _greedy_repair,
@@ -98,6 +99,14 @@ def test_solve_slot_rounds_the_lp_point_when_the_uniform_point_cannot_be_repaire
     _, value = ms.best_slot_decision(s, 0)
     assert decision.selection == (0, 1)
     assert report.objective == pytest.approx(value, abs=1e-12)
+
+
+def test_margin_above_a_station_capacity_leaves_no_uniform_point():
+    # make_doc's stations carry 10.0; a margin of 20 leaves negative room,
+    # so the repair gives up before it scales anything
+    s = _validate(make_doc())
+    assert _uniform_point(s, 0, 20.0) is None
+    assert _uniform_point(s, 0, 1e-6) is not None
 
 
 def test_solve_slot_logs_its_rare_paths(caplog, monkeypatch):
@@ -787,6 +796,24 @@ def test_recorded_descents_equal_fresh_descents(monkeypatch):
     assert reused >= calls // 4
 
 
+def test_descent_stopped_by_the_move_cap_records_nothing(monkeypatch):
+    # Four users crowded on cloud 2 and station 0 reach their local optimum
+    # in two moves; capped at one, the descent stops short of it.
+    doc = make_doc(num_users=4, service_size=[1.0] * 4,
+                   coverage=[[[0, 1, 2]] * 4] * 2, demand=[[1.0] * 4] * 2)
+    s = _validate(doc)
+    start = ms.SlotDecision((2, 2, 2, 2), (0, 0, 0, 0))
+    tables = _SlotTables(s, 0, 1e-6)
+    optimum, value, moves = mecsim_optimizer._local_search(tables, start)
+    assert moves == 2 and len(tables.descents) == 3
+    monkeypatch.setattr(mecsim_optimizer, "_MAX_MOVES", 1)
+    capped = _SlotTables(s, 0, 1e-6)
+    stopped, stopped_value, stopped_moves = mecsim_optimizer._local_search(capped, start)
+    assert stopped_moves == 1
+    assert stopped != optimum and stopped_value > value
+    assert capped.descents == {}
+
+
 # ---------------------------------------------------------------------------
 # randomized rounding
 
@@ -805,7 +832,7 @@ def _choice_round(s, t, frac, rng_seed, config=ms.DEFAULT_CONFIG):
     rng = np.random.default_rng(rng_seed)
     cov = s.coverage[t]
     decision = None
-    for attempt in range(1, config.max_attempts + 1):
+    for attempt in range(1, mecsim_optimizer._MAX_ATTEMPTS + 1):
         placement, selection = [], []
         for k in range(s.num_users):
             placement.append(sample(rng, frac.x[:, k]))
@@ -814,7 +841,7 @@ def _choice_round(s, t, frac, rng_seed, config=ms.DEFAULT_CONFIG):
         if ms.decision_feasible(s, t, decision, config.margin):
             return decision, attempt, 0
     repaired, moves = _greedy_repair(s, t, decision, config.margin)
-    return repaired, config.max_attempts, moves
+    return repaired, mecsim_optimizer._MAX_ATTEMPTS, moves
 
 
 def _rounding_cases():
@@ -958,7 +985,7 @@ def test_solve_slot_walkthrough_decision(walkthrough_path):
         assert decision == ms.SlotDecision((2,), (0,))
         assert np.array_equal(frac.x, decision.placement_matrix(3))
         assert np.array_equal(frac.y, decision.selection_matrix(3))
-        assert report.objective == ms.objective(s, 0, frac.x, frac.y)
+        assert report.objective == ms.non_switching_delay(s, 0, frac.x, frac.y)
 
 
 def test_report_carries_the_value_the_search_minimized():
@@ -971,7 +998,7 @@ def test_report_carries_the_value_the_search_minimized():
             decision.placement, decision.selection
         )
         assert report.objective == value
-        assert report.objective == ms.objective(s, t, frac.x, frac.y)
+        assert report.objective == ms.non_switching_delay(s, t, frac.x, frac.y)
 
 
 def test_solve_slot_warm_start_keeps_dominant_decision():
@@ -1032,9 +1059,8 @@ def test_solve_slot_with_zero_margin_keeps_stations_below_capacity():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("max_attempts", 0), ("max_attempts", -3), ("max_attempts", 2.0),
-     ("max_attempts", True), ("margin", -1e-9), ("margin", math.inf),
-     ("margin", math.nan), ("margin", "0.1"), ("margin", False)],
+    [("margin", -1e-9), ("margin", math.inf), ("margin", math.nan),
+     ("margin", "0.1"), ("margin", False)],
 )
 def test_solver_config_rejects_bad_settings(field, value):
     with pytest.raises(ValueError, match=field):
@@ -1098,6 +1124,38 @@ def test_solve_slot_kicks_escape_local_optima(doc, reached):
     assert report.objective <= reached
 
 
+def _pinned_knobs() -> dict[str, tuple[str, str | None]]:
+    """Each optimizer constant whose comment names its pinning test, as
+    (the ``*_...`` name, the parametrize id or None); ``*`` stands for the
+    start of a ``test_solve_slot_*`` name."""
+    source = Path(mecsim_optimizer.__file__).read_text(encoding="utf-8")
+    found = re.findall(
+        r"^(_[A-Z][A-Z0-9_]*)\s*=.*#.*\*(_\w+)(?:\[([^\]]+)\])?\s*$", source, re.M
+    )
+    return {name: (suffix, case or None) for name, suffix, case in found}
+
+
+def _param_ids(fn) -> list[str]:
+    """The ids pytest gives the cases of ``fn``'s one parametrize mark."""
+    (mark,) = [m for m in getattr(fn, "pytestmark", []) if m.name == "parametrize"]
+    return [v.id if hasattr(v, "id") else str(v) for v in mark.args[1]]
+
+
+def test_every_pinned_knob_names_a_test_that_exists():
+    knobs = _pinned_knobs()
+    assert {"_CANDIDATE_SEEDS", "_KICK_ROUNDS", "_MAX_ATTEMPTS"} <= set(knobs)
+    tests = {name: fn for name, fn in globals().items() if name.startswith("test_solve_slot_")}
+    for knob, (suffix, case) in knobs.items():
+        named = [name for name in tests if name.endswith(suffix)]
+        assert len(named) == 1, f"{knob}: *{suffix} names {named}"
+        if case is not None:
+            assert case in _param_ids(tests[named[0]]), f"{knob}: no case [{case}]"
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    # the list is the paragraph after the sentence that introduces it
+    listed = readme.split("Each search knob is pinned by a test", 1)[1].split("\n\n")[1]
+    assert set(re.findall(r"`(_[A-Z][A-Z0-9_]*)`", listed)) == set(knobs)
+
+
 def test_greedy_repair_moves_users_back_into_coverage():
     doc = make_doc(
         num_users=3,
@@ -1116,6 +1174,14 @@ def test_greedy_repair_moves_users_back_into_coverage():
         # no covered station of user 1 has room once stations 0 and 2 are full
         full = _validate({**doc, "bs_capacity": [1.5, 10.0, 0.5]})
         _greedy_repair(full, 0, ms.SlotDecision((0, 0, 1), (0, 1, 1)), 1e-6)
+
+
+def test_greedy_repair_raises_on_a_capacity_overload_it_cannot_repair():
+    # both users are covered by station 0 alone, which carries only one
+    doc = make_doc(bs_capacity=[1.5, 10.0, 10.0], coverage=[[[0], [0]]] * 2)
+    s = _validate(doc)
+    with pytest.raises(ms.RoundingFailedError, match="capacity overload on station 0"):
+        _greedy_repair(s, 0, ms.SlotDecision((0, 1), (0, 0)), 1e-6)
 
 
 def test_solve_slot_repairs_a_warm_start_that_left_coverage():
@@ -1157,3 +1223,8 @@ def test_substream_seeds_are_stable_and_distinct():
         for index in (0, 1, 2)
     }
     assert len(values) == 12
+
+
+def test_substream_seed_rejects_a_negative_run_seed():
+    with pytest.raises(ValueError, match="run seed must be nonnegative"):
+        substream_seed(-1, 0)

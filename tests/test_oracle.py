@@ -169,3 +169,28 @@ def test_offline_budget_guard_raises_before_enumerating():
     with pytest.raises(ms.OracleTooLargeError):
         ms.offline_optimal(s)
     assert time.perf_counter() - start < 1.0
+
+
+def test_no_feasible_decision_raises_infeasible():
+    # one user whose service fits on no cloud: no placement at all
+    no_placement = ms.validate_scenario(_two_cloud_doc(bs=[10.0, 10.0], size=6.0))
+    with pytest.raises(ms.InfeasibleError, match="no feasible decision at slot 0"):
+        ms.best_slot_decision(no_placement, 0)
+    with pytest.raises(ms.InfeasibleError, match="no storage-feasible placement"):
+        ms.offline_optimal(no_placement)
+    # slot 1's demand fits below neither station's capacity less the margin
+    doc = _two_cloud_doc(bs=[2.0, 2.0], slots=2)
+    doc["demand"] = [[1.0], [1.9999999]]
+    empty_slot = ms.validate_scenario(doc)
+    with pytest.raises(ms.InfeasibleError, match="no feasible decision at slot 1"):
+        ms.best_slot_decision(empty_slot, 1)
+    with pytest.raises(ms.InfeasibleError, match="no feasible decision at slot 1"):
+        ms.offline_optimal(empty_slot)
+    assert ms.offline_optimal(empty_slot, margin=0.0)[0][1].selection in ((0,), (1,))
+
+
+def test_infeasible_pinned_first_decision_raises():
+    s = ms.validate_scenario(_two_cloud_doc(bs=[10.0, 0.5], slots=2))
+    # station 1 cannot carry the user's demand of 1.0
+    with pytest.raises(ms.InfeasibleError, match="pinned slot-0 decision"):
+        ms.offline_optimal(s, first_decision=ms.SlotDecision((0,), (1,)))

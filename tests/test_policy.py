@@ -67,7 +67,7 @@ def test_controller_state_rejects_bad_beta(beta):
 
 def test_zero_t1_takes_the_migrate_branch_at_no_cost():
     s = ms.validate_scenario(_static_doc())
-    outcomes = ms.run_policy(s, ms.Policy.threshold(1.0), rng_seed=0)
+    outcomes = ms.run_policy(s, ms.Policy.threshold(1.0))
     first = outcomes[0].decision
     for o in outcomes[1:]:
         # candidate equals the previous decision, so T1 = 0 and T2 < 0 fails
@@ -82,7 +82,7 @@ def test_infinite_beta_never_migrates_while_stay_feasible():
     doc = random_doc(2, m=3, n=2, slots=5)
     doc["coverage"] = [[[0, 1, 2], [0, 1, 2]]] * 5
     s = ms.validate_scenario(doc)
-    outcomes = ms.run_policy(s, ms.Policy.threshold(math.inf), rng_seed=0)
+    outcomes = ms.run_policy(s, ms.Policy.threshold(math.inf))
     for o in outcomes[1:]:
         assert not o.migrated and not o.forced
         assert o.decision == outcomes[0].decision
@@ -92,8 +92,8 @@ def test_infinite_beta_never_migrates_while_stay_feasible():
 def test_beta_zero_matches_always_migrate():
     s = ms.generate(ms.GeneratorConfig(seed=3, grid_width=2, grid_height=2,
                                        num_users=2, num_slots=5))
-    zero = ms.run_policy(s, ms.Policy.threshold(0.0), rng_seed=3)
-    always = ms.run_policy(s, ms.Policy.always(), rng_seed=3)
+    zero = ms.run_policy(s, ms.Policy.threshold(0.0))
+    always = ms.run_policy(s, ms.Policy.always())
     assert [o.decision for o in zero] == [o.decision for o in always]
 
 
@@ -110,8 +110,8 @@ def test_baselines_are_the_threshold_rule_at_its_extremes(seed):
     s = ms.generate(ms.GeneratorConfig(seed=seed, grid_width=2, grid_height=2,
                                        num_users=3, num_slots=8))
     for baseline, beta in ((ms.Policy.always(), 0.0), (ms.Policy.never(), math.inf)):
-        assert _fields(ms.run_policy(s, baseline, rng_seed=seed)) == _fields(
-            ms.run_policy(s, ms.Policy.threshold(beta), rng_seed=seed)
+        assert _fields(ms.run_policy(s, baseline)) == _fields(
+            ms.run_policy(s, ms.Policy.threshold(beta))
         ), baseline.kind
 
 
@@ -131,7 +131,7 @@ def test_infinite_beta_solves_a_candidate_only_on_forced_slots(monkeypatch, poli
         return real(s, t, *args, **kwargs)
 
     monkeypatch.setattr(ms.policy, "solve_slot", counting)
-    outcomes = ms.run_policy(s, policy, rng_seed=1)
+    outcomes = ms.run_policy(s, policy)
     assert solved == [0, 2]  # slot 0 by initial_slot, then the forced slot only
     assert not outcomes[1].migrated and outcomes[1].t1_candidate == math.inf
     assert outcomes[2].forced and math.isfinite(outcomes[2].t1_candidate)
@@ -146,7 +146,7 @@ def test_coverage_loss_forces_migration_for_every_policy():
         "oracle": ms.Policy.oracle(),
     }
     for name, policy in policies.items():
-        outcomes = ms.run_policy(s, policy, rng_seed=1)
+        outcomes = ms.run_policy(s, policy)
         assert outcomes[1].migrated, name
         assert outcomes[1].decision.selection == (1,), name
         assert outcomes[1].forced, name
@@ -164,7 +164,7 @@ def test_stay_kept_when_candidate_solve_is_infeasible():
     s = ms.validate_scenario(_infeasible_candidate_doc())
     config = ms.SolverConfig(margin=0.5)
     for policy in (ms.Policy.threshold(1.0), ms.Policy.always()):
-        outcomes = ms.run_policy(s, policy, rng_seed=0, config=config)
+        outcomes = ms.run_policy(s, policy, config=config)
         assert not outcomes[1].migrated, policy.kind
         assert outcomes[1].decision == outcomes[0].decision, policy.kind
         assert outcomes[1].t1_candidate == math.inf, policy.kind
@@ -184,7 +184,7 @@ def test_shared_memo_keeps_an_infeasible_candidate(monkeypatch, caplog):
     caplog.set_level(logging.INFO, logger="mecsim")
     solved = {}
     for policy in (ms.Policy.threshold(1.0), ms.Policy.always()):
-        outcomes = ms.run_policy(s, policy, rng_seed=0, config=config, solved=solved)
+        outcomes = ms.run_policy(s, policy, config=config, solved=solved)
         assert not outcomes[1].migrated, policy.kind
         assert outcomes[1].decision == outcomes[0].decision, policy.kind
         assert outcomes[1].t1_candidate == math.inf, policy.kind
@@ -194,16 +194,27 @@ def test_shared_memo_keeps_an_infeasible_candidate(monkeypatch, caplog):
     assert len(staying) == 2  # logged by each policy
 
 
+def test_forced_slot_with_an_infeasible_candidate_raises():
+    # Slot 1's demand is over the one station's capacity: staying is
+    # infeasible at margin 0 and the candidate solve finds no decision.
+    doc = _static_doc(slots=2, bs=[2.0])
+    doc["demand"] = [[1.0], [2.5]]
+    s = ms.validate_scenario(doc)
+    for policy in (ms.Policy.threshold(1.0), ms.Policy.never()):
+        with pytest.raises(ms.InfeasibleError, match="slot 1"):
+            ms.run_policy(s, policy)
+
+
 def test_step_logs_its_rare_paths(caplog):
     caplog.set_level(logging.INFO, logger="mecsim")
     s = ms.validate_scenario(_coverage_loss_doc())
-    ms.run_policy(s, ms.Policy.threshold(1.0), rng_seed=1)
+    ms.run_policy(s, ms.Policy.threshold(1.0))
     assert [(r.name, r.levelno) for r in caplog.records] == [("mecsim", logging.INFO)]
     assert "slot 1: staying is infeasible; forced migration" in caplog.records[0].getMessage()
 
     caplog.clear()
     s = ms.validate_scenario(_infeasible_candidate_doc())
-    ms.run_policy(s, ms.Policy.always(), rng_seed=0, config=ms.SolverConfig(margin=0.5))
+    ms.run_policy(s, ms.Policy.always(), config=ms.SolverConfig(margin=0.5))
     assert [(r.name, r.levelno) for r in caplog.records] == [("mecsim", logging.INFO)]
     assert "slot 1: the candidate is infeasible, staying" in caplog.records[0].getMessage()
 
@@ -211,7 +222,7 @@ def test_step_logs_its_rare_paths(caplog):
 def test_t2_matches_a_hand_maintained_accumulator():
     s = ms.generate(ms.GeneratorConfig(seed=8, grid_width=2, grid_height=2,
                                        num_users=3, num_slots=8))
-    outcomes = ms.run_policy(s, ms.Policy.threshold(1.0), rng_seed=8)
+    outcomes = ms.run_policy(s, ms.Policy.threshold(1.0))
     t2 = outcomes[0].delay.non_switching
     assert outcomes[0].t2_accumulated == t2
     for o in outcomes[1:]:
@@ -228,7 +239,7 @@ def test_single_slot_horizon_is_policy_independent():
     decisions = []
     for policy in (ms.Policy.threshold(1.0), ms.Policy.always(),
                    ms.Policy.never(), ms.Policy.oracle()):
-        outcomes = ms.run_policy(s, policy, rng_seed=5)
+        outcomes = ms.run_policy(s, policy)
         assert len(outcomes) == 1
         assert outcomes[0].slot == 0
         assert outcomes[0].delay.switching == 0.0
@@ -240,7 +251,7 @@ def test_never_migrate_static_scenario_keeps_slot_zero_decision():
     doc = _static_doc(m=2, n=2, slots=5, bs=[10.0, 10.0],
                       lat=[[0.0, 2.0], [2.0, 0.0]])
     s = ms.validate_scenario(doc)
-    outcomes = ms.run_policy(s, ms.Policy.never(), rng_seed=0)
+    outcomes = ms.run_policy(s, ms.Policy.never())
     for o in outcomes[1:]:
         assert not o.migrated
         assert o.decision == outcomes[0].decision
@@ -251,7 +262,7 @@ def test_never_migrate_static_scenario_keeps_slot_zero_decision():
 def test_oracle_policy_total_matches_pinned_dp_value():
     doc = random_doc(9, m=2, n=1, slots=3)
     s = ms.validate_scenario(doc)
-    outcomes = ms.run_policy(s, ms.Policy.oracle(), rng_seed=0)
+    outcomes = ms.run_policy(s, ms.Policy.oracle())
     sequence, dp_total = ms.offline_optimal(s, first_decision=outcomes[0].decision)
     assert [o.decision for o in outcomes] == sequence
     assert sum(o.delay.total for o in outcomes) == pytest.approx(dp_total, abs=1e-9)
@@ -261,7 +272,7 @@ def test_accounting_identity_against_reference_recomputation():
     doc = random_doc(14, m=3, n=2, slots=4)
     doc["coverage"] = [[[0, 1, 2], [0, 1, 2]]] * 4
     s = ms.validate_scenario(doc)
-    outcomes = ms.run_policy(s, ms.Policy.threshold(0.5), rng_seed=7)
+    outcomes = ms.run_policy(s, ms.Policy.threshold(0.5))
 
     total = 0.0
     prev = None
@@ -284,6 +295,6 @@ def test_migration_count_non_increasing_in_beta():
                                        num_users=3, num_slots=8))
     counts = []
     for beta in (0.0, 1.0, math.inf):
-        outcomes = ms.run_policy(s, ms.Policy.threshold(beta), rng_seed=4)
+        outcomes = ms.run_policy(s, ms.Policy.threshold(beta))
         counts.append(sum(1 for o in outcomes if o.migrated))
     assert counts[0] >= counts[1] >= counts[2]
