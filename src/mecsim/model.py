@@ -61,30 +61,7 @@ class Scenario:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scenario):
             return NotImplemented
-        if (self.num_clouds, self.num_users, self.num_slots) != (
-            other.num_clouds,
-            other.num_users,
-            other.num_slots,
-        ):
-            return False
-        if self.coverage != other.coverage:
-            return False
-        for a, b in (
-            (self.bs_capacity, other.bs_capacity),
-            (self.cloud_capacity, other.cloud_capacity),
-            (self.service_size, other.service_size),
-            (self.link_latency, other.link_latency),
-            (self.demand, other.demand),
-        ):
-            if not np.array_equal(a, b):
-                return False
-        if (self.positions is None) != (other.positions is None):
-            return False
-        if self.positions is not None and not np.array_equal(
-            self.positions, other.positions
-        ):
-            return False
-        return True
+        return self.to_mapping() == other.to_mapping()
 
     def to_mapping(self) -> dict[str, Any]:
         """Plain-type mapping used by the file format."""
@@ -185,8 +162,7 @@ class ControllerState:
     beta: float
 
     def __post_init__(self):
-        if math.isnan(self.beta) or self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        check_beta(self.beta)
 
 
 def _require(doc: Mapping[str, Any], field: str) -> Any:
@@ -319,13 +295,13 @@ def decision_feasible(
     at or below capacity minus ``margin`` and strictly below capacity (the
     queuing delay diverges at capacity, so feasibility is defined strictly
     inside it, also when ``margin`` is 0). Raises ValueError unless ``t``
-    is an integer in ``range(s.num_slots)``.
+    is an integer in ``range(s.num_slots)`` and ``margin`` passes
+    ``check_margin``.
     """
     check_slot(s, t)
+    check_margin(margin)
     if d.num_users != s.num_users:
         return False
-    if math.isinf(margin) or math.isnan(margin) or margin < 0:
-        raise ValueError("margin must be a finite nonnegative float")
 
     for k, (i, j) in enumerate(zip(d.placement, d.selection)):
         if not (0 <= i < s.num_clouds and 0 <= j < s.num_clouds):
@@ -354,6 +330,41 @@ def check_slot(s: Scenario, t: Any) -> None:
         0 <= t < s.num_slots
     ):
         raise ValueError(f"slot must be an integer in range({s.num_slots}), got {t!r}")
+
+
+def check_decision(s: Scenario, d: SlotDecision) -> None:
+    """Raise DimensionMismatchError unless ``d`` has one entry per user, and
+    ValueError unless each of its clouds and stations is in
+    ``range(s.num_clouds)``.
+
+    Without it a short decision would be zipped short and an index outside
+    the clouds would be priced as a move.
+    """
+    if d.num_users != s.num_users:
+        raise DimensionMismatchError(
+            f"decision covers {d.num_users} users, expected {s.num_users}"
+        )
+    if not all(0 <= i < s.num_clouds for i in d.placement + d.selection):
+        raise ValueError(
+            f"decision names a cloud or station outside range({s.num_clouds})"
+        )
+
+
+def check_margin(margin: Any) -> None:
+    """Raise ValueError unless ``margin`` is a finite number >= 0 (not a bool)."""
+    if isinstance(margin, bool) or not isinstance(margin, (int, float)) or not (
+        math.isfinite(margin) and margin >= 0
+    ):
+        raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
+
+
+def check_beta(beta: Any) -> None:
+    """Raise ValueError unless ``beta`` is a number >= 0, inf included (not a
+    bool, not NaN)."""
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not (
+        beta >= 0
+    ):
+        raise ValueError(f"beta must be a nonnegative number, got {beta!r}")
 
 
 def station_limit(capacity: np.ndarray, margin: float) -> np.ndarray:

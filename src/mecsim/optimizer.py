@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .delays import _IndexCosts, station_loads
+from .delays import _as_decision_matrix, _IndexCosts, station_loads
 from .errors import (
     InfeasibleError,
     NoInteriorPointError,
@@ -54,6 +54,8 @@ from .model import (
     FractionalDecision,
     Scenario,
     SlotDecision,
+    check_decision,
+    check_margin,
     check_slot,
     decision_feasible,
     station_limit,
@@ -81,11 +83,7 @@ class SolverConfig:
     margin: float = 1e-6        # station load must stay <= C_j - margin
 
     def __post_init__(self) -> None:
-        margin = self.margin
-        if isinstance(margin, bool) or not isinstance(margin, (int, float)) or not (
-            math.isfinite(margin) and margin >= 0
-        ):
-            raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
+        check_margin(self.margin)
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -123,9 +121,10 @@ def objective_gradient(
     grad_x[i,k] = sum_j y[j,k] * lat[i,j]
     grad_y[j,k] = 1/(C_j - L_j) + c_k * Y_j / (C_j - L_j)^2 + sum_i x[i,k] * lat[i,j]
     with L_j the demand-weighted load and Y_j the total selection weight on j.
+    Raises DimensionMismatchError unless x and y are (clouds, users).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _as_decision_matrix(s, "x", x)
+    y = _as_decision_matrix(s, "y", y)
     lat = s.link_latency[t]
     demand = s.demand[t]
     load = station_loads(s, t, y)
@@ -973,12 +972,19 @@ def round_decision(
     uniform draws in one call, the cloud then the station for each user in
     turn, and picks entries with ``bisect_right``: the same stream and the
     same picks as one ``rng.choice(len(p), p=p)`` per column.
+
+    Raises DimensionMismatchError unless both matrices are (clouds, users)
+    and ValueError on a non-finite weight.
     """
+    x = _as_decision_matrix(s, "x", frac.x)
+    y = _as_decision_matrix(s, "y", frac.y)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("fractional weights must be finite")
     rng = np.random.default_rng(rng_seed)
     cov = s.coverage[t]
     n = s.num_users
-    x_cdf = _column_cdfs(frac.x.T)
-    y_cdf = [_column_cdfs(frac.y[list(cov[k]), k][None, :])[0] for k in range(n)]
+    x_cdf = _column_cdfs(x.T)
+    y_cdf = [_column_cdfs(y[list(cov[k]), k][None, :])[0] for k in range(n)]
     for attempt in range(1, _MAX_ATTEMPTS + 1):
         u = rng.random(2 * n).tolist()
         decision = SlotDecision(
@@ -1001,12 +1007,14 @@ def _greedy_repair(
     """Move users off violated resources to the cheapest room.
 
     First each user whose station is outside its coverage moves to a
-    covered station. Then storage violations move the heaviest placements
-    and capacity violations the heaviest selections. Every move targets a
-    resource with room left, so total violation strictly decreases; a moved
-    selection goes to the station with the least queue-plus-latency cost
-    after the move. Raises RoundingFailedError when a violation has no
-    outlet.
+    covered station. Then one drain loop runs per side, storage first:
+    while a cloud (station) is over its limit, the most overloaded one
+    gives up its heaviest user that has room elsewhere. A moved placement
+    goes to the cloud with the least latency to the user's station, a moved
+    selection to the station with the least queue-plus-latency cost after
+    the move. Every move targets a resource with room left, so total
+    violation strictly decreases. Raises RoundingFailedError when a
+    violation has no outlet.
     """
     m, n = s.num_clouds, s.num_users
     lat = s.link_latency[t]
@@ -1032,53 +1040,38 @@ def _greedy_repair(
         selection[k] = j
         moves += 1
 
-    for _ in range(2 * m * n + 1):
-        storage = np.bincount(placement, weights=s.service_size, minlength=m)
-        if not np.any(storage > s.cloud_capacity):
-            break
-        i_bad = int(np.argmax(storage - s.cloud_capacity))
-        movers = sorted(
-            (k for k in range(n) if placement[k] == i_bad),
-            key=lambda k: (-s.service_size[k], k),
-        )
-        moved = False
-        for k in movers:
-            options = [
-                (lat[i, selection[k]], i)
-                for i in range(m)
-                if i != i_bad and storage[i] + s.service_size[k] <= s.cloud_capacity[i]
-            ]
-            if options:
-                placement[k] = min(options)[1]
-                moves += 1
-                moved = True
-                break
-        if not moved:
-            raise RoundingFailedError(
-                f"storage overload on cloud {i_bad} at slot {t} cannot be repaired"
-            )
+    def cloud_room(k: int, storage: np.ndarray, full: int) -> int | None:
+        options = [
+            (lat[i, selection[k]], i)
+            for i in range(m)
+            if i != full and storage[i] + s.service_size[k] <= s.cloud_capacity[i]
+        ]
+        return min(options)[1] if options else None
 
-    for _ in range(2 * m * n + 1):
-        load = np.bincount(selection, weights=demand, minlength=m)
-        if np.all(load <= limit):
-            break
-        j_bad = int(np.argmax(load - limit))
-        movers = sorted(
-            (k for k in range(n) if selection[k] == j_bad),
-            key=lambda k: (-demand[k], k),
-        )
-        moved = False
-        for k in movers:
-            room = _cheapest_room(s, t, k, placement[k], load, limit, skip=j_bad)
-            if room is not None:
-                selection[k] = room[1]
-                moves += 1
-                moved = True
+    def station_room(k: int, load: np.ndarray, full: int) -> int | None:
+        room = _cheapest_room(s, t, k, placement[k], load, limit, skip=full)
+        return None if room is None else room[1]
+
+    for owner, weights, cap, room, what in (
+        (placement, s.service_size, s.cloud_capacity, cloud_room, "storage overload on cloud"),
+        (selection, demand, limit, station_room, "capacity overload on station"),
+    ):
+        for _ in range(2 * m * n + 1):
+            used = np.bincount(owner, weights=weights, minlength=m)
+            if np.all(used <= cap):
                 break
-        if not moved:
-            raise RoundingFailedError(
-                f"capacity overload on station {j_bad} at slot {t} cannot be repaired"
+            full = int(np.argmax(used - cap))
+            movers = sorted(
+                (k for k in range(n) if owner[k] == full), key=lambda k: (-weights[k], k)
             )
+            for k in movers:
+                to = room(k, used, full)
+                if to is not None:
+                    owner[k] = to
+                    moves += 1
+                    break
+            else:
+                raise RoundingFailedError(f"{what} {full} at slot {t} cannot be repaired")
 
     repaired = SlotDecision(tuple(placement), tuple(selection))
     if not decision_feasible(s, t, repaired, margin):
@@ -1108,11 +1101,14 @@ def solve_slot(
     still pass it.
 
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
+    what ``check_decision`` raises for a malformed warm start,
     InfeasibleError (NoInteriorPointError when only loads at capacity fit)
     when the relaxed slot is empty, and RoundingFailedError when no seed
     yields a feasible decision.
     """
     check_slot(s, t)
+    if warm_start is not None:
+        check_decision(s, warm_start)
     point = _uniform_point(s, t, config.margin)
     if point is None:
         _log.debug("slot %d: uniform point cannot be repaired; solving the LP", t)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .delays import _IndexCosts
 from .errors import InfeasibleError, OracleTooLargeError
-from .model import Scenario, SlotDecision, check_slot, station_limit
+from .model import Scenario, SlotDecision, check_decision, check_slot, station_limit
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -26,23 +26,34 @@ __all__ = [
 ENUMERATION_BUDGET = 1_000_000
 
 
-def _feasible_placements(s: Scenario) -> list[tuple[int, ...]]:
+def _fitting(choices, weights: np.ndarray, limit: np.ndarray) -> list[tuple[int, ...]]:
+    """The tuples of ``itertools.product(*choices)`` whose ``weights``, summed
+    per index, stay within ``limit``: placements or selections."""
     out = []
-    for p in itertools.product(range(s.num_clouds), repeat=s.num_users):
-        storage = np.bincount(p, weights=s.service_size, minlength=s.num_clouds)
-        if np.all(storage <= s.cloud_capacity):
-            out.append(p)
+    for combo in itertools.product(*choices):
+        used = np.bincount(combo, weights=weights, minlength=len(limit))
+        if np.all(used <= limit):
+            out.append(combo)
     return out
 
 
-def _feasible_selections(s: Scenario, t: int, margin: float) -> list[tuple[int, ...]]:
-    limit = station_limit(s.bs_capacity, margin)
-    out = []
-    for sel in itertools.product(*s.coverage[t]):
-        load = np.bincount(sel, weights=s.demand[t], minlength=s.num_clouds)
-        if np.all(load <= limit):
-            out.append(sel)
-    return out
+def _first_min(values: list[float]) -> int:
+    return min(range(len(values)), key=values.__getitem__)
+
+
+def _slot_layer(costs: _IndexCosts, placements: list, selections: list) -> list:
+    """Per placement, its least non-switching delay at the slot and the first
+    selection that reaches it: the selection couples no slots. Each
+    selection's queuing delay is computed once; non_switching is exactly
+    queuing + communication, so the values are the same floats."""
+    queuing = [costs.queuing(sel) for sel in selections]
+    communication = costs.communication
+    layer = []
+    for p in placements:
+        values = [q + communication(p, sel) for q, sel in zip(queuing, selections)]
+        yi = _first_min(values)
+        layer.append((values[yi], selections[yi]))
+    return layer
 
 
 def best_slot_decision(
@@ -56,31 +67,30 @@ def best_slot_decision(
 
     Minimizes the non-switching delay, plus the switching cost against
     ``x_prev`` when given. Returns the decision and its value. Raises
-    ValueError unless ``t`` is an integer in ``range(s.num_slots)``.
+    ValueError unless ``t`` is an integer in ``range(s.num_slots)``, and
+    as ``check_decision`` does for a malformed ``x_prev``.
     """
     check_slot(s, t)
+    if x_prev is not None:
+        check_decision(s, x_prev)
     max_cov = max(len(s.coverage[t][k]) for k in range(s.num_users))
     if s.num_clouds**s.num_users * max_cov**s.num_users > budget:
         raise OracleTooLargeError(
             f"slot enumeration exceeds the budget of {budget} decisions"
         )
-    placements = _feasible_placements(s)
-    selections = _feasible_selections(s, t, margin)
+    placements = _fitting([range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity)
+    selections = _fitting(s.coverage[t], s.demand[t], station_limit(s.bs_capacity, margin))
     if not placements or not selections:
         raise InfeasibleError(f"no feasible decision at slot {t}")
 
     costs = _IndexCosts(s, t)
-    best_value = math.inf
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for p in placements:
-        switch = costs.switching(p, x_prev.placement) if x_prev is not None else 0.0
-        for sel in selections:
-            value = costs.non_switching(p, sel) + switch
-            if value < best_value:
-                best_value = value
-                best = (p, sel)
-    assert best is not None
-    return SlotDecision(best[0], best[1]), best_value
+    layer = _slot_layer(costs, placements, selections)
+    values = [
+        value + (costs.switching(p, x_prev.placement) if x_prev is not None else 0.0)
+        for p, (value, _) in zip(placements, layer)
+    ]
+    pi = _first_min(values)
+    return SlotDecision(placements[pi], layer[pi][1]), values[pi]
 
 
 def offline_optimal(
@@ -98,17 +108,18 @@ def offline_optimal(
     anything is enumerated, and the DP workload num_slots * D^2 (D =
     feasible decisions of the busiest slot) after.
     """
+    if first_decision is not None:
+        check_decision(s, first_decision)
     raw_selections = max(math.prod(len(c) for c in cov) for cov in s.coverage)
     if max(s.num_clouds**s.num_users, raw_selections) > budget:
         raise OracleTooLargeError(
             f"offline DP enumeration exceeds the budget of {budget} decisions"
         )
-    placements = _feasible_placements(s)
+    placements = _fitting([range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity)
     if not placements:
         raise InfeasibleError("no storage-feasible placement exists")
-    selections = [
-        _feasible_selections(s, t, margin) for t in range(s.num_slots)
-    ]
+    limit = station_limit(s.bs_capacity, margin)
+    selections = [_fitting(s.coverage[t], s.demand[t], limit) for t in range(s.num_slots)]
     for t, sel in enumerate(selections):
         if not sel:
             raise InfeasibleError(f"no feasible decision at slot {t}")
@@ -119,34 +130,19 @@ def offline_optimal(
         )
 
     costs = [_IndexCosts(s, t) for t in range(s.num_slots)]
-    # Each selection's queuing delay once per slot; non_switching is exactly
-    # queuing + communication, so the values are the same floats.
-    queuing = [[costs[t].queuing(sel) for sel in selections[t]] for t in range(s.num_slots)]
     # The switching cost between two placements does not depend on the slot.
     switch = (
         [[costs[0].switching(p, q) for q in placements] for p in placements]
         if s.num_slots > 1 else []
     )
 
-    def first_min(values: list[float]) -> int:
-        return min(range(len(values)), key=values.__getitem__)
-
-    def best_selection(t: int, p: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
-        """Least non-switching delay of placement p at slot t, and the first
-        selection that reaches it: the selection does not couple slots."""
-        communication = costs[t].communication
-        values = [q + communication(p, sel) for q, sel in zip(queuing[t], selections[t])]
-        yi = first_min(values)
-        return values[yi], selections[t][yi]
-
     if first_decision is not None:
-        p0 = tuple(first_decision.placement)
-        y0 = tuple(first_decision.selection)
+        p0, y0 = first_decision.placement, first_decision.selection
         if p0 not in placements or y0 not in selections[0]:
             raise InfeasibleError("pinned slot-0 decision is not feasible")
         layer = [(placements.index(p0), costs[0].non_switching(p0, y0), y0)]
     else:
-        layer = [(pi, *best_selection(0, p)) for pi, p in enumerate(placements)]
+        layer = [(pi, *e) for pi, e in enumerate(_slot_layer(costs[0], placements, selections[0]))]
 
     # layers[t][k]: (index of a placement, best total through slot t ending
     # there, its selection); back[t - 1][pi]: the entry of slot t - 1 that
@@ -156,17 +152,16 @@ def offline_optimal(
     for t in range(1, s.num_slots):
         prev = layers[-1]
         layer, bp = [], []
-        for pi, p in enumerate(placements):
+        for pi, (ns, sel) in enumerate(_slot_layer(costs[t], placements, selections[t])):
             row = switch[pi]
             arrive = [value + row[qi] for qi, value, _ in prev]
-            k = first_min(arrive)
-            ns, sel = best_selection(t, p)
+            k = _first_min(arrive)
             layer.append((pi, arrive[k] + ns, sel))
             bp.append(k)
         layers.append(layer)
         back.append(bp)
 
-    k = first_min([value for _, value, _ in layers[-1]])
+    k = _first_min([value for _, value, _ in layers[-1]])
     final_value = layers[-1][k][1]
     path: list[SlotDecision] = []
     for t in range(s.num_slots - 1, -1, -1):

@@ -45,6 +45,8 @@ from .model import (
     DelayBreakdown,
     Scenario,
     SlotDecision,
+    check_beta,
+    check_decision,
     check_slot,
     decision_feasible,
 )
@@ -80,8 +82,7 @@ class Policy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind: {self.kind!r}")
-        if math.isnan(self.beta) or self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        check_beta(self.beta)
 
     @classmethod
     def threshold(cls, beta: float) -> "Policy":
@@ -196,6 +197,7 @@ def step(
     ``solved`` and the unused ``rng_seed`` are as for ``initial_slot``.
     """
     check_slot(s, t)
+    check_decision(s, state.prev_decision)
     costs = _IndexCosts(s, t)
     prev = state.prev_decision
     forced = not decision_feasible(s, t, prev, 0.0)

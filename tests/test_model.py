@@ -207,6 +207,74 @@ def test_slot_outside_the_horizon_is_rejected(caller, t):
         _slot_callers()[caller](s, t)
 
 
+def _decision_entries():
+    """Each library entry that takes a decision or decision matrices, called
+    on ``make_doc()`` (M=3, N=2) with a malformed one, and the error it must
+    raise."""
+    short = ms.SlotDecision((2,), (2,))
+    far = ms.SlotDecision((7, 0), (0, 0))
+
+    def stepped(d):
+        state = ms.ControllerState(
+            prev_decision=d, last_migration_slot=0, accumulated_t2=0.0, beta=1.0
+        )
+        return lambda s: ms.step(s, 1, state)
+
+    def rounded(weights):
+        frac = ms.FractionalDecision(weights, weights)
+        return lambda s: ms.round_decision(s, 0, frac, 0)
+
+    short_error = (ms.DimensionMismatchError, "covers 1 users, expected 2")
+    far_error = (ValueError, r"outside range\(3\)")
+    shape_error = (ms.DimensionMismatchError, r"must have shape \(3, 2\)")
+    return {
+        "best_slot_decision-short": (
+            lambda s: ms.best_slot_decision(s, 0, x_prev=short), short_error
+        ),
+        "best_slot_decision-far": (
+            lambda s: ms.best_slot_decision(s, 0, x_prev=far), far_error
+        ),
+        "offline_optimal-short": (
+            lambda s: ms.offline_optimal(s, first_decision=short), short_error
+        ),
+        "offline_optimal-far": (
+            lambda s: ms.offline_optimal(s, first_decision=far), far_error
+        ),
+        "solve_slot-short": (lambda s: ms.solve_slot(s, 0, warm_start=short), short_error),
+        "solve_slot-far": (lambda s: ms.solve_slot(s, 0, warm_start=far), far_error),
+        "step-short": (stepped(short), short_error),
+        "step-far": (stepped(far), far_error),
+        "round_decision-4x2": (rounded(np.full((4, 2), 0.25)), shape_error),
+        "round_decision-3x3": (rounded(np.full((3, 3), 0.5)), shape_error),
+        "round_decision-nan": (rounded(np.full((3, 2), np.nan)), (ValueError, "finite")),
+        "objective_gradient-2x2": (
+            lambda s: ms.objective_gradient(s, 0, np.zeros((2, 2)), np.zeros((2, 2))),
+            shape_error,
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_decision_entries()))
+def test_malformed_decision_is_rejected_where_it_enters(entry):
+    # Unchecked, a short x_prev loses its missing users' switching cost, a
+    # cloud 7 is priced as a move, a wrong-shape FractionalDecision is
+    # rounded and the other calls fail inside NumPy.
+    call, (error, message) = _decision_entries()[entry]
+    with pytest.raises(error, match=message):
+        call(ms.validate_scenario(make_doc()))
+
+
+@pytest.mark.parametrize("margin", [True, "0"])
+def test_margin_has_one_rule(margin):
+    # a bool margin would be read as 1.0 and a string one fail in a comparison
+    s = ms.validate_scenario(make_doc())
+    d = ms.SlotDecision((0, 1), (0, 1))
+    with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
+        ms.SolverConfig(margin=margin)
+    with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
+        ms.decision_feasible(s, 0, d, margin)
+
+
 def test_feasibility_monotone_in_margin():
     margins = [0.0, 1e-6, 1e-3, 0.1, 1.0, 5.0]
     rng = np.random.default_rng(7)

@@ -1184,6 +1184,41 @@ def test_greedy_repair_raises_on_a_capacity_overload_it_cannot_repair():
         _greedy_repair(s, 0, ms.SlotDecision((0, 1), (0, 0)), 1e-6)
 
 
+def test_greedy_repair_moves_the_heaviest_user_to_the_nearest_cloud_with_room():
+    # cloud 0 holds 0.4 + 1.5 + 1.0 = 2.9 of its 2.0. Its heaviest user, user
+    # 1 on station 1, moves; from station 1 cloud 2 (0.5) beats cloud 1 (2.0).
+    lat = [[0.0, 1.0, 2.0], [1.0, 2.0, 1.0], [2.0, 0.5, 0.0]]
+    doc = make_doc(
+        num_users=3,
+        cloud_capacity=[2.0, 2.0, 2.0],
+        service_size=[0.4, 1.5, 1.0],
+        link_latency=[lat, lat],
+        coverage=[[[0, 1, 2]] * 3] * 2,
+        demand=[[1.0, 1.0, 1.0]] * 2,
+    )
+    s = _validate(doc)
+    repaired, moves = _greedy_repair(s, 0, ms.SlotDecision((0, 0, 0), (0, 1, 2)), 1e-6)
+    assert repaired == ms.SlotDecision((0, 2, 0), (0, 1, 2))
+    assert moves == 1
+
+
+def test_greedy_repair_raises_on_a_storage_overload_it_cannot_repair():
+    # each cloud stores one 0.6 service; three of them fit nowhere
+    doc = make_doc(
+        num_clouds=2,
+        num_users=3,
+        bs_capacity=[10.0, 10.0],
+        cloud_capacity=[1.0, 1.0],
+        service_size=[0.6, 0.6, 0.6],
+        link_latency=[[[0.0, 1.0], [1.0, 0.0]]] * 2,
+        coverage=[[[0, 1]] * 3] * 2,
+        demand=[[1.0, 1.0, 1.0]] * 2,
+    )
+    s = _validate(doc)
+    with pytest.raises(ms.RoundingFailedError, match="storage overload on cloud 0"):
+        _greedy_repair(s, 0, ms.SlotDecision((0, 0, 1), (0, 0, 1)), 1e-6)
+
+
 def test_solve_slot_repairs_a_warm_start_that_left_coverage():
     doc = make_doc(coverage=[[[0, 1, 2], [0, 1, 2]], [[1, 2], [2]]])
     s = _validate(doc)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 import mecsim as ms
@@ -46,18 +47,22 @@ def test_symmetric_tie_breaks_lexicographically():
 
 
 def test_matches_brute_force_on_random_instances():
+    rng = np.random.default_rng(0)
     for seed in range(15):
         doc = random_doc(seed, tight=(seed % 2 == 0))
         s = ms.validate_scenario(doc)
-        brute = ref.brute_best(doc, 0)
-        if brute is None:
-            with pytest.raises(ms.InfeasibleError):
-                ms.best_slot_decision(s, 0)
-            continue
-        decision, value = ms.best_slot_decision(s, 0)
-        assert decision.placement == brute[0]
-        assert decision.selection == brute[1]
-        assert value == pytest.approx(brute[2], rel=1e-12)
+        prev = tuple(rng.integers(0, s.num_clouds, size=s.num_users).tolist())
+        x_prev = ms.SlotDecision(prev, tuple(cov[0] for cov in s.coverage[0]))
+        for p_prev, given in ((None, None), (prev, x_prev)):
+            brute = ref.brute_best(doc, 0, prev_placement=p_prev)
+            if brute is None:
+                with pytest.raises(ms.InfeasibleError):
+                    ms.best_slot_decision(s, 0, x_prev=given)
+                continue
+            decision, value = ms.best_slot_decision(s, 0, x_prev=given)
+            assert decision.placement == brute[0]
+            assert decision.selection == brute[1]
+            assert value == pytest.approx(brute[2], rel=1e-12)
 
 
 def test_previous_placement_adds_switching_cost():

@@ -65,6 +65,20 @@ def test_controller_state_rejects_bad_beta(beta):
         )
 
 
+@pytest.mark.parametrize("beta", [True, "1"])
+def test_beta_has_one_rule(beta):
+    # a bool beta would be read as 1.0 and a string one fail in math.isnan
+    with pytest.raises(ValueError, match="beta must be a nonnegative number"):
+        ms.Policy(kind="threshold", beta=beta)
+    with pytest.raises(ValueError, match="beta must be a nonnegative number"):
+        ms.ControllerState(
+            prev_decision=ms.SlotDecision((0,), (0,)),
+            last_migration_slot=0,
+            accumulated_t2=0.0,
+            beta=beta,
+        )
+
+
 def test_zero_t1_takes_the_migrate_branch_at_no_cost():
     s = ms.validate_scenario(_static_doc())
     outcomes = ms.run_policy(s, ms.Policy.threshold(1.0))
