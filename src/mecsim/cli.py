@@ -31,8 +31,8 @@ from .errors import (
     ScenarioError,
     UncoverableAreaError,
 )
-from .generator import GeneratorConfig, _is_number, _to_float, generate
-from .model import Scenario
+from .generator import GeneratorConfig, generate
+from .model import Scenario, _is_number, _to_float
 from .optimizer import DEFAULT_CONFIG, SolverConfig
 from .policy import POLICY_KINDS, Policy, SlotOutcome, Solved, run_policy
 from .scenario_io import load_scenario, save_scenario, scenario_digest, write_text_atomic
@@ -225,16 +225,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _run_one(
     scenario: Scenario,
     scenario_path: str,
+    digest: str,
     policy: Policy,
     seed: int,
     out_dir: Path,
     solver: SolverConfig,
     solved: Solved | None = None,
 ) -> dict[str, Any]:
-    """Run one policy and write its CSV and summary; ``seed`` only names
-    them (file stem, run id and the summary's ``seed``)."""
+    """Run one policy and write its CSV and summary; ``digest`` is the
+    scenario file's ``scenario_digest`` and ``seed`` only names them (file
+    stem, run id and the summary's ``seed``)."""
     outcomes = run_policy(scenario, policy, solver, solved=solved)
-    digest = scenario_digest(scenario_path)
     stem = _run_stem(policy, seed)
     csv_path = out_dir / f"{stem}.csv"
     summary_path = out_dir / f"{stem}.json"
@@ -253,8 +254,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     policy = _parse_policy(config, args)
     seed = _run_seed(args)
     scenario = load_scenario(args.scenario)
+    digest = scenario_digest(args.scenario)
     out_dir = _out_dir(config, args)
-    summary = _run_one(scenario, args.scenario, policy, seed, out_dir, solver)
+    summary = _run_one(scenario, args.scenario, digest, policy, seed, out_dir, solver)
     stem = _run_stem(policy, seed)
     print(
         f"wrote {out_dir / stem}.csv and .json "
@@ -269,6 +271,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     solver = _solver_config(config, args)
     seed = _run_seed(args)
     scenario = load_scenario(args.scenario)
+    digest = scenario_digest(args.scenario)
     out_dir = _out_dir(config, args)
 
     policies: list[Policy] = []
@@ -291,13 +294,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for policy in policies:
         summary = _run_one(
-            scenario, args.scenario, policy, seed, out_dir, solver, solved
+            scenario, args.scenario, digest, policy, seed, out_dir, solver, solved
         )
         rows.append(summary)
     try:
         rows.append(
             _run_one(
-                scenario, args.scenario, oracle_policy, seed, out_dir, solver, solved
+                scenario, args.scenario, digest, oracle_policy, seed, out_dir, solver, solved
             )
         )
     except (OracleTooLargeError, InfeasibleError) as exc:

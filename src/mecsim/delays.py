@@ -6,7 +6,9 @@ fractional column-stochastic weights. Each sum lays its terms out
 user-major (user, then cloud, then station) and adds them strictly left to
 right with ``np.add.accumulate``, never with the pairwise ``np.sum``, so a
 result is the same float as the literal nested loop over those terms: on
-indicator matrices, the float ``_IndexCosts`` gives.
+indicator matrices, the float ``_IndexCosts`` gives. Each public function
+that takes a slot ``t`` raises ValueError unless it is an integer in
+``range(s.num_slots)``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .model import DelayBreakdown, Scenario
+from .model import DelayBreakdown, Scenario, check_slot
 
 __all__ = [
     "switching_delay",
@@ -51,6 +53,7 @@ def _sequential_sum(terms: np.ndarray) -> float:
 def station_loads(s: Scenario, t: int, y: np.ndarray) -> np.ndarray:
     """Demand-weighted load per station: load[j] = sum_k c_k(t) * y[j, k],
     added user by user from the left."""
+    check_slot(s, t)
     terms = np.asarray(y, dtype=float) * s.demand[t]
     return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
 
@@ -76,6 +79,7 @@ def queuing_delay(s: Scenario, t: int, y: np.ndarray) -> float:
     Returns +inf as soon as any station carrying selection weight has
     load_j >= C_j (the queue never drains).
     """
+    check_slot(s, t)
     y = _as_decision_matrix(s, "y", y)
     slack = s.bs_capacity - station_loads(s, t, y)
     full = slack <= 0.0
@@ -92,6 +96,7 @@ def communication_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> fl
 
     sum_k sum_i sum_j y[j,k] * x[i,k] * latency[t][i][j].
     """
+    check_slot(s, t)
     x = _as_decision_matrix(s, "x", x)
     y = _as_decision_matrix(s, "y", y)
     terms = (y.T[:, None, :] * x.T[:, :, None]) * s.link_latency[t]
@@ -159,6 +164,7 @@ class _IndexCosts:
 
 def non_switching_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> float:
     """Queuing plus communication delay: the recurring per-slot cost."""
+    check_slot(s, t)
     q = queuing_delay(s, t, y)
     if math.isinf(q):
         return math.inf
@@ -173,6 +179,7 @@ def total_delay(
     y: np.ndarray,
 ) -> DelayBreakdown:
     """Full slot cost: one-off switching plus recurring queuing/communication."""
+    check_slot(s, t)
     return DelayBreakdown.assemble(
         switching=switching_delay(s, x_now, x_prev),
         queuing=queuing_delay(s, t, y),

@@ -16,24 +16,10 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ParseError, UncoverableAreaError
-from .model import Scenario, validate_scenario
+from .model import Scenario, _is_number, _to_float, validate_scenario
 from .seeding import GENERATION, substream_seed
 
 __all__ = ["GeneratorConfig", "generate"]
-
-
-def _is_number(value: Any) -> bool:
-    """A real number as JSON gives one: int or float, bools excluded."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _to_float(value: int | float, what: str) -> float:
-    """``float(value)`` for a number ``_is_number`` accepts; ParseError for
-    an integer too large for a float."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParseError(f"{what} is too large for a float") from None
 
 
 @dataclass(frozen=True)

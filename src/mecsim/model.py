@@ -171,11 +171,31 @@ def _require(doc: Mapping[str, Any], field: str) -> Any:
     return doc[field]
 
 
-def _as_float_array(name: str, value: Any, shape: tuple[int, ...]) -> np.ndarray:
+def _is_number(value: Any) -> bool:
+    """A real number as JSON gives one: int or float, bools excluded."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _to_float(value: int | float, what: str) -> float:
+    """``float(value)`` for a number ``_is_number`` accepts; ParseError for
+    an integer too large for a float."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field {name} is not numeric: {exc}") from None
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} is too large for a float") from None
+
+
+def _as_float_array(name: str, value: Any, shape: tuple[int, ...]) -> np.ndarray:
+    """The field as a float array of ``shape``; every leaf must pass
+    ``_is_number``, so a bool or a numeric string is rejected, not coerced."""
+    leaves = np.asarray(value, dtype=object)
+    what = f"field {name}"
+    floats = []
+    for leaf in leaves.ravel().tolist():
+        if not _is_number(leaf):
+            raise ParseError(f"{what} is not numeric: {leaf!r} is not a number")
+        floats.append(_to_float(leaf, what))
+    arr = np.array(floats, dtype=float).reshape(leaves.shape)
     if arr.shape != shape:
         raise DimensionMismatchError(
             f"field {name} has shape {arr.shape}, expected {shape}"

@@ -16,7 +16,8 @@ cloud with room can hold the least value, and only the winning user's
 moves are then valued one by one to find the first minimum. Two-user moves
 are valued in one NumPy pass per step: on small slots the full rescan of
 any two users to any two spots, otherwise every plain exchange over (N, N)
-arrays. Single probes value only three-user rotations and the kicks.
+arrays. Single probes value only three-user rotations. Every search state
+is feasible, so the one-user scan and the kicks test only a move's targets.
 Float-safe lower bounds ("floors") skip the scans that cannot win: a user
 whose one-user moves all value at or above the least value found so far
 is not walked, and the exchange pass and the rotation probes run only
@@ -121,8 +122,10 @@ def objective_gradient(
     grad_x[i,k] = sum_j y[j,k] * lat[i,j]
     grad_y[j,k] = 1/(C_j - L_j) + c_k * Y_j / (C_j - L_j)^2 + sum_i x[i,k] * lat[i,j]
     with L_j the demand-weighted load and Y_j the total selection weight on j.
-    Raises DimensionMismatchError unless x and y are (clouds, users).
+    Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``
+    and DimensionMismatchError unless x and y are (clouds, users).
     """
+    check_slot(s, t)
     x = _as_decision_matrix(s, "x", x)
     y = _as_decision_matrix(s, "y", y)
     lat = s.link_latency[t]
@@ -431,6 +434,16 @@ class _SlotTables:
 class _SearchState:
     """Integral decision with the bookkeeping of the discrete search.
 
+    Every state is feasible: each seed passes ``decision_feasible``, whose
+    sums are the tallies' sums, or is built under the same limits (the
+    greedy start), and each move the scans and the kicks apply leaves every
+    limit met. So leaving a cloud or a station never breaks its limit, and a
+    one-user move (k, i, j) passes ``probe`` exactly when i is k's cloud or
+    has room for s_k, and j is k's station or has room for c_k. (``apply``
+    re-sums a tally in user order, which can differ in the last bit from the
+    sum the move was checked at, so a state can sit one rounding over a
+    limit; ``_integral_search`` re-checks the winner.)
+
     Plain lists keep probes cheap. ``f`` is the non-switching delay of the
     current decision. ``apply`` sums storage, load and users again from the
     decision and recomputes ``f`` with ``_IndexCosts``, so no state carries
@@ -442,17 +455,16 @@ class _SearchState:
     The scans find the first best move of a kind with the same arithmetic:
     ``best_single_move`` by a walk in latency order, ``best_pair_move`` over
     the full two-user rescan and ``best_exchange`` over the plain exchanges
-    in one array pass each. ``probe`` itself serves only rotations and
-    kicks. The slot's static data comes from the solve's ``_SlotTables``.
+    in one array pass each. ``probe`` itself serves only rotations. The
+    slot's static data is read from the solve's ``_SlotTables``.
     ``user_floors`` and ``floors`` bound the values of one user's moves, of
     all exchanges and of all rotations from below, with slack for rounding;
     the search skips a scan whose floor is at or above what it must beat.
     """
 
     __slots__ = (
-        "tables", "m", "n", "costs", "sizes", "demand", "cloud_cap", "bs_cap", "limit",
-        "lat", "cov", "covsets", "placement", "selection", "used", "load", "users_on", "out",
-        "f",
+        "tables", "m", "n", "cov", "placement", "selection", "used", "load", "users_on",
+        "out", "f",
     )
 
     def __init__(
@@ -461,15 +473,7 @@ class _SearchState:
         self.tables = tables
         self.m = tables.m
         self.n = tables.n
-        self.costs = tables.costs
-        self.sizes = self.costs.sizes
-        self.demand = self.costs.demand
-        self.cloud_cap = tables.cloud_cap
-        self.bs_cap = self.costs.bs_cap
-        self.limit = tables.limit
-        self.lat = self.costs.lat
         self.cov = tables.cov
-        self.covsets = tables.covsets
         self.placement = list(placement)
         self.selection = list(selection)
         self._tally()
@@ -477,50 +481,53 @@ class _SearchState:
     def _tally(self) -> None:
         """Sum storage, load and users user by user from the decision, and
         value it, so the state is a function of the decision alone."""
+        costs = self.tables.costs
         used = [0.0] * self.m
         load = [0.0] * self.m
         users_on = [0] * self.m
-        for i, j, size, c in zip(self.placement, self.selection, self.sizes, self.demand):
+        for i, j, size, c in zip(self.placement, self.selection, costs.sizes, costs.demand):
             used[i] += size
             load[j] += c
             users_on[j] += 1
         self.used, self.load, self.users_on = used, load, users_on
         # each station's queue term on / (C - L), 0.0 on an empty station
-        self.out = [on / (c - v) if on else 0.0 for on, c, v in zip(users_on, self.bs_cap, load)]
+        self.out = [on / (c - v) if on else 0.0 for on, c, v in zip(users_on, costs.bs_cap, load)]
         self.f = self.value()
 
     def value(self) -> float:
-        return self.costs.non_switching(self.placement, self.selection)
+        return self.tables.costs.non_switching(self.placement, self.selection)
 
     def probe(self, batch: list[tuple[int, int, int]]) -> float | None:
+        tables, costs = self.tables, self.tables.costs
+        sizes, demand, lat, bs_cap = costs.sizes, costs.demand, costs.lat, costs.bs_cap
         storage_delta: dict[int, float] = {}
         load_delta: dict[int, float] = {}
         on_delta: dict[int, int] = {}
         delta = 0.0
         for k, i, j in batch:
-            if j not in self.covsets[k]:
+            if j not in tables.covsets[k]:
                 return None
             i0, j0 = self.placement[k], self.selection[k]
-            storage_delta[i0] = storage_delta.get(i0, 0.0) - self.sizes[k]
-            storage_delta[i] = storage_delta.get(i, 0.0) + self.sizes[k]
-            load_delta[j0] = load_delta.get(j0, 0.0) - self.demand[k]
-            load_delta[j] = load_delta.get(j, 0.0) + self.demand[k]
+            storage_delta[i0] = storage_delta.get(i0, 0.0) - sizes[k]
+            storage_delta[i] = storage_delta.get(i, 0.0) + sizes[k]
+            load_delta[j0] = load_delta.get(j0, 0.0) - demand[k]
+            load_delta[j] = load_delta.get(j, 0.0) + demand[k]
             on_delta[j0] = on_delta.get(j0, 0) - 1
             on_delta[j] = on_delta.get(j, 0) + 1
-            delta += self.lat[i][j] - self.lat[i0][j0]
+            delta += lat[i][j] - lat[i0][j0]
         for r, d in storage_delta.items():
-            if self.used[r] + d > self.cloud_cap[r]:
+            if self.used[r] + d > tables.cloud_cap[r]:
                 return None
         for r, d in load_delta.items():
-            if self.load[r] + d > self.limit[r]:
+            if self.load[r] + d > tables.limit[r]:
                 return None
         for r, d in load_delta.items():
             on = self.users_on[r]
             if on:
-                delta -= on / (self.bs_cap[r] - self.load[r])
+                delta -= on / (bs_cap[r] - self.load[r])
             on += on_delta[r]
             if on:
-                delta += on / (self.bs_cap[r] - (self.load[r] + d))
+                delta += on / (bs_cap[r] - (self.load[r] + d))
         return self.f + delta
 
     def user_floors(self) -> list[float]:
@@ -537,7 +544,7 @@ class _SearchState:
         at least arrive / (on_j + 1), far more than the rounding it brings.
         """
         low = self.f - 1e-9 * (1.0 + self.f)
-        lat, out, nearest = self.lat, self.out, self.tables.nearest
+        lat, out, nearest = self.tables.costs.lat, self.out, self.tables.nearest
         return [
             low + ((nearest[k] - lat[i][j]) - out[j])
             for k, (i, j) in enumerate(zip(self.placement, self.selection))
@@ -570,7 +577,7 @@ class _SearchState:
         gap = self.tables.gap
         drops = [
             q - on / (c - (v - gap)) if on else 0.0
-            for q, on, c, v in zip(self.out, self.users_on, self.bs_cap, self.load)
+            for q, on, c, v in zip(self.out, self.users_on, self.tables.costs.bs_cap, self.load)
         ]
         second, first = sorted(drops + [0.0])[-2:]
         low = self.f - 1e-9 * (1.0 + self.f)
@@ -588,57 +595,49 @@ class _SearchState:
         A term ``probe`` leaves out (j is the user's station, its station
         keeps no user, j is empty) enters as 0.0 here and changes no value:
         no partial sum is -0.0, and x + 0.0 and x - 0.0 are x for any other x.
-        Every step is a float add or subtract, so for one user and station
-        the value never falls as lat[i][j] grows: the first cloud with room
-        in (lat[i][j], i) order holds the least. One walk per user and
-        covered station values only that move, and the first user whose
-        least value is strictly lowest holds the first minimum. Only that
-        user's moves are then valued in probe order, to find which it is.
-        Arrival terms are divided out only where the station limit holds.
-        A user whose floor (``user_floors``) is at or above the least value
-        so far cannot hold the first minimum, and is not walked.
+        On the user's own station j0, arrive is out0: the load after the move
+        is L + ((0.0 - c) + c), which is L. Every step is a float add or
+        subtract, so for one user and station the value never falls as
+        lat[i][j] grows: the first cloud with room in (lat[i][j], i) order
+        holds the least. One walk per user and covered station values only
+        that move, and the first user whose least value is strictly lowest
+        holds the first minimum. Only that user's moves are then valued in
+        probe order, to find which it is. The state is feasible
+        (``_SearchState``), so only the targets' room is tested. A user whose
+        floor (``user_floors``) is at or above the least value so far cannot
+        hold the first minimum, and is not walked.
         """
-        order = self.tables.cloud_order
-        f, lat, out = self.f, self.lat, self.out
-        used, cloud_cap = self.used, self.cloud_cap
-        load, bs_cap, limit, users_on = self.load, self.bs_cap, self.limit, self.users_on
+        tables, costs = self.tables, self.tables.costs
+        order, cloud_cap, limit = tables.cloud_order, tables.cloud_cap, tables.limit
+        lat, bs_cap = costs.lat, costs.bs_cap
+        f, out, used, load, users_on = self.f, self.out, self.used, self.load, self.users_on
         floors = self.user_floors()
         best = None  # (least value, user, the user's terms)
         for k in range(self.n):
             if best is not None and floors[k] >= best[0]:
                 continue
             i0, j0 = self.placement[k], self.selection[k]
-            size, c = self.sizes[k], self.demand[k]
+            size, c = costs.sizes[k], costs.demand[k]
+            lat0, out0 = lat[i0][j0], out[j0]
             on0 = users_on[j0]
-            leave_load = load[j0] + (0.0 - c)
-            leaving = leave_load <= limit[j0]
-            leave = 0.0
-            if leaving and on0 - 1:
-                leave = (on0 - 1) / (bs_cap[j0] - leave_load)
-            # per covered station that can take the user: (j, leave, out_j, arrive)
+            leave = (on0 - 1) / (bs_cap[j0] - (load[j0] + (0.0 - c))) if on0 - 1 else 0.0
+            # per covered station with room for the user: (j, leave, out_j, arrive)
             stations = []
             for j in self.cov[k]:
                 if j == j0:
-                    stay_load = load[j0] + ((0.0 - c) + c)
-                    if stay_load <= limit[j0]:
-                        stations.append((j, 0.0, 0.0, on0 / (bs_cap[j0] - stay_load)))
-                elif leaving:
+                    stations.append((j, 0.0, 0.0, out0))
+                else:
                     arrive_load = load[j] + (0.0 + c)
                     if arrive_load <= limit[j]:
                         arrive = (users_on[j] + 1) / (bs_cap[j] - arrive_load)
                         stations.append((j, leave, out[j], arrive))
-            if not stations:
-                continue
-            lat0, out0 = lat[i0][j0], out[j0]
-            stay_fits = used[i0] + ((0.0 - size) + size) <= cloud_cap[i0]
-            leave_fits = used[i0] + (0.0 - size) <= cloud_cap[i0]
             least = None
             for j, leave_j, out_j, arrive in stations:
                 for i in order[j]:
                     if i == i0:
-                        if j == j0 or not stay_fits:
+                        if j == j0:
                             continue
-                    elif not (leave_fits and used[i] + (0.0 + size) <= cloud_cap[i]):
+                    elif used[i] + (0.0 + size) > cloud_cap[i]:
                         continue
                     value = f + (
                         ((((0.0 + (lat[i][j] - lat0)) - out0) + leave_j) - out_j) + arrive
@@ -647,16 +646,13 @@ class _SearchState:
                         least = value
                     break
             if least is not None and (best is None or least < best[0]):
-                best = (least, k, i0, j0, lat0, out0, size, stay_fits, leave_fits, stations)
+                best = (least, k, i0, j0, lat0, out0, size, stations)
         if best is None:
             return None
-        _, k, i0, j0, lat0, out0, size, stay_fits, leave_fits, stations = best
+        _, k, i0, j0, lat0, out0, size, stations = best
         first: tuple[float, tuple[int, int, int]] | None = None
         for i in range(self.m):
-            if i == i0:
-                if not stay_fits:
-                    continue
-            elif not (leave_fits and used[i] + (0.0 + size) <= cloud_cap[i]):
+            if i != i0 and used[i] + (0.0 + size) > cloud_cap[i]:
                 continue
             lat_i = lat[i]
             for j, leave_j, out_j, arrive in stations:
@@ -712,7 +708,8 @@ class _SearchState:
         out = np.array(self.out)
         leave = np.where(first, out[stations], 0.0)
         arrive = np.where(first, after[:, 2] / (bs_cap[stations] - after[:, 1]), 0.0)
-        lat0 = np.array([self.lat[i][j] for i, j in zip(self.placement, self.selection)])
+        lat = self.tables.costs.lat
+        lat0 = np.array([lat[i][j] for i, j in zip(self.placement, self.selection)])
         latency = lat_to - lat0[batches[:2]]
         delta = ((0.0 + latency[0]) + latency[1]).take(w)
         for p in range(4):
@@ -870,19 +867,22 @@ def _kick(
 ) -> SlotDecision:
     """Reassign two random users to random feasible spots, for restarts.
 
-    A mover's own spot passes ``probe`` while the decision's tallies are
-    within their limits, since the size and demand it takes away and adds
-    back there sum to 0.0 exactly; so a mover always has an option.
+    A mover's options are the (cloud, station) pairs ``probe`` passes,
+    listed by their room (see ``_SearchState``) in (cloud, coverage-order
+    station) order; its own spot is one, so a mover always has an option.
     """
     state = _SearchState(tables, d.placement, d.selection)
+    sizes, demand = tables.costs.sizes, tables.costs.demand
     movers = rng.choice(state.n, size=min(2, state.n), replace=False)
     for k in movers:
         k = int(k)
+        i0, j0 = state.placement[k], state.selection[k]
         options = [
             (i, j)
             for i in range(state.m)
+            if i == i0 or state.used[i] + (0.0 + sizes[k]) <= tables.cloud_cap[i]
             for j in state.cov[k]
-            if state.probe([(k, i, j)]) is not None
+            if j == j0 or state.load[j] + (0.0 + demand[k]) <= tables.limit[j]
         ]
         i, j = options[int(rng.integers(len(options)))]
         state.apply([(k, i, j)])
@@ -973,9 +973,11 @@ def round_decision(
     turn, and picks entries with ``bisect_right``: the same stream and the
     same picks as one ``rng.choice(len(p), p=p)`` per column.
 
-    Raises DimensionMismatchError unless both matrices are (clouds, users)
-    and ValueError on a non-finite weight.
+    Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
+    DimensionMismatchError unless both matrices are (clouds, users) and
+    ValueError on a non-finite weight.
     """
+    check_slot(s, t)
     x = _as_decision_matrix(s, "x", frac.x)
     y = _as_decision_matrix(s, "y", frac.y)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):

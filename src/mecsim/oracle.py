@@ -15,7 +15,14 @@ import numpy as np
 
 from .delays import _IndexCosts
 from .errors import InfeasibleError, OracleTooLargeError
-from .model import Scenario, SlotDecision, check_decision, check_slot, station_limit
+from .model import (
+    Scenario,
+    SlotDecision,
+    check_decision,
+    check_margin,
+    check_slot,
+    station_limit,
+)
 
 __all__ = [
     "ENUMERATION_BUDGET",
@@ -67,10 +74,12 @@ def best_slot_decision(
 
     Minimizes the non-switching delay, plus the switching cost against
     ``x_prev`` when given. Returns the decision and its value. Raises
-    ValueError unless ``t`` is an integer in ``range(s.num_slots)``, and
-    as ``check_decision`` does for a malformed ``x_prev``.
+    ValueError unless ``t`` is an integer in ``range(s.num_slots)`` and
+    ``margin`` passes ``check_margin``, and as ``check_decision`` does for a
+    malformed ``x_prev``.
     """
     check_slot(s, t)
+    check_margin(margin)
     if x_prev is not None:
         check_decision(s, x_prev)
     max_cov = max(len(s.coverage[t][k]) for k in range(s.num_users))
@@ -106,8 +115,11 @@ def offline_optimal(
     remaining slots are optimized around it. The raw placement count M^N
     and every slot's raw selection count must stay within ``budget`` before
     anything is enumerated, and the DP workload num_slots * D^2 (D =
-    feasible decisions of the busiest slot) after.
+    feasible decisions of the busiest slot) after. Raises ValueError unless
+    ``margin`` passes ``check_margin``, and as ``check_decision`` does for a
+    malformed ``first_decision``.
     """
+    check_margin(margin)
     if first_decision is not None:
         check_decision(s, first_decision)
     raw_selections = max(math.prod(len(c) for c in cov) for cov in s.coverage)

@@ -297,6 +297,28 @@ def test_compare_solves_each_slot_and_warm_start_once(tmp_path, monkeypatch):
     assert len(keys) == len(set(keys))
 
 
+def test_compare_hashes_the_scenario_file_once(tmp_path, monkeypatch):
+    # every row's summary carries the same digest of the one scenario file
+    scenario = _compare_scenario(tmp_path)
+    paths = []
+    real = ms.cli.scenario_digest
+
+    def counting(path):
+        paths.append(path)
+        return real(path)
+
+    monkeypatch.setattr(ms.cli, "scenario_digest", counting)
+    rc = main(["compare", "--scenario", scenario, "--beta", "0,1,inf",
+               "--out", str(tmp_path / "cmp")])
+    assert rc == 0
+    assert paths == [scenario]
+    digests = {
+        json.loads(path.read_text(encoding="utf-8"))["scenario_sha256"]
+        for path in (tmp_path / "cmp").glob("*.json")
+    }
+    assert digests == {real(scenario)}
+
+
 def test_compare_rows_equal_what_run_writes(tmp_path):
     scenario = _compare_scenario(tmp_path)
     compared = tmp_path / "cmp"

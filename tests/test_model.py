@@ -10,6 +10,7 @@ import pytest
 
 import mecsim as ms
 from conftest import make_doc, random_doc
+from mecsim.delays import station_loads
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +192,18 @@ def _slot_callers():
     state = ms.ControllerState(
         prev_decision=d, last_migration_slot=0, accumulated_t2=0.0, beta=1.0
     )
+    x, y = d.placement_matrix(3), d.selection_matrix(3)
     return {
         "decision_feasible": lambda s, t: ms.decision_feasible(s, t, d),
         "best_slot_decision": lambda s, t: ms.best_slot_decision(s, t),
         "step": lambda s, t: ms.step(s, t, state, 0),
+        "station_loads": lambda s, t: station_loads(s, t, y),
+        "queuing_delay": lambda s, t: ms.queuing_delay(s, t, y),
+        "communication_delay": lambda s, t: ms.communication_delay(s, t, x, y),
+        "non_switching_delay": lambda s, t: ms.non_switching_delay(s, t, x, y),
+        "total_delay": lambda s, t: ms.total_delay(s, t, x, x, y),
+        "objective_gradient": lambda s, t: ms.objective_gradient(s, t, x, y),
+        "round_decision": lambda s, t: ms.round_decision(s, t, ms.FractionalDecision(x, y), 0),
     }
 
 
@@ -273,6 +282,10 @@ def test_margin_has_one_rule(margin):
         ms.SolverConfig(margin=margin)
     with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
         ms.decision_feasible(s, 0, d, margin)
+    with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
+        ms.best_slot_decision(s, 0, margin=margin)
+    with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
+        ms.offline_optimal(s, margin=margin)
 
 
 def test_feasibility_monotone_in_margin():
@@ -337,11 +350,20 @@ def test_dimension_that_is_not_a_positive_integer_rejected(field, value):
 @pytest.mark.parametrize(
     "field, value",
     [("bs_capacity", ["a", 10.0, 10.0]), ("service_size", [1.0, {}]),
-     ("demand", [[1.0, [1.0]], [1.0, 1.0]])],
+     ("demand", [[1.0, [1.0]], [1.0, 1.0]]),
+     # JSON true, false and a numeric string, which float() would coerce
+     ("cloud_capacity", [True, 5.0, 5.0]),
+     ("link_latency", [[[False, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]] * 2),
+     ("demand", [["1.5", 1.0], [1.0, 1.0]])],
 )
 def test_non_numeric_array_rejected(field, value):
     with pytest.raises(ms.ParseError, match=f"field {field} is not numeric"):
         ms.validate_scenario(make_doc(**{field: value}))
+
+
+def test_array_integer_too_large_for_a_float_rejected():
+    with pytest.raises(ms.ParseError, match="field bs_capacity is too large for a float"):
+        ms.validate_scenario(make_doc(bs_capacity=[10**400, 10.0, 10.0]))
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from conftest import REPO_ROOT, make_doc, moderate_doc, online_large_scenario, r
 from mecsim.optimizer import (
     _feasible_point_via_lp,
     _greedy_repair,
+    _kick,
     _SearchState,
     _SlotTables,
     _uniform_point,
@@ -394,8 +395,36 @@ def _as_batch(single):
     return None if single is None else (single[0], [single[1]])
 
 
+# one-slot docs of shapes ``_search_case`` never draws, one cloud and one
+# user; every user sits feasibly on cloud 0 and station 0
+_ONE_CLOUD = {  # every user shares the one cloud and station: no move
+    "num_clouds": 1,
+    "num_users": 3,
+    "num_slots": 1,
+    "cloud_capacity": [2.0],
+    "bs_capacity": [3.5],
+    "service_size": [1.0, 0.5, 0.5],
+    "link_latency": [[[0.5]]],
+    "coverage": [[[0], [0], [0]]],
+    "demand": [[1.0, 0.5, 1.5]],
+}
+_ONE_USER = {  # its cloud is full; cloud 1 and station 1 have no room for it
+    "num_clouds": 3,
+    "num_users": 1,
+    "num_slots": 1,
+    "cloud_capacity": [1.0, 0.5, 2.0],
+    "bs_capacity": [1.5, 1.0, 3.0],
+    "service_size": [1.0],
+    "link_latency": [[[0.5, 0.1, 2.0], [0.0, 1.0, 0.3], [1.5, 0.2, 0.4]]],
+    "coverage": [[[0, 1, 2]]],
+    "demand": [[1.0]],
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_search_case())
+@example((_ONE_CLOUD, [0, 0, 0], [0, 0, 0], [(0, 0, 0)]))
+@example((_ONE_USER, [0], [0], [(0, 2, 2)]))
 def test_single_move_scan_is_the_first_probe_minimum(case):
     doc, placement, selection, _ = case
     s = _validate(doc)
@@ -404,6 +433,38 @@ def test_single_move_scan_is_the_first_probe_minimum(case):
         assert _as_batch(state.best_single_move()) == _first_probe(
             state, _single_moves(state)
         )
+
+
+def _probe_kick(tables, d, rng):
+    """``_kick`` with each mover's options listed by ``probe``: every
+    (cloud, covered station) that ``probe`` passes, in that order."""
+    state = _SearchState(tables, d.placement, d.selection)
+    for k in rng.choice(state.n, size=min(2, state.n), replace=False):
+        k = int(k)
+        options = [
+            (i, j)
+            for i in range(state.m)
+            for j in state.cov[k]
+            if state.probe([(k, i, j)]) is not None
+        ]
+        i, j = options[int(rng.integers(len(options)))]
+        state.apply([(k, i, j)])
+    return state.decision()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_case(), st.integers(0, 2**32 - 1))
+@example((_ONE_CLOUD, [0, 0, 0], [0, 0, 0], [(0, 0, 0)]), 0)
+@example((_ONE_USER, [0], [0], [(0, 2, 2)]), 0)
+def test_kick_picks_among_the_options_probe_passes(case, seed):
+    doc, placement, selection, _ = case
+    s = _validate(doc)
+    d = ms.SlotDecision(tuple(placement), tuple(selection))
+    for margin in (1e-6, 0.0):
+        tables = _SlotTables(s, 0, margin)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _kick(tables, d, rng) == _probe_kick(tables, d, reference_rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 @st.composite
