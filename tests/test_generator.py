@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
 
 import mecsim as ms
+from conftest import REPO_ROOT
 
 
 def test_same_seed_same_scenario(tmp_path):
@@ -139,3 +142,44 @@ def test_user_with_nowhere_to_go_stands_still():
     ))
     assert (s.positions == 0.0).all()
     assert s.coverage == (((0,), (0,)),) * 3
+
+
+_SCENARIO_BYTES = {
+    # online-large: the benchmark's 4x4 grid, N=40, 12 slots
+    "online-large": (
+        dict(seed=0, grid_width=4, grid_height=4, num_users=40, num_slots=12),
+        "a63bd81cd3b1e71efd7fdb5127e5b62881d992a9f9be79d7552a835eb0d5405e",
+    ),
+    # compare-small: 3x1 grid, N=3, 16 slots, one per scenario seed
+    "compare-small-9": (
+        dict(seed=9, grid_width=3, grid_height=1, num_users=3, num_slots=16),
+        "ee180740b1fd8bdf064b6f12191d7b14e634a57175d3ef2f380398bb0e8b9478",
+    ),
+    "compare-small-13": (
+        dict(seed=13, grid_width=3, grid_height=1, num_users=3, num_slots=16),
+        "947dff266731dff9ab9ee07e5fc6d1ffa922bb4b409522a7be5c556c520becb9",
+    ),
+    "compare-small-3": (
+        dict(seed=3, grid_width=3, grid_height=1, num_users=3, num_slots=16),
+        "7dc4b5e64aa200791001094d655498566901acc1d6c71c19070b4d620e5bb5e7",
+    ),
+    "configs/small.json": (
+        None,
+        "7c53bb0cc785cc4fb236caa027566f453e3945632a054f33e9bf4aa57b848152",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCENARIO_BYTES))
+def test_generated_scenario_bytes_are_unchanged(tmp_path, name):
+    # Every scenario digest and run id derives from these bytes; a digest
+    # that moves means generation or the file format changed.
+    kwargs, digest = _SCENARIO_BYTES[name]
+    if kwargs is None:
+        doc = json.loads((REPO_ROOT / name).read_text(encoding="utf-8"))
+        cfg = ms.GeneratorConfig.from_mapping(doc["generator"])
+    else:
+        cfg = ms.GeneratorConfig(**kwargs)
+    path = tmp_path / "scenario.json"
+    ms.save_scenario(ms.generate(cfg), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
