@@ -16,7 +16,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ParseError, UncoverableAreaError
-from .model import Scenario, _is_number, _to_float, validate_scenario
+from .model import Scenario, _is_number, _to_float
 from .seeding import GENERATION, substream_seed
 
 __all__ = ["GeneratorConfig", "generate"]
@@ -40,6 +40,25 @@ class GeneratorConfig:
     num_slots: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value, what = getattr(self, f.name), f"generator.{f.name}"
+            if f.name.endswith("_range"):
+                if not (
+                    isinstance(value, (list, tuple))
+                    and len(value) == 2
+                    and all(map(_is_number, value))
+                ):
+                    raise ParseError(
+                        f"{what} must be a [lo, hi] pair of numbers, got {value!r}"
+                    )
+                value = (_to_float(value[0], what), _to_float(value[1], what))
+                if not all(map(math.isfinite, value)):
+                    raise ParseError(f"{what} must be finite")
+                object.__setattr__(self, f.name, value)
+            elif not _is_number(value) or not math.isfinite(_to_float(value, what)):
+                raise ParseError(f"{what} must be a finite number, got {value!r}")
+            elif f.type == "int" and not isinstance(value, int):
+                raise ParseError(f"{what} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ParseError("generator.seed must be nonnegative")
         for name in ("grid_width", "grid_height", "num_users", "num_slots"):
@@ -68,41 +87,12 @@ class GeneratorConfig:
 
     @classmethod
     def from_mapping(cls, doc: Mapping[str, Any]) -> "GeneratorConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ParseError(f"unknown generator field: {sorted(unknown)[0]}")
         if "seed" not in doc:
             raise ParseError("missing required field: generator.seed")
-        kwargs: dict[str, Any] = {}
-        for f in fields(cls):
-            if f.name not in doc:
-                continue
-            value = doc[f.name]
-            if f.name.endswith("_range"):
-                if not (
-                    isinstance(value, (list, tuple))
-                    and len(value) == 2
-                    and all(map(_is_number, value))
-                ):
-                    raise ParseError(
-                        f"generator.{f.name} must be a [lo, hi] pair of numbers, "
-                        f"got {value!r}"
-                    )
-                what = f"generator.{f.name}"
-                value = (_to_float(value[0], what), _to_float(value[1], what))
-                if not all(map(math.isfinite, value)):
-                    raise ParseError(f"generator.{f.name} must be finite")
-            elif not _is_number(value) or not math.isfinite(
-                _to_float(value, f"generator.{f.name}")
-            ):
-                raise ParseError(
-                    f"generator.{f.name} must be a finite number, got {value!r}"
-                )
-            elif f.type == "int" and not isinstance(value, int):
-                raise ParseError(f"generator.{f.name} must be an integer, got {value!r}")
-            kwargs[f.name] = value
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 def _worst_gap(cfg: GeneratorConfig) -> float:
@@ -204,17 +194,15 @@ def generate(cfg: GeneratorConfig) -> Scenario:
     latency = cfg.latency_per_hop * hop
     link_latency = np.tile(latency, (horizon, 1, 1))
 
-    return validate_scenario(
-        {
-            "num_clouds": m,
-            "num_users": n,
-            "num_slots": horizon,
-            "bs_capacity": bs_capacity.tolist(),
-            "cloud_capacity": cloud_capacity.tolist(),
-            "service_size": service_size.tolist(),
-            "link_latency": link_latency.tolist(),
-            "coverage": coverage,
-            "demand": demand.tolist(),
-            "positions": positions.tolist(),
-        }
+    return Scenario(
+        num_clouds=m,
+        num_users=n,
+        num_slots=horizon,
+        bs_capacity=bs_capacity,
+        cloud_capacity=cloud_capacity,
+        service_size=service_size,
+        link_latency=link_latency,
+        coverage=coverage,
+        demand=demand,
+        positions=positions,
     )

@@ -11,7 +11,7 @@ service sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -38,10 +38,14 @@ __all__ = [
 class Scenario:
     """Validated, normalized problem instance.
 
-    Arrays are float64; coverage is a tuple (over slots) of tuples (over
-    users) of sorted station-index tuples. ``positions`` is optional
-    generator output of shape (num_slots, num_users, 2) and is never read
-    by the model itself.
+    Every construction checks the instance and raises ParseError /
+    DimensionMismatchError / NonPositiveCapacityError / EmptyCoverageError
+    with the offending field or index in the message. Arrays become
+    contiguous float64 copies, and every entry must be an int or a float
+    (a bool or a string is rejected, not coerced); coverage becomes a tuple
+    (over slots) of tuples (over users) of sorted station-index tuples.
+    ``positions`` is optional generator output of shape
+    (num_slots, num_users, 2) and is never read by the model itself.
     """
 
     num_clouds: int
@@ -54,6 +58,32 @@ class Scenario:
     coverage: tuple[tuple[tuple[int, ...], ...], ...]  # [t][k] -> stations
     demand: np.ndarray           # (T, N) per-slot demand c_k(t)
     positions: np.ndarray | None = None  # (T, N, 2) user coordinates
+
+    def __post_init__(self):
+        for field in ("num_clouds", "num_users", "num_slots"):
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ParseError(f"field {field} must be a positive integer")
+        m, n, horizon = self.num_clouds, self.num_users, self.num_slots
+        shapes = {
+            "bs_capacity": (m,),
+            "cloud_capacity": (m,),
+            "service_size": (n,),
+            "link_latency": (horizon, m, m),
+            "demand": (horizon, n),
+        }
+        if self.positions is not None:
+            shapes["positions"] = (horizon, n, 2)
+        for field, shape in shapes.items():
+            object.__setattr__(
+                self, field, _as_float_array(field, getattr(self, field), shape)
+            )
+        for field in ("bs_capacity", "cloud_capacity", "service_size", "demand"):
+            if np.any(getattr(self, field) <= 0):
+                raise NonPositiveCapacityError(f"field {field} must be strictly positive")
+        if np.any(self.link_latency < 0):
+            raise ParseError("field link_latency must be nonnegative")
+        object.__setattr__(self, "coverage", _as_coverage(self.coverage, m, n, horizon))
 
     def coverage_at(self, t: int, user: int) -> tuple[int, ...]:
         return self.coverage[t][user]
@@ -165,12 +195,6 @@ class ControllerState:
         check_beta(self.beta)
 
 
-def _require(doc: Mapping[str, Any], field: str) -> Any:
-    if field not in doc:
-        raise ParseError(f"missing required field: {field}")
-    return doc[field]
-
-
 def _is_number(value: Any) -> bool:
     """A real number as JSON gives one: int or float, bools excluded."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -186,16 +210,20 @@ def _to_float(value: int | float, what: str) -> float:
 
 
 def _as_float_array(name: str, value: Any, shape: tuple[int, ...]) -> np.ndarray:
-    """The field as a float array of ``shape``; every leaf must pass
-    ``_is_number``, so a bool or a numeric string is rejected, not coerced."""
-    leaves = np.asarray(value, dtype=object)
+    """The field as a contiguous float64 copy of ``shape``. Every leaf must
+    pass ``_is_number``, so a bool or a numeric string is rejected, not
+    coerced; an int or float NumPy array has no other leaves."""
     what = f"field {name}"
-    floats = []
-    for leaf in leaves.ravel().tolist():
-        if not _is_number(leaf):
-            raise ParseError(f"{what} is not numeric: {leaf!r} is not a number")
-        floats.append(_to_float(leaf, what))
-    arr = np.array(floats, dtype=float).reshape(leaves.shape)
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        arr = np.array(value, dtype=float)
+    else:
+        leaves = np.asarray(value, dtype=object)
+        floats = []
+        for leaf in leaves.ravel().tolist():
+            if not _is_number(leaf):
+                raise ParseError(f"{what} is not numeric: {leaf!r} is not a number")
+            floats.append(_to_float(leaf, what))
+        arr = np.array(floats, dtype=float).reshape(leaves.shape)
     if arr.shape != shape:
         raise DimensionMismatchError(
             f"field {name} has shape {arr.shape}, expected {shape}"
@@ -215,54 +243,18 @@ def _entries(value: Any, what: str) -> list:
         raise ParseError(f"{what} must be a list") from None
 
 
-def _positive(name: str, arr: np.ndarray) -> None:
-    if np.any(arr <= 0):
-        raise NonPositiveCapacityError(f"field {name} must be strictly positive")
-
-
-def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
-    """Check a parsed scenario document and return the normalized instance.
-
-    Raises ParseError / DimensionMismatchError / NonPositiveCapacityError /
-    EmptyCoverageError with the offending field or index in the message.
-    """
-    if not isinstance(raw, Mapping):
-        raise ParseError("scenario document must be a mapping")
-
-    dims = {}
-    for field in ("num_clouds", "num_users", "num_slots"):
-        value = _require(raw, field)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ParseError(f"field {field} must be a positive integer")
-        dims[field] = value
-    m, n, horizon = dims["num_clouds"], dims["num_users"], dims["num_slots"]
-
-    bs_capacity = _as_float_array("bs_capacity", _require(raw, "bs_capacity"), (m,))
-    cloud_capacity = _as_float_array(
-        "cloud_capacity", _require(raw, "cloud_capacity"), (m,)
-    )
-    service_size = _as_float_array(
-        "service_size", _require(raw, "service_size"), (n,)
-    )
-    link_latency = _as_float_array(
-        "link_latency", _require(raw, "link_latency"), (horizon, m, m)
-    )
-    demand = _as_float_array("demand", _require(raw, "demand"), (horizon, n))
-
-    _positive("bs_capacity", bs_capacity)
-    _positive("cloud_capacity", cloud_capacity)
-    _positive("service_size", service_size)
-    _positive("demand", demand)
-    if np.any(link_latency < 0):
-        raise ParseError("field link_latency must be nonnegative")
-
-    raw_coverage = _entries(_require(raw, "coverage"), "field coverage")
-    if len(raw_coverage) != horizon:
+def _as_coverage(
+    value: Any, m: int, n: int, horizon: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Coverage as per-slot, per-user sorted tuples of distinct stations in
+    ``range(m)``; every user covered at every slot."""
+    slots = _entries(value, "field coverage")
+    if len(slots) != horizon:
         raise DimensionMismatchError(
-            f"field coverage has {len(raw_coverage)} slots, expected {horizon}"
+            f"field coverage has {len(slots)} slots, expected {horizon}"
         )
     coverage: list[tuple[tuple[int, ...], ...]] = []
-    for t, per_user in enumerate(raw_coverage):
+    for t, per_user in enumerate(slots):
         per_user = _entries(per_user, f"field coverage slot {t}")
         if len(per_user) != n:
             raise DimensionMismatchError(
@@ -287,22 +279,23 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
                 raise EmptyCoverageError(user=k, slot=t)
             slot_sets.append(tuple(cleaned))
         coverage.append(tuple(slot_sets))
+    return tuple(coverage)
 
-    positions = None
-    if raw.get("positions") is not None:
-        positions = _as_float_array("positions", raw["positions"], (horizon, n, 2))
 
+def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
+    """Build the scenario of a parsed scenario document.
+
+    Raises ParseError unless the document is a mapping with every required
+    field; ``Scenario`` checks the fields themselves.
+    """
+    if not isinstance(raw, Mapping):
+        raise ParseError("scenario document must be a mapping")
+    required = [f.name for f in fields(Scenario) if f.name != "positions"]
+    for field in required:
+        if field not in raw:
+            raise ParseError(f"missing required field: {field}")
     return Scenario(
-        num_clouds=m,
-        num_users=n,
-        num_slots=horizon,
-        bs_capacity=bs_capacity,
-        cloud_capacity=cloud_capacity,
-        service_size=service_size,
-        link_latency=link_latency,
-        coverage=tuple(coverage),
-        demand=demand,
-        positions=positions,
+        **{field: raw[field] for field in required}, positions=raw.get("positions")
     )
 
 

@@ -133,6 +133,34 @@ def test_config_rejects_out_of_range_values(fields, name):
         ms.GeneratorConfig(**{"seed": 1, **fields})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # test_generate_malformed_field_type_exits_2's values, built directly
+        ("seed", "x"), ("num_users", 2.5), ("spacing", True),
+        ("spacing", math.nan), ("demand_range", (0.5, math.inf)),
+        ("demand_range", ("0.5", "1.5")), ("speed_range", (0.05, True)),
+        ("spacing", 10**400),
+        # accepted or failing inside NumPy when only the parser checked types
+        ("seed", 1.5), ("coverage_radius", math.inf), ("speed_range", (math.nan, math.nan)),
+        ("grid_width", 2.5), ("num_slots", 2.0), ("num_users", True),
+        ("latency_per_hop", math.nan), ("pause_range", (0.0,)), ("demand_range", 1.0),
+    ],
+)
+def test_config_built_directly_checks_types(field, value):
+    # seed=1.5 generated the seed-1 scenario; the others failed with a bare
+    # TypeError or OverflowError, or late with a ParseError on another field
+    with pytest.raises(ms.ParseError, match=f"generator.{field}"):
+        ms.GeneratorConfig(**{"seed": 1, field: value})
+
+
+def test_config_stores_ranges_as_float_pairs():
+    cfg = ms.GeneratorConfig(seed=1, demand_range=[1, 2])
+    assert cfg.demand_range == (1.0, 2.0)
+    assert all(type(v) is float for v in cfg.demand_range)
+    assert cfg == ms.GeneratorConfig.from_mapping({"seed": 1, "demand_range": [1, 2]})
+
+
 def test_user_with_nowhere_to_go_stands_still():
     # A 1x1 grid leaves a zero-size area and no pause: every waypoint is
     # the user's own spot, so the walk gives up and the user stays put.

@@ -402,6 +402,83 @@ def test_scenario_equality_compares_every_field():
     assert placed != moved
 
 
+# ---------------------------------------------------------------------------
+# a Scenario built directly runs the checks validate_scenario runs
+
+
+def _malformed_docs():
+    """Every malformed document the tests above feed ``validate_scenario``
+    that a direct ``Scenario(...)`` can take too (a mapping with every
+    field), plus a few a direct caller is likely to pass."""
+    doc = make_doc()
+    empty = random_doc(0, m=3, n=2, slots=4)
+    empty["coverage"][3][1] = []
+    negative = make_doc()
+    negative["link_latency"][0][0][1] = -1.0
+    far = make_doc()
+    far["coverage"][1][0] = [0, 7]
+    cases = {
+        "zero-capacity": make_doc(bs_capacity=[10.0, 10.0, 0.0]),
+        "non-positive-demand": make_doc(demand=[[1.0, -0.5], [1.0, 1.0]]),
+        "negative-storage": make_doc(cloud_capacity=[-1.0, 5.0, 5.0]),
+        "empty-coverage": empty,
+        "latency-shape": make_doc(link_latency=[[[0.0, 1.0], [1.0, 0.0]]] * 2),
+        "one-capacity-for-three-clouds": make_doc(bs_capacity=[10.0]),
+        "negative-latency": negative,
+        "station-out-of-range": far,
+        "station-5": make_doc(coverage=[[[0, 5], [0]], [[0], [0]]]),
+        "integer-too-large": make_doc(bs_capacity=[10**400, 10.0, 10.0]),
+        "infinite-capacity": make_doc(cloud_capacity=[5.0, math.inf, 5.0]),
+        "nan-demand": make_doc(demand=[[1.0, math.nan], [1.0, 1.0]]),
+        "coverage-slots": make_doc(coverage=doc["coverage"][:1]),
+        "coverage-users": make_doc(coverage=[doc["coverage"][0], doc["coverage"][1][:1]]),
+        "coverage-not-a-list": make_doc(coverage=5),
+        "coverage-slot-not-a-list": make_doc(coverage=[5, doc["coverage"][1]]),
+        "coverage-user-not-a-list": make_doc(coverage=[[5, [0]], doc["coverage"][1]]),
+        "positions-shape": make_doc(positions=[[[0.0, 0.0]]] * 2),
+        "bool-array": make_doc(bs_capacity=np.array([True, True, True])),
+        "string-array": make_doc(service_size=np.array(["1", "1"])),
+    }
+    for entry in (0.7, True, 2.9, "1"):
+        cases[f"coverage-entry-{entry!r}"] = make_doc(coverage=[[[0], [0, entry]], [[0], [0]]])
+    for field in ("num_clouds", "num_users", "num_slots"):
+        for value in (True, 0, 2.0):
+            cases[f"{field}-{value!r}"] = make_doc(**{field: value})
+    for field, value in (
+        ("bs_capacity", ["a", 10.0, 10.0]), ("service_size", [1.0, {}]),
+        ("demand", [[1.0, [1.0]], [1.0, 1.0]]), ("cloud_capacity", [True, 5.0, 5.0]),
+        ("link_latency", [[[False, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]] * 2),
+        ("demand-string", [["1.5", 1.0], [1.0, 1.0]]),
+    ):
+        cases[f"non-numeric-{field}"] = make_doc(**{field.split("-")[0]: value})
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_docs()))
+def test_scenario_built_directly_is_checked_like_a_parsed_one(case):
+    # Unchecked, a short bs_capacity, a negative storage capacity or a
+    # station 5 passed here and made solve_slot fail with IndexError.
+    doc = _malformed_docs()[case]
+    with pytest.raises(ms.ScenarioError) as parsed:
+        ms.validate_scenario(doc)
+    with pytest.raises(type(parsed.value)) as built:
+        ms.Scenario(**doc)
+    assert type(built.value) is type(parsed.value)
+    assert str(built.value) == str(parsed.value)
+
+
+def test_scenario_built_directly_is_normalized():
+    doc = make_doc(coverage=[[[2, 0, 2], (1,)], [np.array([1, 0]), [2]]])
+    capacity = np.array([10, 10, 10])
+    s = ms.Scenario(**{**doc, "bs_capacity": capacity})
+    assert s.coverage == (((0, 2), (1,)), ((0, 1), (2,)))
+    assert all(type(j) is int for per_user in s.coverage for c in per_user for j in c)
+    assert s.bs_capacity.dtype == np.float64 and s.bs_capacity.flags.c_contiguous
+    capacity[0] = -1  # the scenario holds a copy, checked once
+    assert s.bs_capacity.tolist() == [10.0, 10.0, 10.0]
+    assert s == ms.validate_scenario(make_doc(coverage=s.to_mapping()["coverage"]))
+
+
 def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("rename refused")
