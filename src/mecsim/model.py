@@ -11,6 +11,7 @@ service sizes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
@@ -124,8 +125,8 @@ class SlotDecision:
     def __post_init__(self):
         if len(self.placement) != len(self.selection):
             raise ValueError("placement and selection must cover the same users")
-        object.__setattr__(self, "placement", tuple(int(i) for i in self.placement))
-        object.__setattr__(self, "selection", tuple(int(j) for j in self.selection))
+        object.__setattr__(self, "placement", _indices("placement", self.placement))
+        object.__setattr__(self, "selection", _indices("selection", self.selection))
 
     @property
     def num_users(self) -> int:
@@ -193,6 +194,14 @@ class ControllerState:
 
     def __post_init__(self):
         check_beta(self.beta)
+        slot = self.last_migration_slot
+        if isinstance(slot, bool) or not isinstance(slot, (int, np.integer)) or slot < 0:
+            raise ValueError(f"last_migration_slot must be an integer >= 0, got {slot!r}")
+        t2 = _real(self.accumulated_t2)
+        if t2 is None or not (math.isfinite(t2) and t2 >= 0):
+            raise ValueError(
+                f"accumulated_t2 must be a finite number >= 0, got {self.accumulated_t2!r}"
+            )
 
 
 def _is_number(value: Any) -> bool:
@@ -207,6 +216,29 @@ def _to_float(value: int | float, what: str) -> float:
         return float(value)
     except OverflowError:
         raise ParseError(f"{what} is too large for a float") from None
+
+
+def _real(value: Any) -> float | None:
+    """``value`` as a float when ``_is_number`` accepts it and a float can
+    hold it, else None."""
+    if not _is_number(value):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def _indices(name: str, values: Sequence) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ValueError unless every entry is an
+    int or a NumPy integer, so a bool, a float or a string is rejected, not
+    truncated."""
+    try:
+        if bool in map(type, values):
+            raise TypeError
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{name} entries must be integers, got {values!r}") from None
 
 
 def _as_float_array(name: str, value: Any, shape: tuple[int, ...]) -> np.ndarray:
@@ -364,19 +396,18 @@ def check_decision(s: Scenario, d: SlotDecision) -> None:
 
 
 def check_margin(margin: Any) -> None:
-    """Raise ValueError unless ``margin`` is a finite number >= 0 (not a bool)."""
-    if isinstance(margin, bool) or not isinstance(margin, (int, float)) or not (
-        math.isfinite(margin) and margin >= 0
-    ):
+    """Raise ValueError unless ``margin`` is a finite number >= 0 that a
+    float can hold (not a bool)."""
+    value = _real(margin)
+    if value is None or not (math.isfinite(value) and value >= 0):
         raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
 
 
 def check_beta(beta: Any) -> None:
-    """Raise ValueError unless ``beta`` is a number >= 0, inf included (not a
-    bool, not NaN)."""
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not (
-        beta >= 0
-    ):
+    """Raise ValueError unless ``beta`` is a number >= 0, inf included, that
+    a float can hold (not a bool, not NaN)."""
+    value = _real(beta)
+    if value is None or not value >= 0:
         raise ValueError(f"beta must be a nonnegative number, got {beta!r}")
 
 

@@ -103,6 +103,24 @@ def test_slot_decision_length_mismatch_rejected():
         ms.SlotDecision(placement=(0, 1), selection=(0,))
 
 
+@pytest.mark.parametrize(
+    "placement", [(0.7, 1.9), (True, 0), ("1", 0), (1, np.bool_(False)), (1.0, 0)]
+)
+def test_slot_decision_entry_that_is_not_an_integer_rejected(placement):
+    # int() used to truncate these: (0.7, 1.9) became (0, 1) and True became 1
+    with pytest.raises(ValueError, match="placement entries must be integers"):
+        ms.SlotDecision(placement, (0, 1))
+    with pytest.raises(ValueError, match="selection entries must be integers"):
+        ms.SlotDecision((0, 1), placement)
+
+
+def test_slot_decision_stores_integer_entries_as_int():
+    d = ms.SlotDecision(np.array([2, 0]), (np.int64(1), 1))
+    assert d == ms.SlotDecision((2, 0), (1, 1))
+    assert all(type(v) is int for v in d.placement + d.selection)
+    assert repr(d) == "SlotDecision(placement=(2, 0), selection=(1, 1))"
+
+
 def test_fractional_decision_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         ms.FractionalDecision(x=np.ones((2, 2)) / 2, y=np.ones((3, 2)) / 3)
@@ -273,9 +291,10 @@ def test_malformed_decision_is_rejected_where_it_enters(entry):
         call(ms.validate_scenario(make_doc()))
 
 
-@pytest.mark.parametrize("margin", [True, "0"])
+@pytest.mark.parametrize("margin", [True, "0", 10**400])
 def test_margin_has_one_rule(margin):
-    # a bool margin would be read as 1.0 and a string one fail in a comparison
+    # a bool margin would be read as 1.0, a string one fail in a comparison
+    # and one too large for a float raise OverflowError
     s = ms.validate_scenario(make_doc())
     d = ms.SlotDecision((0, 1), (0, 1))
     with pytest.raises(ValueError, match="margin must be a finite number >= 0"):

@@ -65,11 +65,14 @@ def test_controller_state_rejects_bad_beta(beta):
         )
 
 
-@pytest.mark.parametrize("beta", [True, "1"])
+@pytest.mark.parametrize("beta", [True, "1", 10**400])
 def test_beta_has_one_rule(beta):
-    # a bool beta would be read as 1.0 and a string one fail in math.isnan
+    # a bool beta would be read as 1.0, a string one fail in math.isnan and
+    # one too large for a float be kept as an int no float can stand for
     with pytest.raises(ValueError, match="beta must be a nonnegative number"):
         ms.Policy(kind="threshold", beta=beta)
+    with pytest.raises(ValueError, match="beta must be a nonnegative number"):
+        ms.Policy.threshold(beta)
     with pytest.raises(ValueError, match="beta must be a nonnegative number"):
         ms.ControllerState(
             prev_decision=ms.SlotDecision((0,), (0,)),
@@ -77,6 +80,35 @@ def test_beta_has_one_rule(beta):
             accumulated_t2=0.0,
             beta=beta,
         )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("accumulated_t2", "x", "accumulated_t2 must be a finite number >= 0"),
+     ("accumulated_t2", math.nan, "accumulated_t2 must be a finite number >= 0"),
+     ("accumulated_t2", math.inf, "accumulated_t2 must be a finite number >= 0"),
+     ("accumulated_t2", -5.0, "accumulated_t2 must be a finite number >= 0"),
+     ("accumulated_t2", True, "accumulated_t2 must be a finite number >= 0"),
+     ("accumulated_t2", 10**400, "accumulated_t2 must be a finite number >= 0"),
+     ("last_migration_slot", -3, "last_migration_slot must be an integer >= 0"),
+     ("last_migration_slot", 1.5, "last_migration_slot must be an integer >= 0"),
+     ("last_migration_slot", True, "last_migration_slot must be an integer >= 0"),
+     ("last_migration_slot", "0", "last_migration_slot must be an integer >= 0")],
+)
+def test_controller_state_rejects_a_bad_carry_over(field, value, message):
+    # "x" failed later with TypeError, and a NaN silently changed the rule
+    fields = {"prev_decision": ms.SlotDecision((0,), (0,)), "last_migration_slot": 0,
+              "accumulated_t2": 0.0, "beta": 1.0}
+    with pytest.raises(ValueError, match=message):
+        ms.ControllerState(**{**fields, field: value})
+
+
+def test_controller_state_accepts_numpy_carry_over():
+    state = ms.ControllerState(
+        prev_decision=ms.SlotDecision((0,), (0,)), last_migration_slot=np.int64(2),
+        accumulated_t2=np.float64(1.5), beta=0,
+    )
+    assert state.last_migration_slot == 2 and state.accumulated_t2 == 1.5
 
 
 def test_zero_t1_takes_the_migrate_branch_at_no_cost():
