@@ -436,13 +436,13 @@ class _SearchState:
 
     Every state is feasible: each seed passes ``decision_feasible``, whose
     sums are the tallies' sums, or is built under the same limits (the
-    greedy start), and each move the scans and the kicks apply leaves every
-    limit met. So leaving a cloud or a station never breaks its limit, and a
-    one-user move (k, i, j) passes ``probe`` exactly when i is k's cloud or
-    has room for s_k, and j is k's station or has room for c_k. (``apply``
-    re-sums a tally in user order, which can differ in the last bit from the
-    sum the move was checked at, so a state can sit one rounding over a
-    limit; ``_integral_search`` re-checks the winner.)
+    greedy start), and ``apply`` keeps every limit met. It sums the tallies
+    again in user order, which can round one bit above the sum a move was
+    checked at, and refuses a move whose new tallies break a limit. So
+    leaving a cloud or a station never breaks its limit, no queue term
+    divides by a station's room at or below zero, and a one-user move
+    (k, i, j) passes ``probe`` exactly when i is k's cloud or has room for
+    s_k, and j is k's station or has room for c_k.
 
     Plain lists keep probes cheap. ``f`` is the non-switching delay of the
     current decision. ``apply`` sums storage, load and users again from the
@@ -479,8 +479,11 @@ class _SearchState:
         self._tally()
 
     def _tally(self) -> None:
-        """Sum storage, load and users user by user from the decision, and
-        value it, so the state is a function of the decision alone."""
+        self._settle(*self._sums())
+
+    def _sums(self) -> tuple[list[float], list[float], list[int]]:
+        """Storage, load and users per cloud or station, summed user by user
+        from the decision, so the state is a function of the decision alone."""
         costs = self.tables.costs
         used = [0.0] * self.m
         load = [0.0] * self.m
@@ -489,8 +492,12 @@ class _SearchState:
             used[i] += size
             load[j] += c
             users_on[j] += 1
+        return used, load, users_on
+
+    def _settle(self, used: list[float], load: list[float], users_on: list[int]) -> None:
         self.used, self.load, self.users_on = used, load, users_on
         # each station's queue term on / (C - L), 0.0 on an empty station
+        costs = self.tables.costs
         self.out = [on / (c - v) if on else 0.0 for on, c, v in zip(users_on, costs.bs_cap, load)]
         self.f = self.value()
 
@@ -767,11 +774,25 @@ class _SearchState:
             (b, self.placement[a], self.selection[a]),
         ]
 
-    def apply(self, batch: list[tuple[int, int, int]]) -> None:
+    def apply(self, batch: list[tuple[int, int, int]]) -> bool:
+        """Make the batch's moves and return True, unless a tally summed
+        again breaks its limit: then keep the decision as it was and return
+        False."""
+        before = [(k, self.placement[k], self.selection[k]) for k, _, _ in batch]
         for k, i, j in batch:
             self.placement[k] = i
             self.selection[k] = j
-        self._tally()
+        used, load, users_on = self._sums()
+        tables = self.tables
+        if all(u <= cap for u, cap in zip(used, tables.cloud_cap)) and all(
+            v <= lim for v, lim in zip(load, tables.limit)
+        ):
+            self._settle(used, load, users_on)
+            return True
+        for k, i, j in before:
+            self.placement[k] = i
+            self.selection[k] = j
+        return False
 
     def decision(self) -> SlotDecision:
         return SlotDecision(
@@ -802,8 +823,9 @@ def _local_search(
     start in ``tables.descents`` returns the recorded result, and a descent
     that reaches a recorded decision after ``moves`` moves ends with its
     optimum after ``moves + rest``, where continuing would end, while that
-    stays within the cap. A descent that ends at a local optimum records
-    every decision on its path; one stopped by the cap records none.
+    stays within the cap. A descent also ends where ``apply`` refuses its
+    best move. A descent that ends at a local optimum records every
+    decision on its path; one stopped by the cap records none.
     """
     descents = tables.descents
     key = (d.placement, d.selection)
@@ -844,10 +866,9 @@ def _local_search(
                                 (c, state.placement[r], state.selection[r]),
                             ]
                             consider(state.probe(batch), batch)
-        if best is None:
+        if best is None or not state.apply(best[1]):
             optimum, value, moves = state.decision(), state.f, len(path) - 1
             break
-        state.apply(best[1])
         key = (tuple(state.placement), tuple(state.selection))
         known = descents.get(key)
         if known is not None and len(path) + known[2] <= _MAX_MOVES:
@@ -870,6 +891,7 @@ def _kick(
     A mover's options are the (cloud, station) pairs ``probe`` passes,
     listed by their room (see ``_SearchState``) in (cloud, coverage-order
     station) order; its own spot is one, so a mover always has an option.
+    A mover whose move ``apply`` refuses stays put.
     """
     state = _SearchState(tables, d.placement, d.selection)
     sizes, demand = tables.costs.sizes, tables.costs.demand

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
+import operator
 import os
 import re
 import subprocess
@@ -1116,6 +1119,84 @@ def test_solve_slot_with_zero_margin_keeps_stations_below_capacity():
     crowded = ms.FractionalDecision(x=np.eye(2), y=np.array([[1.0, 1.0], [0.0, 0.0]]))
     repaired, _, moves = ms.round_decision(s, 0, crowded, rng_seed=0, config=config)
     assert sorted(repaired.selection) == [0, 1] and moves == 1
+
+
+# Station 0's capacity is the three demands summed in user order. With
+# users 0 and 2 on it, user 1 arriving sums to one ulp less, the station's
+# limit at margin 0, so a kick's move passed the check; the state summed the
+# load again in user order, got the capacity, and its queue term divided by
+# zero.
+_RESUM_AT_CAPACITY = {
+    "num_clouds": 2,
+    "num_users": 3,
+    "num_slots": 1,
+    "bs_capacity": [2.716133253748052, 4.178389052481199],
+    "cloud_capacity": [10.0, 10.0],
+    "service_size": [1.0, 1.0, 1.0],
+    "link_latency": [[[1.910885061964363, 0.8093601412916109],
+                      [0.12292057180858407, 0.04958290658558728]]],
+    "coverage": [[[0, 1], [0, 1], [0, 1]]],
+    "demand": [[0.7034552406761496, 0.7623133404418495, 1.2503646726300526]],
+}
+
+
+def test_zero_margin_solve_survives_a_load_that_rounds_up_when_summed_again():
+    s = _validate(_RESUM_AT_CAPACITY)
+    decision, _, report = ms.solve_slot(s, 0, config=ms.SolverConfig(margin=0.0))
+    best, value = ms.best_slot_decision(s, 0, margin=0.0)
+    assert ms.decision_feasible(s, 0, decision, 0.0)
+    assert report.objective == value and decision == best
+
+
+@st.composite
+def _capacity_sum_case(draw):
+    """A slot where every user is covered by both stations and station 0's
+    capacity is the users' total demand summed in user order, while some
+    other order sums one ulp or more lower: at margin 0 the total is over
+    station 0's limit, yet the last user to arrive, as a move checks it,
+    may fit. Station 1 has room to spare; with or without a warm start."""
+    n = draw(st.integers(3, 4))
+    # hypothesis's own floats are mostly short binary fractions, whose sums
+    # are exact in any order; a seeded generator's have full mantissas
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        demand = rng.uniform(0.5, 1.5, size=n).tolist()
+        total = functools.reduce(operator.add, demand)  # left to right, as the state sums
+        if any(
+            functools.reduce(operator.add, order) < total
+            for order in itertools.permutations(demand)
+        ):
+            break
+    doc = {
+        "num_clouds": 2,
+        "num_users": n,
+        "num_slots": 1,
+        "bs_capacity": [total, rng.uniform(2.0, total + 2.0)],
+        "cloud_capacity": [float(n)] * 2,
+        "service_size": [1.0] * n,
+        "link_latency": [rng.uniform(0.0, 2.0, size=(2, 2)).tolist()],
+        "coverage": [[[0, 1]] * n],
+        "demand": [demand],
+    }
+    spots = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    warm = draw(st.none() | st.tuples(spots, spots))
+    return doc, warm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_capacity_sum_case())
+@example((_RESUM_AT_CAPACITY, None))
+def test_zero_margin_solve_returns_a_feasible_decision_or_says_why_not(case):
+    doc, warm = case
+    s = _validate(doc)
+    warm_start = None if warm is None else ms.SlotDecision(*warm)
+    try:
+        decision, _, _ = ms.solve_slot(
+            s, 0, warm_start=warm_start, config=ms.SolverConfig(margin=0.0)
+        )
+    except (ms.InfeasibleError, ms.RoundingFailedError):
+        return
+    assert ms.decision_feasible(s, 0, decision, 0.0)
 
 
 @pytest.mark.parametrize(
