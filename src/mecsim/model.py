@@ -247,7 +247,7 @@ def _as_float_array(name: str, value: Any, shape: tuple[int, ...]) -> np.ndarray
     coerced; an int or float NumPy array has no other leaves."""
     what = f"field {name}"
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        arr = np.array(value, dtype=float)
+        arr = np.array(value, dtype=float, order="C")
     else:
         leaves = np.asarray(value, dtype=object)
         floats = []
@@ -262,7 +262,7 @@ def _as_float_array(name: str, value: Any, shape: tuple[int, ...]) -> np.ndarray
         )
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"field {name} contains non-finite values")
-    return np.ascontiguousarray(arr)
+    return arr
 
 
 def _entries(value: Any, what: str) -> list:
