@@ -87,6 +87,8 @@ class GeneratorConfig:
 
     @classmethod
     def from_mapping(cls, doc: Mapping[str, Any]) -> "GeneratorConfig":
+        if not isinstance(doc, Mapping):
+            raise ParseError("config section generator must be a mapping")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ParseError(f"unknown generator field: {sorted(unknown)[0]}")

@@ -444,6 +444,15 @@ def test_generate_malformed_field_type_exits_2(tmp_path, capsys, field, value):
     assert f"generator.{field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", [5, None, [1, 2], "seed"])
+def test_generate_section_that_is_not_a_mapping_exits_2(tmp_path, capsys, section):
+    # 5 and null raised a bare TypeError; a list or a string was read as
+    # its items, "unknown generator field: 1"
+    config = _write_json(tmp_path / "c.json", {"generator": section})
+    assert main(["generate", "--config", config, "--out", str(tmp_path / "s.json")]) == 2
+    assert "config section generator must be a mapping" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("depth", [0, 1, 2])  # the whole field, a slot, a user
 def test_run_coverage_not_a_list_exits_2(tmp_path, capsys, depth):
     doc = make_doc()

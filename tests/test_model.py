@@ -463,13 +463,13 @@ def _malformed_docs():
     for field in ("num_clouds", "num_users", "num_slots"):
         for value in (True, 0, 2.0):
             cases[f"{field}-{value!r}"] = make_doc(**{field: value})
-    for field, value in (
+    for i, (field, value) in enumerate((
         ("bs_capacity", ["a", 10.0, 10.0]), ("service_size", [1.0, {}]),
         ("demand", [[1.0, [1.0]], [1.0, 1.0]]), ("cloud_capacity", [True, 5.0, 5.0]),
         ("link_latency", [[[False, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]] * 2),
-        ("demand-string", [["1.5", 1.0], [1.0, 1.0]]),
-    ):
-        cases[f"non-numeric-{field}"] = make_doc(**{field.split("-")[0]: value})
+        ("demand", [["1.5", 1.0], [1.0, 1.0]]),
+    )):
+        cases[f"non-numeric-{i}-{field}"] = make_doc(**{field: value})
     return cases
 
 
