@@ -476,9 +476,6 @@ class _SearchState:
         self.cov = tables.cov
         self.placement = list(placement)
         self.selection = list(selection)
-        self._tally()
-
-    def _tally(self) -> None:
         self._settle(*self._sums())
 
     def _sums(self) -> tuple[list[float], list[float], list[int]]:
