@@ -83,23 +83,18 @@ def test_beta_has_one_rule(beta):
 
 
 @pytest.mark.parametrize(
-    "field, value, message",
-    [("accumulated_t2", "x", "accumulated_t2 must be a finite number >= 0"),
-     ("accumulated_t2", math.nan, "accumulated_t2 must be a finite number >= 0"),
-     ("accumulated_t2", math.inf, "accumulated_t2 must be a finite number >= 0"),
-     ("accumulated_t2", -5.0, "accumulated_t2 must be a finite number >= 0"),
-     ("accumulated_t2", True, "accumulated_t2 must be a finite number >= 0"),
-     ("accumulated_t2", 10**400, "accumulated_t2 must be a finite number >= 0"),
-     ("last_migration_slot", -3, "last_migration_slot must be an integer >= 0"),
-     ("last_migration_slot", 1.5, "last_migration_slot must be an integer >= 0"),
-     ("last_migration_slot", True, "last_migration_slot must be an integer >= 0"),
-     ("last_migration_slot", "0", "last_migration_slot must be an integer >= 0")],
+    "field, value",
+    [("accumulated_t2", "x"), ("accumulated_t2", math.nan), ("accumulated_t2", math.inf),
+     ("accumulated_t2", -5.0), ("accumulated_t2", True), ("accumulated_t2", 10**400),
+     ("last_migration_slot", -3), ("last_migration_slot", 1.5),
+     ("last_migration_slot", True), ("last_migration_slot", "0")],
 )
-def test_controller_state_rejects_a_bad_carry_over(field, value, message):
+def test_controller_state_rejects_a_bad_carry_over(field, value):
     # "x" failed later with TypeError, and a NaN silently changed the rule
     fields = {"prev_decision": ms.SlotDecision((0,), (0,)), "last_migration_slot": 0,
               "accumulated_t2": 0.0, "beta": 1.0}
-    with pytest.raises(ValueError, match=message):
+    rule = "a finite number" if field == "accumulated_t2" else "an integer"
+    with pytest.raises(ValueError, match=f"{field} must be {rule} >= 0"):
         ms.ControllerState(**{**fields, field: value})
 
 
