@@ -774,22 +774,22 @@ class _SearchState:
     def apply(self, batch: list[tuple[int, int, int]]) -> bool:
         """Make the batch's moves and return True, unless a tally summed
         again breaks its limit: then keep the decision as it was and return
-        False."""
-        before = [(k, self.placement[k], self.selection[k]) for k, _, _ in batch]
+        False. Only the tallies of the clouds and stations the batch moves
+        users to are tested: every other tally is the sum it was, or a sum
+        of fewer of the same positive terms in the same order, which rounds
+        no higher."""
+        before = self.placement[:], self.selection[:]
         for k, i, j in batch:
             self.placement[k] = i
             self.selection[k] = j
         used, load, users_on = self._sums()
-        tables = self.tables
-        if all(u <= cap for u, cap in zip(used, tables.cloud_cap)) and all(
-            v <= lim for v, lim in zip(load, tables.limit)
-        ):
-            self._settle(used, load, users_on)
-            return True
-        for k, i, j in before:
-            self.placement[k] = i
-            self.selection[k] = j
-        return False
+        cloud_cap, limit = self.tables.cloud_cap, self.tables.limit
+        for _, i, j in batch:
+            if used[i] > cloud_cap[i] or load[j] > limit[j]:
+                self.placement, self.selection = before
+                return False
+        self._settle(used, load, users_on)
+        return True
 
     def decision(self) -> SlotDecision:
         return SlotDecision(
