@@ -8,6 +8,10 @@ decision as it was. Each digest covers the decisions of one run:
   ``compare-small`` (3x1 grid, N=3, 16 slots).
 A digest that moves means the decisions moved: either the change is not
 the pure speed-up it claims, or it changes results on purpose and says so.
+
+The files ``compare`` writes for that scenario are pinned too, byte for
+byte: a CSV float, a run id or a summary field that moves shows there even
+when every decision stays.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 import mecsim as ms
 from conftest import online_large_scenario, perfbench_workloads
+from mecsim.cli import main
 
 
 def _digest(decisions) -> str:
@@ -59,4 +64,21 @@ def test_compare_decisions_are_unchanged():
     ]
     assert _digest(decisions) == (
         "383fbd6e7b13213289b63c76430c3537817d9f4a6b594be6078d68ac4ecaea46"
+    )
+
+
+def test_compare_artifacts_are_unchanged(tmp_path, monkeypatch):
+    # a relative scenario path keeps the summaries' "scenario" field fixed
+    monkeypatch.chdir(tmp_path)
+    s = ms.generate(ms.GeneratorConfig(
+        seed=9, grid_width=3, grid_height=1, num_users=3, num_slots=16
+    ))
+    ms.save_scenario(s, "scenario.json")
+    rc = main(["compare", "--scenario", "scenario.json", "--beta", "0,1,inf",
+               "--seed", "0", "--out", "out"])
+    assert rc == 0
+    files = sorted((p.name, p.read_bytes()) for p in (tmp_path / "out").iterdir())
+    assert len(files) == 13  # six rows' CSV and summary, and the table
+    assert hashlib.sha256(repr(files).encode()).hexdigest() == (
+        "0d63aa55fe899f318da0c7996aea737924138a88714ea5c34b33d35d1a89d98f"
     )
