@@ -32,10 +32,16 @@ from .errors import (
     UncoverableAreaError,
 )
 from .generator import GeneratorConfig, generate
-from .model import Scenario, _is_number, _to_float
+from .model import Scenario, _is_number
 from .optimizer import DEFAULT_CONFIG, SolverConfig
 from .policy import POLICY_KINDS, Policy, SlotOutcome, Solved, run_policy
-from .scenario_io import load_scenario, save_scenario, scenario_digest, write_text_atomic
+from .scenario_io import (
+    load_scenario,
+    read_json,
+    save_scenario,
+    scenario_digest,
+    write_text_atomic,
+)
 
 __all__ = ["main", "cmd_generate", "cmd_run", "cmd_compare", "CSV_HEADER"]
 
@@ -56,13 +62,9 @@ def _load_config(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        doc = read_json(path, "config file")
+    except OSError as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # bad syntax, or an integer over Python's digit limit
-        raise ParseError(f"config file {path} is not readable JSON: {exc}") from None
     if not isinstance(doc, Mapping):
         raise ParseError("config document must be a mapping of sections")
     unknown = set(doc) - _CONFIG_SECTIONS
@@ -86,8 +88,6 @@ def _solver_config(config: Mapping[str, Any], args: argparse.Namespace) -> Solve
     """The config's solver section over the defaults, ``--margin`` over both;
     ``SolverConfig`` validates every value."""
     values = {**asdict(DEFAULT_CONFIG), **config.get("solver", {})}
-    if _is_number(values["margin"]):
-        values["margin"] = _to_float(values["margin"], "solver.margin")
     if args.margin is not None:
         values["margin"] = args.margin
     try:
@@ -204,8 +204,7 @@ def _parse_policy(config: Mapping[str, Any], args: argparse.Namespace) -> Policy
         raise ParseError(f"controller.beta must be a number or \"inf\", got {beta!r}")
     if kind != "threshold":
         return _policy(kind)
-    beta = _to_float(beta if args.beta is None else args.beta, "controller.beta")
-    return _policy(kind, beta)
+    return _policy(kind, beta if args.beta is None else args.beta)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -284,7 +283,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 value = float(chunk)
             except ValueError:
                 raise ParseError(f"beta list entry is not a number: {chunk!r}") from None
-            policies.append(_policy("threshold", value))
+            policy = _policy("threshold", value)
+            if policy not in policies:  # one row, and one pair of files, per rule
+                policies.append(policy)
     policies.append(Policy.always())
     policies.append(Policy.never())
     oracle_policy = Policy.oracle()

@@ -25,6 +25,7 @@ from .errors import (
 )
 
 __all__ = [
+    "DEFAULT_MARGIN",
     "Scenario",
     "SlotDecision",
     "FractionalDecision",
@@ -33,6 +34,10 @@ __all__ = [
     "validate_scenario",
     "decision_feasible",
 ]
+
+# Default station capacity margin of every integral decision: a station's
+# load must stay at or below its capacity less this margin.
+DEFAULT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +198,7 @@ class ControllerState:
     beta: float
 
     def __post_init__(self):
-        check_beta(self.beta)
+        object.__setattr__(self, "beta", check_beta(self.beta))
         slot = self.last_migration_slot
         if isinstance(slot, bool) or not isinstance(slot, (int, np.integer)) or slot < 0:
             raise ValueError(f"last_migration_slot must be an integer >= 0, got {slot!r}")
@@ -212,10 +217,10 @@ def _is_number(value: Any) -> bool:
 def _to_float(value: int | float, what: str) -> float:
     """``float(value)`` for a number ``_is_number`` accepts; ParseError for
     an integer too large for a float."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParseError(f"{what} is too large for a float") from None
+    out = _real(value)
+    if out is None:
+        raise ParseError(f"{what} is too large for a float")
+    return out
 
 
 def _real(value: Any) -> float | None:
@@ -318,11 +323,16 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     """Build the scenario of a parsed scenario document.
 
     Raises ParseError unless the document is a mapping with every required
-    field; ``Scenario`` checks the fields themselves.
+    field and no field ``Scenario`` lacks; ``Scenario`` checks the fields
+    themselves.
     """
     if not isinstance(raw, Mapping):
         raise ParseError("scenario document must be a mapping")
-    required = [f.name for f in fields(Scenario) if f.name != "positions"]
+    known = [f.name for f in fields(Scenario)]
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ParseError(f"unknown scenario field: {sorted(map(str, unknown))[0]}")
+    required = [f for f in known if f != "positions"]
     for field in required:
         if field not in raw:
             raise ParseError(f"missing required field: {field}")
@@ -332,7 +342,7 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
 
 
 def decision_feasible(
-    s: Scenario, t: int, d: SlotDecision, margin: float = 1e-6
+    s: Scenario, t: int, d: SlotDecision, margin: float = DEFAULT_MARGIN
 ) -> bool:
     """True iff the integral decision satisfies every slot-t constraint.
 
@@ -395,20 +405,22 @@ def check_decision(s: Scenario, d: SlotDecision) -> None:
         )
 
 
-def check_margin(margin: Any) -> None:
-    """Raise ValueError unless ``margin`` is a finite number >= 0 that a
-    float can hold (not a bool)."""
+def check_margin(margin: Any) -> float:
+    """``margin`` as a float, -0.0 as 0.0; ValueError unless it is a finite
+    number >= 0 that a float can hold (not a bool)."""
     value = _real(margin)
     if value is None or not (math.isfinite(value) and value >= 0):
         raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
+    return value + 0.0
 
 
-def check_beta(beta: Any) -> None:
-    """Raise ValueError unless ``beta`` is a number >= 0, inf included, that
-    a float can hold (not a bool, not NaN)."""
+def check_beta(beta: Any) -> float:
+    """``beta`` as a float, -0.0 as 0.0; ValueError unless it is a number
+    >= 0, inf included, that a float can hold (not a bool, not NaN)."""
     value = _real(beta)
     if value is None or not value >= 0:
         raise ValueError(f"beta must be a nonnegative number, got {beta!r}")
+    return value + 0.0
 
 
 def station_limit(capacity: np.ndarray, margin: float) -> np.ndarray:

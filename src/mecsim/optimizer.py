@@ -52,6 +52,7 @@ from .errors import (
     RoundingFailedError,
 )
 from .model import (
+    DEFAULT_MARGIN,
     FractionalDecision,
     Scenario,
     SlotDecision,
@@ -81,10 +82,10 @@ class SolverConfig:
     start and this config; the search's effort bounds are module constants.
     """
 
-    margin: float = 1e-6        # station load must stay <= C_j - margin
+    margin: float = DEFAULT_MARGIN  # station load must stay <= C_j - margin
 
     def __post_init__(self) -> None:
-        check_margin(self.margin)
+        object.__setattr__(self, "margin", check_margin(self.margin))
 
 
 DEFAULT_CONFIG = SolverConfig()

@@ -16,6 +16,7 @@ import numpy as np
 from .delays import _IndexCosts
 from .errors import InfeasibleError, OracleTooLargeError
 from .model import (
+    DEFAULT_MARGIN,
     Scenario,
     SlotDecision,
     check_decision,
@@ -30,6 +31,12 @@ __all__ = [
     "offline_optimal",
 ]
 
+# Most values an exact solver may compute. Before enumerating, the raw
+# placement count M^N and each slot's raw selection count (the product of
+# the users' coverage sizes) must each be within it. After, with P feasible
+# placements and S_t feasible selections at slot t, the solver computes
+# sum_t P*S_t decision values and (slots - 1) * P^2 placement-to-placement
+# comparisons, and their sum must be within it too.
 ENUMERATION_BUDGET = 1_000_000
 
 
@@ -42,6 +49,35 @@ def _fitting(choices, weights: np.ndarray, limit: np.ndarray) -> list[tuple[int,
         if np.all(used <= limit):
             out.append(combo)
     return out
+
+
+def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list, list]:
+    """The feasible placements, and the feasible selections of each slot in
+    ``slots``, once they fit ``budget`` as ``ENUMERATION_BUDGET`` says.
+
+    Raises ValueError unless ``margin`` passes ``check_margin``,
+    OracleTooLargeError over the budget and InfeasibleError for an empty
+    side.
+    """
+    check_margin(margin)
+    raw = max(math.prod(map(len, s.coverage[t])) for t in slots)
+    if max(s.num_clouds**s.num_users, raw) > budget:
+        raise OracleTooLargeError(f"enumeration exceeds the budget of {budget} values")
+    placements = _fitting([range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity)
+    if not placements:
+        raise InfeasibleError(
+            f"no feasible decision at slot {slots[0]}: no storage-feasible placement exists"
+        )
+    limit = station_limit(s.bs_capacity, margin)
+    selections = [_fitting(s.coverage[t], s.demand[t], limit) for t in slots]
+    for t, found in zip(slots, selections):
+        if not found:
+            raise InfeasibleError(f"no feasible decision at slot {t}")
+    p = len(placements)
+    work = p * (sum(map(len, selections)) + (len(slots) - 1) * p)
+    if work > budget:
+        raise OracleTooLargeError(f"{work} values to compute exceed the budget of {budget}")
+    return placements, selections
 
 
 def _first_min(values: list[float]) -> int:
@@ -67,7 +103,7 @@ def best_slot_decision(
     s: Scenario,
     t: int,
     x_prev: SlotDecision | None = None,
-    margin: float = 1e-6,
+    margin: float = DEFAULT_MARGIN,
     budget: int = ENUMERATION_BUDGET,
 ) -> tuple[SlotDecision, float]:
     """Exhaustive slot optimum.
@@ -76,22 +112,12 @@ def best_slot_decision(
     ``x_prev`` when given. Returns the decision and its value. Raises
     ValueError unless ``t`` is an integer in ``range(s.num_slots)`` and
     ``margin`` passes ``check_margin``, and as ``check_decision`` does for a
-    malformed ``x_prev``.
+    malformed ``x_prev``; the budget is as ``ENUMERATION_BUDGET`` says.
     """
     check_slot(s, t)
-    check_margin(margin)
     if x_prev is not None:
         check_decision(s, x_prev)
-    max_cov = max(len(s.coverage[t][k]) for k in range(s.num_users))
-    if s.num_clouds**s.num_users * max_cov**s.num_users > budget:
-        raise OracleTooLargeError(
-            f"slot enumeration exceeds the budget of {budget} decisions"
-        )
-    placements = _fitting([range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity)
-    selections = _fitting(s.coverage[t], s.demand[t], station_limit(s.bs_capacity, margin))
-    if not placements or not selections:
-        raise InfeasibleError(f"no feasible decision at slot {t}")
-
+    placements, (selections,) = _sides(s, range(t, t + 1), margin, budget)
     costs = _IndexCosts(s, t)
     layer = _slot_layer(costs, placements, selections)
     values = [
@@ -104,7 +130,7 @@ def best_slot_decision(
 
 def offline_optimal(
     s: Scenario,
-    margin: float = 1e-6,
+    margin: float = DEFAULT_MARGIN,
     budget: int = ENUMERATION_BUDGET,
     first_decision: SlotDecision | None = None,
 ) -> tuple[list[SlotDecision], float]:
@@ -112,35 +138,14 @@ def offline_optimal(
 
     Slot 0 pays no switching cost; later slots pay it against the previous
     placement. With ``first_decision`` the slot-0 decision is pinned and the
-    remaining slots are optimized around it. The raw placement count M^N
-    and every slot's raw selection count must stay within ``budget`` before
-    anything is enumerated, and the DP workload num_slots * D^2 (D =
-    feasible decisions of the busiest slot) after. Raises ValueError unless
+    remaining slots are optimized around it. Raises ValueError unless
     ``margin`` passes ``check_margin``, and as ``check_decision`` does for a
-    malformed ``first_decision``.
+    malformed ``first_decision``; the budget is as ``ENUMERATION_BUDGET``
+    says.
     """
-    check_margin(margin)
     if first_decision is not None:
         check_decision(s, first_decision)
-    raw_selections = max(math.prod(len(c) for c in cov) for cov in s.coverage)
-    if max(s.num_clouds**s.num_users, raw_selections) > budget:
-        raise OracleTooLargeError(
-            f"offline DP enumeration exceeds the budget of {budget} decisions"
-        )
-    placements = _fitting([range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity)
-    if not placements:
-        raise InfeasibleError("no storage-feasible placement exists")
-    limit = station_limit(s.bs_capacity, margin)
-    selections = [_fitting(s.coverage[t], s.demand[t], limit) for t in range(s.num_slots)]
-    for t, sel in enumerate(selections):
-        if not sel:
-            raise InfeasibleError(f"no feasible decision at slot {t}")
-    d_max = len(placements) * max(len(sel) for sel in selections)
-    if s.num_slots * d_max**2 > budget:
-        raise OracleTooLargeError(
-            f"offline DP workload exceeds the budget of {budget}"
-        )
-
+    placements, selections = _sides(s, range(s.num_slots), margin, budget)
     costs = [_IndexCosts(s, t) for t in range(s.num_slots)]
     # The switching cost between two placements does not depend on the slot.
     switch = (

@@ -82,7 +82,7 @@ class Policy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind: {self.kind!r}")
-        check_beta(self.beta)
+        object.__setattr__(self, "beta", check_beta(self.beta))
 
     @classmethod
     def threshold(cls, beta: float) -> "Policy":

@@ -20,6 +20,7 @@ from .model import Scenario, validate_scenario
 
 __all__ = [
     "load_scenario",
+    "read_json",
     "save_scenario",
     "scenario_digest",
     "write_text_atomic",
@@ -44,17 +45,23 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file."""
+def read_json(path: str | Path, what: str) -> Any:
+    """The parsed JSON document of a UTF-8 file; ParseError, its message
+    starting ``what`` and the path, when the file is not UTF-8 or not JSON.
+    OSError propagates."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"scenario file {path} is not UTF-8 text: {exc}") from None
+        raise ParseError(f"{what} {path} is not UTF-8 text: {exc}") from None
     try:
-        raw: Any = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # bad syntax, or an integer over Python's digit limit
-        raise ParseError(f"scenario file {path} is not readable JSON: {exc}") from None
-    return validate_scenario(raw)
+        raise ParseError(f"{what} {path} is not readable JSON: {exc}") from None
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Parse and validate a scenario file."""
+    return validate_scenario(read_json(path, "scenario file"))
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:

@@ -169,6 +169,20 @@ def test_run_solver_flags_reach_the_summary(walkthrough_path, tmp_path):
     assert summary["config"]["solver"] == {"margin": 0.001}
 
 
+def test_negative_zero_beta_and_margin_write_the_zero_run(walkthrough_path, tmp_path):
+    # -0 wrote threshold_beta-0.0_seed0.*, with "beta": -0.0 and "margin": -0.0
+    for name, value in (("zero", "0"), ("negative", "-0")):
+        rc = main(["run", "--scenario", str(walkthrough_path), "--beta", value,
+                   "--margin", value, "--out", str(tmp_path / name)])
+        assert rc == 0
+    names = ["threshold_beta0.0_seed0.csv", "threshold_beta0.0_seed0.json"]
+    assert sorted(p.name for p in (tmp_path / "negative").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "negative" / name).read_bytes() == (
+            tmp_path / "zero" / name
+        ).read_bytes()
+
+
 def test_run_rejects_out_of_range_solver_settings(walkthrough_path, tmp_path):
     rc = main(["run", "--scenario", str(walkthrough_path), "--margin", "-1",
                "--out", str(tmp_path / "o")])
@@ -269,6 +283,24 @@ def test_compare_notes_the_omitted_oracle_row_of_a_large_scenario(tmp_path, caps
     assert "note: oracle row omitted" in capsys.readouterr().err
     rows = _read_rows(out / "comparison.csv")
     assert [r["policy"] for r in rows] == ["threshold", "always", "never"]
+
+
+def test_compare_keeps_the_oracle_row_at_four_users(tmp_path, capsys):
+    # 3x1 grid, N=4, 16 slots: the offline DP computes about 1e5 values,
+    # within its budget
+    config = _gen_config(tmp_path, seed=9, grid_width=3, grid_height=1,
+                         num_users=4, num_slots=16)
+    scenario = tmp_path / "n4.json"
+    assert main(["generate", "--config", config, "--out", str(scenario)]) == 0
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--scenario", str(scenario), "--beta", "0,1,inf",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 0
+    assert "note" not in capsys.readouterr().err
+    rows = _read_rows(out / "comparison.csv")
+    assert [r["policy"] for r in rows] == [
+        "threshold", "threshold", "threshold", "always", "never", "oracle"
+    ]
 
 
 def _compare_scenario(tmp_path: Path) -> str:
@@ -564,6 +596,18 @@ def test_run_config_that_is_not_a_mapping_exits_2(
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_compare_runs_a_repeated_beta_once(walkthrough_path, tmp_path):
+    # 0 and -0 are one rule: each rule gets one row and one pair of files
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(walkthrough_path),
+                 "--beta", "0,-0,1,0", "--out", str(out)]) == 0
+    rows = _read_rows(out / "comparison.csv")
+    assert [(r["policy"], r["beta"]) for r in rows] == [
+        ("threshold", "0.0"), ("threshold", "1.0"),
+        ("always", ""), ("never", ""), ("oracle", ""),
+    ]
 
 
 def test_compare_skips_empty_beta_entries(walkthrough_path, tmp_path):

@@ -36,6 +36,13 @@ def test_missing_field_rejected():
         ms.validate_scenario(doc)
 
 
+def test_unknown_field_rejected():
+    # a misspelt optional field was accepted and read as absent
+    doc = make_doc(postions=[[[0.0, 0.0]] * 2] * 2)
+    with pytest.raises(ms.ParseError, match="unknown scenario field: postions"):
+        ms.validate_scenario(doc)
+
+
 def test_zero_capacity_rejected():
     doc = make_doc(bs_capacity=[10.0, 10.0, 0.0])
     with pytest.raises(ms.NonPositiveCapacityError):
@@ -307,6 +314,15 @@ def test_margin_has_one_rule(margin):
         ms.offline_optimal(s, margin=margin)
 
 
+@pytest.mark.parametrize(
+    "margin", [-0.0, 0, np.float64(-0.0)], ids=["-0.0", "int 0", "numpy -0.0"]
+)
+def test_margin_is_stored_as_a_float_and_zero_as_positive_zero(margin):
+    # --margin -0 wrote "margin": -0.0 into the run summary
+    stored = ms.SolverConfig(margin=margin).margin
+    assert type(stored) is float and math.copysign(1.0, stored) == 1.0
+
+
 def test_feasibility_monotone_in_margin():
     margins = [0.0, 1e-6, 1e-3, 0.1, 1.0, 5.0]
     rng = np.random.default_rng(7)
@@ -336,11 +352,15 @@ def test_save_load_round_trip(tmp_path):
 
 def test_saved_scenario_matches_schema(tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
-    s = ms.validate_scenario(make_doc())
-    path = tmp_path / "scenario.json"
-    ms.save_scenario(s, path)
     schema = json.loads(ms.SCHEMA_PATH.read_text(encoding="utf-8"))
-    jsonschema.validate(json.loads(path.read_text(encoding="utf-8")), schema)
+    # the generator writes the optional positions field too
+    generated = ms.generate(ms.GeneratorConfig(seed=1, num_slots=2))
+    for s in (ms.validate_scenario(make_doc()), generated):
+        path = tmp_path / "scenario.json"
+        ms.save_scenario(s, path)
+        jsonschema.validate(json.loads(path.read_text(encoding="utf-8")), schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**s.to_mapping(), "postions": []}, schema)
 
 
 def test_truncated_file_raises_parse_error(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 
 import numpy as np
@@ -174,6 +176,60 @@ def test_offline_budget_guard_raises_before_enumerating():
     with pytest.raises(ms.OracleTooLargeError):
         ms.offline_optimal(s)
     assert time.perf_counter() - start < 1.0
+
+
+def _exact_work(doc, slots):
+    """The values an exact solve over ``slots`` computes, counted by literal
+    enumeration: each feasible decision of each slot, and each pair of
+    placements between consecutive slots."""
+    m, n = doc["num_clouds"], doc["num_users"]
+    decisions = [
+        [
+            placement
+            for placement in itertools.product(range(m), repeat=n)
+            for selection in itertools.product(*doc["coverage"][t])
+            if ref._decision_ok(doc, t, placement, selection, 1e-6)
+        ]
+        for t in slots
+    ]
+    placements = len(set(decisions[0]))
+    return sum(map(len, decisions)) + (len(slots) - 1) * placements**2
+
+
+@pytest.mark.parametrize(
+    "solve, slots",
+    [
+        (lambda s, budget: ms.best_slot_decision(s, 1, budget=budget), [1]),
+        (lambda s, budget: ms.offline_optimal(s, budget=budget), [0, 1, 2]),
+    ],
+    ids=["best_slot_decision", "offline_optimal"],
+)
+def test_budget_admits_exactly_the_work(solve, slots):
+    doc = random_doc(1, m=3, n=2, slots=3)
+    s = ms.validate_scenario(doc)
+    work = _exact_work(doc, slots)
+    assert work - 1 >= 3**2  # over the raw counts: only the work check trips
+    solve(s, work)
+    with pytest.raises(ms.OracleTooLargeError):
+        solve(s, work - 1)
+
+
+@pytest.mark.parametrize("num_users", [4, 5])
+@pytest.mark.parametrize("seed", [9, 13, 3])
+def test_offline_fits_the_default_budget_beyond_three_users(num_users, seed):
+    # 3x1 grid, 16 slots: the DP computes 1.0e5 to 1.1e5 values at N=4 and
+    # 8.2e5 to 9.3e5 at N=5, all within the default budget
+    s = ms.generate(ms.GeneratorConfig(
+        seed=seed, grid_width=3, grid_height=1, num_users=num_users, num_slots=16
+    ))
+    decisions, total = ms.offline_optimal(s)
+    assert (decisions, total) == ms.offline_optimal(s, budget=10**12)
+    policies = [ms.Policy.threshold(beta) for beta in (0.0, 1.0, math.inf)]
+    policies += [ms.Policy.always(), ms.Policy.never()]
+    solved: dict = {}
+    for policy in policies:
+        outcomes = ms.run_policy(s, policy, solved=solved)
+        assert total <= sum(o.delay.total for o in outcomes) + 1e-9
 
 
 def test_no_feasible_decision_raises_infeasible():

@@ -83,6 +83,21 @@ def test_beta_has_one_rule(beta):
 
 
 @pytest.mark.parametrize(
+    "beta", [-0.0, 0, np.float64(-0.0)], ids=["-0.0", "int 0", "numpy -0.0"]
+)
+def test_beta_is_stored_as_a_float_and_zero_as_positive_zero(beta):
+    # -0.0 gave the beta-0 rule a second file name and run id
+    state = ms.ControllerState(
+        prev_decision=ms.SlotDecision((0,), (0,)),
+        last_migration_slot=0,
+        accumulated_t2=0.0,
+        beta=beta,
+    )
+    for stored in (ms.Policy.threshold(beta).beta, state.beta):
+        assert type(stored) is float and math.copysign(1.0, stored) == 1.0
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("accumulated_t2", "x"), ("accumulated_t2", math.nan), ("accumulated_t2", math.inf),
      ("accumulated_t2", -5.0), ("accumulated_t2", True), ("accumulated_t2", 10**400),
