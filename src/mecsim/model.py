@@ -201,12 +201,25 @@ class ControllerState:
         object.__setattr__(self, "beta", check_beta(self.beta))
         slot = self.last_migration_slot
         if isinstance(slot, bool) or not isinstance(slot, (int, np.integer)) or slot < 0:
-            raise ValueError(f"last_migration_slot must be an integer >= 0, got {slot!r}")
+            raise ValueError(
+                f"last_migration_slot must be an integer >= 0, got {_echo(slot)}"
+            )
         t2 = _real(self.accumulated_t2)
         if t2 is None or not (math.isfinite(t2) and t2 >= 0):
             raise ValueError(
-                f"accumulated_t2 must be a finite number >= 0, got {self.accumulated_t2!r}"
+                "accumulated_t2 must be a finite number >= 0, "
+                f"got {_echo(self.accumulated_t2)}"
             )
+
+
+def _echo(value: Any) -> str:
+    """``repr(value)`` for an error message, cut to its first 20 characters
+    and "..." when longer, so an oversized number is not printed in full."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past Python's digit limit of str()
+        return "an integer too long to print"
+    return text if len(text) <= 23 else text[:20] + "..."
 
 
 def _is_number(value: Any) -> bool:
@@ -384,7 +397,7 @@ def check_slot(s: Scenario, t: Any) -> None:
     if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not (
         0 <= t < s.num_slots
     ):
-        raise ValueError(f"slot must be an integer in range({s.num_slots}), got {t!r}")
+        raise ValueError(f"slot must be an integer in range({s.num_slots}), got {_echo(t)}")
 
 
 def check_decision(s: Scenario, d: SlotDecision) -> None:
@@ -410,7 +423,7 @@ def check_margin(margin: Any) -> float:
     number >= 0 that a float can hold (not a bool)."""
     value = _real(margin)
     if value is None or not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
+        raise ValueError(f"margin must be a finite number >= 0, got {_echo(margin)}")
     return value + 0.0
 
 
@@ -419,7 +432,7 @@ def check_beta(beta: Any) -> float:
     >= 0, inf included, that a float can hold (not a bool, not NaN)."""
     value = _real(beta)
     if value is None or not value >= 0:
-        raise ValueError(f"beta must be a nonnegative number, got {beta!r}")
+        raise ValueError(f"beta must be a nonnegative number, got {_echo(beta)}")
     return value + 0.0
 
 

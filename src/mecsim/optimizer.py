@@ -7,6 +7,10 @@ fixed-seed randomized roundings of the uniform fractional point (repaired
 under storage and capacity), from a greedy per-user assignment, and from
 the warm start pushed back into coverage and capacity by greedy repair.
 The best local optimum then takes a few seeded perturbation restarts.
+The rounding's column CDFs are built once per solve and drawn from for
+every seed; a draw is checked on plain-list tallies, which sum as
+``decision_feasible`` does, and only a draw that fits becomes a
+``SlotDecision`` for ``decision_feasible`` to confirm.
 
 The search values each probed move as the current objective plus the
 change in the terms of the stations and users the move touches. Each step
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -225,31 +230,6 @@ def _cheapest_room(
     return best
 
 
-def _greedy_indicator(s: Scenario, t: int, margin: float) -> SlotDecision | None:
-    """Sequential per-user joint argmin of queue-plus-latency cost."""
-    m, n = s.num_clouds, s.num_users
-    limit = station_limit(s.bs_capacity, margin)
-    storage = np.zeros(m)
-    load = np.zeros(m)
-    placement, selection = [], []
-    for k in range(n):
-        best = None
-        for i in range(m):
-            if storage[i] + s.service_size[k] > s.cloud_capacity[i]:
-                continue
-            room = _cheapest_room(s, t, k, i, load, limit)
-            if room is not None and (best is None or room[0] < best[0]):
-                best = (room[0], i, room[1])
-        if best is None:
-            return None
-        _, i, j = best
-        placement.append(i)
-        selection.append(j)
-        storage[i] += s.service_size[k]
-        load[j] += s.demand[t][k]
-    return SlotDecision(tuple(placement), tuple(selection))
-
-
 def _feasible_point_via_lp(
     s: Scenario, t: int, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -432,6 +412,54 @@ class _SlotTables:
         )
 
 
+def _greedy_indicator(tables: _SlotTables) -> SlotDecision | None:
+    """Sequential per-user joint argmin of queue-plus-latency cost: each user
+    in turn takes the first (cloud, coverage-order station) of least
+    1 / (C_j - new load) + lat[i][j] among those with room for it. Each
+    station's queue term is priced once per user."""
+    costs = tables.costs
+    lat, bs_cap, cloud_cap, limit = costs.lat, costs.bs_cap, tables.cloud_cap, tables.limit
+    storage = [0.0] * tables.m
+    load = [0.0] * tables.m
+    placement, selection = [], []
+    for size, c, stations in zip(costs.sizes, costs.demand, tables.cov):
+        queues = [
+            (j, 1.0 / (bs_cap[j] - (load[j] + c))) for j in stations if load[j] + c <= limit[j]
+        ]
+        best = None
+        for i in range(tables.m):
+            if storage[i] + size > cloud_cap[i]:
+                continue
+            lat_i = lat[i]
+            for j, queue in queues:
+                cost = queue + lat_i[j]
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+        if best is None:
+            return None
+        _, i, j = best
+        placement.append(i)
+        selection.append(j)
+        storage[i] += size
+        load[j] += c
+    return SlotDecision(tuple(placement), tuple(selection))
+
+
+def _tally(
+    tables: _SlotTables, placement, selection
+) -> tuple[list[float], list[float], list[int]]:
+    """Storage, load and users per cloud or station, summed user by user in
+    user order from 0.0: the sums ``decision_feasible``'s ``bincount``s form."""
+    used = [0.0] * tables.m
+    load = [0.0] * tables.m
+    users_on = [0] * tables.m
+    for i, j, size, c in zip(placement, selection, tables.costs.sizes, tables.costs.demand):
+        used[i] += size
+        load[j] += c
+        users_on[j] += 1
+    return used, load, users_on
+
+
 class _SearchState:
     """Integral decision with the bookkeeping of the discrete search.
 
@@ -447,8 +475,9 @@ class _SearchState:
 
     Plain lists keep probes cheap. ``f`` is the non-switching delay of the
     current decision. ``apply`` sums storage, load and users again from the
-    decision and recomputes ``f`` with ``_IndexCosts``, so no state carries
-    rounding from the moves that led to it. A probe values a batch of
+    decision (``_tally``) and recomputes ``f`` in one loop over the users
+    (``_settle``), the floats ``_IndexCosts.non_switching`` gives, so no
+    state carries rounding from the moves that led to it. A probe values a batch of
     per-user (cloud, station) reassignments, distinct users each, as ``f``
     plus the change in the terms of the stations and users it touches,
     without applying it; batches that break storage, coverage or the
@@ -477,27 +506,24 @@ class _SearchState:
         self.cov = tables.cov
         self.placement = list(placement)
         self.selection = list(selection)
-        self._settle(*self._sums())
-
-    def _sums(self) -> tuple[list[float], list[float], list[int]]:
-        """Storage, load and users per cloud or station, summed user by user
-        from the decision, so the state is a function of the decision alone."""
-        costs = self.tables.costs
-        used = [0.0] * self.m
-        load = [0.0] * self.m
-        users_on = [0] * self.m
-        for i, j, size, c in zip(self.placement, self.selection, costs.sizes, costs.demand):
-            used[i] += size
-            load[j] += c
-            users_on[j] += 1
-        return used, load, users_on
+        self._settle(*_tally(tables, self.placement, self.selection))
 
     def _settle(self, used: list[float], load: list[float], users_on: list[int]) -> None:
+        """Keep the tallies and value the decision from them. ``f`` is the
+        queuing total plus the communication total, both summed user by user
+        in one loop: the floats ``value()`` computes, so ``f == value()``."""
         self.used, self.load, self.users_on = used, load, users_on
-        # each station's queue term on / (C - L), 0.0 on an empty station
         costs = self.tables.costs
-        self.out = [on / (c - v) if on else 0.0 for on, c, v in zip(users_on, costs.bs_cap, load)]
-        self.f = self.value()
+        room = [c - v for c, v in zip(costs.bs_cap, load)]
+        # each station's queue term on / (C - L), 0.0 on an empty station
+        self.out = [on / r if on else 0.0 for on, r in zip(users_on, room)]
+        wait = [1.0 / r if r > 0.0 else math.inf for r in room]
+        lat = costs.lat
+        queuing = communication = 0.0
+        for i, j in zip(self.placement, self.selection):
+            queuing += wait[j]
+            communication += lat[i][j]
+        self.f = queuing + communication
 
     def value(self) -> float:
         return self.tables.costs.non_switching(self.placement, self.selection)
@@ -783,7 +809,7 @@ class _SearchState:
         for k, i, j in batch:
             self.placement[k] = i
             self.selection[k] = j
-        used, load, users_on = self._sums()
+        used, load, users_on = _tally(self.tables, self.placement, self.selection)
         cloud_cap, limit = self.tables.cloud_cap, self.tables.limit
         for _, i, j in batch:
             if used[i] > cloud_cap[i] or load[j] > limit[j]:
@@ -972,6 +998,63 @@ def _column_cdfs(columns: np.ndarray) -> list[list[float]]:
     return cdf.tolist()
 
 
+class _Rounding:
+    """The randomized rounding of one fractional point: built once per solve,
+    drawn from once per seed.
+
+    Per user it keeps the CDF of the x column and of the y column restricted
+    to coverage, as ``_column_cdfs`` builds them: the x CDFs in one call,
+    the y CDFs in one call per coverage size, since each row of a (g, L)
+    array reduces exactly as a lone (1, L) row does.
+    """
+
+    def __init__(self, tables: _SlotTables, x: np.ndarray, y: np.ndarray) -> None:
+        self.tables = tables
+        cov = tables.cov
+        self.x_cdf = _column_cdfs(x.T)
+        self.y_cdf: list[list[float]] = [[]] * tables.n
+        by_size: dict[int, list[int]] = {}
+        for k, stations in enumerate(cov):
+            by_size.setdefault(len(stations), []).append(k)
+        for users in by_size.values():
+            rows = y[np.array([cov[k] for k in users]), np.array(users)[:, None]]
+            for k, cdf in zip(users, _column_cdfs(rows)):
+                self.y_cdf[k] = cdf
+
+    def fits(self, placement: tuple[int, ...], selection: tuple[int, ...]) -> bool:
+        """Whether a draw's storage and load meet every limit. The tallies
+        are ``decision_feasible``'s sums, so on a draw within coverage the
+        two give the same verdict."""
+        tables = self.tables
+        used, load, _ = _tally(tables, placement, selection)
+        return all(map(operator.le, used, tables.cloud_cap)) and all(
+            map(operator.le, load, tables.limit)
+        )
+
+    def draw(self, rng_seed: int) -> tuple[SlotDecision, int, int]:
+        """``round_decision`` of the point for ``rng_seed``."""
+        tables = self.tables
+        s, t, margin, cov = tables.s, tables.t, tables.margin, tables.cov
+        rng = np.random.default_rng(rng_seed)
+        for attempt in range(1, _MAX_ATTEMPTS + 1):
+            u = rng.random(2 * tables.n).tolist()
+            placement = tuple(map(bisect_right, self.x_cdf, u[0::2]))
+            selection = tuple(
+                stations[bisect_right(cdf, v)]
+                for stations, cdf, v in zip(cov, self.y_cdf, u[1::2])
+            )
+            if self.fits(placement, selection):
+                decision = SlotDecision(placement, selection)
+                if decision_feasible(s, t, decision, margin):
+                    return decision, attempt, 0
+        _log.debug(
+            "slot %d: no feasible draw in %d attempts; repairing the last greedily",
+            t, _MAX_ATTEMPTS,
+        )
+        repaired, moves = _greedy_repair(s, t, SlotDecision(placement, selection), margin)
+        return repaired, _MAX_ATTEMPTS, moves
+
+
 def round_decision(
     s: Scenario,
     t: int,
@@ -988,10 +1071,13 @@ def round_decision(
     that the last sample is repaired greedily. Returns (decision, attempts
     used, repair moves).
 
-    Every column's CDF is built once per call. An attempt then takes 2n
-    uniform draws in one call, the cloud then the station for each user in
-    turn, and picks entries with ``bisect_right``: the same stream and the
-    same picks as one ``rng.choice(len(p), p=p)`` per column.
+    Every column's CDF is built once (``_Rounding``, which ``solve_slot``
+    builds once for all its seeds). An attempt then takes 2n uniform draws
+    in one call, the cloud then the station for each user in turn, and
+    picks entries with ``bisect_right``: the same stream and the same picks
+    as one ``rng.choice(len(p), p=p)`` per column. A draw is checked on
+    plain-list tallies first; only one that fits becomes a ``SlotDecision``,
+    which ``decision_feasible`` then confirms.
 
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
     DimensionMismatchError unless both matrices are (clouds, users) and
@@ -1002,25 +1088,7 @@ def round_decision(
     y = _as_decision_matrix(s, "y", frac.y)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("fractional weights must be finite")
-    rng = np.random.default_rng(rng_seed)
-    cov = s.coverage[t]
-    n = s.num_users
-    x_cdf = _column_cdfs(x.T)
-    y_cdf = [_column_cdfs(y[list(cov[k]), k][None, :])[0] for k in range(n)]
-    for attempt in range(1, _MAX_ATTEMPTS + 1):
-        u = rng.random(2 * n).tolist()
-        decision = SlotDecision(
-            tuple(bisect_right(x_cdf[k], u[2 * k]) for k in range(n)),
-            tuple(cov[k][bisect_right(y_cdf[k], u[2 * k + 1])] for k in range(n)),
-        )
-        if decision_feasible(s, t, decision, config.margin):
-            return decision, attempt, 0
-    _log.debug(
-        "slot %d: no feasible draw in %d attempts; repairing the last greedily",
-        t, _MAX_ATTEMPTS,
-    )
-    repaired, moves = _greedy_repair(s, t, decision, config.margin)
-    return repaired, _MAX_ATTEMPTS, moves
+    return _Rounding(_SlotTables(s, t, config.margin), x, y).draw(rng_seed)
 
 
 def _greedy_repair(
@@ -1131,16 +1199,17 @@ def solve_slot(
     check_slot(s, t)
     if warm_start is not None:
         check_decision(s, warm_start)
+    tables = _SlotTables(s, t, config.margin)
     point = _uniform_point(s, t, config.margin)
     if point is None:
         _log.debug("slot %d: uniform point cannot be repaired; solving the LP", t)
         point = _feasible_point_via_lp(s, t, config.margin)
-    relaxed = FractionalDecision(x=point[0], y=point[1])
+    rounding = _Rounding(tables, *point)
     seeds: list[SlotDecision] = []
     attempts = repairs = 0
     for seed in _CANDIDATE_SEEDS:
         try:
-            d, used, moves = round_decision(s, t, relaxed, seed, config)
+            d, used, moves = rounding.draw(seed)
         except RoundingFailedError:
             attempts += _MAX_ATTEMPTS
             continue
@@ -1148,7 +1217,7 @@ def solve_slot(
         attempts += used
         repairs += moves
     # needed by test_solve_slot_finds_feasible_decisions_on_tight_instances[5]
-    greedy = _greedy_indicator(s, t, config.margin)
+    greedy = _greedy_indicator(tables)
     if greedy is not None:
         seeds.append(greedy)
     if warm_start is not None:
@@ -1160,7 +1229,7 @@ def solve_slot(
             seeds.append(d)
             repairs += moves
 
-    found = _integral_search(_SlotTables(s, t, config.margin), seeds)
+    found = _integral_search(tables, seeds)
     if found is None:
         raise RoundingFailedError(f"no feasible integral decision found at slot {t}")
     decision, value, starts, moves = found

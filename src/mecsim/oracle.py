@@ -40,20 +40,26 @@ __all__ = [
 ENUMERATION_BUDGET = 1_000_000
 
 
-def _fitting(choices, weights: np.ndarray, limit: np.ndarray) -> list[tuple[int, ...]]:
+def _fitting(
+    choices, weights: np.ndarray, limit: np.ndarray, most: float = math.inf
+) -> list[tuple[int, ...]]:
     """The tuples of ``itertools.product(*choices)`` whose ``weights``, summed
-    per index, stay within ``limit``: placements or selections."""
+    per index, stay within ``limit``: placements or selections. The walk
+    stops at the first tuple past ``most`` that fits."""
     out = []
     for combo in itertools.product(*choices):
         used = np.bincount(combo, weights=weights, minlength=len(limit))
         if np.all(used <= limit):
             out.append(combo)
+            if len(out) > most:
+                break
     return out
 
 
 def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list, list]:
     """The feasible placements, and the feasible selections of each slot in
-    ``slots``, once they fit ``budget`` as ``ENUMERATION_BUDGET`` says.
+    ``slots``, once they fit ``budget`` as ``ENUMERATION_BUDGET`` says. The
+    placements are counted only until (slots - 1) * P^2 alone is over it.
 
     Raises ValueError unless ``margin`` passes ``check_margin``,
     OracleTooLargeError over the budget and InfeasibleError for an empty
@@ -63,7 +69,16 @@ def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list,
     raw = max(math.prod(map(len, s.coverage[t])) for t in slots)
     if max(s.num_clouds**s.num_users, raw) > budget:
         raise OracleTooLargeError(f"enumeration exceeds the budget of {budget} values")
-    placements = _fitting([range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity)
+    # (slots - 1) * P^2 alone is over the budget once P passes this
+    most = math.isqrt(budget // (len(slots) - 1)) if len(slots) > 1 else math.inf
+    placements = _fitting(
+        [range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity, most
+    )
+    if len(placements) > most:
+        p = len(placements)
+        raise OracleTooLargeError(
+            f"at least {(len(slots) - 1) * p * p} values to compute exceed the budget of {budget}"
+        )
     if not placements:
         raise InfeasibleError(
             f"no feasible decision at slot {slots[0]}: no storage-feasible placement exists"

@@ -415,6 +415,48 @@ def test_run_controller_and_output_config_values(
     assert main(["run", "--scenario", str(walkthrough_path), "--config", config]) == rc
 
 
+@pytest.mark.parametrize(
+    "doc, prefix",
+    [
+        ({"controller": {"beta": 10**401}},
+         "bad policy setting: beta must be a nonnegative number, got 1000"),
+        ({"solver": {"margin": 10**401}},
+         "bad solver setting: margin must be a finite number >= 0, got 1000"),
+    ],
+    ids=["beta", "margin"],
+)
+def test_an_oversized_config_number_is_echoed_cut_short(
+    walkthrough_path, tmp_path, capsys, doc, prefix
+):
+    # a 402-character number is echoed as its first 20 characters and "..."
+    config = _write_json(tmp_path / "c.json", doc)
+    rc = main(["run", "--scenario", str(walkthrough_path), "--config", config,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert prefix in err
+    assert "0" * 17 + "..." in err
+    assert "0" * 21 not in err
+    assert len(err) < 150
+
+
+def test_an_oversized_number_is_echoed_cut_short_by_each_check():
+    with pytest.raises(ValueError) as exc:
+        ms.Policy.threshold(10**401)
+    assert str(exc.value) == (
+        "beta must be a nonnegative number, got 10000000000000000000..."
+    )
+    with pytest.raises(ValueError, match=r"got 10000000000000000000\.\.\.$"):
+        ms.SolverConfig(margin=10**401)
+    with pytest.raises(ValueError, match=r"got 10000000000000000000\.\.\.$"):
+        ms.ControllerState(
+            prev_decision=ms.SlotDecision((0,), (0,)), last_migration_slot=0,
+            accumulated_t2=10**401, beta=1.0,
+        )
+    with pytest.raises(ValueError, match="got an integer too long to print$"):
+        ms.SolverConfig(margin=10**5000)
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_negative_seed_exits_2(walkthrough_path, tmp_path, capsys, command):
     rc = main([command, "--scenario", str(walkthrough_path), "--seed", "-1",

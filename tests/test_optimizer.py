@@ -23,10 +23,12 @@ import mecsim as ms
 import mecsim.optimizer as mecsim_optimizer
 import reference as ref
 from conftest import REPO_ROOT, make_doc, moderate_doc, online_large_scenario, random_doc
+from mecsim.model import station_limit
 from mecsim.optimizer import (
     _feasible_point_via_lp,
     _greedy_repair,
     _kick,
+    _Rounding,
     _SearchState,
     _SlotTables,
     _uniform_point,
@@ -619,6 +621,37 @@ def _near_capacity_case(draw):
     return doc, placement, selection
 
 
+@st.composite
+def _apply_case(draw):
+    """A ``_float_case`` or ``_near_capacity_case`` decision and a sequence
+    of batches of 1-3 distinct users' moves within coverage; tight rooms
+    make ``apply`` refuse some of them."""
+    doc, placement, selection = draw(_float_case() | _near_capacity_case())
+    m, n, cov = doc["num_clouds"], doc["num_users"], doc["coverage"][0]
+    batches = []
+    for _ in range(draw(st.integers(1, 8))):
+        users = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        batches.append([
+            (k, draw(st.integers(0, m - 1)), draw(st.sampled_from(cov[k]))) for k in users
+        ])
+    return doc, placement, selection, batches
+
+
+@settings(max_examples=300, deadline=None)
+@given(_apply_case())
+def test_apply_leaves_the_state_a_fresh_state_of_its_decision_has(case):
+    doc, placement, selection, batches = case
+    s = _validate(doc)
+    for margin in (1e-6, 0.0):
+        state = _state(s, placement, selection, margin)
+        for batch in batches:
+            state.apply(batch)
+            fresh = _state(s, state.placement, state.selection, margin)
+            for name in ("used", "load", "users_on", "out", "f"):
+                assert getattr(state, name) == getattr(fresh, name), name
+            assert state.f == state.value()
+
+
 def _rotations(state):
     """Every three-user rotation, in the order the search probes them."""
     pl, sel, n = state.placement, state.selection, state.n
@@ -939,16 +972,143 @@ def _rounding_cases():
 
 @pytest.mark.parametrize("s, frac", _rounding_cases())
 def test_round_matches_the_per_column_choice_sampler(request, s, frac):
+    # one build drawn from for every seed, as solve_slot draws its seeds
+    shared = _Rounding(_SlotTables(s, 0, ms.DEFAULT_CONFIG.margin), frac.x, frac.y)
     outcomes = []
     for seed in range(200):
         got = ms.round_decision(s, 0, frac, rng_seed=seed)
         assert got == _choice_round(s, 0, frac, seed)
+        assert shared.draw(seed) == got
         outcomes.append(got)
     case = request.node.callspec.id
     if case == "redraws":
         assert any(attempts > 1 for _, attempts, _ in outcomes)
     if case == "greedy repair":
         assert all(repairs > 0 for _, _, repairs in outcomes)
+
+
+def _capacity_at_limit(load, margin):
+    """A station capacity whose ``station_limit`` is exactly ``load``, or None."""
+    cap = load + margin if margin else math.nextafter(load, math.inf)
+    for c in (cap, math.nextafter(cap, math.inf), math.nextafter(cap, -math.inf)):
+        if station_limit(np.array([c]), margin)[0] == load:
+            return c
+    return None
+
+
+@st.composite
+def _draw_check_case(draw):
+    """A ``random_doc`` (tight or not) or ``moderate_doc`` slot, a margin (0
+    or the default) and a draw within coverage. Half the time one cloud's
+    capacity is its storage under the draw, and half the time one station's
+    limit is its load, exactly; each may be nudged one ulp either way."""
+    seed = draw(st.integers(0, 2**16))
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 8))
+    doc = draw(st.sampled_from([
+        lambda: random_doc(seed, m=m, n=n),
+        lambda: random_doc(seed, m=m, n=n, tight=True),
+        lambda: moderate_doc(seed, m=m, n=n),
+    ]))()
+    margin = draw(st.sampled_from([0.0, ms.DEFAULT_CONFIG.margin]))
+    cov = doc["coverage"][0]
+    placement = tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    selection = tuple(draw(st.sampled_from(stations)) for stations in cov)
+    used = np.bincount(placement, weights=doc["service_size"], minlength=m)
+    load = np.bincount(selection, weights=doc["demand"][0], minlength=m)
+    nudge = st.sampled_from([0.0, math.inf, -math.inf])
+    if draw(st.booleans()):
+        i = draw(st.sampled_from(placement))
+        step = draw(nudge)
+        cap = float(used[i])
+        doc["cloud_capacity"][i] = math.nextafter(cap, step) if step else cap
+    if draw(st.booleans()):
+        j = draw(st.sampled_from(selection))
+        cap = _capacity_at_limit(float(load[j]), margin)
+        if cap is not None:
+            step = draw(nudge)
+            doc["bs_capacity"][j] = math.nextafter(cap, step) if step else cap
+    return doc, margin, placement, selection
+
+
+def _at_the_limits(margin, over):
+    """A ``random_doc`` draw with cloud 0's storage at its capacity and the
+    first user's station load at its limit, exactly, or that station one
+    ulp over."""
+    doc = random_doc(4, m=3, n=4)
+    placement, selection = (0, 0, 1, 2), tuple(c[0] for c in doc["coverage"][0])
+    used = np.bincount(placement, weights=doc["service_size"], minlength=3)
+    load = np.bincount(selection, weights=doc["demand"][0], minlength=3)
+    doc["cloud_capacity"][0] = float(used[0])
+    cap = _capacity_at_limit(float(load[selection[0]]), margin)
+    doc["bs_capacity"][selection[0]] = math.nextafter(cap, -math.inf) if over else cap
+    return doc, margin, placement, selection
+
+
+@settings(max_examples=400, deadline=None)
+@given(_draw_check_case())
+@example(_at_the_limits(0.0, over=False))
+@example(_at_the_limits(0.0, over=True))
+@example(_at_the_limits(ms.DEFAULT_CONFIG.margin, over=False))
+@example(_at_the_limits(ms.DEFAULT_CONFIG.margin, over=True))
+def test_draw_check_agrees_with_decision_feasible(case):
+    doc, margin, placement, selection = case
+    s = _validate(doc)
+    x, y = _uniform_interior(doc)
+    rounding = _Rounding(_SlotTables(s, 0, margin), x, y)
+    decision = ms.SlotDecision(placement, selection)
+    assert rounding.fits(placement, selection) == ms.decision_feasible(s, 0, decision, margin)
+
+
+def _solve_slot_draws(monkeypatch, s, margin):
+    """Each seed ``solve_slot`` draws with what the draw gave (a result or
+    RoundingFailedError), and the point its rounding was built on."""
+    init, draw = _Rounding.__init__, _Rounding.draw
+    points, draws = [], []
+
+    def record_init(self, tables, x, y):
+        points.append((x, y))
+        init(self, tables, x, y)
+
+    def record_draw(self, rng_seed):
+        try:
+            got = draw(self, rng_seed)
+        except ms.RoundingFailedError as exc:
+            got = type(exc)
+        draws.append((rng_seed, got))
+        if got is ms.RoundingFailedError:
+            raise got
+        return got
+
+    monkeypatch.setattr(_Rounding, "__init__", record_init)
+    monkeypatch.setattr(_Rounding, "draw", record_draw)
+    try:
+        ms.solve_slot(s, 0, config=ms.SolverConfig(margin=margin))
+    except (ms.InfeasibleError, ms.RoundingFailedError):
+        pass
+    monkeypatch.undo()
+    return points, draws
+
+
+@pytest.mark.parametrize("margin", [0.0, ms.DEFAULT_CONFIG.margin], ids=["0", "default"])
+@pytest.mark.parametrize("doc", [
+    *(random_doc(seed, m=4, n=6) for seed in range(3)),
+    *(random_doc(seed, m=4, n=6, tight=True) for seed in range(3)),
+    *(moderate_doc([seed, 5], m=5, n=8) for seed in range(3)),
+    _lp_fallback_doc(),
+])
+def test_solve_slot_draws_what_round_decision_gives(monkeypatch, doc, margin):
+    s = _validate(doc)
+    points, draws = _solve_slot_draws(monkeypatch, s, margin)
+    assert len(points) == 1  # one build for all seeds
+    assert [seed for seed, _ in draws] == list(mecsim_optimizer._CANDIDATE_SEEDS)
+    frac = ms.FractionalDecision(*points[0])
+    config = ms.SolverConfig(margin=margin)
+    for seed, got in draws:
+        try:
+            expected = ms.round_decision(s, 0, frac, seed, config)
+        except ms.RoundingFailedError as exc:
+            expected = type(exc)
+        assert got == expected
 
 
 def test_round_integral_point_returned_unchanged():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -176,6 +177,32 @@ def test_offline_budget_guard_raises_before_enumerating():
     with pytest.raises(ms.OracleTooLargeError):
         ms.offline_optimal(s)
     assert time.perf_counter() - start < 1.0
+
+
+def test_offline_budget_guard_stops_counting_placements(monkeypatch):
+    # 3x3 grid, N=5, 2 slots: 9^5 raw placements fit the default budget, but
+    # (slots - 1) * P^2 passes it once P = 1001 placements fit, so the walk
+    # stops at the 1001st fitting one instead of examining all 59,049.
+    s = ms.generate(ms.GeneratorConfig(
+        seed=3, grid_width=3, grid_height=3, num_users=5, num_slots=2
+    ))
+    examined = []
+
+    def product(*choices):
+        for combo in itertools.product(*choices):
+            examined.append(combo)
+            yield combo
+
+    monkeypatch.setattr(ms.oracle, "itertools", SimpleNamespace(product=product))
+    with pytest.raises(ms.OracleTooLargeError, match="at least 1002001 values"):
+        ms.offline_optimal(s)
+    fits = [
+        np.all(np.bincount(p, weights=s.service_size, minlength=9) <= s.cloud_capacity)
+        for p in examined
+    ]
+    assert examined == list(itertools.product(range(9), repeat=5))[:len(examined)]
+    assert sum(fits) == 1001 and fits[-1]
+    assert len(examined) < 9**5
 
 
 def _exact_work(doc, slots):
