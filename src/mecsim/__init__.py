@@ -1,9 +1,10 @@
 """Service placement and base-station selection over discrete time slots.
 
 Per slot, a discrete local search proposes where each user's service should
-sit and which station serves it; an online threshold controller decides
-whether migrating is worth the switching cost. Exact enumeration and an
-offline DP provide ground truth on small instances.
+sit and which station serves it, or exact enumeration finds it on small
+slots; an online threshold controller decides whether migrating is worth
+the switching cost. Exact enumeration and an offline DP provide ground
+truth on small instances.
 """
 
 from .delays import (

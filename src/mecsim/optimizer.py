@@ -2,7 +2,9 @@
 
 Picks the integral service placement and station selection that minimize
 the slot's non-switching delay, under storage, coverage and the
-capacity margin. A discrete local search does the work. It starts from
+capacity margin. A slot of at most ``_EXACT_BOUND`` raw decisions is
+enumerated by the oracle, which was no slower than the search there. A
+discrete local search does the rest of the work. It starts from
 fixed-seed randomized roundings of the uniform fractional point (repaired
 under storage and capacity), from a greedy per-user assignment, and from
 the warm start pushed back into coverage and capacity by greedy repair.
@@ -49,6 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import oracle
 from .delays import _as_decision_matrix, _IndexCosts, station_loads
 from .errors import (
     InfeasibleError,
@@ -95,11 +98,19 @@ class SolverConfig:
 
 DEFAULT_CONFIG = SolverConfig()
 
-# Effort bounds of the discrete search. All of it is deterministic: the
-# seed roundings and the kick stream use fixed seeds, never caller seeds.
+# Slots of at most this many raw decisions (M^N placements times the product
+# of the users' coverage sizes) are enumerated, not searched: below 10^4 the
+# mean time of enumeration was at most the search's in every quarter decade
+# of bounds measured, and above it in every one from 10^4 on (README). It is
+# at most ENUMERATION_BUDGET, so the enumeration never refuses the work.
 # Each knob's comment ends with the test in tests/test_optimizer.py that
 # fails without it, as *_<end of its name>[<parametrize id>], the * standing
 # for its start; test_every_pinned_knob_names_a_test_that_exists checks it.
+_EXACT_BOUND = 10_000  # *_within_the_exact_bound
+
+# Effort bounds of the discrete search, pinned as _EXACT_BOUND is. All of
+# it is deterministic: the seed roundings and the kick stream use fixed
+# seeds, never caller seeds.
 _PAIR_SCAN_BUDGET = 8000    # two-user rescans of <= 8000 batches; *_tight_instances[13]
 _MAX_ATTEMPTS = 50          # rounding draws before repair; *_tight_instances[13]
 _ROTATION_BUDGET = 4000     # three-user rotations while n**3 fits; *_tight_instances[70]
@@ -117,7 +128,7 @@ class SolverReport:
     objective: float            # non-switching delay of the returned decision
     rounding_attempts: int = 0  # draws spent by the seed roundings
     repair_actions: int = 0     # greedy-repair moves on seeds and warm start
-    starts: int = 1             # distinct seeds the search started from
+    starts: int = 1             # distinct seeds the search started from, 0 if enumerated
 
 
 def objective_gradient(
@@ -1176,16 +1187,20 @@ def solve_slot(
     rng_seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> tuple[SlotDecision, FractionalDecision, SolverReport]:
-    """The discrete search's best integral decision for one slot.
+    """The slot's best integral decision: exact on small slots, searched on
+    the rest.
 
-    Search seeds: the ``_CANDIDATE_SEEDS`` roundings of the repaired
-    uniform point (of the zero-cost LP point when the uniform point cannot
-    be repaired), the greedy indicator, and the warm start after greedy
-    repair. A seed whose rounding or repair fails is dropped. The returned
-    fractional decision is the decision's indicator matrices.
+    A slot of at most ``_EXACT_BOUND`` raw decisions, M^N placements times
+    the product of the users' coverage sizes, is solved by enumeration: the
+    decision is ``best_slot_decision``'s, the first minimum in
+    lexicographic order. There the warm start is unused, and the report
+    has the optimum as ``objective`` and 0 iterations, starts, rounding
+    attempts and repair actions. A larger slot, or one the enumeration
+    finds empty, goes to the discrete search (``_search_slot``). The
+    returned fractional decision is the decision's indicator matrices.
     ``report.objective`` is the decision's non-switching delay as
     ``_IndexCosts``, the one valuation of integral decisions, gives it: the
-    value the search minimized. The solve is deterministic and reads only
+    value both paths minimize. The solve is deterministic and reads only
     ``s``, ``t``, ``warm_start`` and ``config``. ``rng_seed`` is unused: it
     stays only because the benchmark's workloads (``perfbench/workloads.py``)
     still pass it.
@@ -1199,6 +1214,38 @@ def solve_slot(
     check_slot(s, t)
     if warm_start is not None:
         check_decision(s, warm_start)
+    m = s.num_clouds
+    decision = None
+    if m**s.num_users * math.prod(map(len, s.coverage[t])) <= _EXACT_BOUND:
+        try:
+            decision, value = oracle.best_slot_decision(s, t, margin=config.margin)
+        except InfeasibleError:
+            pass  # the search raises the empty slot's own error type
+        else:
+            report = SolverReport(iterations=0, objective=value, starts=0)
+    if decision is None:
+        decision, report = _search_slot(s, t, warm_start, config)
+    frac = FractionalDecision(x=decision.placement_matrix(m), y=decision.selection_matrix(m))
+    return decision, frac, report
+
+
+def _search_slot(
+    s: Scenario,
+    t: int,
+    warm_start: SlotDecision | None = None,
+    config: SolverConfig = DEFAULT_CONFIG,
+) -> tuple[SlotDecision, SolverReport]:
+    """The discrete search's best integral decision for one slot, with its
+    report; ``solve_slot`` has checked ``t`` and the warm start.
+
+    Search seeds: the ``_CANDIDATE_SEEDS`` roundings of the repaired
+    uniform point (of the zero-cost LP point when the uniform point cannot
+    be repaired), the greedy indicator, and the warm start after greedy
+    repair. A seed whose rounding or repair fails is dropped. Raises
+    InfeasibleError (NoInteriorPointError when only loads at capacity fit)
+    when the relaxed slot is empty, and RoundingFailedError when no seed
+    yields a feasible decision.
+    """
     tables = _SlotTables(s, t, config.margin)
     point = _uniform_point(s, t, config.margin)
     if point is None:
@@ -1233,8 +1280,6 @@ def solve_slot(
     if found is None:
         raise RoundingFailedError(f"no feasible integral decision found at slot {t}")
     decision, value, starts, moves = found
-    m = s.num_clouds
-    frac = FractionalDecision(x=decision.placement_matrix(m), y=decision.selection_matrix(m))
     report = SolverReport(
         iterations=moves,
         objective=value,
@@ -1242,4 +1287,4 @@ def solve_slot(
         repair_actions=repairs,
         starts=starts,
     )
-    return decision, frac, report
+    return decision, report

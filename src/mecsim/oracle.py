@@ -44,12 +44,17 @@ def _fitting(
     choices, weights: np.ndarray, limit: np.ndarray, most: float = math.inf
 ) -> list[tuple[int, ...]]:
     """The tuples of ``itertools.product(*choices)`` whose ``weights``, summed
-    per index, stay within ``limit``: placements or selections. The walk
-    stops at the first tuple past ``most`` that fits."""
+    per index, stay within ``limit``: placements or selections. The sums run
+    in user order from 0.0, the adds ``decision_feasible``'s ``bincount``s
+    make. The walk stops at the first tuple past ``most`` that fits."""
+    weights, limit = weights.tolist(), limit.tolist()
+    zero = [0.0] * len(limit)
     out = []
     for combo in itertools.product(*choices):
-        used = np.bincount(combo, weights=weights, minlength=len(limit))
-        if np.all(used <= limit):
+        used = zero.copy()
+        for i, w in zip(combo, weights):
+            used[i] += w
+        if all(u <= cap for u, cap in zip(used, limit)):
             out.append(combo)
             if len(out) > most:
                 break

@@ -119,6 +119,18 @@ def online_large_scenario():
     ))
 
 
+def small_horizon_family():
+    """The 3x1-grid, 16-slot generator scenarios of seeds 9, 13 and 3 (the
+    compare-small seeds) at N=3, 4 and 5."""
+    return [
+        ms.generate(ms.GeneratorConfig(
+            seed=seed, grid_width=3, grid_height=1, num_users=n, num_slots=16
+        ))
+        for seed in (9, 13, 3)
+        for n in (3, 4, 5)
+    ]
+
+
 def perfbench_workloads():
     """The benchmark's ``perfbench/workloads.py``, loaded as a module once
     per session; tests read its instance builders and workloads."""

@@ -22,13 +22,21 @@ from hypothesis import strategies as st
 import mecsim as ms
 import mecsim.optimizer as mecsim_optimizer
 import reference as ref
-from conftest import REPO_ROOT, make_doc, moderate_doc, online_large_scenario, random_doc
+from conftest import (
+    REPO_ROOT,
+    make_doc,
+    moderate_doc,
+    online_large_scenario,
+    random_doc,
+    small_horizon_family,
+)
 from mecsim.model import station_limit
 from mecsim.optimizer import (
     _feasible_point_via_lp,
     _greedy_repair,
     _kick,
     _Rounding,
+    _search_slot,
     _SearchState,
     _SlotTables,
     _uniform_point,
@@ -101,7 +109,7 @@ def _lp_fallback_doc():
 def test_solve_slot_rounds_the_lp_point_when_the_uniform_point_cannot_be_repaired():
     s = _validate(_lp_fallback_doc())
     assert _uniform_point(s, 0, 1e-6) is None
-    decision, _, report = ms.solve_slot(s, 0)
+    decision, report = _search_slot(s, 0)
     _, value = ms.best_slot_decision(s, 0)
     assert decision.selection == (0, 1)
     assert report.objective == pytest.approx(value, abs=1e-12)
@@ -119,7 +127,7 @@ def test_solve_slot_logs_its_rare_paths(caplog, monkeypatch):
     s = _validate(_lp_fallback_doc())
     caplog.set_level(logging.DEBUG, logger="mecsim")
     # User 1 sits outside its coverage, and user 0 fills its only station.
-    ms.solve_slot(s, 0, warm_start=ms.SlotDecision((0, 0), (1, 0)))
+    _search_slot(s, 0, warm_start=ms.SlotDecision((0, 0), (1, 0)))
     assert [(r.name, r.levelno) for r in caplog.records] == [
         ("mecsim", logging.DEBUG), ("mecsim", logging.DEBUG)
     ]
@@ -131,7 +139,7 @@ def test_solve_slot_logs_its_rare_paths(caplog, monkeypatch):
     # back to greedy repair, and the search result is dropped.
     monkeypatch.setattr("mecsim.optimizer.decision_feasible", lambda *args: False)
     with pytest.raises(ms.RoundingFailedError):
-        ms.solve_slot(s, 0)
+        _search_slot(s, 0)
     assert [(r.name, r.levelno) for r in caplog.records] == [
         ("mecsim", logging.DEBUG)
     ] * 4 + [("mecsim", logging.WARNING)]
@@ -798,8 +806,8 @@ def test_pair_scan_along_a_small_cold_solve(monkeypatch):
         return got
 
     monkeypatch.setattr(_SearchState, "best_pair_move", checking)
-    ms.solve_slot(s, 0)
-    ms.solve_slot(s, 1)
+    _search_slot(s, 0)
+    _search_slot(s, 1)
     assert checked >= 10
 
 
@@ -842,7 +850,7 @@ def test_cold_small_solve_builds_its_slot_tables_once(monkeypatch):
 
     monkeypatch.setattr(_SearchState, "probe", counted)
     monkeypatch.setattr(mecsim_optimizer, "_IndexCosts", Counted)
-    ms.solve_slot(s, 0)
+    _search_slot(s, 0)
     assert calls < 500
     assert built == 1
 
@@ -860,7 +868,7 @@ def test_cold_small_solve_scans_no_decision_twice(monkeypatch):
         return scan(self)
 
     monkeypatch.setattr(_SearchState, "best_single_move", recorded)
-    ms.solve_slot(s, 0)
+    _search_slot(s, 0)
     assert len(scanned) > 1
     assert len(scanned) == len(set(scanned))
 
@@ -883,10 +891,10 @@ def test_recorded_descents_equal_fresh_descents(monkeypatch):
 
     monkeypatch.setattr(mecsim_optimizer, "_local_search", checked)
     for seed in range(20):
-        ms.solve_slot(_validate(moderate_doc(seed)), 0)
+        _search_slot(_validate(moderate_doc(seed)), 0)
     for seed in range(20):
         try:
-            ms.solve_slot(_validate(random_doc(seed, m=4, n=5, tight=True)), 0)
+            _search_slot(_validate(random_doc(seed, m=4, n=5, tight=True)), 0)
         except ms.RoundingFailedError:
             pass  # seeds 9 and 15 give the search no feasible seed
     assert calls >= 200
@@ -1082,7 +1090,7 @@ def _solve_slot_draws(monkeypatch, s, margin):
     monkeypatch.setattr(_Rounding, "__init__", record_init)
     monkeypatch.setattr(_Rounding, "draw", record_draw)
     try:
-        ms.solve_slot(s, 0, config=ms.SolverConfig(margin=margin))
+        _search_slot(s, 0, config=ms.SolverConfig(margin=margin))
     except (ms.InfeasibleError, ms.RoundingFailedError):
         pass
     monkeypatch.undo()
@@ -1302,7 +1310,7 @@ _RESUM_AT_CAPACITY = {
 
 def test_zero_margin_solve_survives_a_load_that_rounds_up_when_summed_again():
     s = _validate(_RESUM_AT_CAPACITY)
-    decision, _, report = ms.solve_slot(s, 0, config=ms.SolverConfig(margin=0.0))
+    decision, report = _search_slot(s, 0, config=ms.SolverConfig(margin=0.0))
     best, value = ms.best_slot_decision(s, 0, margin=0.0)
     assert ms.decision_feasible(s, 0, decision, 0.0)
     assert report.objective == value and decision == best
@@ -1351,7 +1359,7 @@ def test_zero_margin_solve_returns_a_feasible_decision_or_says_why_not(case):
     s = _validate(doc)
     warm_start = None if warm is None else ms.SlotDecision(*warm)
     try:
-        decision, _, _ = ms.solve_slot(
+        decision, _ = _search_slot(
             s, 0, warm_start=warm_start, config=ms.SolverConfig(margin=0.0)
         )
     except (ms.InfeasibleError, ms.RoundingFailedError):
@@ -1392,7 +1400,7 @@ def test_solve_slot_reaches_the_optimum_on_former_sandwich_misses(seed):
     # The descent-then-round solver reported objectives 1e-3 to 2e-2 above
     # the optimum on these criterion-3-family instances.
     s = _validate(moderate_doc(seed))
-    decision, _, report = ms.solve_slot(s, 0)
+    decision, report = _search_slot(s, 0)
     _, value = ms.best_slot_decision(s, 0)
     assert report.objective == pytest.approx(value, abs=1e-9)
     assert ms.decision_feasible(s, 0, decision, ms.DEFAULT_CONFIG.margin)
@@ -1405,7 +1413,7 @@ def test_solve_slot_finds_feasible_decisions_on_tight_instances(seed):
     # seed (0.798081 without it), seed 70 only with three-user rotations
     # (1.029526 without them).
     s = _validate(random_doc(seed, m=4, n=5, tight=True))
-    decision, _, report = ms.solve_slot(s, 0, rng_seed=seed)
+    decision, report = _search_slot(s, 0)
     assert ms.decision_feasible(s, 0, decision, ms.DEFAULT_CONFIG.margin)
     if seed in (5, 13, 70):
         _, value = ms.best_slot_decision(s, 0, budget=2_000_000)
@@ -1422,8 +1430,111 @@ def test_solve_slot_finds_feasible_decisions_on_tight_instances(seed):
 def test_solve_slot_kicks_escape_local_optima(doc, reached):
     # Without the perturbation restarts the search stops at 3.02436 and
     # 3.28183 on these instances.
-    _, _, report = ms.solve_slot(_validate(doc), 0)
+    _, report = _search_slot(_validate(doc), 0)
     assert report.objective <= reached
+
+
+def _raw_decisions(s, t):
+    """The bound ``solve_slot`` compares with ``_EXACT_BOUND``."""
+    return s.num_clouds**s.num_users * math.prod(map(len, s.coverage[t]))
+
+
+def test_solve_slot_enumerates_slots_within_the_exact_bound(monkeypatch):
+    # Slot-cold-small instance 0 (M=3, N=3), a criterion-3 instance and the
+    # N=5 slots of the small horizon family up to 10^4 raw decisions, warm
+    # started off their optimum: each is solved by enumeration, without the
+    # search's tables.
+    cases = [(_validate(moderate_doc([0, 0])), 0), (_validate(moderate_doc(7)), 0)]
+    cases += [
+        (s, t)
+        for s in small_horizon_family()
+        if s.num_users == 5
+        for t in range(s.num_slots)
+        if _raw_decisions(s, t) <= 10_000
+    ]
+    assert mecsim_optimizer._EXACT_BOUND <= ms.ENUMERATION_BUDGET
+    built = 0
+
+    class Counted(_SlotTables):
+        def __init__(self, *args):
+            nonlocal built
+            built += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(mecsim_optimizer, "_SlotTables", Counted)
+    for s, t in cases:
+        best, value = ms.best_slot_decision(s, t)
+        warm = ms.SlotDecision(tuple((i + 1) % s.num_clouds for i in best.placement),
+                               best.selection)
+        decision, frac, report = ms.solve_slot(s, t, warm_start=warm)
+        assert decision == best
+        assert report == ms.SolverReport(
+            iterations=0, objective=value, rounding_attempts=0, repair_actions=0, starts=0
+        )
+        assert report.objective == mecsim_optimizer._IndexCosts(s, t).non_switching(
+            decision.placement, decision.selection
+        )
+        assert ms.decision_feasible(s, t, decision, ms.DEFAULT_CONFIG.margin)
+        assert np.array_equal(frac.x, decision.placement_matrix(s.num_clouds))
+    assert len(cases) >= 20
+    assert built == 0
+
+
+def test_solve_slot_searches_a_large_slot_without_enumerating(monkeypatch):
+    # Slot 0 of the online-large benchmark scenario (M=16, N=40): the bound
+    # alone sends it to the search.
+    def refused(*args):
+        raise AssertionError("enumerated a slot over the exact bound")
+
+    monkeypatch.setattr(ms.oracle, "_sides", refused)
+    s = online_large_scenario()
+    decision, _, report = ms.solve_slot(s, 0)
+    assert report.starts >= 1
+    assert ms.decision_feasible(s, 0, decision, ms.DEFAULT_CONFIG.margin)
+
+
+# Three users of size 1 on two clouds of room 1.5: the uniform point fits,
+# no placement does.
+_NO_PLACEMENT = make_doc(
+    num_users=3, service_size=[1.0] * 3, cloud_capacity=[1.5, 1.5, 0.5],
+    coverage=[[[0, 1, 2]] * 3] * 2, demand=[[1.0] * 3] * 2,
+)
+
+
+@pytest.mark.parametrize("doc, error", [
+    pytest.param(make_doc(service_size=[4.0, 4.0], cloud_capacity=[2.0, 2.0, 2.0]),
+                 ms.InfeasibleError, id="storage"),
+    pytest.param(_NO_PLACEMENT, ms.RoundingFailedError, id="no-placement"),
+    pytest.param({
+        "num_clouds": 1, "num_users": 1, "num_slots": 1, "bs_capacity": [1.0],
+        "cloud_capacity": [5.0], "service_size": [1.0], "link_latency": [[[0.0]]],
+        "coverage": [[[0]]], "demand": [[1.0]],
+    }, ms.NoInteriorPointError, id="no-interior-point"),
+])
+def test_empty_small_slot_raises_what_the_search_raises(doc, error):
+    s = _validate(doc)
+    assert _raw_decisions(s, 0) <= mecsim_optimizer._EXACT_BOUND
+    with pytest.raises(ms.InfeasibleError):
+        ms.best_slot_decision(s, 0)
+    with pytest.raises(error) as searched:
+        _search_slot(s, 0)
+    with pytest.raises(error) as solved:
+        ms.solve_slot(s, 0)
+    assert type(solved.value) is type(searched.value)
+
+
+def test_search_reaches_the_optimum_on_the_small_families():
+    # Criterion 3's family and the 144 cold slots of the small horizon
+    # family, which solve_slot enumerates: the search alone still reaches
+    # every optimum.
+    cases = [(_validate(moderate_doc(seed)), 0) for seed in range(100)]
+    cases += [(s, t) for s in small_horizon_family() for t in range(s.num_slots)]
+    assert len(cases) == 244
+    for s, t in cases:
+        decision, report = _search_slot(s, t)
+        _, value = ms.best_slot_decision(s, t)
+        assert report.objective == pytest.approx(value, abs=1e-9)
+        assert ms.decision_feasible(s, t, decision, ms.DEFAULT_CONFIG.margin)
 
 
 def _pinned_knobs() -> dict[str, tuple[str, str | None]]:
@@ -1445,7 +1556,7 @@ def _param_ids(fn) -> list[str]:
 
 def test_every_pinned_knob_names_a_test_that_exists():
     knobs = _pinned_knobs()
-    assert {"_CANDIDATE_SEEDS", "_KICK_ROUNDS", "_MAX_ATTEMPTS"} <= set(knobs)
+    assert {"_CANDIDATE_SEEDS", "_EXACT_BOUND", "_KICK_ROUNDS", "_MAX_ATTEMPTS"} <= set(knobs)
     tests = {name: fn for name, fn in globals().items() if name.startswith("test_solve_slot_")}
     for knob, (suffix, case) in knobs.items():
         named = [name for name in tests if name.endswith(suffix)]
@@ -1525,7 +1636,7 @@ def test_solve_slot_repairs_a_warm_start_that_left_coverage():
     doc = make_doc(coverage=[[[0, 1, 2], [0, 1, 2]], [[1, 2], [2]]])
     s = _validate(doc)
     warm = ms.SlotDecision((0, 0), (0, 0))
-    decision, _, report = ms.solve_slot(s, 1, warm_start=warm)
+    decision, report = _search_slot(s, 1, warm_start=warm)
     _, value = ms.best_slot_decision(s, 1)
     assert ms.decision_feasible(s, 1, decision, ms.DEFAULT_CONFIG.margin)
     assert report.objective == pytest.approx(value, abs=1e-12)

@@ -12,7 +12,9 @@ import pytest
 
 import mecsim as ms
 import reference as ref
-from conftest import random_doc
+from conftest import moderate_doc, random_doc, small_horizon_family
+from mecsim.model import station_limit
+from mecsim.oracle import _fitting
 
 
 def _two_cloud_doc(bs, slots=1, lat=None, size=2.0):
@@ -87,6 +89,26 @@ def test_value_bounds_the_fractional_objective():
         _, value = ms.best_slot_decision(s, 0)
         _, _, report = ms.solve_slot(s, 0)
         assert report.objective <= value + 1e-9
+
+
+def test_fitting_keeps_what_a_bincount_filter_keeps():
+    # The placements, and the selections of every slot, of the small horizon
+    # family and criterion 3's family, against the per-tuple np.bincount
+    # test the enumeration made before.
+    def bincount_filter(choices, weights, limit):
+        return [
+            combo for combo in itertools.product(*choices)
+            if np.all(np.bincount(combo, weights=weights, minlength=len(limit)) <= limit)
+        ]
+
+    scenarios = small_horizon_family()
+    scenarios += [ms.validate_scenario(moderate_doc(seed)) for seed in range(100)]
+    for s in scenarios:
+        limit = station_limit(s.bs_capacity, ms.DEFAULT_CONFIG.margin)
+        sides = [([range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity)]
+        sides += [(s.coverage[t], s.demand[t], limit) for t in range(s.num_slots)]
+        for side in sides:
+            assert _fitting(*side) == bincount_filter(*side)
 
 
 def test_slot_enumeration_budget_guard():
