@@ -117,7 +117,7 @@ _ROTATION_BUDGET = 4000     # three-user rotations while n**3 fits; *_tight_inst
 _KICK_ROUNDS = 6            # perturbation restarts; *_kicks_escape_local_optima
 _MAX_MOVES = 500            # cap on one descent's moves, a safety bound, not a tuned knob
 _KICK_SEED = 271828182
-_CANDIDATE_SEEDS = (0, 1, 2)  # roundings; *_reaches_the_optimum_on_former_sandwich_misses
+_CANDIDATE_SEEDS = (0, 1, 2)  # roundings; *_three_roundings_over_the_exact_bound
 
 
 @dataclass(frozen=True)
@@ -1215,18 +1215,22 @@ def solve_slot(
     if warm_start is not None:
         check_decision(s, warm_start)
     m = s.num_clouds
-    decision = None
     if m**s.num_users * math.prod(map(len, s.coverage[t])) <= _EXACT_BOUND:
         try:
             decision, value = oracle.best_slot_decision(s, t, margin=config.margin)
         except InfeasibleError:
             pass  # the search raises the empty slot's own error type
         else:
-            report = SolverReport(iterations=0, objective=value, starts=0)
-    if decision is None:
-        decision, report = _search_slot(s, t, warm_start, config)
-    frac = FractionalDecision(x=decision.placement_matrix(m), y=decision.selection_matrix(m))
-    return decision, frac, report
+            return decision, _indicators(decision, m), SolverReport(
+                iterations=0, objective=value, starts=0
+            )
+    decision, report = _search_slot(s, t, warm_start, config)
+    return decision, _indicators(decision, m), report
+
+
+def _indicators(decision: SlotDecision, m: int) -> FractionalDecision:
+    """``decision`` as the fractional decision of its indicator matrices."""
+    return FractionalDecision(x=decision.placement_matrix(m), y=decision.selection_matrix(m))
 
 
 def _search_slot(

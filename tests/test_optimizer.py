@@ -106,13 +106,20 @@ def _lp_fallback_doc():
     )
 
 
+def _solved(s, t, **kwargs):
+    """``solve_slot``'s decision and report, as ``_search_slot`` returns them."""
+    decision, _, report = ms.solve_slot(s, t, **kwargs)
+    return decision, report
+
+
 def test_solve_slot_rounds_the_lp_point_when_the_uniform_point_cannot_be_repaired():
     s = _validate(_lp_fallback_doc())
     assert _uniform_point(s, 0, 1e-6) is None
-    decision, report = _search_slot(s, 0)
-    _, value = ms.best_slot_decision(s, 0)
-    assert decision.selection == (0, 1)
-    assert report.objective == pytest.approx(value, abs=1e-12)
+    for solve in (_search_slot, _solved):
+        decision, report = solve(s, 0)
+        _, value = ms.best_slot_decision(s, 0)
+        assert decision.selection == (0, 1)
+        assert report.objective == pytest.approx(value, abs=1e-12)
 
 
 def test_margin_above_a_station_capacity_leaves_no_uniform_point():
@@ -1310,10 +1317,11 @@ _RESUM_AT_CAPACITY = {
 
 def test_zero_margin_solve_survives_a_load_that_rounds_up_when_summed_again():
     s = _validate(_RESUM_AT_CAPACITY)
-    decision, report = _search_slot(s, 0, config=ms.SolverConfig(margin=0.0))
-    best, value = ms.best_slot_decision(s, 0, margin=0.0)
-    assert ms.decision_feasible(s, 0, decision, 0.0)
-    assert report.objective == value and decision == best
+    for solve in (_search_slot, _solved):
+        decision, report = solve(s, 0, config=ms.SolverConfig(margin=0.0))
+        best, value = ms.best_slot_decision(s, 0, margin=0.0)
+        assert ms.decision_feasible(s, 0, decision, 0.0)
+        assert report.objective == value and decision == best
 
 
 @st.composite
@@ -1358,13 +1366,12 @@ def test_zero_margin_solve_returns_a_feasible_decision_or_says_why_not(case):
     doc, warm = case
     s = _validate(doc)
     warm_start = None if warm is None else ms.SlotDecision(*warm)
-    try:
-        decision, _ = _search_slot(
-            s, 0, warm_start=warm_start, config=ms.SolverConfig(margin=0.0)
-        )
-    except (ms.InfeasibleError, ms.RoundingFailedError):
-        return
-    assert ms.decision_feasible(s, 0, decision, 0.0)
+    for solve in (_search_slot, _solved):
+        try:
+            decision, _ = solve(s, 0, warm_start=warm_start, config=ms.SolverConfig(margin=0.0))
+        except (ms.InfeasibleError, ms.RoundingFailedError):
+            continue
+        assert ms.decision_feasible(s, 0, decision, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -1402,6 +1409,19 @@ def test_solve_slot_reaches_the_optimum_on_former_sandwich_misses(seed):
     s = _validate(moderate_doc(seed))
     decision, report = _search_slot(s, 0)
     _, value = ms.best_slot_decision(s, 0)
+    assert report.objective == pytest.approx(value, abs=1e-9)
+    assert ms.decision_feasible(s, 0, decision, ms.DEFAULT_CONFIG.margin)
+
+
+@pytest.mark.parametrize("seed", [142, 247])
+def test_solve_slot_needs_three_roundings_over_the_exact_bound(seed):
+    # Tight slots over the exact bound, so solve_slot searches them. With
+    # rounding 0 alone the search ends at 2.706735 on seed 142, and with
+    # roundings 0 and 1 at 0.731840 on seed 247.
+    s = _validate(random_doc(seed, m=4, n=5, tight=True))
+    assert _raw_decisions(s, 0) > mecsim_optimizer._EXACT_BOUND
+    decision, report = _search_slot(s, 0)
+    _, value = ms.best_slot_decision(s, 0, budget=2_000_000)
     assert report.objective == pytest.approx(value, abs=1e-9)
     assert ms.decision_feasible(s, 0, decision, ms.DEFAULT_CONFIG.margin)
 
