@@ -3,12 +3,13 @@
 Picks the integral service placement and station selection that minimize
 the slot's non-switching delay, under storage, coverage and the
 capacity margin. A slot of at most ``_EXACT_BOUND`` raw decisions is
-enumerated by the oracle, which was no slower than the search there. A
-discrete local search does the rest of the work. It starts from
-fixed-seed randomized roundings of the uniform fractional point (repaired
-under storage and capacity), from a greedy per-user assignment, and from
-the warm start pushed back into coverage and capacity by greedy repair.
-The best local optimum then takes a few seeded perturbation restarts.
+enumerated by the oracle, which was no slower than the search there; when
+it finds the slot empty, its error stands. A discrete local search does
+the rest of the work. It starts from fixed-seed randomized roundings of
+the uniform fractional point (repaired under storage and capacity), from
+a greedy per-user assignment, and from the warm start pushed back into
+coverage and capacity by greedy repair. The best local optimum then takes
+a few seeded perturbation restarts.
 The rounding's column CDFs are built once per solve and drawn from for
 every seed; a draw is checked on plain-list tallies, which sum as
 ``decision_feasible`` does, and only a draw that fits becomes a
@@ -34,10 +35,11 @@ slot's static data is built once per solve and shared by all its searches
 and kicks, together with a record of the solve's descents: a descent
 depends only on its decision and the slot, so a search that starts at or
 reaches a decision an earlier search of the solve descended from stops
-there with that descent's local optimum. When the uniform point cannot be
-repaired, one zero-cost LP supplies the point to round; it also tells an
-empty slot from one with no point clear of the margin. That LP is the only
-use of SciPy, imported when it runs.
+there with that descent's local optimum. Greedy repair and the greedy
+start price a user's stations with one helper. When the uniform point
+cannot be repaired, one zero-cost LP supplies the point to round; on a
+searched slot it also tells an empty slot from one with no point clear of
+the margin. That LP is the only use of SciPy, imported when it runs.
 """
 
 from __future__ import annotations
@@ -223,24 +225,6 @@ def _uniform_point(
     return x, y
 
 
-def _cheapest_room(
-    s: Scenario, t: int, k: int, i: int, load: np.ndarray, limit: np.ndarray,
-    skip: int = -1,
-) -> tuple[float, int] | None:
-    """User k's cheapest covered station but ``skip`` that can take its
-    demand on top of ``load``, by queue-plus-latency cost with k on cloud i,
-    as (cost, station); the lowest station index on ties, None if none fits.
-    """
-    best = None
-    for j in s.coverage[t][k]:
-        new_load = load[j] + s.demand[t][k]
-        if j != skip and new_load <= limit[j]:
-            cost = 1.0 / (s.bs_capacity[j] - new_load) + s.link_latency[t][i, j]
-            if best is None or cost < best[0]:
-                best = (cost, j)
-    return best
-
-
 def _feasible_point_via_lp(
     s: Scenario, t: int, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -423,20 +407,32 @@ class _SlotTables:
         )
 
 
+def _station_prices(
+    tables: _SlotTables, k: int, load: list[float], skip: int = -1
+) -> list[tuple[int, float]]:
+    """User k's covered stations but ``skip`` that have room for its demand
+    on top of ``load``, in coverage order, each with its queue price
+    1 / (C_j - new load)."""
+    c, bs_cap, limit = tables.costs.demand[k], tables.costs.bs_cap, tables.limit
+    return [
+        (j, 1.0 / (bs_cap[j] - (load[j] + c)))
+        for j in tables.cov[k]
+        if j != skip and load[j] + c <= limit[j]
+    ]
+
+
 def _greedy_indicator(tables: _SlotTables) -> SlotDecision | None:
     """Sequential per-user joint argmin of queue-plus-latency cost: each user
     in turn takes the first (cloud, coverage-order station) of least
     1 / (C_j - new load) + lat[i][j] among those with room for it. Each
-    station's queue term is priced once per user."""
+    station's queue term is priced once per user (``_station_prices``)."""
     costs = tables.costs
-    lat, bs_cap, cloud_cap, limit = costs.lat, costs.bs_cap, tables.cloud_cap, tables.limit
+    lat, cloud_cap = costs.lat, tables.cloud_cap
     storage = [0.0] * tables.m
     load = [0.0] * tables.m
     placement, selection = [], []
-    for size, c, stations in zip(costs.sizes, costs.demand, tables.cov):
-        queues = [
-            (j, 1.0 / (bs_cap[j] - (load[j] + c))) for j in stations if load[j] + c <= limit[j]
-        ]
+    for k, (size, c) in enumerate(zip(costs.sizes, costs.demand)):
+        queues = _station_prices(tables, k, load)
         best = None
         for i in range(tables.m):
             if storage[i] + size > cloud_cap[i]:
@@ -946,50 +942,6 @@ def _kick(
     return state.decision()
 
 
-def _integral_search(
-    tables: _SlotTables, seeds: list[SlotDecision]
-) -> tuple[SlotDecision, float, int, int] | None:
-    """Local search from each distinct seed, then perturbation restarts.
-
-    The best local optimum (the first on ties) takes a few seeded kicks,
-    each followed by a local search. The winner is re-verified against the
-    authoritative feasibility check; its value is the search's own
-    ``_IndexCosts`` value. Returns (decision, value, distinct seeds, moves
-    applied), or None when there is no seed or the result fails the check.
-    """
-    best: tuple[SlotDecision, float] | None = None
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    moves = 0
-    for d in seeds:
-        key = (d.placement, d.selection)
-        if key in seen:
-            continue
-        seen.add(key)
-        improved, value, used = _local_search(tables, d)
-        moves += used
-        if best is None or value < best[1]:
-            best = (improved, value)
-    if best is None:
-        return None
-
-    rng = np.random.default_rng(_KICK_SEED)
-    for _ in range(_KICK_ROUNDS):
-        kicked = _kick(tables, best[0], rng)
-        improved, value, used = _local_search(tables, kicked)
-        moves += used
-        if value < best[1] - 1e-12:
-            best = (improved, value)
-
-    winner, value = best
-    if not decision_feasible(tables.s, tables.t, winner, tables.margin):
-        _log.warning(
-            "slot %d: dropped the search result; its bookkeeping called it "
-            "feasible and the feasibility check does not", tables.t,
-        )
-        return None
-    return winner, value, len(seen), moves
-
-
 def _column_cdfs(columns: np.ndarray) -> list[list[float]]:
     """Per row of ``columns`` (one user's weights each), the CDF that
     ``Generator.choice(len(p), p=p)`` searches: p is the row clipped at zero
@@ -1062,7 +1014,7 @@ class _Rounding:
             "slot %d: no feasible draw in %d attempts; repairing the last greedily",
             t, _MAX_ATTEMPTS,
         )
-        repaired, moves = _greedy_repair(s, t, SlotDecision(placement, selection), margin)
+        repaired, moves = _greedy_repair(tables, SlotDecision(placement, selection))
         return repaired, _MAX_ATTEMPTS, moves
 
 
@@ -1102,9 +1054,7 @@ def round_decision(
     return _Rounding(_SlotTables(s, t, config.margin), x, y).draw(rng_seed)
 
 
-def _greedy_repair(
-    s: Scenario, t: int, d: SlotDecision, margin: float
-) -> tuple[SlotDecision, int]:
+def _greedy_repair(tables: _SlotTables, d: SlotDecision) -> tuple[SlotDecision, int]:
     """Move users off violated resources to the cheapest room.
 
     First each user whose station is outside its coverage moves to a
@@ -1112,56 +1062,55 @@ def _greedy_repair(
     while a cloud (station) is over its limit, the most overloaded one
     gives up its heaviest user that has room elsewhere. A moved placement
     goes to the cloud with the least latency to the user's station, a moved
-    selection to the station with the least queue-plus-latency cost after
-    the move. Every move targets a resource with room left, so total
-    violation strictly decreases. Raises RoundingFailedError when a
-    violation has no outlet.
+    selection to the station of least price (``_station_prices``) plus
+    latency from the user's cloud. Storage and loads are ``_tally``'s sums.
+    Every move targets a resource with room left, so total violation
+    strictly decreases. Raises RoundingFailedError when a violation has no
+    outlet.
     """
-    m, n = s.num_clouds, s.num_users
-    lat = s.link_latency[t]
-    cov = s.coverage[t]
-    demand = s.demand[t]
-    limit = station_limit(s.bs_capacity, margin)
+    m, n, t = tables.m, tables.n, tables.t
+    sizes, demand, lat = tables.costs.sizes, tables.costs.demand, tables.costs.lat
     placement = list(d.placement)
     selection = list(d.selection)
     moves = 0
 
-    load = np.bincount(selection, weights=demand, minlength=m)
+    def station_room(k: int, load: list[float], full: int = -1) -> int | None:
+        lat_i = lat[placement[k]]
+        prices = _station_prices(tables, k, load, skip=full)
+        return min(prices, key=lambda p: p[1] + lat_i[p[0]])[0] if prices else None
+
+    def cloud_room(k: int, storage: list[float], full: int) -> int | None:
+        options = [
+            (lat[i][selection[k]], i)
+            for i in range(m)
+            if i != full and storage[i] + sizes[k] <= tables.cloud_cap[i]
+        ]
+        return min(options)[1] if options else None
+
+    load = _tally(tables, placement, selection)[1]
     for k in range(n):
-        if selection[k] in cov[k]:
+        if selection[k] in tables.covsets[k]:
             continue
-        room = _cheapest_room(s, t, k, placement[k], load, limit)
-        if room is None:
+        j = station_room(k, load)
+        if j is None:
             raise RoundingFailedError(
                 f"user {k} has no covered station with room at slot {t}"
             )
-        j = room[1]
         load[selection[k]] -= demand[k]
         load[j] += demand[k]
         selection[k] = j
         moves += 1
 
-    def cloud_room(k: int, storage: np.ndarray, full: int) -> int | None:
-        options = [
-            (lat[i, selection[k]], i)
-            for i in range(m)
-            if i != full and storage[i] + s.service_size[k] <= s.cloud_capacity[i]
-        ]
-        return min(options)[1] if options else None
-
-    def station_room(k: int, load: np.ndarray, full: int) -> int | None:
-        room = _cheapest_room(s, t, k, placement[k], load, limit, skip=full)
-        return None if room is None else room[1]
-
-    for owner, weights, cap, room, what in (
-        (placement, s.service_size, s.cloud_capacity, cloud_room, "storage overload on cloud"),
-        (selection, demand, limit, station_room, "capacity overload on station"),
+    for side, owner, weights, cap, room, what in (
+        (0, placement, sizes, tables.cloud_cap, cloud_room, "storage overload on cloud"),
+        (1, selection, demand, tables.limit, station_room, "capacity overload on station"),
     ):
         for _ in range(2 * m * n + 1):
-            used = np.bincount(owner, weights=weights, minlength=m)
-            if np.all(used <= cap):
+            used = _tally(tables, placement, selection)[side]
+            if all(map(operator.le, used, cap)):
                 break
-            full = int(np.argmax(used - cap))
+            # the first most overloaded one, as np.argmax picks it
+            full = max(range(m), key=lambda r: used[r] - cap[r])
             movers = sorted(
                 (k for k in range(n) if owner[k] == full), key=lambda k: (-weights[k], k)
             )
@@ -1175,7 +1124,7 @@ def _greedy_repair(
                 raise RoundingFailedError(f"{what} {full} at slot {t} cannot be repaired")
 
     repaired = SlotDecision(tuple(placement), tuple(selection))
-    if not decision_feasible(s, t, repaired, margin):
+    if not decision_feasible(tables.s, t, repaired, tables.margin):
         raise RoundingFailedError(f"greedy repair did not reach feasibility at slot {t}")
     return repaired, moves
 
@@ -1195,9 +1144,9 @@ def solve_slot(
     decision is ``best_slot_decision``'s, the first minimum in
     lexicographic order. There the warm start is unused, and the report
     has the optimum as ``objective`` and 0 iterations, starts, rounding
-    attempts and repair actions. A larger slot, or one the enumeration
-    finds empty, goes to the discrete search (``_search_slot``). The
-    returned fractional decision is the decision's indicator matrices.
+    attempts and repair actions. An empty small slot takes the
+    enumeration's verdict. A larger slot goes to the discrete search
+    (``_search_slot``). The returned fractional decision is the decision's indicator matrices.
     ``report.objective`` is the decision's non-switching delay as
     ``_IndexCosts``, the one valuation of integral decisions, gives it: the
     value both paths minimize. The solve is deterministic and reads only
@@ -1205,10 +1154,12 @@ def solve_slot(
     stays only because the benchmark's workloads (``perfbench/workloads.py``)
     still pass it.
 
-    Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
-    what ``check_decision`` raises for a malformed warm start,
-    InfeasibleError (NoInteriorPointError when only loads at capacity fit)
-    when the relaxed slot is empty, and RoundingFailedError when no seed
+    Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``
+    and what ``check_decision`` raises for a malformed warm start. Raises
+    InfeasibleError for a slot shown empty, NoInteriorPointError when the
+    margin is positive and loads up to station capacity would fit: a small
+    slot when no integral decision fits, a searched slot when the relaxed
+    slot is empty. On a searched slot, RoundingFailedError when no seed
     yields a feasible decision.
     """
     check_slot(s, t)
@@ -1216,14 +1167,10 @@ def solve_slot(
         check_decision(s, warm_start)
     m = s.num_clouds
     if m**s.num_users * math.prod(map(len, s.coverage[t])) <= _EXACT_BOUND:
-        try:
-            decision, value = oracle.best_slot_decision(s, t, margin=config.margin)
-        except InfeasibleError:
-            pass  # the search raises the empty slot's own error type
-        else:
-            return decision, _indicators(decision, m), SolverReport(
-                iterations=0, objective=value, starts=0
-            )
+        decision, value = oracle.best_slot_decision(s, t, margin=config.margin)
+        return decision, _indicators(decision, m), SolverReport(
+            iterations=0, objective=value, starts=0
+        )
     decision, report = _search_slot(s, t, warm_start, config)
     return decision, _indicators(decision, m), report
 
@@ -1245,10 +1192,14 @@ def _search_slot(
     Search seeds: the ``_CANDIDATE_SEEDS`` roundings of the repaired
     uniform point (of the zero-cost LP point when the uniform point cannot
     be repaired), the greedy indicator, and the warm start after greedy
-    repair. A seed whose rounding or repair fails is dropped. Raises
-    InfeasibleError (NoInteriorPointError when only loads at capacity fit)
-    when the relaxed slot is empty, and RoundingFailedError when no seed
-    yields a feasible decision.
+    repair. A seed whose rounding or repair fails is dropped. Each distinct
+    seed is searched (``_local_search``); the best local optimum, the first
+    on ties, then takes ``_KICK_ROUNDS`` seeded kicks, each followed by a
+    search. The winner is checked once more with ``decision_feasible``; its
+    value is the search's own ``_IndexCosts`` value. Raises InfeasibleError
+    (NoInteriorPointError when only loads at capacity fit) when the relaxed
+    slot is empty, and RoundingFailedError when no seed yields a feasible
+    decision or the winner fails the check.
     """
     tables = _SlotTables(s, t, config.margin)
     point = _uniform_point(s, t, config.margin)
@@ -1273,22 +1224,43 @@ def _search_slot(
         seeds.append(greedy)
     if warm_start is not None:
         try:
-            d, moves = _greedy_repair(s, t, warm_start, config.margin)
+            d, moves = _greedy_repair(tables, warm_start)
         except RoundingFailedError as exc:
             _log.debug("slot %d: dropped the warm start: %s", t, exc)
         else:
             seeds.append(d)
             repairs += moves
 
-    found = _integral_search(tables, seeds)
-    if found is None:
-        raise RoundingFailedError(f"no feasible integral decision found at slot {t}")
-    decision, value, starts, moves = found
-    report = SolverReport(
-        iterations=moves,
-        objective=value,
-        rounding_attempts=attempts,
-        repair_actions=repairs,
-        starts=starts,
-    )
-    return decision, report
+    best: tuple[SlotDecision, float] | None = None
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    iterations = 0
+    for d in seeds:
+        key = (d.placement, d.selection)
+        if key in seen:
+            continue
+        seen.add(key)
+        improved, value, steps = _local_search(tables, d)
+        iterations += steps
+        if best is None or value < best[1]:
+            best = (improved, value)
+    if best is not None:
+        rng = np.random.default_rng(_KICK_SEED)
+        for _ in range(_KICK_ROUNDS):
+            improved, value, steps = _local_search(tables, _kick(tables, best[0], rng))
+            iterations += steps
+            if value < best[1] - 1e-12:
+                best = (improved, value)
+        decision, value = best
+        if decision_feasible(s, t, decision, config.margin):
+            return decision, SolverReport(
+                iterations=iterations,
+                objective=value,
+                rounding_attempts=attempts,
+                repair_actions=repairs,
+                starts=len(seen),
+            )
+        _log.warning(
+            "slot %d: dropped the search result; its bookkeeping called it "
+            "feasible and the feasibility check does not", t,
+        )
+    raise RoundingFailedError(f"no feasible integral decision found at slot {t}")

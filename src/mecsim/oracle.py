@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .delays import _IndexCosts
-from .errors import InfeasibleError, OracleTooLargeError
+from .errors import InfeasibleError, NoInteriorPointError, OracleTooLargeError
 from .model import (
     DEFAULT_MARGIN,
     Scenario,
@@ -68,7 +68,8 @@ def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list,
 
     Raises ValueError unless ``margin`` passes ``check_margin``,
     OracleTooLargeError over the budget and InfeasibleError for an empty
-    side.
+    side: NoInteriorPointError for an empty selection side when ``margin``
+    is positive and some selection fits with loads up to capacity.
     """
     check_margin(margin)
     raw = max(math.prod(map(len, s.coverage[t])) for t in slots)
@@ -92,6 +93,11 @@ def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list,
     selections = [_fitting(s.coverage[t], s.demand[t], limit) for t in slots]
     for t, found in zip(slots, selections):
         if not found:
+            # the LP's margin-0 test: does a selection fit with loads up to C?
+            if margin > 0.0 and _fitting(s.coverage[t], s.demand[t], s.bs_capacity, most=0):
+                raise NoInteriorPointError(
+                    f"no feasible decision at slot {t}: only loads at station capacity fit"
+                )
             raise InfeasibleError(f"no feasible decision at slot {t}")
     p = len(placements)
     work = p * (sum(map(len, selections)) + (len(slots) - 1) * p)

@@ -8,6 +8,7 @@ reference.py without either side translating the other's types.
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -129,6 +130,12 @@ def small_horizon_family():
         for seed in (9, 13, 3)
         for n in (3, 4, 5)
     ]
+
+
+def raw_decisions(s, t):
+    """The bound ``solve_slot`` compares with ``_EXACT_BOUND``: M^N
+    placements times the product of the users' coverage sizes at slot t."""
+    return s.num_clouds**s.num_users * math.prod(map(len, s.coverage[t]))
 
 
 def perfbench_workloads():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mecsim as ms
@@ -28,11 +28,13 @@ from conftest import (
     moderate_doc,
     online_large_scenario,
     random_doc,
+    raw_decisions,
     small_horizon_family,
 )
 from mecsim.model import station_limit
 from mecsim.optimizer import (
     _feasible_point_via_lp,
+    _greedy_indicator,
     _greedy_repair,
     _kick,
     _Rounding,
@@ -952,7 +954,7 @@ def _choice_round(s, t, frac, rng_seed, config=ms.DEFAULT_CONFIG):
         decision = ms.SlotDecision(tuple(placement), tuple(selection))
         if ms.decision_feasible(s, t, decision, config.margin):
             return decision, attempt, 0
-    repaired, moves = _greedy_repair(s, t, decision, config.margin)
+    repaired, moves = _greedy_repair(_SlotTables(s, t, config.margin), decision)
     return repaired, mecsim_optimizer._MAX_ATTEMPTS, moves
 
 
@@ -1419,7 +1421,7 @@ def test_solve_slot_needs_three_roundings_over_the_exact_bound(seed):
     # rounding 0 alone the search ends at 2.706735 on seed 142, and with
     # roundings 0 and 1 at 0.731840 on seed 247.
     s = _validate(random_doc(seed, m=4, n=5, tight=True))
-    assert _raw_decisions(s, 0) > mecsim_optimizer._EXACT_BOUND
+    assert raw_decisions(s, 0) > mecsim_optimizer._EXACT_BOUND
     decision, report = _search_slot(s, 0)
     _, value = ms.best_slot_decision(s, 0, budget=2_000_000)
     assert report.objective == pytest.approx(value, abs=1e-9)
@@ -1454,11 +1456,6 @@ def test_solve_slot_kicks_escape_local_optima(doc, reached):
     assert report.objective <= reached
 
 
-def _raw_decisions(s, t):
-    """The bound ``solve_slot`` compares with ``_EXACT_BOUND``."""
-    return s.num_clouds**s.num_users * math.prod(map(len, s.coverage[t]))
-
-
 def test_solve_slot_enumerates_slots_within_the_exact_bound(monkeypatch):
     # Slot-cold-small instance 0 (M=3, N=3), a criterion-3 instance and the
     # N=5 slots of the small horizon family up to 10^4 raw decisions, warm
@@ -1470,7 +1467,7 @@ def test_solve_slot_enumerates_slots_within_the_exact_bound(monkeypatch):
         for s in small_horizon_family()
         if s.num_users == 5
         for t in range(s.num_slots)
-        if _raw_decisions(s, t) <= 10_000
+        if raw_decisions(s, t) <= 10_000
     ]
     assert mecsim_optimizer._EXACT_BOUND <= ms.ENUMERATION_BUDGET
     built = 0
@@ -1521,26 +1518,28 @@ _NO_PLACEMENT = make_doc(
 )
 
 
-@pytest.mark.parametrize("doc, error", [
+@pytest.mark.parametrize("doc, verdict, searched", [
     pytest.param(make_doc(service_size=[4.0, 4.0], cloud_capacity=[2.0, 2.0, 2.0]),
-                 ms.InfeasibleError, id="storage"),
-    pytest.param(_NO_PLACEMENT, ms.RoundingFailedError, id="no-placement"),
+                 ms.InfeasibleError, ms.InfeasibleError, id="storage"),
+    # the search cannot tell this slot empty: its error is a false failure
+    pytest.param(_NO_PLACEMENT, ms.InfeasibleError, ms.RoundingFailedError,
+                 id="no-placement"),
     pytest.param({
         "num_clouds": 1, "num_users": 1, "num_slots": 1, "bs_capacity": [1.0],
         "cloud_capacity": [5.0], "service_size": [1.0], "link_latency": [[[0.0]]],
         "coverage": [[[0]]], "demand": [[1.0]],
-    }, ms.NoInteriorPointError, id="no-interior-point"),
+    }, ms.NoInteriorPointError, ms.NoInteriorPointError, id="no-interior-point"),
 ])
-def test_empty_small_slot_raises_what_the_search_raises(doc, error):
+def test_empty_small_slot_takes_the_enumerators_verdict(doc, verdict, searched):
     s = _validate(doc)
-    assert _raw_decisions(s, 0) <= mecsim_optimizer._EXACT_BOUND
-    with pytest.raises(ms.InfeasibleError):
-        ms.best_slot_decision(s, 0)
-    with pytest.raises(error) as searched:
+    assert raw_decisions(s, 0) <= mecsim_optimizer._EXACT_BOUND
+    for solve in (ms.solve_slot, ms.best_slot_decision, lambda s, t: ms.offline_optimal(s)):
+        with pytest.raises(ms.InfeasibleError) as raised:
+            solve(s, 0)
+        assert type(raised.value) is verdict
+    with pytest.raises(searched) as raised:
         _search_slot(s, 0)
-    with pytest.raises(error) as solved:
-        ms.solve_slot(s, 0)
-    assert type(solved.value) is type(searched.value)
+    assert type(raised.value) is searched
 
 
 def test_search_reaches_the_optimum_on_the_small_families():
@@ -1555,6 +1554,32 @@ def test_search_reaches_the_optimum_on_the_small_families():
         _, value = ms.best_slot_decision(s, t)
         assert report.objective == pytest.approx(value, abs=1e-9)
         assert ms.decision_feasible(s, t, decision, ms.DEFAULT_CONFIG.margin)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_search_returns_no_worse_than_a_seed_it_built(doc_seed, pick):
+    # tight 4-cloud, 5-user slots, all over the exact bound, each with a
+    # warm start drawn from the slot's feasible decisions
+    s = _validate(random_doc(doc_seed, m=4, n=5, tight=True))
+    assert raw_decisions(s, 0) > mecsim_optimizer._EXACT_BOUND
+    margin = ms.DEFAULT_CONFIG.margin
+    try:
+        placements, (selections,) = ms.oracle._sides(
+            s, range(1), margin, ms.oracle.ENUMERATION_BUDGET
+        )
+    except ms.InfeasibleError:
+        assume(False)
+    rng = np.random.default_rng(pick)
+    warm = ms.SlotDecision(
+        placements[rng.integers(len(placements))], selections[rng.integers(len(selections))]
+    )
+    _, report = _search_slot(s, 0, warm_start=warm)
+    tables = _SlotTables(s, 0, margin)
+    for seed in (_greedy_repair(tables, warm)[0], _greedy_indicator(tables)):
+        if seed is not None:
+            value = tables.costs.non_switching(seed.placement, seed.selection)
+            assert report.objective <= value
 
 
 def _pinned_knobs() -> dict[str, tuple[str, str | None]]:
@@ -1600,13 +1625,15 @@ def test_greedy_repair_moves_users_back_into_coverage():
     s = _validate(doc)
     # user 1 sits on station 1, outside its coverage; station 0 has room for
     # one more user, at a lower cost than station 2 from cloud 0
-    repaired, moves = _greedy_repair(s, 0, ms.SlotDecision((0, 0, 1), (0, 1, 1)), 1e-6)
+    repaired, moves = _greedy_repair(
+        _SlotTables(s, 0, 1e-6), ms.SlotDecision((0, 0, 1), (0, 1, 1))
+    )
     assert repaired == ms.SlotDecision((0, 0, 1), (0, 0, 1))
     assert moves == 1
     with pytest.raises(ms.RoundingFailedError):
         # no covered station of user 1 has room once stations 0 and 2 are full
         full = _validate({**doc, "bs_capacity": [1.5, 10.0, 0.5]})
-        _greedy_repair(full, 0, ms.SlotDecision((0, 0, 1), (0, 1, 1)), 1e-6)
+        _greedy_repair(_SlotTables(full, 0, 1e-6), ms.SlotDecision((0, 0, 1), (0, 1, 1)))
 
 
 def test_greedy_repair_raises_on_a_capacity_overload_it_cannot_repair():
@@ -1614,7 +1641,7 @@ def test_greedy_repair_raises_on_a_capacity_overload_it_cannot_repair():
     doc = make_doc(bs_capacity=[1.5, 10.0, 10.0], coverage=[[[0], [0]]] * 2)
     s = _validate(doc)
     with pytest.raises(ms.RoundingFailedError, match="capacity overload on station 0"):
-        _greedy_repair(s, 0, ms.SlotDecision((0, 1), (0, 0)), 1e-6)
+        _greedy_repair(_SlotTables(s, 0, 1e-6), ms.SlotDecision((0, 1), (0, 0)))
 
 
 def test_greedy_repair_moves_the_heaviest_user_to_the_nearest_cloud_with_room():
@@ -1630,7 +1657,9 @@ def test_greedy_repair_moves_the_heaviest_user_to_the_nearest_cloud_with_room():
         demand=[[1.0, 1.0, 1.0]] * 2,
     )
     s = _validate(doc)
-    repaired, moves = _greedy_repair(s, 0, ms.SlotDecision((0, 0, 0), (0, 1, 2)), 1e-6)
+    repaired, moves = _greedy_repair(
+        _SlotTables(s, 0, 1e-6), ms.SlotDecision((0, 0, 0), (0, 1, 2))
+    )
     assert repaired == ms.SlotDecision((0, 2, 0), (0, 1, 2))
     assert moves == 1
 
@@ -1649,7 +1678,7 @@ def test_greedy_repair_raises_on_a_storage_overload_it_cannot_repair():
     )
     s = _validate(doc)
     with pytest.raises(ms.RoundingFailedError, match="storage overload on cloud 0"):
-        _greedy_repair(s, 0, ms.SlotDecision((0, 0, 1), (0, 0, 1)), 1e-6)
+        _greedy_repair(_SlotTables(s, 0, 1e-6), ms.SlotDecision((0, 0, 1), (0, 0, 1)))
 
 
 def test_solve_slot_repairs_a_warm_start_that_left_coverage():

@@ -226,6 +226,28 @@ def test_stay_kept_when_candidate_solve_is_infeasible():
         assert outcomes[1].t1_candidate == math.inf, policy.kind
 
 
+def test_stay_kept_when_no_integral_candidate_fits_the_margin(caplog):
+    # Staying fits at margin 0: station 0 carries 2.0 of its 2.0000001. At
+    # the default margin each station takes one user of demand 1.0, so no
+    # selection of the three users fits, though a fractional one does.
+    doc = _static_doc(m=2, n=3, slots=2, bs=[2.0000001, 1.5])
+    doc["cloud_capacity"] = [10.0, 10.0]
+    doc["demand"] = [[0.5] * 3, [1.0] * 3]
+    s = ms.validate_scenario(doc)
+    prev = ms.SlotDecision((0, 0, 1), (0, 0, 1))
+    state = ms.ControllerState(
+        prev_decision=prev, last_migration_slot=0, accumulated_t2=0.0, beta=1.0
+    )
+    caplog.set_level(logging.INFO, logger="mecsim")
+    outcome, _ = ms.step(s, 1, state)
+    assert (outcome.decision, outcome.migrated, outcome.forced) == (prev, False, False)
+    assert outcome.t1_candidate == math.inf
+    assert any(
+        "slot 1: the candidate is infeasible, staying" in r.getMessage()
+        for r in caplog.records
+    )
+
+
 def test_shared_memo_keeps_an_infeasible_candidate(monkeypatch, caplog):
     s = ms.validate_scenario(_infeasible_candidate_doc())
     config = ms.SolverConfig(margin=0.5)
