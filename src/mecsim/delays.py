@@ -108,7 +108,8 @@ class _IndexCosts:
     cloud ``placement[k]`` and station ``selection[k]``. The search, the
     oracle and the controller value integral decisions with it alone. Plain
     lists keep a call cheap; sums run user by user, as in the matrix forms,
-    and a station at or over capacity gives +inf.
+    and a station at or over capacity gives +inf. The two ``_table`` forms
+    value many decisions in one array pass each and give the same floats.
     """
 
     __slots__ = ("sizes", "demand", "bs_cap", "lat")
@@ -150,6 +151,27 @@ class _IndexCosts:
             if i_now != i_prev:
                 total += size
         return total
+
+    def communication_table(self, placements: np.ndarray, selections: np.ndarray) -> np.ndarray:
+        """``communication`` of each row of ``placements`` with each row of
+        ``selections``, a (P, S) table. User k's latencies are added to every
+        entry at once, in user order onto 0.0: elementwise IEEE adds in the
+        order ``communication`` makes them, so the same floats."""
+        lat = np.asarray(self.lat)
+        table = np.zeros((len(placements), len(selections)))
+        for k in range(placements.shape[1]):
+            table += lat[placements[:, k, None], selections[:, k]]
+        return table
+
+    def switching_table(self, p_now: np.ndarray, p_prev: np.ndarray) -> np.ndarray:
+        """``switching`` from each row of ``p_prev`` to each row of ``p_now``,
+        a (len(p_now), len(p_prev)) table, added user by user onto 0.0 as
+        ``switching`` adds. Where ``switching`` skips a user that stayed, the
+        table adds 0.0, which leaves a nonnegative sum unchanged."""
+        table = np.zeros((len(p_now), len(p_prev)))
+        for k, size in enumerate(self.sizes):
+            table += np.where(p_now[:, k, None] != p_prev[:, k], size, 0.0)
+        return table
 
     def breakdown(
         self, placement: Sequence[int], selection: Sequence[int], p_prev: Sequence[int]

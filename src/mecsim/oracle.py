@@ -4,6 +4,9 @@ Storage constrains placements only and station capacity constrains
 selections only, so the feasible decisions of a slot factor into a product
 of feasible placement tuples and feasible selection tuples. Enumeration is
 lexicographic and ties keep the lexicographically smallest decision.
+Decisions are valued in array passes, ``_IndexCosts``'s table forms, which
+form the same floats as its per-decision sums; ``argmin`` returns the first
+minimum, so the tie rule holds.
 """
 
 from __future__ import annotations
@@ -48,13 +51,20 @@ def _fitting(
     in user order from 0.0, the adds ``decision_feasible``'s ``bincount``s
     make. The walk stops at the first tuple past ``most`` that fits."""
     weights, limit = weights.tolist(), limit.tolist()
+    # an index a tuple does not touch keeps its 0.0, which then fits its
+    # limit, so only the touched indices need a test
+    if not all(cap >= 0.0 for cap in limit):
+        return []
     zero = [0.0] * len(limit)
     out = []
     for combo in itertools.product(*choices):
         used = zero.copy()
         for i, w in zip(combo, weights):
             used[i] += w
-        if all(u <= cap for u, cap in zip(used, limit)):
+        for i in combo:
+            if used[i] > limit[i]:
+                break
+        else:
             out.append(combo)
             if len(out) > most:
                 break
@@ -106,23 +116,17 @@ def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list,
     return placements, selections
 
 
-def _first_min(values: list[float]) -> int:
-    return min(range(len(values)), key=values.__getitem__)
-
-
-def _slot_layer(costs: _IndexCosts, placements: list, selections: list) -> list:
-    """Per placement, its least non-switching delay at the slot and the first
-    selection that reaches it: the selection couples no slots. Each
-    selection's queuing delay is computed once; non_switching is exactly
-    queuing + communication, so the values are the same floats."""
-    queuing = [costs.queuing(sel) for sel in selections]
-    communication = costs.communication
-    layer = []
-    for p in placements:
-        values = [q + communication(p, sel) for q, sel in zip(queuing, selections)]
-        yi = _first_min(values)
-        layer.append((values[yi], selections[yi]))
-    return layer
+def _slot_layer(
+    costs: _IndexCosts, placements: np.ndarray, selections: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``placements``, its least non-switching delay at the slot
+    and the index of the first selection that reaches it: the selection
+    couples no slots. Each selection's queuing delay is computed once and
+    added to the communication table; non_switching is exactly queuing +
+    communication, so the values are the same floats."""
+    queuing = np.array([costs.queuing(sel) for sel in selections])
+    values = queuing + costs.communication_table(placements, np.array(selections))
+    return values.min(axis=1), values.argmin(axis=1)
 
 
 def best_slot_decision(
@@ -145,13 +149,12 @@ def best_slot_decision(
         check_decision(s, x_prev)
     placements, (selections,) = _sides(s, range(t, t + 1), margin, budget)
     costs = _IndexCosts(s, t)
-    layer = _slot_layer(costs, placements, selections)
-    values = [
-        value + (costs.switching(p, x_prev.placement) if x_prev is not None else 0.0)
-        for p, (value, _) in zip(placements, layer)
-    ]
-    pi = _first_min(values)
-    return SlotDecision(placements[pi], layer[pi][1]), values[pi]
+    rows = np.array(placements)
+    values, best = _slot_layer(costs, rows, selections)
+    if x_prev is not None:
+        values = values + costs.switching_table(rows, np.array([x_prev.placement]))[:, 0]
+    pi = int(values.argmin())
+    return SlotDecision(placements[pi], selections[best[pi]]), float(values[pi])
 
 
 def offline_optimal(
@@ -172,45 +175,42 @@ def offline_optimal(
     if first_decision is not None:
         check_decision(s, first_decision)
     placements, selections = _sides(s, range(s.num_slots), margin, budget)
+    rows = np.array(placements)
     costs = [_IndexCosts(s, t) for t in range(s.num_slots)]
-    # The switching cost between two placements does not depend on the slot.
-    switch = (
-        [[costs[0].switching(p, q) for q in placements] for p in placements]
-        if s.num_slots > 1 else []
-    )
+    # The switching cost between two placements does not depend on the slot:
+    # switch[p, q] is the cost of moving from placement q to placement p.
+    switch = costs[0].switching_table(rows, rows) if s.num_slots > 1 else None
 
     if first_decision is not None:
         p0, y0 = first_decision.placement, first_decision.selection
         if p0 not in placements or y0 not in selections[0]:
             raise InfeasibleError("pinned slot-0 decision is not feasible")
-        layer = [(placements.index(p0), costs[0].non_switching(p0, y0), y0)]
+        # the pinned decision is slot 0's only finite entry, so every
+        # transition out of slot 0 arrives from it
+        pi = placements.index(p0)
+        values = np.full(len(placements), math.inf)
+        values[pi] = costs[0].non_switching(p0, y0)
+        best = np.zeros(len(placements), dtype=int)
+        best[pi] = selections[0].index(y0)
     else:
-        layer = [(pi, *e) for pi, e in enumerate(_slot_layer(costs[0], placements, selections[0]))]
+        values, best = _slot_layer(costs[0], rows, selections[0])
 
-    # layers[t][k]: (index of a placement, best total through slot t ending
-    # there, its selection); back[t - 1][pi]: the entry of slot t - 1 that
-    # the best total ending at placement pi arrives from
-    layers = [layer]
-    back: list[list[int]] = []
+    # picks[t][p]: the selection of the best total through slot t ending at
+    # placement p; back[t - 1][p]: the placement at slot t - 1 it arrives from
+    picks, back = [best], []
     for t in range(1, s.num_slots):
-        prev = layers[-1]
-        layer, bp = [], []
-        for pi, (ns, sel) in enumerate(_slot_layer(costs[t], placements, selections[t])):
-            row = switch[pi]
-            arrive = [value + row[qi] for qi, value, _ in prev]
-            k = _first_min(arrive)
-            layer.append((pi, arrive[k] + ns, sel))
-            bp.append(k)
-        layers.append(layer)
-        back.append(bp)
+        ns, best = _slot_layer(costs[t], rows, selections[t])
+        arrive = values[None, :] + switch
+        values = arrive.min(axis=1) + ns
+        picks.append(best)
+        back.append(arrive.argmin(axis=1))
 
-    k = _first_min([value for _, value, _ in layers[-1]])
-    final_value = layers[-1][k][1]
+    pi = int(values.argmin())
+    final_value = float(values[pi])
     path: list[SlotDecision] = []
     for t in range(s.num_slots - 1, -1, -1):
-        pi, _, sel = layers[t][k]
-        path.append(SlotDecision(placements[pi], sel))
+        path.append(SlotDecision(placements[pi], selections[t][picks[t][pi]]))
         if t >= 1:
-            k = back[t - 1][pi]
+            pi = back[t - 1][pi]
     path.reverse()
     return path, final_value

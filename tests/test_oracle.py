@@ -9,12 +9,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mecsim as ms
 import reference as ref
 from conftest import moderate_doc, random_doc, small_horizon_family
+from mecsim.delays import _IndexCosts
 from mecsim.model import station_limit
-from mecsim.oracle import _fitting
+from mecsim.oracle import _fitting, _sides, _slot_layer
 
 
 def _two_cloud_doc(bs, slots=1, lat=None, size=2.0):
@@ -94,7 +97,12 @@ def test_value_bounds_the_fractional_objective():
 def test_fitting_keeps_what_a_bincount_filter_keeps():
     # The placements, and the selections of every slot, of the small horizon
     # family and criterion 3's family, against the per-tuple np.bincount
-    # test the enumeration made before.
+    # test the enumeration made before. The selections are also tested under
+    # a margin of 1.5 times the least station capacity, which check_margin
+    # accepts: that station's limit is below 0.0, so nothing fits, even in
+    # criterion 3's family with one station cut to a tenth, where the other
+    # stations have room. The walk with ``most=k`` keeps the first k + 1
+    # fitting tuples.
     def bincount_filter(choices, weights, limit):
         return [
             combo for combo in itertools.product(*choices)
@@ -103,12 +111,100 @@ def test_fitting_keeps_what_a_bincount_filter_keeps():
 
     scenarios = small_horizon_family()
     scenarios += [ms.validate_scenario(moderate_doc(seed)) for seed in range(100)]
+    for seed in range(100):
+        doc = moderate_doc(seed)
+        doc["bs_capacity"][seed % 3] /= 10.0
+        scenarios.append(ms.validate_scenario(doc))
     for s in scenarios:
-        limit = station_limit(s.bs_capacity, ms.DEFAULT_CONFIG.margin)
+        limits = [
+            station_limit(s.bs_capacity, margin)
+            for margin in (ms.DEFAULT_CONFIG.margin, 1.5 * s.bs_capacity.min())
+        ]
+        assert limits[1].min() < 0.0
         sides = [([range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity)]
-        sides += [(s.coverage[t], s.demand[t], limit) for t in range(s.num_slots)]
+        sides += [
+            (s.coverage[t], s.demand[t], limit)
+            for t in range(s.num_slots) for limit in limits
+        ]
         for side in sides:
-            assert _fitting(*side) == bincount_filter(*side)
+            expected = bincount_filter(*side)
+            assert _fitting(*side) == expected
+            for k in sorted({0, 1, len(expected) // 2, len(expected)}):
+                assert _fitting(*side, most=k) == expected[:k + 1]
+
+
+@st.composite
+def _exact_slot_case(draw):
+    """A one-slot scenario of M 2-4 clouds and N 1-4 users with random
+    coverage and float data, a margin of 1e-6 or 0, and a random previous
+    decision or none."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
+    positive = st.floats(0.1, 2.0)
+    sizes = draw(st.lists(positive, min_size=n, max_size=n))
+    demand = draw(st.lists(positive, min_size=n, max_size=n))
+    room = st.floats(0.6, 1.5)
+    doc = {
+        "num_clouds": m,
+        "num_users": n,
+        "num_slots": 1,
+        "bs_capacity": [draw(room) * sum(demand) for _ in range(m)],
+        "cloud_capacity": [draw(room) * sum(sizes) for _ in range(m)],
+        "service_size": sizes,
+        "link_latency": [[
+            draw(st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m)) for _ in range(m)
+        ]],
+        "coverage": [[
+            sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))) for _ in range(n)
+        ]],
+        "demand": [demand],
+    }
+    s = ms.validate_scenario(doc)
+    x_prev = None
+    if draw(st.booleans()):
+        placement = draw(st.tuples(*[st.integers(0, m - 1)] * n))
+        x_prev = ms.SlotDecision(placement, tuple(cov[0] for cov in s.coverage[0]))
+    return s, draw(st.sampled_from([1e-6, 0.0])), x_prev
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_slot_case())
+def test_slot_layer_is_exactly_the_first_minimum_of_the_literal_values(case):
+    # == rather than approx: a reordered sum would pass a relative tolerance
+    s, margin, x_prev = case
+    try:
+        placements, (selections,) = _sides(s, range(1), margin, ms.ENUMERATION_BUDGET)
+    except ms.InfeasibleError:
+        with pytest.raises(ms.InfeasibleError):
+            ms.best_slot_decision(s, 0, x_prev=x_prev, margin=margin)
+        return
+    costs = _IndexCosts(s, 0)
+    values, best = _slot_layer(costs, np.array(placements), selections)
+    totals = []
+    for pi, p in enumerate(placements):
+        literal = [costs.non_switching(p, sel) for sel in selections]
+        least = min(literal)
+        assert values[pi] == least
+        assert best[pi] == literal.index(least)
+        totals.append(least + costs.switching(p, x_prev.placement) if x_prev else least)
+    decision, value = ms.best_slot_decision(s, 0, x_prev=x_prev, margin=margin)
+    pi = placements.index(decision.placement)
+    assert pi == totals.index(min(totals))
+    assert decision.selection == selections[best[pi]]
+    assert value == (values[pi] + costs.switching(decision.placement, x_prev.placement)
+                     if x_prev else values[pi])
+
+
+def _dp_order_total(s, decisions):
+    """The total of ``decisions`` summed as the DP sums it, left to right:
+    ((ns_0 + sw_1) + ns_1) + sw_2 + ..., valued with ``_IndexCosts``."""
+    costs = [_IndexCosts(s, t) for t in range(s.num_slots)]
+    total = costs[0].non_switching(decisions[0].placement, decisions[0].selection)
+    for t in range(1, s.num_slots):
+        now, prev = decisions[t], decisions[t - 1]
+        total += costs[t].switching(now.placement, prev.placement)
+        total += costs[t].non_switching(now.placement, now.selection)
+    return total
 
 
 def test_slot_enumeration_budget_guard():
@@ -166,20 +262,33 @@ def test_dp_equals_sequence_enumeration():
             continue
         decisions, total = ms.offline_optimal(s)
         assert total == pytest.approx(brute[1], rel=1e-12)
+        assert total == _dp_order_total(s, decisions)
         assert [
             (d.placement, d.selection) for d in decisions
         ] == [(p, sel) for p, sel in brute[0]]
+    # the horizon family is too long for the literal enumeration; its DP
+    # total is still exactly its path's sum in the DP's order
+    for s in small_horizon_family():
+        decisions, total = ms.offline_optimal(s)
+        assert total == _dp_order_total(s, decisions)
 
 
 def test_first_decision_pinning():
     doc = random_doc(7, m=2, n=1, slots=3)
     s = ms.validate_scenario(doc)
     pinned = ms.SlotDecision((1,), (doc["coverage"][0][0][0],))
-    decisions, _ = ms.offline_optimal(s, first_decision=pinned)
-    assert decisions[0] == pinned
-    _, free_total = ms.offline_optimal(s)
-    _, pinned_total = ms.offline_optimal(s, first_decision=pinned)
-    assert free_total <= pinned_total + 1e-12
+    cases = [(s, pinned)]
+    # on the horizon family, pin the last feasible slot-0 decision
+    for s in small_horizon_family():
+        margin = ms.DEFAULT_CONFIG.margin
+        placements, (selections,) = _sides(s, range(1), margin, ms.ENUMERATION_BUDGET)
+        cases.append((s, ms.SlotDecision(placements[-1], selections[-1])))
+    for s, pinned in cases:
+        decisions, pinned_total = ms.offline_optimal(s, first_decision=pinned)
+        assert decisions[0] == pinned
+        assert pinned_total == _dp_order_total(s, decisions)
+        _, free_total = ms.offline_optimal(s)
+        assert free_total <= pinned_total + 1e-12
 
 
 def test_offline_budget_guard():
