@@ -161,13 +161,14 @@ def _summary_doc(
     run_id = hashlib.sha256(
         f"{digest}|{policy.kind}|{beta}|{seed}".encode()
     ).hexdigest()[:16]
-    totals = {
-        "switching": sum(o.delay.switching for o in outcomes),
-        "queuing": sum(o.delay.queuing for o in outcomes),
-        "communication": sum(o.delay.communication for o in outcomes),
-        "non_switching": sum(o.delay.non_switching for o in outcomes),
-        "total": sum(o.delay.total for o in outcomes),
-    }
+    # each total folds the slots' values left to right from 0.0, on every
+    # Python: the builtin sum compensates its float sums from 3.12 on
+    totals = dict.fromkeys(
+        ("switching", "queuing", "communication", "non_switching", "total"), 0.0
+    )
+    for o in outcomes:
+        for name in totals:
+            totals[name] += getattr(o.delay, name)
     return {
         "run_id": run_id,
         "scenario": scenario_path,

@@ -12,34 +12,39 @@ coverage and capacity by greedy repair. The best local optimum then takes
 a few seeded perturbation restarts.
 The rounding's column CDFs are built once per solve and drawn from for
 every seed; a draw is checked on plain-list tallies, which sum as
-``decision_feasible`` does, and only a draw that fits becomes a
+``decision_feasible`` does, pick by pick: it is dropped at the first cloud
+or station over its limit, and only a draw that fits becomes a
 ``SlotDecision`` for ``decision_feasible`` to confirm.
 
 The search values each probed move as the current objective plus the
 change in the terms of the stations and users the move touches. Each step
 walks the one-user moves in latency order: a move's value never falls as
 its link latency grows, so per user and covered station only the nearest
-cloud with room can hold the least value, and only the winning user's
-moves are then valued one by one to find the first minimum. Two-user moves
-are valued in one NumPy pass per step: on small slots the full rescan of
-any two users to any two spots, otherwise every plain exchange over (N, N)
-arrays. Single probes value only three-user rotations. Every search state
-is feasible, so the one-user scan and the kicks test only a move's targets.
-Float-safe lower bounds ("floors") skip the scans that cannot win: a user
-whose one-user moves all value at or above the least value found so far
-is not walked, and the exchange pass and the rotation probes run only
-when some move of theirs could pass the step's bar. A floor is a real
-lower bound on the value, less a slack of 1e-9 * (1 + f) that covers the
-rounding, so a skip never drops a move that would have been taken. The
-slot's static data is built once per solve and shared by all its searches
-and kicks, together with a record of the solve's descents: a descent
-depends only on its decision and the slot, so a search that starts at or
-reaches a decision an earlier search of the solve descended from stops
-there with that descent's local optimum. Greedy repair and the greedy
-start price a user's stations with one helper. When the uniform point
-cannot be repaired, one zero-cost LP supplies the point to round; on a
-searched slot it also tells an empty slot from one with no point clear of
-the margin. That LP is the only use of SciPy, imported when it runs.
+cloud with room can hold the least value. Of the winning user's moves only
+those that tie its least value are then valued, to find the first minimum
+in probe order. Applying a move sums again only the tallies of the clouds
+and stations it touches, each over its users in user order, and then ``f``
+over every user, so a state is always a fresh state of its decision.
+Two-user moves are valued in one NumPy pass per step: on small slots the full
+rescan of any two users to any two spots, otherwise every plain exchange
+over (N, N) arrays. Single probes value only three-user rotations. Every
+search state is feasible, so the one-user scan and the kicks test only a
+move's targets. Float-safe lower bounds ("floors") skip the scans that
+cannot win: a user whose one-user moves all value at or above the least
+value found so far is not walked, and the exchange pass and the rotation
+probes run only when some move of theirs could pass the step's bar. A
+floor is a real lower bound on the value, less a slack of 1e-9 * (1 + f)
+that covers the rounding, so a skip never drops a move that would have
+been taken. The slot's static data is built once per solve and shared by
+all its searches and kicks, together with a record of the solve's
+descents: a descent depends only on its decision and the slot, so a search
+that starts at or reaches a decision an earlier search of the solve
+descended from stops there with that descent's local optimum. Greedy
+repair and the greedy start price a user's stations with one helper. When
+the uniform point cannot be repaired, one zero-cost LP, its constraint
+matrices built in CSC form, supplies the point to round; on a searched
+slot it also tells an empty slot from one with no point clear of the
+margin. That LP is the only use of SciPy, imported when it runs.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_right, insort
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -235,19 +241,30 @@ def _feasible_point_via_lp(
     x and for y; selections outside coverage are pinned to zero by their
     bounds. When the LP is empty, the same LP with no margin tells
     NoInteriorPointError (only loads at capacity fit) from InfeasibleError.
+
+    Each column of either matrix holds one entry, so both are built in CSC
+    form directly: the arrays ``csc_array`` forms from the dense blocks
+    [[I (x) s, 0], [0, I (x) c]] and I_2 (x) (1_M (x) I_N), as sizes and
+    demands are positive and no entry drops.
     """
     from scipy.optimize import linprog
+    from scipy.sparse import csc_array
 
     m, n = s.num_clouds, s.num_users
     covered = np.zeros((m, n))
     for k, stations in enumerate(s.coverage[t]):
         covered[list(stations), k] = 1.0
-    rows = np.eye(m)
-    a_ub = np.block([
-        [np.kron(rows, s.service_size), np.zeros((m, m * n))],
-        [np.zeros((m, m * n)), np.kron(rows, s.demand[t])],
-    ])
-    a_eq = np.kron(np.eye(2), np.kron(np.ones(m), np.eye(n)))
+    # column r * n + k of x, and M * N plus that of y, is cloud r and user k
+    indptr = np.arange(2 * m * n + 1, dtype=np.int32)
+    a_ub = csc_array((
+        np.concatenate([np.tile(s.service_size, m), np.tile(s.demand[t], m)]),
+        np.repeat(np.arange(2 * m, dtype=np.int32), n),
+        indptr,
+    ), shape=(2 * m, 2 * m * n))
+    users = np.tile(np.arange(n, dtype=np.int32), m)
+    a_eq = csc_array((
+        np.ones(2 * m * n), np.concatenate([users, n + users]), indptr,
+    ), shape=(2 * n, 2 * m * n))
     upper = np.concatenate([np.ones(m * n), covered.ravel()])
 
     def solve(station_margin: float):
@@ -467,6 +484,15 @@ def _tally(
     return used, load, users_on
 
 
+def _fold(weights: list[float], users: list[int]) -> float:
+    """The users' weights summed left to right from 0.0: on one cloud's or
+    station's users in user order, the float ``_tally`` sums there."""
+    total = 0.0
+    for k in users:
+        total += weights[k]
+    return total
+
+
 class _SearchState:
     """Integral decision with the bookkeeping of the discrete search.
 
@@ -481,14 +507,19 @@ class _SearchState:
     s_k, and j is k's station or has room for c_k.
 
     Plain lists keep probes cheap. ``f`` is the non-switching delay of the
-    current decision. ``apply`` sums storage, load and users again from the
-    decision (``_tally``) and recomputes ``f`` in one loop over the users
-    (``_settle``), the floats ``_IndexCosts.non_switching`` gives, so no
-    state carries rounding from the moves that led to it. A probe values a batch of
-    per-user (cloud, station) reassignments, distinct users each, as ``f``
-    plus the change in the terms of the stations and users it touches,
-    without applying it; batches that break storage, coverage or the
-    station limit are rejected without evaluation.
+    current decision. The state keeps each cloud's and each station's users
+    in user order (``cloud_users``, ``station_users``), and each station's
+    ``out`` and ``wait`` terms. ``apply`` sums storage, load and users again
+    only for the clouds and stations a batch touches, each over its users
+    from 0.0 (``_fold``), the floats ``_tally`` gives for the whole
+    decision; it prices only the touched stations again and recomputes ``f``
+    in one loop over every user (``_settle``), the floats
+    ``_IndexCosts.non_switching`` gives. So every tally, term and ``f`` is a
+    fresh state's, and no state carries rounding from the moves that led to
+    it. A probe values a batch of per-user (cloud, station) reassignments,
+    distinct users each, as ``f`` plus the change in the terms of the
+    stations and users it touches, without applying it; batches that break
+    storage, coverage or the station limit are rejected without evaluation.
     The scans find the first best move of a kind with the same arithmetic:
     ``best_single_move`` by a walk in latency order, ``best_pair_move`` over
     the full two-user rescan and ``best_exchange`` over the plain exchanges
@@ -497,34 +528,48 @@ class _SearchState:
     ``user_floors`` and ``floors`` bound the values of one user's moves, of
     all exchanges and of all rotations from below, with slack for rounding;
     the search skips a scan whose floor is at or above what it must beat.
+    ``best_single_move`` forms each user's floor inline, the same float.
     """
 
     __slots__ = (
-        "tables", "m", "n", "cov", "placement", "selection", "used", "load", "users_on",
-        "out", "f",
+        "tables", "m", "n", "cov", "placement", "selection", "cloud_users", "station_users",
+        "used", "load", "users_on", "out", "wait", "f",
     )
 
     def __init__(
         self, tables: _SlotTables, placement: tuple[int, ...], selection: tuple[int, ...],
     ) -> None:
         self.tables = tables
-        self.m = tables.m
+        m = self.m = tables.m
         self.n = tables.n
         self.cov = tables.cov
         self.placement = list(placement)
         self.selection = list(selection)
-        self._settle(*_tally(tables, self.placement, self.selection))
+        self.cloud_users: list[list[int]] = [[] for _ in range(m)]
+        self.station_users: list[list[int]] = [[] for _ in range(m)]
+        for k, (i, j) in enumerate(zip(placement, selection)):
+            self.cloud_users[i].append(k)
+            self.station_users[j].append(k)
+        self.used, self.load, self.users_on = _tally(tables, placement, selection)
+        self.out = [0.0] * m
+        self.wait = [0.0] * m
+        self._settle(range(m))
 
-    def _settle(self, used: list[float], load: list[float], users_on: list[int]) -> None:
-        """Keep the tallies and value the decision from them. ``f`` is the
-        queuing total plus the communication total, both summed user by user
-        in one loop: the floats ``value()`` computes, so ``f == value()``."""
-        self.used, self.load, self.users_on = used, load, users_on
+    def _settle(self, stations: Iterable[int]) -> None:
+        """Price the given stations from their tallies and value the
+        decision. A station's ``out`` is its queue term on / (C - L), 0.0
+        when empty, and its ``wait`` is 1 / (C - L). ``f`` is the queuing
+        total plus the communication total, both summed user by user in one
+        loop: the floats ``value()`` computes, so ``f == value()``."""
         costs = self.tables.costs
-        room = [c - v for c, v in zip(costs.bs_cap, load)]
-        # each station's queue term on / (C - L), 0.0 on an empty station
-        self.out = [on / r if on else 0.0 for on, r in zip(users_on, room)]
-        wait = [1.0 / r if r > 0.0 else math.inf for r in room]
+        bs_cap, load, users_on, out, wait = (
+            costs.bs_cap, self.load, self.users_on, self.out, self.wait
+        )
+        for j in stations:
+            room = bs_cap[j] - load[j]
+            on = users_on[j]
+            out[j] = on / room if on else 0.0
+            wait[j] = 1.0 / room if room > 0.0 else math.inf
         lat = costs.lat
         queuing = communication = 0.0
         for i, j in zip(self.placement, self.selection):
@@ -639,24 +684,27 @@ class _SearchState:
         lat[i][j] grows: the first cloud with room in (lat[i][j], i) order
         holds the least. One walk per user and covered station values only
         that move, and the first user whose least value is strictly lowest
-        holds the first minimum. Only that user's moves are then valued in
-        probe order, to find which it is. The state is feasible
-        (``_SearchState``), so only the targets' room is tested. A user whose
-        floor (``user_floors``) is at or above the least value so far cannot
-        hold the first minimum, and is not walked.
+        holds the first minimum. Of that user's moves only the ties of its
+        least value are then valued: per station, the run of clouds with room
+        in (latency, index) order whose value is the least. The first tie in
+        probe order, the least (cloud, coverage position), is the first
+        minimum. The state is feasible (``_SearchState``), so only the
+        targets' room is tested. A user whose floor, the float
+        ``user_floors`` gives, formed inline, is at or above the least value
+        so far cannot hold the first minimum, and is not walked.
         """
         tables, costs = self.tables, self.tables.costs
         order, cloud_cap, limit = tables.cloud_order, tables.cloud_cap, tables.limit
-        lat, bs_cap = costs.lat, costs.bs_cap
+        lat, bs_cap, nearest = costs.lat, costs.bs_cap, tables.nearest
         f, out, used, load, users_on = self.f, self.out, self.used, self.load, self.users_on
-        floors = self.user_floors()
+        low = f - 1e-9 * (1.0 + f)  # as in user_floors
         best = None  # (least value, user, the user's terms)
         for k in range(self.n):
-            if best is not None and floors[k] >= best[0]:
-                continue
             i0, j0 = self.placement[k], self.selection[k]
-            size, c = costs.sizes[k], costs.demand[k]
             lat0, out0 = lat[i0][j0], out[j0]
+            if best is not None and low + ((nearest[k] - lat0) - out0) >= best[0]:
+                continue
+            size, c = costs.sizes[k], costs.demand[k]
             on0 = users_on[j0]
             leave = (on0 - 1) / (bs_cap[j0] - (load[j0] + (0.0 - c))) if on0 - 1 else 0.0
             # per covered station with room for the user: (j, leave, out_j, arrive)
@@ -687,21 +735,23 @@ class _SearchState:
                 best = (least, k, i0, j0, lat0, out0, size, stations)
         if best is None:
             return None
-        _, k, i0, j0, lat0, out0, size, stations = best
-        first: tuple[float, tuple[int, int, int]] | None = None
-        for i in range(self.m):
-            if i != i0 and used[i] + (0.0 + size) > cloud_cap[i]:
-                continue
-            lat_i = lat[i]
-            for j, leave_j, out_j, arrive in stations:
-                if i == i0 and j == j0:
+        least, k, i0, j0, lat0, out0, size, stations = best
+        ties = []  # (cloud, coverage position, station) of each move of least value
+        for position, (j, leave_j, out_j, arrive) in enumerate(stations):
+            for i in order[j]:
+                if i == i0:
+                    if j == j0:
+                        continue
+                elif used[i] + (0.0 + size) > cloud_cap[i]:
                     continue
                 value = f + (
-                    ((((0.0 + (lat_i[j] - lat0)) - out0) + leave_j) - out_j) + arrive
+                    ((((0.0 + (lat[i][j] - lat0)) - out0) + leave_j) - out_j) + arrive
                 )
-                if first is None or value < first[0]:
-                    first = (value, (k, i, j))
-        return first
+                if value != least:
+                    break
+                ties.append((i, position, j))
+        i, _, j = min(ties)
+        return least, (k, i, j)
 
     def best_pair_move(self) -> tuple[float, list[tuple[int, int, int]]] | None:
         """First minimum of ``probe([(a, i1, j1), (b, i2, j2)])`` over the
@@ -807,22 +857,49 @@ class _SearchState:
 
     def apply(self, batch: list[tuple[int, int, int]]) -> bool:
         """Make the batch's moves and return True, unless a tally summed
-        again breaks its limit: then keep the decision as it was and return
-        False. Only the tallies of the clouds and stations the batch moves
-        users to are tested: every other tally is the sum it was, or a sum
-        of fewer of the same positive terms in the same order, which rounds
-        no higher."""
-        before = self.placement[:], self.selection[:]
+        again breaks its limit: then keep the state as it was and return
+        False.
+
+        Only the clouds and stations the batch touches are summed again,
+        each over its users in user order from 0.0: the floats ``_tally``
+        gives, so every tally is a fresh state's. Only the tallies of the
+        clouds and stations the batch moves users to are tested: every other
+        tally is the sum it was, or a sum of fewer of the same positive terms
+        in the same order, which rounds no higher. ``_settle`` then prices
+        the touched stations again and sums ``f`` over every user."""
+        tables = self.tables
+        costs = tables.costs
+        placement, selection = self.placement, self.selection
+        # each touched cloud and station with its users after the batch
+        clouds: dict[int, list[int]] = {}
+        stations: dict[int, list[int]] = {}
         for k, i, j in batch:
-            self.placement[k] = i
-            self.selection[k] = j
-        used, load, users_on = _tally(self.tables, self.placement, self.selection)
-        cloud_cap, limit = self.tables.cloud_cap, self.tables.limit
+            for owner, users, old, new in (
+                (clouds, self.cloud_users, placement[k], i),
+                (stations, self.station_users, selection[k], j),
+            ):
+                for r in (old, new):
+                    if r not in owner:
+                        owner[r] = users[r][:]
+                owner[old].remove(k)
+                insort(owner[new], k)
+        used = {r: _fold(costs.sizes, users) for r, users in clouds.items()}
+        load = {r: _fold(costs.demand, users) for r, users in stations.items()}
+        cloud_cap, limit = tables.cloud_cap, tables.limit
         for _, i, j in batch:
             if used[i] > cloud_cap[i] or load[j] > limit[j]:
-                self.placement, self.selection = before
                 return False
-        self._settle(used, load, users_on)
+        for k, i, j in batch:
+            placement[k] = i
+            selection[k] = j
+        for r, users in clouds.items():
+            self.cloud_users[r] = users
+            self.used[r] = used[r]
+        for r, users in stations.items():
+            self.station_users[r] = users
+            self.load[r] = load[r]
+            self.users_on[r] = len(users)
+        self._settle(stations)
         return True
 
     def decision(self) -> SlotDecision:
@@ -984,37 +1061,53 @@ class _Rounding:
             for k, cdf in zip(users, _column_cdfs(rows)):
                 self.y_cdf[k] = cdf
 
-    def fits(self, placement: tuple[int, ...], selection: tuple[int, ...]) -> bool:
-        """Whether a draw's storage and load meet every limit. The tallies
-        are ``decision_feasible``'s sums, so on a draw within coverage the
-        two give the same verdict."""
-        tables = self.tables
-        used, load, _ = _tally(tables, placement, selection)
-        return all(map(operator.le, used, tables.cloud_cap)) and all(
-            map(operator.le, load, tables.limit)
+    def picks(self, u: list[float]) -> tuple[Iterator[int], Iterator[int]]:
+        """The draw of 2n uniforms, as lazy (placement, selection): user k's
+        cloud is picked by u[2k] and its station by u[2k + 1]."""
+        return (
+            map(bisect_right, self.x_cdf, u[0::2]),
+            map(operator.getitem, self.tables.cov, map(bisect_right, self.y_cdf, u[1::2])),
         )
 
-    def draw(self, rng_seed: int) -> tuple[SlotDecision, int, int]:
-        """``round_decision`` of the point for ``rng_seed``."""
+    def fits(self, placement: Iterable[int], selection: Iterable[int]) -> bool:
+        """Whether a draw's storage and load meet every limit. The tallies
+        are summed user by user as ``_tally`` sums them, the sums of
+        ``decision_feasible``, so on a draw within coverage the two give the
+        same verdict. The check stops at the first cloud or station over its
+        limit and reads no more of the draw: running sums of positive
+        weights never fall, so the full tally breaks that limit too."""
         tables = self.tables
-        s, t, margin, cov = tables.s, tables.t, tables.margin, tables.cov
+        sizes, demand, cloud_cap, limit = (
+            tables.costs.sizes, tables.costs.demand, tables.cloud_cap, tables.limit
+        )
+        used = [0.0] * tables.m
+        load = [0.0] * tables.m
+        for i, j, size, c in zip(placement, selection, sizes, demand):
+            used[i] += size
+            load[j] += c
+            if used[i] > cloud_cap[i] or load[j] > limit[j]:
+                return False
+        return True
+
+    def draw(self, rng_seed: int) -> tuple[SlotDecision, int, int]:
+        """``round_decision`` of the point for ``rng_seed``. An attempt's
+        picks are made lazily, as ``fits`` reads them; only a draw that fits,
+        or the last one when none does, is formed whole."""
+        tables = self.tables
+        s, t, margin = tables.s, tables.t, tables.margin
         rng = np.random.default_rng(rng_seed)
         for attempt in range(1, _MAX_ATTEMPTS + 1):
             u = rng.random(2 * tables.n).tolist()
-            placement = tuple(map(bisect_right, self.x_cdf, u[0::2]))
-            selection = tuple(
-                stations[bisect_right(cdf, v)]
-                for stations, cdf, v in zip(cov, self.y_cdf, u[1::2])
-            )
-            if self.fits(placement, selection):
-                decision = SlotDecision(placement, selection)
+            if self.fits(*self.picks(u)):
+                decision = SlotDecision(*map(tuple, self.picks(u)))
                 if decision_feasible(s, t, decision, margin):
                     return decision, attempt, 0
         _log.debug(
             "slot %d: no feasible draw in %d attempts; repairing the last greedily",
             t, _MAX_ATTEMPTS,
         )
-        repaired, moves = _greedy_repair(tables, SlotDecision(placement, selection))
+        last = SlotDecision(*map(tuple, self.picks(u)))
+        repaired, moves = _greedy_repair(tables, last)
         return repaired, _MAX_ATTEMPTS, moves
 
 

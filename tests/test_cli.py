@@ -6,12 +6,13 @@ import csv
 import json
 import logging
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import mecsim as ms
 from conftest import make_doc
-from mecsim.cli import CSV_HEADER, main
+from mecsim.cli import CSV_HEADER, _summary_doc, main
 
 
 def _write_json(path: Path, doc) -> str:
@@ -97,6 +98,36 @@ def test_run_writes_csv_and_summary(walkthrough_path, tmp_path):
     assert summary["num_slots"] == 2
     total = sum(float(r["total"]) for r in rows)
     assert summary["totals"]["total"] == pytest.approx(total, rel=1e-12)
+
+
+def test_summary_totals_fold_the_slot_values_left_to_right(tmp_path):
+    # The builtin sum compensates from Python 3.12, where sum([0.1] * 10) is
+    # 1.0; the totals must be the plain left fold on every version.
+    s = ms.generate(ms.GeneratorConfig(
+        seed=9, grid_width=3, grid_height=1, num_users=3, num_slots=16
+    ))
+    scenario = tmp_path / "scenario.json"
+    ms.save_scenario(s, scenario)
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", str(scenario), "--beta", "0,1,inf",
+                 "--seed", "0", "--out", str(out)]) == 0
+    summaries = sorted(out.glob("*.json"))
+    assert len(summaries) == 6
+    for path in summaries:
+        totals = json.loads(path.read_text(encoding="utf-8"))["totals"]
+        rows = _read_rows(path.with_suffix(".csv"))
+        assert len(rows) == 16
+        for name, total in totals.items():
+            fold = 0.0
+            for row in rows:
+                fold += float(row[name])
+            assert total == fold, (path.name, name)
+    delay = SimpleNamespace(
+        switching=0.1, queuing=0.1, communication=0.1, non_switching=0.1, total=0.1
+    )
+    outcomes = [SimpleNamespace(delay=delay, migrated=False, forced=False)] * 10
+    doc = _summary_doc(ms.Policy.never(), 0, "s.json", "0" * 64, outcomes, ms.SolverConfig())
+    assert set(doc["totals"].values()) == {0.9999999999999999}
 
 
 def test_run_is_byte_identical_across_invocations(walkthrough_path, tmp_path):

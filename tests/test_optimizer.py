@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import warnings
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ from mecsim.optimizer import (
     _search_slot,
     _SearchState,
     _SlotTables,
+    _tally,
     _uniform_point,
 )
 from mecsim.seeding import substream_seed
@@ -85,6 +87,51 @@ def test_lp_points_satisfy_constraints_tightly():
         load = y @ np.asarray(doc["demand"][0])
         assert np.all(storage <= np.asarray(doc["cloud_capacity"]) + 1e-8)
         assert np.all(load <= np.asarray(doc["bs_capacity"]) - 1e-6 + 1e-8)
+
+
+def test_lp_matrices_are_the_dense_kron_constructions(monkeypatch):
+    # The CSC arrays handed to linprog are those of the dense blocks, so
+    # HiGHS gets the same input and returns the same vertex.
+    import scipy.optimize
+    from scipy.sparse import csc_array
+
+    linprog = scipy.optimize.linprog
+    calls = []
+
+    def recorded(c, **kwargs):
+        calls.append((c, kwargs))
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recorded)
+    solved = 0
+    for seed, (m, n) in itertools.product(range(6), [(2, 1), (3, 4), (5, 7)]):
+        s = _validate(random_doc(seed, m=m, n=n, tight=seed % 2 == 1))
+        calls.clear()
+        try:
+            _feasible_point_via_lp(s, 0, 1e-6)
+        except ms.InfeasibleError:
+            pass
+        rows = np.eye(m)
+        dense = {
+            "A_ub": np.block([
+                [np.kron(rows, s.service_size), np.zeros((m, m * n))],
+                [np.zeros((m, m * n)), np.kron(rows, s.demand[0])],
+            ]),
+            "A_eq": np.kron(np.eye(2), np.kron(np.ones(m), np.eye(n))),
+        }
+        for c, kwargs in calls:
+            for name, matrix in dense.items():
+                got, want = kwargs[name], csc_array(matrix)
+                assert got.shape == want.shape
+                for part in ("indptr", "indices", "data"):
+                    a, b = getattr(got, part), getattr(want, part)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
+            sparse, from_dense = linprog(c, **kwargs), linprog(c, **{**kwargs, **dense})
+            assert sparse.status == from_dense.status
+            if sparse.status == 0:
+                assert np.array_equal(sparse.x, from_dense.x)
+                solved += 1
+    assert solved >= 12  # not vacuous: most of the 18 LPs have a vertex
 
 
 def test_lp_infeasible_when_storage_cannot_fit():
@@ -664,7 +711,9 @@ def test_apply_leaves_the_state_a_fresh_state_of_its_decision_has(case):
         for batch in batches:
             state.apply(batch)
             fresh = _state(s, state.placement, state.selection, margin)
-            for name in ("used", "load", "users_on", "out", "f"):
+            for name in (
+                "cloud_users", "station_users", "used", "load", "users_on", "out", "wait", "f",
+            ):
                 assert getattr(state, name) == getattr(fresh, name), name
             assert state.f == state.value()
 
@@ -1074,6 +1123,53 @@ def test_draw_check_agrees_with_decision_feasible(case):
     rounding = _Rounding(_SlotTables(s, 0, margin), x, y)
     decision = ms.SlotDecision(placement, selection)
     assert rounding.fits(placement, selection) == ms.decision_feasible(s, 0, decision, margin)
+
+
+def _full_tally_draw(rounding, seed):
+    """``_Rounding.draw`` with every attempt formed whole and checked on its
+    full ``_tally``."""
+    tables = rounding.tables
+    rng = np.random.default_rng(seed)
+    for attempt in range(1, mecsim_optimizer._MAX_ATTEMPTS + 1):
+        u = rng.random(2 * tables.n).tolist()
+        placement = tuple(bisect_right(cdf, v) for cdf, v in zip(rounding.x_cdf, u[0::2]))
+        selection = tuple(
+            stations[bisect_right(cdf, v)]
+            for stations, cdf, v in zip(tables.cov, rounding.y_cdf, u[1::2])
+        )
+        used, load, _ = _tally(tables, placement, selection)
+        if all(map(operator.le, used, tables.cloud_cap)) and all(
+            map(operator.le, load, tables.limit)
+        ):
+            decision = ms.SlotDecision(placement, selection)
+            if ms.decision_feasible(tables.s, tables.t, decision, tables.margin):
+                return decision, attempt, 0
+    repaired, moves = _greedy_repair(tables, ms.SlotDecision(placement, selection))
+    return repaired, mecsim_optimizer._MAX_ATTEMPTS, moves
+
+
+def _outcome(draw, *args):
+    try:
+        return draw(*args)
+    except ms.RoundingFailedError:
+        return ms.RoundingFailedError
+
+
+def test_draw_stops_attempts_where_the_full_tally_would_fail_them():
+    # Tight slots where some draws fit at once, some after failed attempts
+    # and some in none of the attempts, so the last one is repaired.
+    attempts = set()
+    for seed, (m, n) in itertools.product(range(4), [(3, 3), (4, 5), (5, 10)]):
+        doc = random_doc(seed, m=m, n=n, tight=True)
+        for margin in (0.0, ms.DEFAULT_CONFIG.margin):
+            rounding = _Rounding(_SlotTables(_validate(doc), 0, margin), *_uniform_interior(doc))
+            for rng_seed in range(5):
+                got = _outcome(rounding.draw, rng_seed)
+                assert got == _outcome(_full_tally_draw, rounding, rng_seed)
+                if got is not ms.RoundingFailedError:
+                    attempts.add(got[1])
+    assert 1 in attempts and mecsim_optimizer._MAX_ATTEMPTS in attempts
+    assert any(1 < a < mecsim_optimizer._MAX_ATTEMPTS for a in attempts)
 
 
 def _solve_slot_draws(monkeypatch, s, margin):
