@@ -22,9 +22,9 @@ walks the one-user moves in latency order: a move's value never falls as
 its link latency grows, so per user and covered station only the nearest
 cloud with room can hold the least value. Of the winning user's moves only
 those that tie its least value are then valued, to find the first minimum
-in probe order. Applying a move sums again only the tallies of the clouds
-and stations it touches, each over its users in user order, and then ``f``
-over every user, so a state is always a fresh state of its decision.
+in probe order. Applying a move sums every tally again in user order,
+prices only the stations it touches and sums ``f`` over every user, so a
+state is always a fresh state of its decision.
 Two-user moves are valued in one NumPy pass per step: on small slots the full
 rescan of any two users to any two spots, otherwise every plain exchange
 over (N, N) arrays. Single probes value only three-user rotations. Every
@@ -52,7 +52,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -484,15 +484,6 @@ def _tally(
     return used, load, users_on
 
 
-def _fold(weights: list[float], users: list[int]) -> float:
-    """The users' weights summed left to right from 0.0: on one cloud's or
-    station's users in user order, the float ``_tally`` sums there."""
-    total = 0.0
-    for k in users:
-        total += weights[k]
-    return total
-
-
 class _SearchState:
     """Integral decision with the bookkeeping of the discrete search.
 
@@ -507,16 +498,13 @@ class _SearchState:
     s_k, and j is k's station or has room for c_k.
 
     Plain lists keep probes cheap. ``f`` is the non-switching delay of the
-    current decision. The state keeps each cloud's and each station's users
-    in user order (``cloud_users``, ``station_users``), and each station's
-    ``out`` and ``wait`` terms. ``apply`` sums storage, load and users again
-    only for the clouds and stations a batch touches, each over its users
-    from 0.0 (``_fold``), the floats ``_tally`` gives for the whole
-    decision; it prices only the touched stations again and recomputes ``f``
-    in one loop over every user (``_settle``), the floats
-    ``_IndexCosts.non_switching`` gives. So every tally, term and ``f`` is a
-    fresh state's, and no state carries rounding from the moves that led to
-    it. A probe values a batch of per-user (cloud, station) reassignments,
+    current decision, and the state keeps each station's ``out`` and
+    ``wait`` terms. ``apply`` sums every tally again with ``_tally``,
+    prices only the stations a batch touches again and recomputes ``f`` in
+    one loop over every user (``_settle``), the floats
+    ``_IndexCosts.non_switching`` gives. So every tally, term and ``f`` is
+    a fresh state's, and no state carries rounding from the moves that led
+    to it. A probe values a batch of per-user (cloud, station) reassignments,
     distinct users each, as ``f`` plus the change in the terms of the
     stations and users it touches, without applying it; batches that break
     storage, coverage or the station limit are rejected without evaluation.
@@ -532,7 +520,7 @@ class _SearchState:
     """
 
     __slots__ = (
-        "tables", "m", "n", "cov", "placement", "selection", "cloud_users", "station_users",
+        "tables", "m", "n", "cov", "placement", "selection",
         "used", "load", "users_on", "out", "wait", "f",
     )
 
@@ -545,11 +533,6 @@ class _SearchState:
         self.cov = tables.cov
         self.placement = list(placement)
         self.selection = list(selection)
-        self.cloud_users: list[list[int]] = [[] for _ in range(m)]
-        self.station_users: list[list[int]] = [[] for _ in range(m)]
-        for k, (i, j) in enumerate(zip(placement, selection)):
-            self.cloud_users[i].append(k)
-            self.station_users[j].append(k)
         self.used, self.load, self.users_on = _tally(tables, placement, selection)
         self.out = [0.0] * m
         self.wait = [0.0] * m
@@ -857,49 +840,31 @@ class _SearchState:
 
     def apply(self, batch: list[tuple[int, int, int]]) -> bool:
         """Make the batch's moves and return True, unless a tally summed
-        again breaks its limit: then keep the state as it was and return
+        again breaks its limit: then put the moved users back and return
         False.
 
-        Only the clouds and stations the batch touches are summed again,
-        each over its users in user order from 0.0: the floats ``_tally``
-        gives, so every tally is a fresh state's. Only the tallies of the
-        clouds and stations the batch moves users to are tested: every other
-        tally is the sum it was, or a sum of fewer of the same positive terms
-        in the same order, which rounds no higher. ``_settle`` then prices
-        the touched stations again and sums ``f`` over every user."""
-        tables = self.tables
-        costs = tables.costs
+        Every tally is summed again by ``_tally``, user by user in user
+        order from 0.0, so every tally is a fresh state's. Only the tallies
+        of the clouds and stations the batch moves users to are tested:
+        every other tally is the sum it was, or a sum of fewer of the same
+        positive terms in the same order, which rounds no higher.
+        ``_settle`` then prices the stations the batch touched again and
+        sums ``f`` over every user."""
         placement, selection = self.placement, self.selection
-        # each touched cloud and station with its users after the batch
-        clouds: dict[int, list[int]] = {}
-        stations: dict[int, list[int]] = {}
-        for k, i, j in batch:
-            for owner, users, old, new in (
-                (clouds, self.cloud_users, placement[k], i),
-                (stations, self.station_users, selection[k], j),
-            ):
-                for r in (old, new):
-                    if r not in owner:
-                        owner[r] = users[r][:]
-                owner[old].remove(k)
-                insort(owner[new], k)
-        used = {r: _fold(costs.sizes, users) for r, users in clouds.items()}
-        load = {r: _fold(costs.demand, users) for r, users in stations.items()}
-        cloud_cap, limit = tables.cloud_cap, tables.limit
-        for _, i, j in batch:
-            if used[i] > cloud_cap[i] or load[j] > limit[j]:
-                return False
+        old = [(k, placement[k], selection[k]) for k, _, _ in batch]
         for k, i, j in batch:
             placement[k] = i
             selection[k] = j
-        for r, users in clouds.items():
-            self.cloud_users[r] = users
-            self.used[r] = used[r]
-        for r, users in stations.items():
-            self.station_users[r] = users
-            self.load[r] = load[r]
-            self.users_on[r] = len(users)
-        self._settle(stations)
+        used, load, users_on = _tally(self.tables, placement, selection)
+        cloud_cap, limit = self.tables.cloud_cap, self.tables.limit
+        for _, i, j in batch:
+            if used[i] > cloud_cap[i] or load[j] > limit[j]:
+                for k, i0, j0 in old:
+                    placement[k] = i0
+                    selection[k] = j0
+                return False
+        self.used, self.load, self.users_on = used, load, users_on
+        self._settle({j for _, _, j in old + batch})
         return True
 
     def decision(self) -> SlotDecision:

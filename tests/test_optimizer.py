@@ -701,19 +701,40 @@ def _apply_case(draw):
     return doc, placement, selection, batches
 
 
+# Station 0's capacity is the three demands summed in user order. With
+# users 0 and 2 on it, user 1 arriving sums to one ulp less, the station's
+# limit at margin 0, so a kick's move passed the check; the state summed the
+# load again in user order, got the capacity, and its queue term divided by
+# zero.
+_RESUM_AT_CAPACITY = {
+    "num_clouds": 2,
+    "num_users": 3,
+    "num_slots": 1,
+    "bs_capacity": [2.716133253748052, 4.178389052481199],
+    "cloud_capacity": [10.0, 10.0],
+    "service_size": [1.0, 1.0, 1.0],
+    "link_latency": [[[1.910885061964363, 0.8093601412916109],
+                      [0.12292057180858407, 0.04958290658558728]]],
+    "coverage": [[[0, 1], [0, 1], [0, 1]]],
+    "demand": [[0.7034552406761496, 0.7623133404418495, 1.2503646726300526]],
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_apply_case())
+# at margin 0, user 1 arriving on station 0 sums again to its capacity
+@example((_RESUM_AT_CAPACITY, (0, 0, 0), (0, 1, 0), [[(1, 0, 0)]]))
 def test_apply_leaves_the_state_a_fresh_state_of_its_decision_has(case):
     doc, placement, selection, batches = case
     s = _validate(doc)
     for margin in (1e-6, 0.0):
         state = _state(s, placement, selection, margin)
         for batch in batches:
-            state.apply(batch)
+            before = state.placement[:], state.selection[:]
+            if not state.apply(batch):
+                assert (state.placement, state.selection) == before
             fresh = _state(s, state.placement, state.selection, margin)
-            for name in (
-                "cloud_users", "station_users", "used", "load", "users_on", "out", "wait", "f",
-            ):
+            for name in ("used", "load", "users_on", "out", "wait", "f"):
                 assert getattr(state, name) == getattr(fresh, name), name
             assert state.f == state.value()
 
@@ -1394,25 +1415,6 @@ def test_solve_slot_with_zero_margin_keeps_stations_below_capacity():
     assert sorted(repaired.selection) == [0, 1] and moves == 1
 
 
-# Station 0's capacity is the three demands summed in user order. With
-# users 0 and 2 on it, user 1 arriving sums to one ulp less, the station's
-# limit at margin 0, so a kick's move passed the check; the state summed the
-# load again in user order, got the capacity, and its queue term divided by
-# zero.
-_RESUM_AT_CAPACITY = {
-    "num_clouds": 2,
-    "num_users": 3,
-    "num_slots": 1,
-    "bs_capacity": [2.716133253748052, 4.178389052481199],
-    "cloud_capacity": [10.0, 10.0],
-    "service_size": [1.0, 1.0, 1.0],
-    "link_latency": [[[1.910885061964363, 0.8093601412916109],
-                      [0.12292057180858407, 0.04958290658558728]]],
-    "coverage": [[[0, 1], [0, 1], [0, 1]]],
-    "demand": [[0.7034552406761496, 0.7623133404418495, 1.2503646726300526]],
-}
-
-
 def test_zero_margin_solve_survives_a_load_that_rounds_up_when_summed_again():
     s = _validate(_RESUM_AT_CAPACITY)
     for solve in (_search_slot, _solved):
@@ -1536,6 +1538,25 @@ def test_solve_slot_finds_feasible_decisions_on_tight_instances(seed):
     if seed in (5, 13, 70):
         _, value = ms.best_slot_decision(s, 0, budget=2_000_000)
         assert report.objective == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "seed, value",
+    [
+        (6, 0.8198708618015609),
+        (13, 3.7404198403312585),
+        (19, 2.386264761829361),
+        (34, 0.768817359228327),
+    ],
+)
+def test_solve_slot_rounds_the_repaired_uniform_point_on_tight_slots(seed, value):
+    # Each slot is over the exact bound and its uniform point is over a
+    # limit; rounding the LP's point instead of the repaired uniform point
+    # raises RoundingFailedError on all four.
+    s = _validate(random_doc(seed, m=4, n=8, tight=True))
+    decision, report = _search_slot(s, 0)
+    assert ms.decision_feasible(s, 0, decision, ms.DEFAULT_CONFIG.margin)
+    assert report.objective == pytest.approx(value, abs=1e-9)
 
 
 @pytest.mark.parametrize(
