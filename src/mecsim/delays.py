@@ -108,8 +108,8 @@ class _IndexCosts:
     cloud ``placement[k]`` and station ``selection[k]``. The search, the
     oracle and the controller value integral decisions with it alone. Plain
     lists keep a call cheap; sums run user by user, as in the matrix forms,
-    and a station at or over capacity gives +inf. The two ``_table`` forms
-    value many decisions in one array pass each and give the same floats.
+    and a station at or over capacity gives +inf. The ``_table`` forms
+    value many decisions at once and give the same floats.
     """
 
     __slots__ = ("sizes", "demand", "bs_cap", "lat")
@@ -125,6 +125,18 @@ class _IndexCosts:
         load = [0.0] * len(self.bs_cap)
         for k, j in enumerate(selection):
             load[j] += self.demand[k]
+        return self._queuing_at(selection, load)
+
+    def queuing_table(
+        self, selections: Sequence[Sequence[int]], loads: Sequence[list]
+    ) -> np.ndarray:
+        """``queuing`` of each of ``selections``, given the station loads
+        ``loads`` of each. When the loads were summed in user order from
+        0.0, as ``queuing`` sums them, these are the same floats."""
+        return np.array([self._queuing_at(sel, load) for sel, load in zip(selections, loads)])
+
+    def _queuing_at(self, selection: Sequence[int], load: list) -> float:
+        """``queuing`` of ``selection`` under the station loads ``load``."""
         total = 0.0
         for j in selection:
             slack = self.bs_cap[j] - load[j]

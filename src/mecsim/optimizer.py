@@ -3,12 +3,14 @@
 Picks the integral service placement and station selection that minimize
 the slot's non-switching delay, under storage, coverage and the
 capacity margin. A slot of at most ``_EXACT_BOUND`` raw decisions is
-enumerated by the oracle, which was no slower than the search there; when
-it finds the slot empty, its error stands. A discrete local search does
-the rest of the work. It starts from fixed-seed randomized roundings of
-the uniform fractional point (repaired under storage and capacity), from
-a greedy per-user assignment, and from the warm start pushed back into
-coverage and capacity by greedy repair. The best local optimum then takes
+enumerated by the oracle, which was no slower than the search there: its
+pruned walk lists only the placements and selections that fit, and the
+arguments ``solve_slot`` checked are not checked again. When the
+enumeration finds the slot empty, its error stands. A discrete local
+search does the rest of the work. It starts from fixed-seed randomized
+roundings of the uniform fractional point (repaired under storage and
+capacity), from a greedy per-user assignment, and from the warm start
+pushed back into coverage and capacity by greedy repair. The best local optimum then takes
 a few seeded perturbation restarts.
 The rounding's column CDFs are built once per solve and drawn from for
 every seed; a draw is checked on plain-list tallies, which sum as
@@ -1225,7 +1227,11 @@ def solve_slot(
         check_decision(s, warm_start)
     m = s.num_clouds
     if m**s.num_users * math.prod(map(len, s.coverage[t])) <= _EXACT_BOUND:
-        decision, value = oracle.best_slot_decision(s, t, margin=config.margin)
+        # t is checked above and the margin by SolverConfig; the raw count is
+        # at most _EXACT_BOUND <= ENUMERATION_BUDGET
+        decision, value = oracle._slot_optimum(
+            s, t, None, config.margin, oracle.ENUMERATION_BUDGET
+        )
         return decision, _indicators(decision, m), SolverReport(
             iterations=0, objective=value, starts=0
         )
@@ -1235,7 +1241,8 @@ def solve_slot(
 
 def _indicators(decision: SlotDecision, m: int) -> FractionalDecision:
     """``decision`` as the fractional decision of its indicator matrices."""
-    return FractionalDecision(x=decision.placement_matrix(m), y=decision.selection_matrix(m))
+    eye = np.eye(m)
+    return FractionalDecision(x=eye[:, decision.placement], y=eye[:, decision.selection])
 
 
 def _search_slot(

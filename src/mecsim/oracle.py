@@ -2,16 +2,19 @@
 
 Storage constrains placements only and station capacity constrains
 selections only, so the feasible decisions of a slot factor into a product
-of feasible placement tuples and feasible selection tuples. Enumeration is
+of feasible placement tuples and feasible selection tuples. Each side is
+listed by a pruned walk: it grows the fitting prefixes one user at a time
+and drops a prefix at its first cloud or station over room, which no
+extension can fix, since sizes and demands are positive. Enumeration is
 lexicographic and ties keep the lexicographically smallest decision.
 Decisions are valued in array passes, ``_IndexCosts``'s table forms, which
-form the same floats as its per-decision sums; ``argmin`` returns the first
+form the same floats as its per-decision sums; a selection's queuing delay
+comes from the station loads its walk summed. ``argmin`` returns the first
 minimum, so the tie rule holds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -43,48 +46,64 @@ __all__ = [
 ENUMERATION_BUDGET = 1_000_000
 
 
-def _fitting(
-    choices, weights: np.ndarray, limit: np.ndarray, most: float = math.inf
-) -> list[tuple[int, ...]]:
+def _fitting_sums(choices, weights: list, limit: list) -> list[tuple[tuple[int, ...], list]]:
     """The tuples of ``itertools.product(*choices)`` whose ``weights``, summed
-    per index, stay within ``limit``: placements or selections. The sums run
-    in user order from 0.0, the adds ``decision_feasible``'s ``bincount``s
-    make. The walk stops at the first tuple past ``most`` that fits."""
-    weights, limit = weights.tolist(), limit.tolist()
+    per index, stay within ``limit``, each with its per-index sums: (tuple,
+    sums) pairs in lexicographic order. The walk grows the fitting prefixes
+    one user at a time and drops a prefix at the first index over its
+    limit: weights are positive, so a sum never falls and a dropped prefix
+    has no fitting extension. The sums run in user order from 0.0, the adds
+    ``decision_feasible``'s ``bincount``s make."""
     # an index a tuple does not touch keeps its 0.0, which then fits its
     # limit, so only the touched indices need a test
     if not all(cap >= 0.0 for cap in limit):
         return []
-    zero = [0.0] * len(limit)
-    out = []
-    for combo in itertools.product(*choices):
-        used = zero.copy()
-        for i, w in zip(combo, weights):
-            used[i] += w
-        for i in combo:
-            if used[i] > limit[i]:
-                break
-        else:
-            out.append(combo)
-            if len(out) > most:
-                break
+    level = [((), [0.0] * len(limit))]
+    for options, w in zip(choices, weights):
+        grown = []
+        for prefix, used in level:
+            for i in options:
+                u = used[i] + w
+                if u <= limit[i]:
+                    sums = used.copy()
+                    sums[i] = u
+                    grown.append((prefix + (i,), sums))
+        level = grown
+    return level
+
+
+def _fitting(
+    choices, weights: np.ndarray, limit: np.ndarray, most: float = math.inf
+) -> list[tuple[int, ...]]:
+    """The tuples of ``_fitting_sums``, placements or selections, without
+    their sums; ``weights`` and ``limit`` are arrays. The last user's index
+    is tried on each fitting prefix of the others in turn, so the tuples
+    come in lexicographic order, and the walk stops at the first tuple past
+    ``most`` that fits."""
+    weights, limit = weights.tolist(), limit.tolist()
+    w, last, out = weights[-1], choices[-1], []
+    for prefix, used in _fitting_sums(choices[:-1], weights, limit):
+        for i in last:
+            if used[i] + w <= limit[i]:
+                out.append(prefix + (i,))
+                if len(out) > most:
+                    return out
     return out
 
 
-def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list, list]:
-    """The feasible placements, and the feasible selections of each slot in
-    ``slots``, once they fit ``budget`` as ``ENUMERATION_BUDGET`` says. The
-    placements are counted only until (slots - 1) * P^2 alone is over it.
+def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list, list, list]:
+    """The feasible placements, the feasible selections of each slot in
+    ``slots`` and, per slot, each selection's station loads, once they fit
+    ``budget`` as ``ENUMERATION_BUDGET`` says. ``margin`` must have passed
+    ``check_margin`` and the raw counts ``_check_raw_counts``; the
+    placements are counted only until (slots - 1) * P^2 alone is over the
+    budget.
 
-    Raises ValueError unless ``margin`` passes ``check_margin``,
-    OracleTooLargeError over the budget and InfeasibleError for an empty
-    side: NoInteriorPointError for an empty selection side when ``margin``
-    is positive and some selection fits with loads up to capacity.
+    Raises OracleTooLargeError over the budget and InfeasibleError for an
+    empty side: NoInteriorPointError for an empty selection side when
+    ``margin`` is positive and some selection fits with loads up to
+    capacity.
     """
-    check_margin(margin)
-    raw = max(math.prod(map(len, s.coverage[t])) for t in slots)
-    if max(s.num_clouds**s.num_users, raw) > budget:
-        raise OracleTooLargeError(f"enumeration exceeds the budget of {budget} values")
     # (slots - 1) * P^2 alone is over the budget once P passes this
     most = math.isqrt(budget // (len(slots) - 1)) if len(slots) > 1 else math.inf
     placements = _fitting(
@@ -99,9 +118,10 @@ def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list,
         raise InfeasibleError(
             f"no feasible decision at slot {slots[0]}: no storage-feasible placement exists"
         )
-    limit = station_limit(s.bs_capacity, margin)
-    selections = [_fitting(s.coverage[t], s.demand[t], limit) for t in slots]
-    for t, found in zip(slots, selections):
+    limit = station_limit(s.bs_capacity, margin).tolist()
+    selections, loads = [], []
+    for t in slots:
+        found = _fitting_sums(s.coverage[t], s.demand[t].tolist(), limit)
         if not found:
             # the LP's margin-0 test: does a selection fit with loads up to C?
             if margin > 0.0 and _fitting(s.coverage[t], s.demand[t], s.bs_capacity, most=0):
@@ -109,24 +129,36 @@ def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list,
                     f"no feasible decision at slot {t}: only loads at station capacity fit"
                 )
             raise InfeasibleError(f"no feasible decision at slot {t}")
+        selections.append([selection for selection, _ in found])
+        loads.append([load for _, load in found])
     p = len(placements)
     work = p * (sum(map(len, selections)) + (len(slots) - 1) * p)
     if work > budget:
         raise OracleTooLargeError(f"{work} values to compute exceed the budget of {budget}")
-    return placements, selections
+    return placements, selections, loads
 
 
 def _slot_layer(
-    costs: _IndexCosts, placements: np.ndarray, selections: list
+    costs: _IndexCosts, placements: np.ndarray, selections: list, loads: list
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``placements``, its least non-switching delay at the slot
     and the index of the first selection that reaches it: the selection
-    couples no slots. Each selection's queuing delay is computed once and
-    added to the communication table; non_switching is exactly queuing +
-    communication, so the values are the same floats."""
-    queuing = np.array([costs.queuing(sel) for sel in selections])
+    couples no slots. Each selection's queuing delay is formed once, from
+    the station loads the walk summed (``loads``), and added to the
+    communication table; non_switching is exactly queuing + communication,
+    so the values are the same floats."""
+    queuing = costs.queuing_table(selections, loads)
     values = queuing + costs.communication_table(placements, np.array(selections))
     return values.min(axis=1), values.argmin(axis=1)
+
+
+def _check_raw_counts(s: Scenario, slots: range, budget: int) -> None:
+    """Raise OracleTooLargeError unless the raw placement count M^N and each
+    slot's raw selection count are within ``budget``: nothing is walked
+    before this holds."""
+    raw = max(math.prod(map(len, s.coverage[t])) for t in slots)
+    if max(s.num_clouds**s.num_users, raw) > budget:
+        raise OracleTooLargeError(f"enumeration exceeds the budget of {budget} values")
 
 
 def best_slot_decision(
@@ -147,10 +179,20 @@ def best_slot_decision(
     check_slot(s, t)
     if x_prev is not None:
         check_decision(s, x_prev)
-    placements, (selections,) = _sides(s, range(t, t + 1), margin, budget)
+    check_margin(margin)
+    _check_raw_counts(s, range(t, t + 1), budget)
+    return _slot_optimum(s, t, x_prev, margin, budget)
+
+
+def _slot_optimum(
+    s: Scenario, t: int, x_prev: SlotDecision | None, margin: float, budget: int
+) -> tuple[SlotDecision, float]:
+    """``best_slot_decision`` once its arguments are checked and the slot's
+    raw counts are within ``budget``."""
+    placements, (selections,), (loads,) = _sides(s, range(t, t + 1), margin, budget)
     costs = _IndexCosts(s, t)
     rows = np.array(placements)
-    values, best = _slot_layer(costs, rows, selections)
+    values, best = _slot_layer(costs, rows, selections, loads)
     if x_prev is not None:
         values = values + costs.switching_table(rows, np.array([x_prev.placement]))[:, 0]
     pi = int(values.argmin())
@@ -174,7 +216,9 @@ def offline_optimal(
     """
     if first_decision is not None:
         check_decision(s, first_decision)
-    placements, selections = _sides(s, range(s.num_slots), margin, budget)
+    check_margin(margin)
+    _check_raw_counts(s, range(s.num_slots), budget)
+    placements, selections, loads = _sides(s, range(s.num_slots), margin, budget)
     rows = np.array(placements)
     costs = [_IndexCosts(s, t) for t in range(s.num_slots)]
     # The switching cost between two placements does not depend on the slot:
@@ -193,13 +237,13 @@ def offline_optimal(
         best = np.zeros(len(placements), dtype=int)
         best[pi] = selections[0].index(y0)
     else:
-        values, best = _slot_layer(costs[0], rows, selections[0])
+        values, best = _slot_layer(costs[0], rows, selections[0], loads[0])
 
     # picks[t][p]: the selection of the best total through slot t ending at
     # placement p; back[t - 1][p]: the placement at slot t - 1 it arrives from
     picks, back = [best], []
     for t in range(1, s.num_slots):
-        ns, best = _slot_layer(costs[t], rows, selections[t])
+        ns, best = _slot_layer(costs[t], rows, selections[t], loads[t])
         arrive = values[None, :] + switch
         values = arrive.min(axis=1) + ns
         picks.append(best)

@@ -5,7 +5,10 @@ decision as it was. Each digest covers the decisions of one run:
 - the 48 ``slot-cold-small`` instances, solved cold;
 - the 12 ``online-large`` slots under the threshold policy, beta = 1;
 - every ``compare`` policy row on the generator seed 9 scenario of
-  ``compare-small`` (3x1 grid, N=3, 16 slots).
+  ``compare-small`` (3x1 grid, N=3, 16 slots);
+- the exact path where storage and station room bind: ``best_slot_decision``
+  on tight 4-cloud, 5-user slots and ``offline_optimal`` on the small
+  horizon family.
 A digest that moves means the decisions moved: either the change is not
 the pure speed-up it claims, or it changes results on purpose and says so.
 
@@ -22,7 +25,7 @@ import math
 import numpy as np
 
 import mecsim as ms
-from conftest import online_large_scenario, perfbench_workloads
+from conftest import online_large_scenario, perfbench_workloads, random_doc, small_horizon_family
 from mecsim.cli import main
 
 
@@ -81,4 +84,27 @@ def test_compare_artifacts_are_unchanged(tmp_path, monkeypatch):
     assert len(files) == 13  # six rows' CSV and summary, and the table
     assert hashlib.sha256(repr(files).encode()).hexdigest() == (
         "0d63aa55fe899f318da0c7996aea737924138a88714ea5c34b33d35d1a89d98f"
+    )
+
+
+def test_exact_path_where_pruning_bites_is_unchanged():
+    # Tight 4-cloud, 5-user slots solved exactly, and the offline DP on the
+    # small horizon family (N = 3, 4 and 5): storage and station room bind,
+    # so the fitting walk drops many prefixes. Decisions, values and error
+    # types are pinned. The digest was computed with the full
+    # itertools.product walk, before the walk was pruned.
+    outputs = []
+    for seed in range(100):
+        s = ms.validate_scenario(random_doc(seed, m=4, n=5, tight=True))
+        try:
+            decision, value = ms.best_slot_decision(s, 0)
+        except ms.InfeasibleError as error:
+            outputs.append(type(error).__name__)
+        else:
+            outputs.append((decision.placement, decision.selection, value))
+    for s in small_horizon_family():
+        decisions, total = ms.offline_optimal(s)
+        outputs.append(([(d.placement, d.selection) for d in decisions], total))
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == (
+        "fec9297b5cbaba1be2a1c111005bbe9fa07aa64af900b66a5f5e68ff0db9e845"
     )

@@ -1682,7 +1682,7 @@ def test_search_returns_no_worse_than_a_seed_it_built(doc_seed, pick):
     assert raw_decisions(s, 0) > mecsim_optimizer._EXACT_BOUND
     margin = ms.DEFAULT_CONFIG.margin
     try:
-        placements, (selections,) = ms.oracle._sides(
+        placements, (selections,), _ = ms.oracle._sides(
             s, range(1), margin, ms.oracle.ENUMERATION_BUDGET
         )
     except ms.InfeasibleError:

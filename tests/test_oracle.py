@@ -5,11 +5,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mecsim as ms
@@ -94,6 +93,15 @@ def test_value_bounds_the_fractional_objective():
         assert report.objective <= value + 1e-9
 
 
+def _bincount_filter(choices, weights, limit):
+    """The tuples of the product whose per-index weight sums, formed by
+    ``np.bincount``, stay within ``limit``."""
+    return [
+        combo for combo in itertools.product(*choices)
+        if np.all(np.bincount(combo, weights=weights, minlength=len(limit)) <= limit)
+    ]
+
+
 def test_fitting_keeps_what_a_bincount_filter_keeps():
     # The placements, and the selections of every slot, of the small horizon
     # family and criterion 3's family, against the per-tuple np.bincount
@@ -103,12 +111,6 @@ def test_fitting_keeps_what_a_bincount_filter_keeps():
     # criterion 3's family with one station cut to a tenth, where the other
     # stations have room. The walk with ``most=k`` keeps the first k + 1
     # fitting tuples.
-    def bincount_filter(choices, weights, limit):
-        return [
-            combo for combo in itertools.product(*choices)
-            if np.all(np.bincount(combo, weights=weights, minlength=len(limit)) <= limit)
-        ]
-
     scenarios = small_horizon_family()
     scenarios += [ms.validate_scenario(moderate_doc(seed)) for seed in range(100)]
     for seed in range(100):
@@ -127,10 +129,50 @@ def test_fitting_keeps_what_a_bincount_filter_keeps():
             for t in range(s.num_slots) for limit in limits
         ]
         for side in sides:
-            expected = bincount_filter(*side)
+            expected = _bincount_filter(*side)
             assert _fitting(*side) == expected
             for k in sorted({0, 1, len(expected) // 2, len(expected)}):
                 assert _fitting(*side, most=k) == expected[:k + 1]
+
+
+# Quarter weights and limits make a running sum land exactly on a limit.
+# Limits run from -0.5 to 4.0, the room of two of the heaviest users, so
+# the walk cuts many prefixes.
+_QUARTERS = [k / 4 for k in range(-2, 17)]
+
+
+@st.composite
+def _fitting_case(draw):
+    """Choices, weights and limits of 1-4 indices and 1-5 users: each user
+    has 1 to M choices, and weights and limits are quarters or floats."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    choices = [
+        sorted(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))
+        for _ in range(n)
+    ]
+    weight = st.one_of(st.sampled_from(_QUARTERS[3:9]), st.floats(0.01, 2.0))
+    cap = st.one_of(st.sampled_from(_QUARTERS), st.floats(-0.5, 4.0))
+    weights = np.array([draw(weight) for _ in range(n)])
+    limit = np.array([draw(cap) for _ in range(m)])
+    return choices, weights, limit
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fitting_case())
+# the prune cuts: two users of 1.0 fit no index together
+@example(([[0, 1, 2]] * 3, np.array([1.0, 1.0, 1.0]), np.array([1.5, 1.5, 1.5])))
+# a limit below 0.0 that no tuple touches still empties the side
+@example(([[0, 1]] * 2, np.array([0.5, 0.5]), np.array([2.0, 2.0, -0.25])))
+# a user with a single choice, whose weight fills its index exactly
+@example(([[1], [0, 1], [0, 1]], np.array([0.75, 0.5, 0.25]), np.array([0.75, 0.75])))
+def test_fitting_is_the_literal_filter_at_every_stop(case):
+    # The pruned walk against the full product filtered by np.bincount: the
+    # same tuples in the same order, and with ``most=k`` the first k + 1.
+    choices, weights, limit = case
+    expected = _bincount_filter(choices, weights, limit)
+    assert _fitting(choices, weights, limit) == expected
+    for k in range(len(expected) + 1):
+        assert _fitting(choices, weights, limit, most=k) == expected[:k + 1]
 
 
 @st.composite
@@ -173,13 +215,13 @@ def test_slot_layer_is_exactly_the_first_minimum_of_the_literal_values(case):
     # == rather than approx: a reordered sum would pass a relative tolerance
     s, margin, x_prev = case
     try:
-        placements, (selections,) = _sides(s, range(1), margin, ms.ENUMERATION_BUDGET)
+        placements, (selections,), (loads,) = _sides(s, range(1), margin, ms.ENUMERATION_BUDGET)
     except ms.InfeasibleError:
         with pytest.raises(ms.InfeasibleError):
             ms.best_slot_decision(s, 0, x_prev=x_prev, margin=margin)
         return
     costs = _IndexCosts(s, 0)
-    values, best = _slot_layer(costs, np.array(placements), selections)
+    values, best = _slot_layer(costs, np.array(placements), selections, loads)
     totals = []
     for pi, p in enumerate(placements):
         literal = [costs.non_switching(p, sel) for sel in selections]
@@ -281,7 +323,7 @@ def test_first_decision_pinning():
     # on the horizon family, pin the last feasible slot-0 decision
     for s in small_horizon_family():
         margin = ms.DEFAULT_CONFIG.margin
-        placements, (selections,) = _sides(s, range(1), margin, ms.ENUMERATION_BUDGET)
+        placements, (selections,), _ = _sides(s, range(1), margin, ms.ENUMERATION_BUDGET)
         cases.append((s, ms.SlotDecision(placements[-1], selections[-1])))
     for s, pinned in cases:
         decisions, pinned_total = ms.offline_optimal(s, first_decision=pinned)
@@ -313,27 +355,40 @@ def test_offline_budget_guard_raises_before_enumerating():
 def test_offline_budget_guard_stops_counting_placements(monkeypatch):
     # 3x3 grid, N=5, 2 slots: 9^5 raw placements fit the default budget, but
     # (slots - 1) * P^2 passes it once P = 1001 placements fit, so the walk
-    # stops at the 1001st fitting one instead of examining all 59,049.
+    # stops at the 1001st fitting one instead of examining all 59,049. The
+    # walk's visits are counted as the indices it draws from each user's
+    # choices, prefixes included.
     s = ms.generate(ms.GeneratorConfig(
         seed=3, grid_width=3, grid_height=3, num_users=5, num_slots=2
     ))
-    examined = []
+    visits = []
+    walked = []
 
-    def product(*choices):
-        for combo in itertools.product(*choices):
-            examined.append(combo)
-            yield combo
+    class Counted:
+        def __init__(self, options):
+            self.options = options
 
-    monkeypatch.setattr(ms.oracle, "itertools", SimpleNamespace(product=product))
+        def __iter__(self):
+            for i in self.options:
+                visits.append(i)
+                yield i
+
+    def fitting(choices, weights, limit, most=math.inf):
+        found = real([Counted(c) for c in choices], weights, limit, most)
+        walked.append(found)
+        return found
+
+    real = ms.oracle._fitting
+    monkeypatch.setattr(ms.oracle, "_fitting", fitting)
     with pytest.raises(ms.OracleTooLargeError, match="at least 1002001 values"):
         ms.offline_optimal(s)
-    fits = [
-        np.all(np.bincount(p, weights=s.service_size, minlength=9) <= s.cloud_capacity)
-        for p in examined
-    ]
-    assert examined == list(itertools.product(range(9), repeat=5))[:len(examined)]
-    assert sum(fits) == 1001 and fits[-1]
-    assert len(examined) < 9**5
+    fitting_placements = (
+        p for p in itertools.product(range(9), repeat=5)
+        if np.all(np.bincount(p, weights=s.service_size, minlength=9) <= s.cloud_capacity)
+    )
+    assert len(walked) == 1
+    assert walked[0] == list(itertools.islice(fitting_placements, 1001))
+    assert len(visits) < 9**5
 
 
 def _exact_work(doc, slots):
