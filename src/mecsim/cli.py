@@ -3,15 +3,23 @@
 Exit codes: 0 success, 2 malformed config, input file or argument, 3
 infeasible scenario, 4 exact search too large. Exit 2 is for ParseError,
 ScenarioError, UncoverableAreaError and unreadable files; any other
-ValueError is a bug and propagates. Output files are written atomically and
-contain nothing nondeterministic, so identical invocations produce
-byte-identical artifacts.
+ValueError is a bug and propagates. Output files are written atomically, with
+the mode a plain ``open`` would give them, and contain nothing
+nondeterministic, so identical invocations produce byte-identical artifacts.
+
+``compare`` does each piece of its work once: one ``run_policy`` per
+distinct rule (``always`` is the threshold rule at beta = 0 and ``never`` at
+beta = inf, so their rows share those runs), one solve per distinct (slot,
+warm start) across all rows, and one scenario digest. The argument parser
+is built on the first ``main`` call and reused by later calls in the
+process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -34,7 +42,14 @@ from .errors import (
 from .generator import GeneratorConfig, generate
 from .model import Scenario, _is_number
 from .optimizer import DEFAULT_CONFIG, SolverConfig
-from .policy import POLICY_KINDS, Policy, SlotOutcome, Solved, run_policy
+from .policy import (
+    _BASELINE_BETA,
+    POLICY_KINDS,
+    Policy,
+    SlotOutcome,
+    Solved,
+    run_policy,
+)
 from .scenario_io import (
     load_scenario,
     read_json,
@@ -231,11 +246,24 @@ def _run_one(
     out_dir: Path,
     solver: SolverConfig,
     solved: Solved | None = None,
+    runs: dict[float, list[SlotOutcome]] | None = None,
 ) -> dict[str, Any]:
     """Run one policy and write its CSV and summary; ``digest`` is the
     scenario file's ``scenario_digest`` and ``seed`` only names them (file
-    stem, run id and the summary's ``seed``)."""
-    outcomes = run_policy(scenario, policy, solver, solved=solved)
+    stem, run id and the summary's ``seed``).
+
+    ``runs``, for online policies only, maps the beta each rule runs at
+    (``always`` 0, ``never`` inf) to its outcomes, which depend on the
+    policy only through that beta: a rule is run once and its rows share
+    the outcomes.
+    """
+    if runs is None:
+        outcomes = run_policy(scenario, policy, solver, solved=solved)
+    else:
+        beta = _BASELINE_BETA.get(policy.kind, policy.beta)
+        if beta not in runs:
+            runs[beta] = run_policy(scenario, policy, solver, solved=solved)
+        outcomes = runs[beta]
     stem = _run_stem(policy, seed)
     csv_path = out_dir / f"{stem}.csv"
     summary_path = out_dir / f"{stem}.json"
@@ -291,12 +319,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     policies.append(Policy.never())
     oracle_policy = Policy.oracle()
 
-    # Each distinct (slot, warm start) is solved once and shared by the rows.
+    # Each distinct rule is run once, and each distinct (slot, warm start)
+    # solved once; the rows share both.
     solved: Solved = {}
+    runs: dict[float, list[SlotOutcome]] = {}
     rows = []
     for policy in policies:
         summary = _run_one(
-            scenario, args.scenario, digest, policy, seed, out_dir, solver, solved
+            scenario, args.scenario, digest, policy, seed, out_dir, solver, solved, runs
         )
         rows.append(summary)
     try:
@@ -331,7 +361,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; each
+    ``parse_args`` call fills a fresh ``Namespace``."""
     parser = argparse.ArgumentParser(
         prog="mecsim",
         description="Service placement and station selection over discrete slots.",
@@ -366,8 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except EmptyCoverageError as exc:

@@ -365,28 +365,34 @@ def decision_feasible(
     inside it, also when ``margin`` is 0). Raises ValueError unless ``t``
     is an integer in ``range(s.num_slots)`` and ``margin`` passes
     ``check_margin``.
+
+    Storage and load are summed user by user in user order from 0.0 on
+    plain lists: the floats ``np.bincount`` forms, without its fixed cost
+    on a few users.
     """
     check_slot(s, t)
     check_margin(margin)
     if d.num_users != s.num_users:
         return False
 
+    m = s.num_clouds
     for k, (i, j) in enumerate(zip(d.placement, d.selection)):
-        if not (0 <= i < s.num_clouds and 0 <= j < s.num_clouds):
+        if not (0 <= i < m and 0 <= j < m):
             return False
         if j not in s.coverage[t][k]:
             return False
 
-    storage = np.bincount(
-        d.placement, weights=s.service_size, minlength=s.num_clouds
-    )
-    if np.any(storage > s.cloud_capacity):
+    storage = [0.0] * m
+    for i, size in zip(d.placement, s.service_size.tolist()):
+        storage[i] += size
+    if any(u > cap for u, cap in zip(storage, s.cloud_capacity.tolist())):
         return False
 
-    load = np.bincount(
-        d.selection, weights=s.demand[t], minlength=s.num_clouds
-    )
-    return bool(np.all(load <= station_limit(s.bs_capacity, margin)))
+    load = [0.0] * m
+    for j, c in zip(d.selection, s.demand[t].tolist()):
+        load[j] += c
+    limit = station_limit(s.bs_capacity, margin).tolist()
+    return all(u <= cap for u, cap in zip(load, limit))
 
 
 def check_slot(s: Scenario, t: Any) -> None:

@@ -475,7 +475,7 @@ def _tally(
     tables: _SlotTables, placement, selection
 ) -> tuple[list[float], list[float], list[int]]:
     """Storage, load and users per cloud or station, summed user by user in
-    user order from 0.0: the sums ``decision_feasible``'s ``bincount``s form."""
+    user order from 0.0: the sums ``decision_feasible`` forms."""
     used = [0.0] * tables.m
     load = [0.0] * tables.m
     users_on = [0] * tables.m

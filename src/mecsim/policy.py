@@ -24,7 +24,10 @@ A slot's solve reads only the scenario, the slot, its warm start and the
 solver config; nothing in it is random. So ``compare`` runs every policy with
 one ``solved`` mapping: each distinct (slot, warm start) is solved once and
 its decision, or its infeasibility, is shared by every row that needs it.
-Each row is the one ``run_policy`` gives alone.
+An online run's outcomes depend on its policy only through the beta it runs
+at, so ``compare`` also runs each distinct rule once: ``always`` shares the
+run of threshold beta = 0 and ``never`` that of beta = inf. Each row is the
+one ``run_policy`` gives alone.
 
 The oracle replays the offline DP sequence through the same accounting.
 Every adopted decision and every T1 is valued with ``_IndexCosts``, the

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import Any
 
@@ -30,11 +30,28 @@ __all__ = [
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "scenario.schema.json"
 
 
+def _create_temp(path: Path) -> tuple[int, Path]:
+    """A new temp file beside ``path``, open for writing, and its path.
+
+    It is created with mode 0o666 less the umask, the mode ``open(path,
+    "w")`` gives a new file (``tempfile.mkstemp`` would give 0o600, which
+    the rename keeps). ``O_EXCL`` refuses a name that exists, so a clash
+    draws a new name.
+    """
+    while True:
+        tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place;
+    the file gets the mode a plain ``open(path, "w")`` would give it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

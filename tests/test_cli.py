@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -360,6 +361,35 @@ def test_compare_solves_each_slot_and_warm_start_once(tmp_path, monkeypatch):
     assert len(keys) == len(set(keys))
 
 
+@pytest.mark.parametrize(
+    "betas, policies",
+    [
+        # always is the rule at beta 0 and never at inf: their rows share runs
+        ("0,1,inf", [ms.Policy.threshold(0.0), ms.Policy.threshold(1.0),
+                     ms.Policy.threshold(math.inf), ms.Policy.oracle()]),
+        ("0.5", [ms.Policy.threshold(0.5), ms.Policy.always(),
+                 ms.Policy.never(), ms.Policy.oracle()]),
+    ],
+)
+def test_compare_runs_each_rule_once(tmp_path, monkeypatch, betas, policies):
+    scenario = _compare_scenario(tmp_path)
+    runs = []
+    real = ms.cli.run_policy
+
+    def counting(s, policy, *args, **kwargs):
+        runs.append(policy)
+        return real(s, policy, *args, **kwargs)
+
+    monkeypatch.setattr(ms.cli, "run_policy", counting)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", scenario, "--beta", betas,
+                 "--seed", "5", "--out", str(out)]) == 0
+    assert runs == policies
+    rows = _read_rows(out / "comparison.csv")
+    assert len(rows) == betas.count(",") + 4
+    assert len(list(out.iterdir())) == 2 * len(rows) + 1
+
+
 def test_compare_hashes_the_scenario_file_once(tmp_path, monkeypatch):
     # every row's summary carries the same digest of the one scenario file
     scenario = _compare_scenario(tmp_path)
@@ -402,6 +432,22 @@ def test_compare_rows_equal_what_run_writes(tmp_path):
     )
     for name in names:
         assert (compared / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_the_cached_parser_carries_nothing_between_calls(walkthrough_path, tmp_path):
+    # one parser serves every main() call of the process; each call's
+    # options start from the defaults
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(walkthrough_path), "--policy", "never",
+                 "--margin", "0.01", "--out", str(out)]) == 0
+    assert main(["run", "--scenario", str(walkthrough_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "threshold_beta1.0_seed0.json").read_text(encoding="utf-8"))
+    assert summary["config"] == {
+        "solver": {"margin": ms.SolverConfig().margin},
+        "controller": {"policy": "threshold", "beta": 1.0},
+    }
+    never = json.loads((out / "never_seed0.json").read_text(encoding="utf-8"))
+    assert never["config"]["solver"]["margin"] == 0.01
 
 
 def test_compare_rejects_malformed_beta_list(walkthrough_path, tmp_path):

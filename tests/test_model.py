@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mecsim as ms
 from conftest import make_doc, random_doc
 from mecsim.delays import station_loads
+from mecsim.model import DEFAULT_MARGIN, station_limit
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +213,125 @@ def test_margin_must_be_finite():
     d = ms.SlotDecision((0, 1), (0, 1))
     with pytest.raises(ValueError):
         ms.decision_feasible(s, 0, d, margin=math.inf)
+
+
+def _bincount_feasible(s, t, d, margin):
+    """``decision_feasible`` in its literal NumPy form, the reference: the
+    same index, coverage and capacity rules, with storage and load summed
+    by ``np.bincount``."""
+    if d.num_users != s.num_users:
+        return False
+    for k, (i, j) in enumerate(zip(d.placement, d.selection)):
+        if not (0 <= i < s.num_clouds and 0 <= j < s.num_clouds):
+            return False
+        if j not in s.coverage[t][k]:
+            return False
+    storage = np.bincount(d.placement, weights=s.service_size, minlength=s.num_clouds)
+    if np.any(storage > s.cloud_capacity):
+        return False
+    load = np.bincount(d.selection, weights=s.demand[t], minlength=s.num_clouds)
+    return bool(np.all(load <= station_limit(s.bs_capacity, margin)))
+
+
+def _limit_edges(total, margin):
+    """Station capacities whose ``station_limit`` at ``margin`` lands at,
+    or one ulp around, a load of ``total``."""
+    return [math.nextafter(total, math.inf), total, total + margin,
+            math.nextafter(total + margin, -math.inf), total + margin + 1.0]
+
+
+@st.composite
+def _feasibility_case(draw):
+    """A one-slot scenario of M 2-4 clouds and N 1-4 users, a decision whose
+    entries reach one index past either end and whose length can be off by
+    one, a margin of 0, ``DEFAULT_MARGIN`` or a random one, and each used
+    capacity at, one ulp around or away from the decision's sum; no
+    expected verdict (the reference gives it)."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
+    weight = st.one_of(st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.5, 1.0]), st.floats(0.01, 2.0))
+    sizes = [draw(weight) for _ in range(n)]
+    demand = [draw(weight) for _ in range(n)]
+    coverage = [sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))) for _ in range(n)]
+    margin = draw(st.one_of(st.sampled_from([0.0, DEFAULT_MARGIN]), st.floats(0.0, 1.0)))
+    users = n + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    anywhere = st.integers(-1, m)
+    placement = [draw(st.one_of(st.integers(0, m - 1), anywhere)) for _ in range(users)]
+    selection = [
+        draw(st.one_of(st.sampled_from(coverage[k]), anywhere) if k < n else anywhere)
+        for k in range(users)
+    ]
+    storage, load = [0.0] * m, [0.0] * m
+    for i, j, size, c in zip(placement, selection, sizes, demand):
+        if 0 <= i < m:
+            storage[i] += size
+        if 0 <= j < m:
+            load[j] += c
+    room = st.floats(0.1, 4.0)
+    cloud_capacity = [
+        draw(st.one_of(st.sampled_from(
+            [u, math.nextafter(u, -math.inf), math.nextafter(u, math.inf)]
+        ), room)) if u > 0 else draw(room)
+        for u in storage
+    ]
+    bs_capacity = [
+        draw(st.one_of(st.sampled_from(_limit_edges(u, margin)), room)) if u > 0 else draw(room)
+        for u in load
+    ]
+    s = ms.validate_scenario(make_doc(
+        num_clouds=m, num_users=n, num_slots=1,
+        bs_capacity=bs_capacity, cloud_capacity=cloud_capacity, service_size=sizes,
+        link_latency=[np.ones((m, m)).tolist()], coverage=[coverage], demand=[demand],
+    ))
+    return s, ms.SlotDecision(tuple(placement), tuple(selection)), margin, None
+
+
+def _feasibility_edge(decision, margin, expected, **doc):
+    """A pinned case on ``make_doc``'s 3 clouds and 2 users, with its verdict."""
+    return ms.validate_scenario(make_doc(**doc)), ms.SlotDecision(*decision), margin, expected
+
+
+_AT_LOAD = 0.1 + 0.2  # 0.30000000000000004: a load whose sum rounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feasibility_case())
+# storage exactly at a cloud's capacity fits; one ulp above it does not
+@example(_feasibility_edge(((0, 0), (0, 1)), DEFAULT_MARGIN, True,
+                           cloud_capacity=[2.0, 5.0, 5.0]))
+@example(_feasibility_edge(((0, 0), (0, 1)), DEFAULT_MARGIN, False,
+                           cloud_capacity=[math.nextafter(2.0, -math.inf), 5.0, 5.0]))
+# at margin 0 a load fits exactly at its station_limit, one ulp below
+# capacity, and not one ulp above it
+@example(_feasibility_edge(((0, 1), (0, 0)), 0.0, True, demand=[[0.1, 0.2]] * 2,
+                           bs_capacity=[math.nextafter(_AT_LOAD, math.inf), 10.0, 10.0]))
+@example(_feasibility_edge(((0, 1), (0, 0)), 0.0, False, demand=[[0.1, 0.2]] * 2,
+                           bs_capacity=[_AT_LOAD, 10.0, 10.0]))
+# the sum runs in user order: (0.1 + 0.2) + 0.3 is one ulp above 0.6,
+# 0.3 + 0.2 + 0.1 is not
+@example(_feasibility_edge(
+    ((0, 1, 2), (0, 0, 0)), 0.0, False, num_users=3, service_size=[1.0] * 3,
+    coverage=[[[0, 1, 2]] * 3] * 2, demand=[[0.1, 0.2, 0.3]] * 2,
+    bs_capacity=[math.nextafter(0.6, math.inf), 10.0, 10.0],
+))
+# a load exactly at capacity less the margin fits, one ulp above it not
+@example(_feasibility_edge(((0, 1), (0, 0)), 2.0**-20, True,
+                           demand=[[5.0, 5.0 - 2.0**-20]] * 2))
+@example(_feasibility_edge(((0, 1), (0, 0)), 2.0**-20, False,
+                           demand=[[5.0, 5.0 - 2.0**-20 + 2.0**-49]] * 2))
+# an index out of range, a station outside coverage, a wrong user count
+@example(_feasibility_edge(((0, 3), (0, 0)), DEFAULT_MARGIN, False))
+@example(_feasibility_edge(((0, 0), (-1, 0)), DEFAULT_MARGIN, False))
+@example(_feasibility_edge(((0, 0), (0, 0)), DEFAULT_MARGIN, False,
+                           coverage=[[[0, 1], [2]]] * 2))
+@example(_feasibility_edge(((0,), (0,)), DEFAULT_MARGIN, False))
+def test_feasibility_equals_the_bincount_form(case):
+    # == on the verdict: the list sums must be the floats bincount forms
+    s, d, margin, expected = case
+    verdict = ms.decision_feasible(s, 0, d, margin)
+    assert verdict is _bincount_feasible(s, 0, d, margin)
+    if expected is not None:
+        assert verdict is expected
 
 
 def _slot_callers():
@@ -526,3 +650,17 @@ def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monk
     with pytest.raises(OSError, match="rename refused"):
         ms.scenario_io.write_text_atomic(tmp_path / "out.csv", "a,b\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path):
+    # 0o666 less the umask, as open(path, "w") gives a new file
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            path = tmp_path / f"out{umask:o}.csv"
+            ms.scenario_io.write_text_atomic(path, "a,b\n")
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out22.csv", "out77.csv"]
