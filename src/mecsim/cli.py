@@ -10,9 +10,10 @@ nondeterministic, so identical invocations produce byte-identical artifacts.
 ``compare`` does each piece of its work once: one ``run_policy`` per
 distinct rule (``always`` is the threshold rule at beta = 0 and ``never`` at
 beta = inf, so their rows share those runs), one solve per distinct (slot,
-warm start) across all rows, and one scenario digest. The argument parser
-is built on the first ``main`` call and reused by later calls in the
-process.
+warm start) across all rows, one per slot where the solver enumerates
+(it reads no warm start there), and one scenario digest. The argument
+parser is built on the first ``main`` call and reused by later calls in
+the process.
 """
 
 from __future__ import annotations
@@ -42,14 +43,7 @@ from .errors import (
 from .generator import GeneratorConfig, generate
 from .model import Scenario, _is_number
 from .optimizer import DEFAULT_CONFIG, SolverConfig
-from .policy import (
-    _BASELINE_BETA,
-    POLICY_KINDS,
-    Policy,
-    SlotOutcome,
-    Solved,
-    run_policy,
-)
+from .policy import POLICY_KINDS, Policy, SlotOutcome, Solved, run_policy
 from .scenario_io import (
     load_scenario,
     read_json,
@@ -252,18 +246,16 @@ def _run_one(
     scenario file's ``scenario_digest`` and ``seed`` only names them (file
     stem, run id and the summary's ``seed``).
 
-    ``runs``, for online policies only, maps the beta each rule runs at
-    (``always`` 0, ``never`` inf) to its outcomes, which depend on the
-    policy only through that beta: a rule is run once and its rows share
-    the outcomes.
+    ``runs``, for online policies only, maps ``policy.beta``, the beta each
+    rule runs at (``always`` 0, ``never`` inf), to its outcomes, which
+    depend on the policy only through that beta: a rule is run once and its
+    rows share the outcomes.
     """
     if runs is None:
-        outcomes = run_policy(scenario, policy, solver, solved=solved)
-    else:
-        beta = _BASELINE_BETA.get(policy.kind, policy.beta)
-        if beta not in runs:
-            runs[beta] = run_policy(scenario, policy, solver, solved=solved)
-        outcomes = runs[beta]
+        runs = {}
+    if policy.beta not in runs:
+        runs[policy.beta] = run_policy(scenario, policy, solver, solved=solved)
+    outcomes = runs[policy.beta]
     stem = _run_stem(policy, seed)
     csv_path = out_dir / f"{stem}.csv"
     summary_path = out_dir / f"{stem}.json"

@@ -139,15 +139,11 @@ class SlotDecision:
 
     def placement_matrix(self, num_clouds: int) -> np.ndarray:
         """Indicator matrix x with x[i, k] = 1 iff user k's service sits on cloud i."""
-        x = np.zeros((num_clouds, self.num_users))
-        x[list(self.placement), range(self.num_users)] = 1.0
-        return x
+        return np.eye(num_clouds)[:, self.placement]
 
     def selection_matrix(self, num_clouds: int) -> np.ndarray:
         """Indicator matrix y with y[j, k] = 1 iff user k connects through station j."""
-        y = np.zeros((num_clouds, self.num_users))
-        y[list(self.selection), range(self.num_users)] = 1.0
-        return y
+        return np.eye(num_clouds)[:, self.selection]
 
 
 @dataclass(frozen=True)
@@ -366,9 +362,9 @@ def decision_feasible(
     is an integer in ``range(s.num_slots)`` and ``margin`` passes
     ``check_margin``.
 
-    Storage and load are summed user by user in user order from 0.0 on
-    plain lists: the floats ``np.bincount`` forms, without its fixed cost
-    on a few users.
+    Storage and load are ``_tally``'s sums, user by user in user order
+    from 0.0 on plain lists: the floats ``np.bincount`` forms, without its
+    fixed cost on a few users. The search's states keep the same tallies.
     """
     check_slot(s, t)
     check_margin(margin)
@@ -382,17 +378,27 @@ def decision_feasible(
         if j not in s.coverage[t][k]:
             return False
 
-    storage = [0.0] * m
-    for i, size in zip(d.placement, s.service_size.tolist()):
-        storage[i] += size
+    storage, load, _ = _tally(
+        m, d.placement, d.selection, s.service_size.tolist(), s.demand[t].tolist()
+    )
     if any(u > cap for u, cap in zip(storage, s.cloud_capacity.tolist())):
         return False
-
-    load = [0.0] * m
-    for j, c in zip(d.selection, s.demand[t].tolist()):
-        load[j] += c
     limit = station_limit(s.bs_capacity, margin).tolist()
     return all(u <= cap for u, cap in zip(load, limit))
+
+
+def _tally(m: int, placement, selection, sizes, demand) -> tuple[list, list, list]:
+    """Storage per cloud, and load and users per station, over ``m`` clouds
+    and stations: summed user by user in user order from 0.0, the sums
+    ``decision_feasible`` tests."""
+    used = [0.0] * m
+    load = [0.0] * m
+    users_on = [0] * m
+    for i, j, size, c in zip(placement, selection, sizes, demand):
+        used[i] += size
+        load[j] += c
+        users_on[j] += 1
+    return used, load, users_on
 
 
 def check_slot(s: Scenario, t: Any) -> None:

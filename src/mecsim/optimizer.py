@@ -5,18 +5,21 @@ the slot's non-switching delay, under storage, coverage and the
 capacity margin. A slot of at most ``_EXACT_BOUND`` raw decisions is
 enumerated by the oracle, which was no slower than the search there: its
 pruned walk lists only the placements and selections that fit, and the
-arguments ``solve_slot`` checked are not checked again. When the
-enumeration finds the slot empty, its error stands. A discrete local
-search does the rest of the work. It starts from fixed-seed randomized
-roundings of the uniform fractional point (repaired under storage and
-capacity), from a greedy per-user assignment, and from the warm start
-pushed back into coverage and capacity by greedy repair. The best local optimum then takes
-a few seeded perturbation restarts.
+arguments ``solve_slot`` checked are not checked again. ``_enumerated``
+is that test; the controller's memo (``policy._solve``) reads it too, as
+the enumeration reads no warm start. When the enumeration finds the slot
+empty, its error stands. A discrete local search does the rest of the
+work. It starts from fixed-seed randomized roundings of the uniform
+fractional point (repaired under storage and capacity), from a greedy
+per-user assignment, and from the warm start pushed back into coverage and
+capacity by greedy repair. The best local optimum then takes a few seeded
+perturbation restarts.
 The rounding's column CDFs are built once per solve and drawn from for
 every seed; a draw is checked on plain-list tallies, which sum as
 ``decision_feasible`` does, pick by pick: it is dropped at the first cloud
 or station over its limit, and only a draw that fits becomes a
-``SlotDecision`` for ``decision_feasible`` to confirm.
+``SlotDecision`` for ``decision_feasible`` to confirm. The search states
+and greedy repair tally with ``decision_feasible``'s ``model._tally``.
 
 The search values each probed move as the current objective plus the
 change in the terms of the stations and users the move touches. Each step
@@ -74,6 +77,7 @@ from .model import (
     FractionalDecision,
     Scenario,
     SlotDecision,
+    _tally,
     check_decision,
     check_margin,
     check_slot,
@@ -471,29 +475,14 @@ def _greedy_indicator(tables: _SlotTables) -> SlotDecision | None:
     return SlotDecision(tuple(placement), tuple(selection))
 
 
-def _tally(
-    tables: _SlotTables, placement, selection
-) -> tuple[list[float], list[float], list[int]]:
-    """Storage, load and users per cloud or station, summed user by user in
-    user order from 0.0: the sums ``decision_feasible`` forms."""
-    used = [0.0] * tables.m
-    load = [0.0] * tables.m
-    users_on = [0] * tables.m
-    for i, j, size, c in zip(placement, selection, tables.costs.sizes, tables.costs.demand):
-        used[i] += size
-        load[j] += c
-        users_on[j] += 1
-    return used, load, users_on
-
-
 class _SearchState:
     """Integral decision with the bookkeeping of the discrete search.
 
-    Every state is feasible: each seed passes ``decision_feasible``, whose
-    sums are the tallies' sums, or is built under the same limits (the
-    greedy start), and ``apply`` keeps every limit met. It sums the tallies
-    again in user order, which can round one bit above the sum a move was
-    checked at, and refuses a move whose new tallies break a limit. So
+    Every state is feasible: each seed passes ``decision_feasible``, which
+    sums with the state's own ``model._tally``, or is built under the same
+    limits (the greedy start), and ``apply`` keeps every limit met. It sums
+    the tallies again in user order, which can round one bit above the sum
+    a move was checked at, and refuses a move whose new tallies break a limit. So
     leaving a cloud or a station never breaks its limit, no queue term
     divides by a station's room at or below zero, and a one-user move
     (k, i, j) passes ``probe`` exactly when i is k's cloud or has room for
@@ -535,7 +524,9 @@ class _SearchState:
         self.cov = tables.cov
         self.placement = list(placement)
         self.selection = list(selection)
-        self.used, self.load, self.users_on = _tally(tables, placement, selection)
+        self.used, self.load, self.users_on = _tally(
+            m, placement, selection, tables.costs.sizes, tables.costs.demand
+        )
         self.out = [0.0] * m
         self.wait = [0.0] * m
         self._settle(range(m))
@@ -857,7 +848,8 @@ class _SearchState:
         for k, i, j in batch:
             placement[k] = i
             selection[k] = j
-        used, load, users_on = _tally(self.tables, placement, selection)
+        costs = self.tables.costs
+        used, load, users_on = _tally(self.m, placement, selection, costs.sizes, costs.demand)
         cloud_cap, limit = self.tables.cloud_cap, self.tables.limit
         for _, i, j in batch:
             if used[i] > cloud_cap[i] or load[j] > limit[j]:
@@ -870,10 +862,7 @@ class _SearchState:
         return True
 
     def decision(self) -> SlotDecision:
-        return SlotDecision(
-            tuple(int(v) for v in self.placement),
-            tuple(int(v) for v in self.selection),
-        )
+        return SlotDecision(tuple(self.placement), tuple(self.selection))
 
 
 def _local_search(
@@ -1038,7 +1027,7 @@ class _Rounding:
 
     def fits(self, placement: Iterable[int], selection: Iterable[int]) -> bool:
         """Whether a draw's storage and load meet every limit. The tallies
-        are summed user by user as ``_tally`` sums them, the sums of
+        are summed user by user as ``model._tally`` sums them for
         ``decision_feasible``, so on a draw within coverage the two give the
         same verdict. The check stops at the first cloud or station over its
         limit and reads no more of the draw: running sums of positive
@@ -1123,7 +1112,8 @@ def _greedy_repair(tables: _SlotTables, d: SlotDecision) -> tuple[SlotDecision, 
     gives up its heaviest user that has room elsewhere. A moved placement
     goes to the cloud with the least latency to the user's station, a moved
     selection to the station of least price (``_station_prices``) plus
-    latency from the user's cloud. Storage and loads are ``_tally``'s sums.
+    latency from the user's cloud. Storage and loads are ``model._tally``'s
+    sums, as ``decision_feasible`` forms them.
     Every move targets a resource with room left, so total violation
     strictly decreases. Raises RoundingFailedError when a violation has no
     outlet.
@@ -1147,7 +1137,7 @@ def _greedy_repair(tables: _SlotTables, d: SlotDecision) -> tuple[SlotDecision, 
         ]
         return min(options)[1] if options else None
 
-    load = _tally(tables, placement, selection)[1]
+    load = _tally(m, placement, selection, sizes, demand)[1]
     for k in range(n):
         if selection[k] in tables.covsets[k]:
             continue
@@ -1166,7 +1156,7 @@ def _greedy_repair(tables: _SlotTables, d: SlotDecision) -> tuple[SlotDecision, 
         (1, selection, demand, tables.limit, station_room, "capacity overload on station"),
     ):
         for _ in range(2 * m * n + 1):
-            used = _tally(tables, placement, selection)[side]
+            used = _tally(m, placement, selection, sizes, demand)[side]
             if all(map(operator.le, used, cap)):
                 break
             # the first most overloaded one, as np.argmax picks it
@@ -1189,6 +1179,12 @@ def _greedy_repair(tables: _SlotTables, d: SlotDecision) -> tuple[SlotDecision, 
     return repaired, moves
 
 
+def _enumerated(s: Scenario, t: int) -> bool:
+    """Whether ``solve_slot`` enumerates valid slot t: its M^N placements
+    times the product of the users' coverage sizes is at most _EXACT_BOUND."""
+    return s.num_clouds**s.num_users * math.prod(map(len, s.coverage[t])) <= _EXACT_BOUND
+
+
 def solve_slot(
     s: Scenario,
     t: int,
@@ -1199,14 +1195,16 @@ def solve_slot(
     """The slot's best integral decision: exact on small slots, searched on
     the rest.
 
-    A slot of at most ``_EXACT_BOUND`` raw decisions, M^N placements times
-    the product of the users' coverage sizes, is solved by enumeration: the
-    decision is ``best_slot_decision``'s, the first minimum in
-    lexicographic order. There the warm start is unused, and the report
+    A slot ``_enumerated`` accepts, of at most ``_EXACT_BOUND`` raw
+    decisions, is solved by enumeration: the decision is
+    ``best_slot_decision``'s, the first minimum in lexicographic order.
+    There the warm start is unused, so the controller's memo keys the slot
+    without one, and the report
     has the optimum as ``objective`` and 0 iterations, starts, rounding
     attempts and repair actions. An empty small slot takes the
     enumeration's verdict. A larger slot goes to the discrete search
-    (``_search_slot``). The returned fractional decision is the decision's indicator matrices.
+    (``_search_slot``). The fractional decision is the decision's
+    ``placement_matrix`` and ``selection_matrix``.
     ``report.objective`` is the decision's non-switching delay as
     ``_IndexCosts``, the one valuation of integral decisions, gives it: the
     value both paths minimize. The solve is deterministic and reads only
@@ -1225,24 +1223,18 @@ def solve_slot(
     check_slot(s, t)
     if warm_start is not None:
         check_decision(s, warm_start)
-    m = s.num_clouds
-    if m**s.num_users * math.prod(map(len, s.coverage[t])) <= _EXACT_BOUND:
+    if _enumerated(s, t):
         # t is checked above and the margin by SolverConfig; the raw count is
         # at most _EXACT_BOUND <= ENUMERATION_BUDGET
         decision, value = oracle._slot_optimum(
             s, t, None, config.margin, oracle.ENUMERATION_BUDGET
         )
-        return decision, _indicators(decision, m), SolverReport(
-            iterations=0, objective=value, starts=0
-        )
-    decision, report = _search_slot(s, t, warm_start, config)
-    return decision, _indicators(decision, m), report
-
-
-def _indicators(decision: SlotDecision, m: int) -> FractionalDecision:
-    """``decision`` as the fractional decision of its indicator matrices."""
-    eye = np.eye(m)
-    return FractionalDecision(x=eye[:, decision.placement], y=eye[:, decision.selection])
+        report = SolverReport(iterations=0, objective=value, starts=0)
+    else:
+        decision, report = _search_slot(s, t, warm_start, config)
+    m = s.num_clouds
+    frac = FractionalDecision(x=decision.placement_matrix(m), y=decision.selection_matrix(m))
+    return decision, frac, report
 
 
 def _search_slot(

@@ -5,7 +5,7 @@ decision while the non-switching delay accumulated since the last migration
 (T2) stays below beta times the switching cost of the slot's candidate (T1);
 otherwise migrate to the candidate. A stay freezes both the placement and
 the station selection. ``always`` is this rule at beta = 0 and ``never`` at
-beta = inf; ``run_policy`` sets those betas, ``threshold`` brings its own.
+beta = inf, the betas a ``Policy`` of either kind holds.
 
 Three corner cases hold for every policy:
 
@@ -21,9 +21,11 @@ Three corner cases hold for every policy:
 this package gives no handler.
 
 A slot's solve reads only the scenario, the slot, its warm start and the
-solver config; nothing in it is random. So ``compare`` runs every policy with
-one ``solved`` mapping: each distinct (slot, warm start) is solved once and
-its decision, or its infeasibility, is shared by every row that needs it.
+solver config; nothing in it is random, and a slot the solver enumerates
+(``optimizer._enumerated``) does not read its warm start. So ``compare``
+runs every policy with one ``solved`` mapping: each enumerated slot is
+solved once, each other distinct (slot, warm start) once, and the decision,
+or the infeasibility, is shared by every row that needs it.
 An online run's outcomes depend on its policy only through the beta it runs
 at, so ``compare`` also runs each distinct rule once: ``always`` shares the
 run of threshold beta = 0 and ``never`` that of beta = inf. Each row is the
@@ -53,7 +55,7 @@ from .model import (
     check_slot,
     decision_feasible,
 )
-from .optimizer import DEFAULT_CONFIG, SolverConfig, solve_slot
+from .optimizer import DEFAULT_CONFIG, SolverConfig, _enumerated, solve_slot
 
 __all__ = [
     "Policy",
@@ -73,10 +75,10 @@ _log = logging.getLogger("mecsim")
 
 @dataclass(frozen=True)
 class Policy:
-    """Which controller drives slots 1..end; beta only matters for threshold.
+    """Which controller drives slots 1..end, and the beta its rule runs at.
 
-    ``always`` runs as beta = 0 and ``never`` as beta = inf whatever beta
-    holds (see ``run_policy``).
+    ``always`` holds beta = 0 and ``never`` beta = inf, whatever beta was
+    given, once that beta passes ``check_beta``; the oracle reads no beta.
     """
 
     kind: str
@@ -85,7 +87,7 @@ class Policy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind: {self.kind!r}")
-        object.__setattr__(self, "beta", check_beta(self.beta))
+        object.__setattr__(self, "beta", _BASELINE_BETA.get(self.kind, check_beta(self.beta)))
 
     @classmethod
     def threshold(cls, beta: float) -> "Policy":
@@ -137,7 +139,7 @@ def _outcome(
     )
 
 
-# (slot, warm start) -> the slot solve's decision, or the InfeasibleError it raised
+# (slot, warm start or None) -> the slot solve's decision, or its InfeasibleError
 Solved = dict[tuple[int, SlotDecision | None], SlotDecision | InfeasibleError]
 
 
@@ -149,17 +151,19 @@ def _solve(
     solved: Solved | None,
 ) -> SlotDecision:
     """``solve_slot``'s decision, taken from ``solved`` when it holds the
-    (slot, warm start) and added to it otherwise.
+    slot's key and added to it otherwise. The key is (slot, warm start), or
+    (slot, None) on a slot ``_enumerated`` accepts, which is solved without
+    the warm start it would not read.
 
     An InfeasibleError is kept and raised again; RoundingFailedError
     propagates unkept. One mapping belongs to one scenario and one config.
     """
     if solved is None:
         solved = {}
-    key = (t, warm_start)
+    key = (t, None if _enumerated(s, t) else warm_start)
     if key not in solved:
         try:
-            solved[key] = solve_slot(s, t, warm_start=warm_start, config=config)[0]
+            solved[key] = solve_slot(s, t, warm_start=key[1], config=config)[0]
         except InfeasibleError as exc:
             solved[key] = exc
     found = solved[key]
@@ -260,9 +264,8 @@ def run_policy(
     """Run one policy over the whole horizon.
 
     Slot 0 is solved identically for every policy, so runs are comparable
-    decision-for-decision. Every online policy then runs through ``step``:
-    ``always`` with beta = 0, ``never`` with beta = inf, ``threshold`` with
-    its own beta. Runs on the same scenario and config may share one
+    decision-for-decision. Every online policy then runs through ``step``
+    at ``policy.beta``. Runs on the same scenario and config may share one
     ``solved`` mapping (see ``initial_slot``) and return what each returns
     alone.
     """
@@ -275,7 +278,7 @@ def run_policy(
         prev_decision=first.decision,
         last_migration_slot=0,
         accumulated_t2=first.t2_accumulated,
-        beta=_BASELINE_BETA.get(policy.kind, policy.beta),
+        beta=policy.beta,
     )
     for t in range(1, s.num_slots):
         outcome, state = step(s, t, state, config=config, solved=solved)

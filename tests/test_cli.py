@@ -12,8 +12,9 @@ from types import SimpleNamespace
 import pytest
 
 import mecsim as ms
-from conftest import make_doc
+from conftest import make_doc, raw_decisions
 from mecsim.cli import CSV_HEADER, _summary_doc, main
+from mecsim.optimizer import _EXACT_BOUND
 
 
 def _write_json(path: Path, doc) -> str:
@@ -359,6 +360,26 @@ def test_compare_solves_each_slot_and_warm_start_once(tmp_path, monkeypatch):
     assert rc == 0
     assert [t for t, _ in keys].count(0) == 1
     assert len(keys) == len(set(keys))
+
+
+def test_compare_solves_each_enumerated_slot_once(tmp_path, monkeypatch):
+    # Every slot of this scenario is within _EXACT_BOUND, so solve_slot
+    # enumerates it and reads no warm start: one solve per slot serves every
+    # row, whatever decision a row reaches the slot from.
+    scenario = _compare_scenario(tmp_path)
+    s = ms.load_scenario(scenario)
+    assert all(raw_decisions(s, t) <= _EXACT_BOUND for t in range(s.num_slots))
+    slots = []
+    real = ms.policy.solve_slot
+
+    def counting(s, t, **kwargs):
+        slots.append(t)
+        return real(s, t, **kwargs)
+
+    monkeypatch.setattr(ms.policy, "solve_slot", counting)
+    assert main(["compare", "--scenario", scenario, "--beta", "0,1,inf",
+                 "--seed", "5", "--out", str(tmp_path / "cmp")]) == 0
+    assert len(slots) == len(set(slots))
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from conftest import (
     raw_decisions,
     small_horizon_family,
 )
-from mecsim.model import station_limit
+from mecsim.model import _tally, station_limit
 from mecsim.optimizer import (
     _feasible_point_via_lp,
     _greedy_indicator,
@@ -42,7 +42,6 @@ from mecsim.optimizer import (
     _search_slot,
     _SearchState,
     _SlotTables,
-    _tally,
     _uniform_point,
 )
 from mecsim.seeding import substream_seed
@@ -1148,7 +1147,7 @@ def test_draw_check_agrees_with_decision_feasible(case):
 
 def _full_tally_draw(rounding, seed):
     """``_Rounding.draw`` with every attempt formed whole and checked on its
-    full ``_tally``."""
+    full ``model._tally``."""
     tables = rounding.tables
     rng = np.random.default_rng(seed)
     for attempt in range(1, mecsim_optimizer._MAX_ATTEMPTS + 1):
@@ -1158,7 +1157,9 @@ def _full_tally_draw(rounding, seed):
             stations[bisect_right(cdf, v)]
             for stations, cdf, v in zip(tables.cov, rounding.y_cdf, u[1::2])
         )
-        used, load, _ = _tally(tables, placement, selection)
+        used, load, _ = _tally(
+            tables.m, placement, selection, tables.costs.sizes, tables.costs.demand
+        )
         if all(map(operator.le, used, tables.cloud_cap)) and all(
             map(operator.le, load, tables.limit)
         ):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 
 import numpy as np
@@ -15,8 +16,8 @@ import mecsim as ms
 import reference as ref
 from conftest import moderate_doc, random_doc, small_horizon_family
 from mecsim.delays import _IndexCosts
-from mecsim.model import station_limit
-from mecsim.oracle import _fitting, _sides, _slot_layer
+from mecsim.model import _tally, station_limit
+from mecsim.oracle import _fitting, _fitting_sums, _sides, _slot_layer
 
 
 def _two_cloud_doc(bs, slots=1, lat=None, size=2.0):
@@ -173,6 +174,22 @@ def test_fitting_is_the_literal_filter_at_every_stop(case):
     assert _fitting(choices, weights, limit) == expected
     for k in range(len(expected) + 1):
         assert _fitting(choices, weights, limit, most=k) == expected[:k + 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fitting_case())
+def test_fitting_sums_are_the_full_tallys(case):
+    # The walk's running sums against model._tally over each whole tuple,
+    # the sums decision_feasible tests: the walk keeps exactly the tuples
+    # whose full tally fits, each with that tally's sums, float for float.
+    choices, weights, limit = case
+    weights, limit = weights.tolist(), limit.tolist()
+    expected = []
+    for combo in itertools.product(*choices):
+        used = _tally(len(limit), combo, combo, weights, weights)[0]
+        if all(map(operator.le, used, limit)):
+            expected.append((combo, used))
+    assert _fitting_sums(choices, weights, limit) == expected
 
 
 @st.composite

@@ -10,7 +10,8 @@ import pytest
 
 import mecsim as ms
 import reference as ref
-from conftest import random_doc
+from conftest import random_doc, raw_decisions
+from mecsim.optimizer import _EXACT_BOUND
 
 
 def _static_doc(m=1, n=1, slots=4, bs=None, lat=None, coverage=None, demand=1.0):
@@ -51,6 +52,16 @@ def test_policy_kinds_validated():
     with pytest.raises(ValueError):
         ms.Policy.threshold(-0.5)
     assert ms.Policy.threshold(math.inf).beta == math.inf
+
+
+def test_baseline_policies_hold_their_rules_beta():
+    # always is the rule at beta 0 and never at inf, whatever beta is given,
+    # once that beta passes the same check as a threshold's
+    assert ms.Policy.always().beta == 0.0
+    assert ms.Policy.never().beta == math.inf
+    assert ms.Policy(kind="always", beta=2.0).beta == 0.0
+    with pytest.raises(ValueError, match="beta"):
+        ms.Policy(kind="never", beta=-1)
 
 
 @pytest.mark.parametrize("beta", [-0.5, math.nan])
@@ -270,6 +281,34 @@ def test_shared_memo_keeps_an_infeasible_candidate(monkeypatch, caplog):
     staying = [r for r in caplog.records
                if "slot 1: the candidate is infeasible, staying" in r.getMessage()]
     assert len(staying) == 2  # logged by each policy
+
+
+def test_shared_runs_solve_an_enumerated_slot_once_and_a_searched_one_per_warm_start(
+    monkeypatch,
+):
+    # 3x1 grid, N=6, 16 slots: some slots are within _EXACT_BOUND and some
+    # over it. An enumerated slot reads no warm start, so runs that reach it
+    # from different decisions share one solve; a searched slot is solved
+    # once per distinct warm start.
+    s = ms.generate(ms.GeneratorConfig(seed=3, grid_width=3, grid_height=1,
+                                       num_users=6, num_slots=16))
+    exact = {t for t in range(s.num_slots) if raw_decisions(s, t) <= _EXACT_BOUND}
+    assert 0 < len(exact) < s.num_slots
+    keys = []
+    real = ms.policy.solve_slot
+
+    def counting(s, t, warm_start=None, **kwargs):
+        keys.append((t, warm_start))
+        return real(s, t, warm_start=warm_start, **kwargs)
+
+    monkeypatch.setattr(ms.policy, "solve_slot", counting)
+    solved = {}
+    for beta in (0.0, 1.0, math.inf):
+        ms.run_policy(s, ms.Policy.threshold(beta), solved=solved)
+    slots = [t for t, _ in keys]
+    assert all(slots.count(t) == 1 for t in exact)
+    assert len(keys) == len(set(keys))
+    assert any(slots.count(t) > 1 for t in set(slots) - exact)
 
 
 def test_forced_slot_with_an_infeasible_candidate_raises():
