@@ -41,7 +41,7 @@ from .errors import (
     UncoverableAreaError,
 )
 from .generator import GeneratorConfig, generate
-from .model import Scenario, _is_number
+from .model import Scenario, _number
 from .optimizer import DEFAULT_CONFIG, SolverConfig
 from .policy import POLICY_KINDS, Policy, SlotOutcome, Solved, run_policy
 from .scenario_io import (
@@ -210,7 +210,7 @@ def _parse_policy(config: Mapping[str, Any], args: argparse.Namespace) -> Policy
     beta = controller.get("beta", 1.0)
     if beta == "inf":  # the form a run summary writes
         beta = math.inf
-    elif not _is_number(beta):
+    elif _number(beta) is None:  # an oversized integer goes on, for Policy to echo
         raise ParseError(f"controller.beta must be a number or \"inf\", got {beta!r}")
     if kind != "threshold":
         return _policy(kind)

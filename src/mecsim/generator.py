@@ -16,7 +16,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ParseError, UncoverableAreaError
-from .model import Scenario, _is_number, _to_float
+from .model import Scenario, _echo, _integer, _number, _real
 from .seeding import GENERATION, substream_seed
 
 __all__ = ["GeneratorConfig", "generate"]
@@ -43,22 +43,32 @@ class GeneratorConfig:
         for f in fields(self):
             value, what = getattr(self, f.name), f"generator.{f.name}"
             if f.name.endswith("_range"):
-                if not (
-                    isinstance(value, (list, tuple))
-                    and len(value) == 2
-                    and all(map(_is_number, value))
-                ):
+                pair = isinstance(value, (list, tuple)) and len(value) == 2
+                if not pair or None in map(_number, value):
                     raise ParseError(
                         f"{what} must be a [lo, hi] pair of numbers, got {value!r}"
                     )
-                value = (_to_float(value[0], what), _to_float(value[1], what))
-                if not all(map(math.isfinite, value)):
+                lo, hi = value = tuple(map(_real, value))
+                if None in value or not (math.isfinite(lo) and math.isfinite(hi)):
                     raise ParseError(f"{what} must be finite")
-                object.__setattr__(self, f.name, value)
-            elif not _is_number(value) or not math.isfinite(_to_float(value, what)):
-                raise ParseError(f"{what} must be a finite number, got {value!r}")
-            elif f.type == "int" and not isinstance(value, int):
-                raise ParseError(f"{what} must be an integer, got {value!r}")
+                if lo > hi:
+                    raise ParseError(f"{what} must be ordered (lo, hi)")
+                if f.name == "pause_range":
+                    if lo < 0:
+                        raise ParseError(f"{what} must be nonnegative")
+                elif lo <= 0:
+                    raise ParseError(f"{what} must be strictly positive")
+            elif f.type == "int":
+                number = _integer(value)
+                if number is None:
+                    raise ParseError(f"{what} must be an integer, got {value!r}")
+                value = number
+            else:
+                real = _real(value)
+                if real is None or not math.isfinite(real):
+                    raise ParseError(f"{what} must be a finite number, got {_echo(value)}")
+                value = _number(value)
+            object.__setattr__(self, f.name, value)
         if self.seed < 0:
             raise ParseError("generator.seed must be nonnegative")
         for name in ("grid_width", "grid_height", "num_users", "num_slots"):
@@ -68,22 +78,6 @@ class GeneratorConfig:
             raise ParseError("generator.spacing and coverage_radius must be positive")
         if self.latency_per_hop < 0:
             raise ParseError("generator.latency_per_hop must be nonnegative")
-        for name in (
-            "speed_range",
-            "pause_range",
-            "demand_range",
-            "service_size_range",
-            "bs_capacity_range",
-            "cloud_capacity_range",
-        ):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ParseError(f"generator.{name} must be ordered (lo, hi)")
-            if name == "pause_range":
-                if lo < 0:
-                    raise ParseError("generator.pause_range must be nonnegative")
-            elif lo <= 0:
-                raise ParseError(f"generator.{name} must be strictly positive")
 
     @classmethod
     def from_mapping(cls, doc: Mapping[str, Any]) -> "GeneratorConfig":

@@ -6,6 +6,10 @@ Per-slot data: an MxM link-latency matrix (row = hosting cloud, column =
 access station), per-user reachable-station sets, and per-user demand.
 Time-constant data: station capacities, cloud storage capacities, per-user
 service sizes.
+
+Every integer the model takes is a Python or NumPy integer (``_integer``),
+every number such an integer or a Python or NumPy float that a float can
+hold (``_real``), never a bool; NumPy scalars are stored as Python numbers.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ class Scenario:
     Every construction checks the instance and raises ParseError /
     DimensionMismatchError / NonPositiveCapacityError / EmptyCoverageError
     with the offending field or index in the message. Arrays become
-    contiguous float64 copies, and every entry must be an int or a float
-    (a bool or a string is rejected, not coerced); coverage becomes a tuple
+    contiguous float64 copies, and every entry must pass ``_real`` (a bool
+    or a string is rejected, not coerced); coverage becomes a tuple
     (over slots) of tuples (over users) of sorted station-index tuples.
     ``positions`` is optional generator output of shape
     (num_slots, num_users, 2) and is never read by the model itself.
@@ -67,9 +71,10 @@ class Scenario:
 
     def __post_init__(self):
         for field in ("num_clouds", "num_users", "num_slots"):
-            value = getattr(self, field)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            count = _integer(getattr(self, field))
+            if count is None or count < 1:
                 raise ParseError(f"field {field} must be a positive integer")
+            object.__setattr__(self, field, count)
         m, n, horizon = self.num_clouds, self.num_users, self.num_slots
         shapes = {
             "bs_capacity": (m,),
@@ -122,7 +127,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SlotDecision:
-    """Integral decision for one slot: per-user hosting cloud and station."""
+    """Integral decision for one slot: per-user hosting cloud and station,
+    each an integer >= 0 (``_indices``)."""
 
     placement: tuple[int, ...]  # placement[k] = cloud hosting user k's service
     selection: tuple[int, ...]  # selection[k] = station user k connects through
@@ -138,11 +144,13 @@ class SlotDecision:
         return len(self.placement)
 
     def placement_matrix(self, num_clouds: int) -> np.ndarray:
-        """Indicator matrix x with x[i, k] = 1 iff user k's service sits on cloud i."""
+        """Indicator matrix x with x[i, k] = 1 iff user k's service sits on
+        cloud i; entries are >= 0, so none wraps (IndexError past M - 1)."""
         return np.eye(num_clouds)[:, self.placement]
 
     def selection_matrix(self, num_clouds: int) -> np.ndarray:
-        """Indicator matrix y with y[j, k] = 1 iff user k connects through station j."""
+        """Indicator matrix y with y[j, k] = 1 iff user k connects through
+        station j; as ``placement_matrix``, no entry wraps."""
         return np.eye(num_clouds)[:, self.selection]
 
 
@@ -196,16 +204,11 @@ class ControllerState:
     def __post_init__(self):
         object.__setattr__(self, "beta", check_beta(self.beta))
         slot = self.last_migration_slot
-        if isinstance(slot, bool) or not isinstance(slot, (int, np.integer)) or slot < 0:
-            raise ValueError(
-                f"last_migration_slot must be an integer >= 0, got {_echo(slot)}"
-            )
-        t2 = _real(self.accumulated_t2)
-        if t2 is None or not (math.isfinite(t2) and t2 >= 0):
-            raise ValueError(
-                "accumulated_t2 must be a finite number >= 0, "
-                f"got {_echo(self.accumulated_t2)}"
-            )
+        if _integer(slot) is None or slot < 0:
+            raise ValueError(f"last_migration_slot must be an integer >= 0, got {_echo(slot)}")
+        object.__setattr__(self, "last_migration_slot", _integer(slot))
+        _finite_nonnegative("accumulated_t2", self.accumulated_t2)
+        object.__setattr__(self, "accumulated_t2", _number(self.accumulated_t2))
 
 
 def _echo(value: Any) -> str:
@@ -218,57 +221,72 @@ def _echo(value: Any) -> str:
     return text if len(text) <= 23 else text[:20] + "..."
 
 
-def _is_number(value: Any) -> bool:
-    """A real number as JSON gives one: int or float, bools excluded."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _integer(value: Any) -> int | None:
+    """The integer rule: ``value`` as the int ``operator.index`` gives, so
+    for a Python or NumPy integer; None for a bool (``np.bool_`` has no
+    index), a float, a string or anything else."""
+    try:
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
 
 
-def _to_float(value: int | float, what: str) -> float:
-    """``float(value)`` for a number ``_is_number`` accepts; ParseError for
-    an integer too large for a float."""
-    out = _real(value)
-    if out is None:
-        raise ParseError(f"{what} is too large for a float")
-    return out
+def _number(value: Any) -> int | float | None:
+    """The number rule: an ``_integer`` as its int, a Python or NumPy float
+    as a float; None for anything else, a bool included."""
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return _integer(value)
 
 
 def _real(value: Any) -> float | None:
-    """``value`` as a float when ``_is_number`` accepts it and a float can
+    """``value`` as a float when ``_number`` accepts it and a float can
     hold it, else None."""
-    if not _is_number(value):
-        return None
     try:
-        return float(value)
-    except OverflowError:
+        return float(_number(value))
+    except (TypeError, OverflowError):  # None, or an int past a float's range
         return None
+
+
+def _finite_nonnegative(name: str, value: Any) -> float:
+    """``value`` as a float, -0.0 as 0.0; ValueError unless ``_real`` gives
+    a finite float >= 0 for it."""
+    out = _real(value)
+    if out is None or not (math.isfinite(out) and out >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {_echo(value)}")
+    return out + 0.0
 
 
 def _indices(name: str, values: Sequence) -> tuple[int, ...]:
-    """``values`` as a tuple of ints; ValueError unless every entry is an
-    int or a NumPy integer, so a bool, a float or a string is rejected, not
-    truncated."""
+    """``values`` as a tuple of ints >= 0: ``_integer``'s rule over the whole
+    sequence, then one ``min``. ValueError for a bool, a float, a string or
+    a negative entry, which is rejected, not truncated or wrapped."""
     try:
         if bool in map(type, values):
             raise TypeError
-        return tuple(map(operator.index, values))
+        out = tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{name} entries must be integers, got {values!r}") from None
+    if out and min(out) < 0:
+        raise ValueError(f"{name} entries must be >= 0, got {values!r}")
+    return out
 
 
 def _as_float_array(name: str, value: Any, shape: tuple[int, ...]) -> np.ndarray:
     """The field as a contiguous float64 copy of ``shape``. Every leaf must
-    pass ``_is_number``, so a bool or a numeric string is rejected, not
-    coerced; an int or float NumPy array has no other leaves."""
-    what = f"field {name}"
+    pass ``_real``, so a bool or a numeric string is rejected, not coerced;
+    an int or float NumPy array has no other leaves."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         arr = np.array(value, dtype=float, order="C")
     else:
         leaves = np.asarray(value, dtype=object)
-        floats = []
-        for leaf in leaves.ravel().tolist():
-            if not _is_number(leaf):
-                raise ParseError(f"{what} is not numeric: {leaf!r} is not a number")
-            floats.append(_to_float(leaf, what))
+        flat = leaves.ravel().tolist()
+        floats = [_real(leaf) for leaf in flat]
+        if None in floats:
+            leaf = flat[floats.index(None)]
+            if _number(leaf) is None:
+                raise ParseError(f"field {name} is not numeric: {leaf!r} is not a number")
+            raise ParseError(f"field {name} is too large for a float")
         arr = np.array(floats, dtype=float).reshape(leaves.shape)
     if arr.shape != shape:
         raise DimensionMismatchError(
@@ -308,21 +326,15 @@ def _as_coverage(
             )
         slot_sets: list[tuple[int, ...]] = []
         for k, stations in enumerate(per_user):
-            stations = _entries(stations, f"coverage of user {k} at slot {t}")
-            if not all(
-                isinstance(j, (int, np.integer)) and not isinstance(j, bool)
-                for j in stations
-            ):
-                raise ParseError(
-                    f"coverage of user {k} at slot {t} must list integer station indices"
-                )
-            cleaned = sorted({int(j) for j in stations})
-            if any(j < 0 or j >= m for j in cleaned):
-                raise DimensionMismatchError(
-                    f"coverage of user {k} at slot {t} has station index out of range"
-                )
+            what = f"coverage of user {k} at slot {t}"
+            stations = [_integer(j) for j in _entries(stations, what)]
+            if None in stations:
+                raise ParseError(f"{what} must list integer station indices")
+            cleaned = sorted(set(stations))
             if not cleaned:
                 raise EmptyCoverageError(user=k, slot=t)
+            if cleaned[0] < 0 or cleaned[-1] >= m:
+                raise DimensionMismatchError(f"{what} has station index out of range")
             slot_sets.append(tuple(cleaned))
         coverage.append(tuple(slot_sets))
     return tuple(coverage)
@@ -345,9 +357,7 @@ def validate_scenario(raw: Mapping[str, Any]) -> Scenario:
     for field in required:
         if field not in raw:
             raise ParseError(f"missing required field: {field}")
-    return Scenario(
-        **{field: raw[field] for field in required}, positions=raw.get("positions")
-    )
+    return Scenario(**{field: raw[field] for field in required}, positions=raw.get("positions"))
 
 
 def decision_feasible(
@@ -371,15 +381,14 @@ def decision_feasible(
     if d.num_users != s.num_users:
         return False
 
-    m = s.num_clouds
-    for k, (i, j) in enumerate(zip(d.placement, d.selection)):
-        if not (0 <= i < m and 0 <= j < m):
-            return False
-        if j not in s.coverage[t][k]:
-            return False
+    # entries are >= 0 by construction, and coverage lies inside range(M)
+    if max(d.placement) >= s.num_clouds or any(
+        j not in stations for j, stations in zip(d.selection, s.coverage[t])
+    ):
+        return False
 
     storage, load, _ = _tally(
-        m, d.placement, d.selection, s.service_size.tolist(), s.demand[t].tolist()
+        s.num_clouds, d.placement, d.selection, s.service_size.tolist(), s.demand[t].tolist()
     )
     if any(u > cap for u, cap in zip(storage, s.cloud_capacity.tolist())):
         return False
@@ -406,9 +415,8 @@ def check_slot(s: Scenario, t: Any) -> None:
 
     Without it a negative slot would index from the end of the horizon.
     """
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not (
-        0 <= t < s.num_slots
-    ):
+    slot = _integer(t)
+    if slot is None or not 0 <= slot < s.num_slots:
         raise ValueError(f"slot must be an integer in range({s.num_slots}), got {_echo(t)}")
 
 
@@ -418,13 +426,13 @@ def check_decision(s: Scenario, d: SlotDecision) -> None:
     ``range(s.num_clouds)``.
 
     Without it a short decision would be zipped short and an index outside
-    the clouds would be priced as a move.
+    the clouds would be priced as a move; entries are >= 0 by construction.
     """
     if d.num_users != s.num_users:
         raise DimensionMismatchError(
             f"decision covers {d.num_users} users, expected {s.num_users}"
         )
-    if not all(0 <= i < s.num_clouds for i in d.placement + d.selection):
+    if max(d.placement + d.selection) >= s.num_clouds:
         raise ValueError(
             f"decision names a cloud or station outside range({s.num_clouds})"
         )
@@ -433,10 +441,7 @@ def check_decision(s: Scenario, d: SlotDecision) -> None:
 def check_margin(margin: Any) -> float:
     """``margin`` as a float, -0.0 as 0.0; ValueError unless it is a finite
     number >= 0 that a float can hold (not a bool)."""
-    value = _real(margin)
-    if value is None or not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"margin must be a finite number >= 0, got {_echo(margin)}")
-    return value + 0.0
+    return _finite_nonnegative("margin", margin)
 
 
 def check_beta(beta: Any) -> float:

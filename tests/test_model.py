@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -126,6 +127,15 @@ def test_slot_decision_entry_that_is_not_an_integer_rejected(placement):
         ms.SlotDecision((0, 1), placement)
 
 
+@pytest.mark.parametrize("decision", [((-1,), (0,)), ((0,), (-1,)), ((0, 0), (-1, 0))])
+def test_slot_decision_negative_entry_rejected(decision):
+    # a negative index passed here and the matrix views wrapped it to the
+    # last cloud: non_switching_delay priced ((-1,), (0,)) on the
+    # walkthrough scenario at 1.8333
+    with pytest.raises(ValueError, match="entries must be >= 0"):
+        ms.SlotDecision(*decision)
+
+
 def test_slot_decision_stores_integer_entries_as_int():
     d = ms.SlotDecision(np.array([2, 0]), (np.int64(1), 1))
     assert d == ms.SlotDecision((2, 0), (1, 1))
@@ -243,10 +253,11 @@ def _limit_edges(total, margin):
 @st.composite
 def _feasibility_case(draw):
     """A one-slot scenario of M 2-4 clouds and N 1-4 users, a decision whose
-    entries reach one index past either end and whose length can be off by
-    one, a margin of 0, ``DEFAULT_MARGIN`` or a random one, and each used
-    capacity at, one ulp around or away from the decision's sum; no
-    expected verdict (the reference gives it)."""
+    entries reach one index past the last cloud (a negative one fails in
+    ``SlotDecision``) and whose length can be off by one, a margin of 0,
+    ``DEFAULT_MARGIN`` or a random one, and each used capacity at, one ulp
+    around or away from the decision's sum; no expected verdict (the
+    reference gives it)."""
     m = draw(st.integers(2, 4))
     n = draw(st.integers(1, 4))
     weight = st.one_of(st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.5, 1.0]), st.floats(0.01, 2.0))
@@ -255,7 +266,7 @@ def _feasibility_case(draw):
     coverage = [sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))) for _ in range(n)]
     margin = draw(st.one_of(st.sampled_from([0.0, DEFAULT_MARGIN]), st.floats(0.0, 1.0)))
     users = n + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
-    anywhere = st.integers(-1, m)
+    anywhere = st.integers(0, m)
     placement = [draw(st.one_of(st.integers(0, m - 1), anywhere)) for _ in range(users)]
     selection = [
         draw(st.one_of(st.sampled_from(coverage[k]), anywhere) if k < n else anywhere)
@@ -263,9 +274,9 @@ def _feasibility_case(draw):
     ]
     storage, load = [0.0] * m, [0.0] * m
     for i, j, size, c in zip(placement, selection, sizes, demand):
-        if 0 <= i < m:
+        if i < m:
             storage[i] += size
-        if 0 <= j < m:
+        if j < m:
             load[j] += c
     room = st.floats(0.1, 4.0)
     cloud_capacity = [
@@ -321,7 +332,6 @@ _AT_LOAD = 0.1 + 0.2  # 0.30000000000000004: a load whose sum rounds
                            demand=[[5.0, 5.0 - 2.0**-20 + 2.0**-49]] * 2))
 # an index out of range, a station outside coverage, a wrong user count
 @example(_feasibility_edge(((0, 3), (0, 0)), DEFAULT_MARGIN, False))
-@example(_feasibility_edge(((0, 0), (-1, 0)), DEFAULT_MARGIN, False))
 @example(_feasibility_edge(((0, 0), (0, 0)), DEFAULT_MARGIN, False,
                            coverage=[[[0, 1], [2]]] * 2))
 @example(_feasibility_edge(((0,), (0,)), DEFAULT_MARGIN, False))
@@ -538,6 +548,15 @@ def test_non_finite_array_rejected(field, value):
         ms.validate_scenario(make_doc(**{field: value}))
 
 
+@pytest.mark.parametrize(
+    "coverage", ["abc", b"ab", {0: [], 1: []}], ids=["str", "bytes", "mapping"]
+)
+def test_coverage_that_is_a_string_or_a_mapping_rejected(coverage):
+    # list() would split a string into slots and read a mapping's keys
+    with pytest.raises(ms.ParseError, match="^field coverage must be a list$"):
+        ms.validate_scenario(make_doc(coverage=coverage))
+
+
 def test_coverage_with_the_wrong_slot_or_user_count_rejected():
     doc = make_doc()
     with pytest.raises(ms.DimensionMismatchError, match="field coverage has 1 slots"):
@@ -664,3 +683,124 @@ def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path):
     finally:
         os.umask(old)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out22.csv", "out77.csv"]
+
+
+def test_atomic_write_draws_a_new_temp_name_on_a_clash(tmp_path, monkeypatch):
+    clash = tmp_path / ".out.csv.aaaa.tmp"
+    clash.write_text("kept", encoding="utf-8")
+    names = iter(["aaaa", "bbbb"])
+    monkeypatch.setattr(ms.scenario_io.secrets, "token_hex", lambda nbytes: next(names))
+    ms.scenario_io.write_text_atomic(tmp_path / "out.csv", "a,b\n")
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == "a,b\n"
+    assert clash.read_text(encoding="utf-8") == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".out.csv.aaaa.tmp", "out.csv"]
+
+
+# ---------------------------------------------------------------------------
+# one integer rule and one number rule at every entry
+
+
+_SCALARS = {
+    "int": 1, "np.int8": np.int8(1), "np.int64": np.int64(1), "np.uint64": np.uint64(1),
+    "True": True, "np.True_": np.True_, "2**1100": 2**1100, "float": 1.0,
+    "np.float16": np.float16(1), "np.float32": np.float32(1), "np.float64": np.float64(1),
+    '"1"': "1", "None": None,
+}
+_INTEGERS = {"int", "np.int8", "np.int64", "np.uint64", "2**1100"}
+# a float cannot hold 2**1100
+_NUMBERS = {"int", "np.int8", "np.int64", "np.uint64", "float", "np.float16",
+            "np.float32", "np.float64"}
+
+
+def _state(**fields):
+    return ms.ControllerState(**{"prev_decision": ms.SlotDecision((0,), (0,)),
+                                 "last_migration_slot": 0, "accumulated_t2": 0.0,
+                                 "beta": 1.0, **fields})
+
+
+def _one_slot(**fields):
+    doc = make_doc(**fields)
+    return {**doc, **{key: doc[key][:1] for key in ("link_latency", "coverage", "demand")}}
+
+
+def _covering(v):
+    doc = make_doc()
+    doc["coverage"][0][1] = [v]
+    return doc
+
+
+def _integer_entries():
+    """Each entry that takes an integer: its call, the message of its type
+    test, and the values its own range refuses."""
+    s, d = ms.validate_scenario(make_doc()), ms.SlotDecision((0, 0), (0, 0))
+    return {
+        "scenario count": (lambda v: ms.validate_scenario(_one_slot(num_slots=v)),
+                           "num_slots must be a positive integer", set()),
+        "coverage index": (lambda v: ms.validate_scenario(_covering(v)),
+                           "must list integer station indices", set()),
+        "slot": (lambda v: ms.decision_feasible(s, v, d), "slot must be an integer",
+                 {"2**1100"}),
+        "decision entry": (lambda v: ms.SlotDecision((v,), (0,)),
+                           "entries must be integers", set()),
+        "last_migration_slot": (lambda v: _state(last_migration_slot=v),
+                                "last_migration_slot must be", set()),
+        "generator seed": (lambda v: ms.GeneratorConfig(seed=v),
+                           "generator.seed must be an integer", set()),
+        "generator grid_width": (lambda v: ms.GeneratorConfig(seed=1, grid_width=v),
+                                 "generator.grid_width must be an integer", set()),
+    }
+
+
+def _number_entries():
+    """Each entry that takes a number: its call and the message of its test."""
+    return {
+        "array leaf": (
+            lambda v: ms.validate_scenario(make_doc(bs_capacity=[v, 10.0, 10.0])),
+            "field bs_capacity is",
+        ),
+        "margin": (lambda v: ms.SolverConfig(margin=v), "margin must be a finite number"),
+        "beta": (lambda v: ms.Policy.threshold(v), "beta must be a nonnegative number"),
+        "accumulated_t2": (lambda v: _state(accumulated_t2=v), "accumulated_t2 must be"),
+        "generator spacing": (lambda v: ms.GeneratorConfig(seed=1, spacing=v),
+                              "generator.spacing must be a finite number"),
+        "generator range": (lambda v: ms.GeneratorConfig(seed=1, demand_range=(v, 2.0)),
+                            r"generator.demand_range must be (a \[lo, hi\]|finite)"),
+    }
+
+
+def _passes(call, rejection, value):
+    """True unless ``call(value)`` raises with ``rejection`` in its message:
+    an error of the entry's own range is no verdict on the type."""
+    try:
+        call(value)
+    except Exception as exc:
+        return re.search(rejection, str(exc)) is None
+    return True
+
+
+@pytest.mark.parametrize("name", list(_SCALARS))
+def test_every_entry_applies_the_same_scalar_rule(name):
+    # np.int64(1) was a slot, a coverage index and a decision entry, but
+    # "not a number" as a count, a margin, a beta or a generator field
+    value = _SCALARS[name]
+    integer = {entry: _passes(call, rejection, value)
+               for entry, (call, rejection, refused) in _integer_entries().items()
+               if name not in refused}
+    number = {entry: _passes(call, rejection, value)
+              for entry, (call, rejection) in _number_entries().items()}
+    assert integer == dict.fromkeys(integer, name in _INTEGERS)
+    assert number == dict.fromkeys(number, name in _NUMBERS)
+
+
+def test_numpy_scalars_are_stored_as_python_numbers():
+    s = ms.Scenario(**{**make_doc(), "num_clouds": np.int64(3), "num_users": np.uint8(2)})
+    assert type(s.num_clouds) is int and type(s.num_users) is int
+    state = _state(last_migration_slot=np.int32(4), accumulated_t2=np.float32(0.5))
+    assert type(state.last_migration_slot) is int and type(state.accumulated_t2) is float
+    cfg = ms.GeneratorConfig(seed=np.int64(1), spacing=np.float16(1.5), num_users=2,
+                             demand_range=(np.int8(1), np.float32(2)))
+    assert cfg == ms.GeneratorConfig(seed=1, spacing=1.5, num_users=2, demand_range=(1, 2))
+    assert [type(v) for v in (cfg.seed, cfg.spacing, cfg.num_users)] == [int, float, int]
+    assert all(type(v) is float for v in cfg.demand_range)
+    # a Python value is stored as given
+    assert type(ms.GeneratorConfig(seed=1, spacing=2).spacing) is int
