@@ -1,19 +1,24 @@
 """Command-line front end: generate scenarios, run policies, compare them.
 
 Exit codes: 0 success, 2 malformed config, input file or argument, 3
-infeasible scenario, 4 exact search too large. Exit 2 is for ParseError,
-ScenarioError, UncoverableAreaError and unreadable files; any other
-ValueError is a bug and propagates. Output files are written atomically, with
-the mode a plain ``open`` would give them, and contain nothing
-nondeterministic, so identical invocations produce byte-identical artifacts.
+infeasible scenario, 4 exact search too large. Exit 2 is for ScenarioError
+(ParseError among them) except EmptyCoverageError, which is exit 3, and for
+UncoverableAreaError and unreadable files; any other ValueError is a bug and
+propagates. Output files are written atomically, with the mode a plain
+``open`` would give them, and contain nothing nondeterministic, so identical
+invocations produce byte-identical artifacts.
 
 ``compare`` does each piece of its work once: one ``run_policy`` per
 distinct rule (``always`` is the threshold rule at beta = 0 and ``never`` at
 beta = inf, so their rows share those runs), one solve per distinct (slot,
 warm start) across all rows, one per slot where the solver enumerates
-(it reads no warm start there), and one scenario digest. The argument
-parser is built on the first ``main`` call and reused by later calls in
-the process.
+(it reads no warm start there), and one scenario digest. The run cache,
+keyed by the beta an online rule runs at, and the solve memo live in
+``cmd_compare`` beside the loop over its rows; the oracle row is run
+outside the run cache, since ``Policy.oracle()`` also holds beta inf. Each
+row is written by ``_write_run``, as ``run`` writes it. The argument parser
+is built on the first ``main`` call and reused by later calls in the
+process.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -41,7 +46,7 @@ from .errors import (
     UncoverableAreaError,
 )
 from .generator import GeneratorConfig, generate
-from .model import Scenario, _number
+from .model import DelayBreakdown, _number
 from .optimizer import DEFAULT_CONFIG, SolverConfig
 from .policy import POLICY_KINDS, Policy, SlotOutcome, Solved, run_policy
 from .scenario_io import (
@@ -54,13 +59,15 @@ from .scenario_io import (
 
 __all__ = ["main", "cmd_generate", "cmd_run", "cmd_compare", "CSV_HEADER"]
 
-CSV_HEADER = (
-    "slot,policy,beta,migrated,forced,switching,queuing,communication,"
-    "non_switching,total,cum_total"
+# the delay columns of the run CSV and the summary's totals, in this order
+_DELAY_FIELDS = tuple(f.name for f in fields(DelayBreakdown))
+
+CSV_HEADER = ",".join(
+    ("slot", "policy", "beta", "migrated", "forced", *_DELAY_FIELDS, "cum_total")
 )
 
 _CONFIG_SECTIONS = {"generator", "solver", "controller", "output"}
-_SOLVER_KEYS = {"margin"}
+_SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
 _CONTROLLER_KEYS = {"beta", "policy"}
 _OUTPUT_KEYS = {"dir"}
 
@@ -118,15 +125,18 @@ def _out_dir(config: Mapping[str, Any], args: argparse.Namespace) -> Path:
     return Path(args.out or out)
 
 
-def _beta_str(policy: Policy) -> str:
+def _beta(policy: Policy) -> float | str | None:
+    """The row's beta as its summary writes it: None for ``always``,
+    ``never`` and ``oracle``, "inf" for inf, else the float. A CSV cell or a
+    file stem takes its ``str`` (a CSV writer gives "" for None)."""
     if policy.kind != "threshold":
-        return ""
-    return "inf" if math.isinf(policy.beta) else repr(policy.beta)
+        return None
+    return "inf" if math.isinf(policy.beta) else policy.beta
 
 
 def _run_stem(policy: Policy, seed: int) -> str:
     if policy.kind == "threshold":
-        return f"threshold_beta{_beta_str(policy)}_seed{seed}"
+        return f"threshold_beta{_beta(policy)}_seed{seed}"
     return f"{policy.kind}_seed{seed}"
 
 
@@ -134,7 +144,7 @@ def _rows_csv(policy: Policy, outcomes: Sequence[SlotOutcome]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    beta = _beta_str(policy)
+    beta = _beta(policy)
     cum = 0.0
     for o in outcomes:
         cum += o.delay.total
@@ -145,11 +155,7 @@ def _rows_csv(policy: Policy, outcomes: Sequence[SlotOutcome]) -> str:
                 beta,
                 int(o.migrated),
                 int(o.forced),
-                repr(float(o.delay.switching)),
-                repr(float(o.delay.queuing)),
-                repr(float(o.delay.communication)),
-                repr(float(o.delay.non_switching)),
-                repr(float(o.delay.total)),
+                *(repr(float(getattr(o.delay, name))) for name in _DELAY_FIELDS),
                 repr(float(cum)),
             ]
         )
@@ -164,17 +170,13 @@ def _summary_doc(
     outcomes: Sequence[SlotOutcome],
     solver: SolverConfig,
 ) -> dict[str, Any]:
-    beta: Any = None
-    if policy.kind == "threshold":
-        beta = "inf" if math.isinf(policy.beta) else policy.beta
+    beta = _beta(policy)
     run_id = hashlib.sha256(
         f"{digest}|{policy.kind}|{beta}|{seed}".encode()
     ).hexdigest()[:16]
     # each total folds the slots' values left to right from 0.0, on every
     # Python: the builtin sum compensates its float sums from 3.12 on
-    totals = dict.fromkeys(
-        ("switching", "queuing", "communication", "non_switching", "total"), 0.0
-    )
+    totals = dict.fromkeys(_DELAY_FIELDS, 0.0)
     for o in outcomes:
         for name in totals:
             totals[name] += getattr(o.delay, name)
@@ -190,7 +192,7 @@ def _summary_doc(
         "forced_migrations": sum(1 for o in outcomes if o.forced),
         "totals": totals,
         "config": {
-            "solver": {"margin": solver.margin},
+            "solver": asdict(solver),
             "controller": {"policy": policy.kind, "beta": beta},
         },
     }
@@ -231,31 +233,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(
-    scenario: Scenario,
-    scenario_path: str,
-    digest: str,
+def _write_run(
     policy: Policy,
     seed: int,
-    out_dir: Path,
+    scenario_path: str,
+    digest: str,
+    outcomes: Sequence[SlotOutcome],
     solver: SolverConfig,
-    solved: Solved | None = None,
-    runs: dict[float, list[SlotOutcome]] | None = None,
+    out_dir: Path,
 ) -> dict[str, Any]:
-    """Run one policy and write its CSV and summary; ``digest`` is the
-    scenario file's ``scenario_digest`` and ``seed`` only names them (file
-    stem, run id and the summary's ``seed``).
-
-    ``runs``, for online policies only, maps ``policy.beta``, the beta each
-    rule runs at (``always`` 0, ``never`` inf), to its outcomes, which
-    depend on the policy only through that beta: a rule is run once and its
-    rows share the outcomes.
-    """
-    if runs is None:
-        runs = {}
-    if policy.beta not in runs:
-        runs[policy.beta] = run_policy(scenario, policy, solver, solved=solved)
-    outcomes = runs[policy.beta]
+    """Write one run's CSV and summary into ``out_dir`` and return the
+    summary; it runs nothing. ``digest`` is the scenario file's
+    ``scenario_digest`` and ``seed`` only names the files (file stem, run id
+    and the summary's ``seed``)."""
     stem = _run_stem(policy, seed)
     csv_path = out_dir / f"{stem}.csv"
     summary_path = out_dir / f"{stem}.json"
@@ -276,7 +266,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     digest = scenario_digest(args.scenario)
     out_dir = _out_dir(config, args)
-    summary = _run_one(scenario, args.scenario, digest, policy, seed, out_dir, solver)
+    outcomes = run_policy(scenario, policy, solver)
+    summary = _write_run(policy, seed, args.scenario, digest, outcomes, solver, out_dir)
     stem = _run_stem(policy, seed)
     print(
         f"wrote {out_dir / stem}.csv and .json "
@@ -309,39 +300,40 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 policies.append(policy)
     policies.append(Policy.always())
     policies.append(Policy.never())
-    oracle_policy = Policy.oracle()
 
-    # Each distinct rule is run once, and each distinct (slot, warm start)
-    # solved once; the rows share both.
+    # Each distinct (slot, warm start) is solved once across all rows. An
+    # online rule's outcomes depend on it only through the beta it runs at
+    # (always 0, never inf), so ``runs`` maps that beta to them and each
+    # distinct rule is run once.
     solved: Solved = {}
     runs: dict[float, list[SlotOutcome]] = {}
     rows = []
     for policy in policies:
-        summary = _run_one(
-            scenario, args.scenario, digest, policy, seed, out_dir, solver, solved, runs
-        )
-        rows.append(summary)
-    try:
+        if policy.beta not in runs:
+            runs[policy.beta] = run_policy(scenario, policy, solver, solved=solved)
         rows.append(
-            _run_one(
-                scenario, args.scenario, digest, oracle_policy, seed, out_dir, solver, solved
-            )
+            _write_run(policy, seed, args.scenario, digest, runs[policy.beta], solver, out_dir)
         )
+    # the oracle holds beta inf too, so it is run outside ``runs``
+    oracle = Policy.oracle()
+    try:
+        outcomes = run_policy(scenario, oracle, solver, solved=solved)
     except (OracleTooLargeError, InfeasibleError) as exc:
         # the online rows ran, so only the offline DP can raise here: its
         # budget, or a slot with no decision at the margin that no row needed
         _log.info("oracle row omitted: %s", exc)
         print(f"note: oracle row omitted: {exc}", file=sys.stderr)
+    else:
+        rows.append(_write_run(oracle, seed, args.scenario, digest, outcomes, solver, out_dir))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["policy", "beta", "total", "migrations", "forced_migrations"])
     for summary in rows:
-        beta = summary["beta"]
         writer.writerow(
             [
                 summary["policy"],
-                "" if beta is None else beta,
+                summary["beta"],
                 repr(float(summary["totals"]["total"])),
                 summary["migrations"],
                 summary["forced_migrations"],
@@ -392,20 +384,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # EmptyCoverageError is a ScenarioError, so exit 3's clause comes first
     try:
         return args.func(args)
-    except EmptyCoverageError as exc:
+    except (EmptyCoverageError, InfeasibleError, RoundingFailedError) as exc:
         print(f"error: infeasible scenario: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ScenarioError, UncoverableAreaError) as exc:
+    except (ScenarioError, UncoverableAreaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasibleError, RoundingFailedError) as exc:
-        print(f"error: infeasible scenario: {exc}", file=sys.stderr)
-        return 3
     except OracleTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

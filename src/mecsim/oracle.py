@@ -229,15 +229,14 @@ def offline_optimal(
         p0, y0 = first_decision.placement, first_decision.selection
         if p0 not in placements or y0 not in selections[0]:
             raise InfeasibleError("pinned slot-0 decision is not feasible")
+        # slot 0's layer is the common pass over the pinned selection alone
+        loads[0] = [loads[0][selections[0].index(y0)]]
+        selections[0] = [y0]
+    values, best = _slot_layer(costs[0], rows, selections[0], loads[0])
+    if first_decision is not None:
         # the pinned decision is slot 0's only finite entry, so every
         # transition out of slot 0 arrives from it
-        pi = placements.index(p0)
-        values = np.full(len(placements), math.inf)
-        values[pi] = costs[0].non_switching(p0, y0)
-        best = np.zeros(len(placements), dtype=int)
-        best[pi] = selections[0].index(y0)
-    else:
-        values, best = _slot_layer(costs[0], rows, selections[0], loads[0])
+        values[[p != p0 for p in placements]] = math.inf
 
     # picks[t][p]: the selection of the best total through slot t ending at
     # placement p; back[t - 1][p]: the placement at slot t - 1 it arrives from

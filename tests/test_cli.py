@@ -574,6 +574,39 @@ def test_internal_value_error_is_not_reported_as_bad_input(
         main(["run", "--scenario", str(walkthrough_path), "--out", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ms.EmptyCoverageError(0, 0), 3),
+        (ms.InfeasibleError("x"), 3),
+        (ms.NoInteriorPointError("x"), 3),
+        (ms.RoundingFailedError("x"), 3),
+        (ms.ParseError("x"), 2),
+        (ms.DimensionMismatchError("x"), 2),
+        (ms.NonPositiveCapacityError("x"), 2),
+        (ms.UncoverableAreaError("x"), 2),
+        (FileNotFoundError("x"), 2),
+        (ms.OracleTooLargeError("x"), 4),
+        (ValueError("x"), None),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+)
+def test_each_error_class_gets_its_exit_code(
+    walkthrough_path, tmp_path, monkeypatch, error, code
+):
+    # run_policy, not cmd_run: the cached parser holds the cmd_run it was built with
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(ms.cli, "run_policy", failing)
+    argv = ["run", "--scenario", str(walkthrough_path), "--out", str(tmp_path / "o")]
+    if code is None:  # any other ValueError is a bug and propagates
+        with pytest.raises(type(error)):
+            main(argv)
+    else:
+        assert main(argv) == code
+
+
 @pytest.mark.parametrize("bounds", [["low", 1.0], [0.5, 10**400]])
 def test_generate_non_numeric_range_exits_2(tmp_path, bounds):
     config = _gen_config(tmp_path, demand_range=bounds)

@@ -47,6 +47,15 @@ def test_uncoverable_radius_rejected():
         ms.generate(cfg)
 
 
+def test_a_user_out_of_every_radius_is_rejected(monkeypatch):
+    # with the lattice check passed, a user far from every station is caught
+    # where coverage is listed
+    monkeypatch.setattr("mecsim.generator._worst_gap", lambda cfg: 0.0)
+    cfg = ms.GeneratorConfig(seed=0, grid_width=2, grid_height=2, coverage_radius=0.01)
+    with pytest.raises(ms.UncoverableAreaError, match="has no station within radius"):
+        ms.generate(cfg)
+
+
 def test_generated_scenario_revalidates_and_round_trips(tmp_path):
     s = ms.generate(ms.GeneratorConfig(seed=21, num_users=2, num_slots=5))
     again = ms.validate_scenario(s.to_mapping())

@@ -14,6 +14,7 @@ import sys
 import warnings
 from bisect import bisect_right
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,6 +140,16 @@ def test_lp_infeasible_when_storage_cannot_fit():
     with pytest.raises(ms.InfeasibleError) as err:
         _feasible_point_via_lp(s, 0, 1e-6)
     assert not isinstance(err.value, ms.NoInteriorPointError)
+
+
+def test_a_failed_lp_solve_raises_runtime_error(monkeypatch):
+    # neither "optimal" (0) nor "infeasible" (2): HiGHS's numerical trouble
+    import scipy.optimize
+
+    failed = SimpleNamespace(status=4, message="numerical difficulties")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(RuntimeError, match="LP solver failed: numerical difficulties"):
+        _feasible_point_via_lp(_validate(_lp_fallback_doc()), 0, 1e-6)
 
 
 def _lp_fallback_doc():
