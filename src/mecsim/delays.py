@@ -6,9 +6,9 @@ fractional column-stochastic weights. Each sum lays its terms out
 user-major (user, then cloud, then station) and adds them strictly left to
 right with ``np.add.accumulate``, never with the pairwise ``np.sum``, so a
 result is the same float as the literal nested loop over those terms: on
-indicator matrices, the float ``_IndexCosts`` gives. Each public function
-that takes a slot ``t`` raises ValueError unless it is an integer in
-``range(s.num_slots)``.
+indicator matrices, the float ``_IndexCosts`` gives. A public function
+taking a slot ``t`` raises ValueError unless it is an integer in
+``range(s.num_slots)``, through ``station_loads`` or ``communication_delay``.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ def queuing_delay(s: Scenario, t: int, y: np.ndarray) -> float:
     Returns +inf as soon as any station carrying selection weight has
     load_j >= C_j (the queue never drains).
     """
-    check_slot(s, t)
     y = _as_decision_matrix(s, "y", y)
     slack = s.bs_capacity - station_loads(s, t, y)
     full = slack <= 0.0
@@ -198,11 +197,7 @@ class _IndexCosts:
 
 def non_switching_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> float:
     """Queuing plus communication delay: the recurring per-slot cost."""
-    check_slot(s, t)
-    q = queuing_delay(s, t, y)
-    if math.isinf(q):
-        return math.inf
-    return q + communication_delay(s, t, x, y)
+    return queuing_delay(s, t, y) + communication_delay(s, t, x, y)
 
 
 def total_delay(
@@ -213,7 +208,6 @@ def total_delay(
     y: np.ndarray,
 ) -> DelayBreakdown:
     """Full slot cost: one-off switching plus recurring queuing/communication."""
-    check_slot(s, t)
     return DelayBreakdown.assemble(
         switching=switching_delay(s, x_now, x_prev),
         queuing=queuing_delay(s, t, y),

@@ -13,13 +13,14 @@ work. It starts from fixed-seed randomized roundings of the uniform
 fractional point (repaired under storage and capacity), from a greedy
 per-user assignment, and from the warm start pushed back into coverage and
 capacity by greedy repair. The best local optimum then takes a few seeded
-perturbation restarts.
+perturbation restarts. A slot where no search seed survives is enumerated
+after all when it is within ``oracle.ENUMERATION_BUDGET``.
 The rounding's column CDFs are built once per solve and drawn from for
 every seed; a draw is checked on plain-list tallies, which sum as
 ``decision_feasible`` does, pick by pick: it is dropped at the first cloud
-or station over its limit, and only a draw that fits becomes a
-``SlotDecision`` for ``decision_feasible`` to confirm. The search states
-and greedy repair tally with ``decision_feasible``'s ``model._tally``.
+or station over its limit, and the first draw that fits becomes the seed's
+``SlotDecision``. The search states and greedy repair tally with
+``decision_feasible``'s ``model._tally``.
 
 The search values each probed move as the current objective plus the
 change in the terms of the stations and users the move touches. Each step
@@ -69,6 +70,7 @@ from .delays import _as_decision_matrix, _IndexCosts, station_loads
 from .errors import (
     InfeasibleError,
     NoInteriorPointError,
+    OracleTooLargeError,
     OverloadedPointError,
     RoundingFailedError,
 )
@@ -200,6 +202,12 @@ def _repair_columns(
     load = mat @ weights
     for k in range(n):
         deficit = 1.0 - mat[:, k].sum()
+        # The guard never runs out: a column picks a row at most twice, so the
+        # loop ends with deficit <= 1e-12 or returns. A pick places the whole
+        # deficit (leaving 0.0), or fills the row with (slack / w) * w, within
+        # a few ulps of the cap (4.5e-16 more when slack / w is subnormal).
+        # The slack left is then at most 0.0, or exact (Sterbenz) and at most
+        # 1e-12, or so small that a second fill lands exactly on the cap.
         guard = 0
         while deficit > 1e-12 and guard < 4 * m:
             guard += 1
@@ -214,8 +222,6 @@ def _repair_columns(
             mat[best_r, k] += amount
             load[best_r] += amount * weights[k]
             deficit -= amount
-        if deficit > 1e-12:
-            return False
     return True
 
 
@@ -478,11 +484,12 @@ def _greedy_indicator(tables: _SlotTables) -> SlotDecision | None:
 class _SearchState:
     """Integral decision with the bookkeeping of the discrete search.
 
-    Every state is feasible: each seed passes ``decision_feasible``, which
-    sums with the state's own ``model._tally``, or is built under the same
-    limits (the greedy start), and ``apply`` keeps every limit met. It sums
-    the tallies again in user order, which can round one bit above the sum
-    a move was checked at, and refuses a move whose new tallies break a limit. So
+    Every state is feasible: each seed passes ``_Rounding.fits`` or
+    ``decision_feasible``, which sum as the state's own ``model._tally``
+    does, or is built under the same limits (the greedy start), and
+    ``apply`` keeps every limit met. It sums the tallies again in user
+    order, which can round one bit above the sum a move was checked at, and
+    refuses a move whose new tallies break a limit. So
     leaving a cloud or a station never breaks its limit, no queue term
     divides by a station's room at or below zero, and a one-user move
     (k, i, j) passes ``probe`` exactly when i is k's cloud or has room for
@@ -536,7 +543,7 @@ class _SearchState:
         decision. A station's ``out`` is its queue term on / (C - L), 0.0
         when empty, and its ``wait`` is 1 / (C - L). ``f`` is the queuing
         total plus the communication total, both summed user by user in one
-        loop: the floats ``value()`` computes, so ``f == value()``."""
+        loop: the floats ``_IndexCosts.non_switching`` gives."""
         costs = self.tables.costs
         bs_cap, load, users_on, out, wait = (
             costs.bs_cap, self.load, self.users_on, self.out, self.wait
@@ -552,9 +559,6 @@ class _SearchState:
             queuing += wait[j]
             communication += lat[i][j]
         self.f = queuing + communication
-
-    def value(self) -> float:
-        return self.tables.costs.non_switching(self.placement, self.selection)
 
     def probe(self, batch: list[tuple[int, int, int]]) -> float | None:
         tables, costs = self.tables, self.tables.costs
@@ -1047,20 +1051,19 @@ class _Rounding:
 
     def draw(self, rng_seed: int) -> tuple[SlotDecision, int, int]:
         """``round_decision`` of the point for ``rng_seed``. An attempt's
-        picks are made lazily, as ``fits`` reads them; only a draw that fits,
-        or the last one when none does, is formed whole."""
+        picks are made lazily, as ``fits`` reads them; only the first draw
+        that fits, or the last one when none does, is formed whole. ``fits``
+        is a draw's whole check: its picks lie in ``range(M)`` and in the
+        user's coverage, as every CDF ends at 1.0."""
         tables = self.tables
-        s, t, margin = tables.s, tables.t, tables.margin
         rng = np.random.default_rng(rng_seed)
         for attempt in range(1, _MAX_ATTEMPTS + 1):
             u = rng.random(2 * tables.n).tolist()
             if self.fits(*self.picks(u)):
-                decision = SlotDecision(*map(tuple, self.picks(u)))
-                if decision_feasible(s, t, decision, margin):
-                    return decision, attempt, 0
+                return SlotDecision(*map(tuple, self.picks(u))), attempt, 0
         _log.debug(
             "slot %d: no feasible draw in %d attempts; repairing the last greedily",
-            t, _MAX_ATTEMPTS,
+            tables.t, _MAX_ATTEMPTS,
         )
         last = SlotDecision(*map(tuple, self.picks(u)))
         repaired, moves = _greedy_repair(tables, last)
@@ -1088,8 +1091,8 @@ def round_decision(
     in one call, the cloud then the station for each user in turn, and
     picks entries with ``bisect_right``: the same stream and the same picks
     as one ``rng.choice(len(p), p=p)`` per column. A draw is checked on
-    plain-list tallies first; only one that fits becomes a ``SlotDecision``,
-    which ``decision_feasible`` then confirms.
+    plain-list tallies, which give ``decision_feasible``'s verdict on it;
+    the first one that fits becomes the ``SlotDecision`` returned.
 
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
     DimensionMismatchError unless both matrices are (clouds, users) and
@@ -1203,7 +1206,10 @@ def solve_slot(
     has the optimum as ``objective`` and 0 iterations, starts, rounding
     attempts and repair actions. An empty small slot takes the
     enumeration's verdict. A larger slot goes to the discrete search
-    (``_search_slot``). The fractional decision is the decision's
+    (``_search_slot``). When no search seed yields a feasible decision, the
+    slot is enumerated after all, within ``ENUMERATION_BUDGET``: its
+    decision and report are then the small slot's, and an empty slot takes
+    the enumeration's verdict. The fractional decision is the decision's
     ``placement_matrix`` and ``selection_matrix``.
     ``report.objective`` is the decision's non-switching delay as
     ``_IndexCosts``, the one valuation of integral decisions, gives it: the
@@ -1216,9 +1222,10 @@ def solve_slot(
     and what ``check_decision`` raises for a malformed warm start. Raises
     InfeasibleError for a slot shown empty, NoInteriorPointError when the
     margin is positive and loads up to station capacity would fit: a small
-    slot when no integral decision fits, a searched slot when the relaxed
-    slot is empty. On a searched slot, RoundingFailedError when no seed
-    yields a feasible decision.
+    slot, or a searched one within the enumeration budget, when no integral
+    decision fits, and a searched slot when the relaxed slot is empty.
+    Raises RoundingFailedError when no search seed yields a feasible
+    decision and the slot is past the enumeration budget.
     """
     check_slot(s, t)
     if warm_start is not None:
@@ -1231,7 +1238,15 @@ def solve_slot(
         )
         report = SolverReport(iterations=0, objective=value, starts=0)
     else:
-        decision, report = _search_slot(s, t, warm_start, config)
+        try:
+            decision, report = _search_slot(s, t, warm_start, config)
+        except RoundingFailedError as failed:
+            _log.debug("slot %d: the search found no feasible decision; enumerating the slot", t)
+            try:
+                decision, value = oracle.best_slot_decision(s, t, margin=config.margin)
+            except OracleTooLargeError:
+                raise failed from None
+            report = SolverReport(iterations=0, objective=value, starts=0)
     m = s.num_clouds
     frac = FractionalDecision(x=decision.placement_matrix(m), y=decision.selection_matrix(m))
     return decision, frac, report

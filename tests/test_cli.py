@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import mecsim as ms
-from conftest import make_doc, raw_decisions
+from conftest import REPO_ROOT, make_doc, raw_decisions
 from mecsim.cli import CSV_HEADER, _summary_doc, main
 from mecsim.optimizer import _EXACT_BOUND
 
@@ -453,6 +453,22 @@ def test_compare_rows_equal_what_run_writes(tmp_path):
     )
     for name in names:
         assert (compared / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+def test_run_and_compare_solve_the_storage_tight_config(tmp_path):
+    # services fill 98% of cloud storage; the search alone finds no decision
+    # on any slot, and the enumeration settles each one
+    scenario = str(tmp_path / "tight.json")
+    config = str(REPO_ROOT / "configs" / "tight_storage.json")
+    assert main(["generate", "--config", config, "--out", scenario]) == 0
+    assert main(["run", "--scenario", scenario, "--out", str(tmp_path / "run")]) == 0
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", scenario, "--beta", "0,1,inf",
+                 "--out", str(out)]) == 0
+    rows = _read_rows(out / "comparison.csv")
+    assert [r["policy"] for r in rows][-1] == "oracle"
+    totals = [float(r["total"]) for r in rows]
+    assert totals[-1] <= min(totals[:-1])
 
 
 def test_the_cached_parser_carries_nothing_between_calls(walkthrough_path, tmp_path):

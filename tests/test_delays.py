@@ -160,6 +160,15 @@ def test_non_switching_absorbs_infinity():
     assert ms.non_switching_delay(s, 0, x, y) == math.inf
 
 
+def test_non_switching_checks_x_when_a_station_overloads():
+    # the queuing term is inf, and an x of the wrong shape is still refused
+    s = _scenario(demand=[[5.0, 5.0]] * 2)
+    y = ms.SlotDecision((0, 1), (0, 0)).selection_matrix(3)
+    assert ms.queuing_delay(s, 0, y) == math.inf
+    with pytest.raises(ms.DimensionMismatchError, match="x must have shape"):
+        ms.non_switching_delay(s, 0, np.zeros((2, 2)), y)
+
+
 def test_non_switching_closed_form_with_zero_latency():
     doc = make_doc(
         link_latency=[[[0.0] * 3] * 3] * 2,

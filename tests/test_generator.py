@@ -204,6 +204,11 @@ _SCENARIO_BYTES = {
         None,
         "7c53bb0cc785cc4fb236caa027566f453e3945632a054f33e9bf4aa57b848152",
     ),
+    # 3x1 grid, N=10, 8 slots, services filling 98% of cloud storage
+    "configs/tight_storage.json": (
+        None,
+        "34f29a94b62251c71dc0171f7217abdfd5f9b0dc4c85d9eee7e4ad4bf4936334",
+    ),
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import logging
 import math
 import operator
@@ -204,6 +205,7 @@ def test_solve_slot_logs_its_rare_paths(caplog, monkeypatch):
     # No draw passes the check, so each of the three seed roundings falls
     # back to greedy repair, and the search result is dropped.
     monkeypatch.setattr("mecsim.optimizer.decision_feasible", lambda *args: False)
+    monkeypatch.setattr(_Rounding, "fits", lambda *args: False)
     with pytest.raises(ms.RoundingFailedError):
         _search_slot(s, 0)
     assert [(r.name, r.levelno) for r in caplog.records] == [
@@ -408,8 +410,10 @@ def test_search_probe_is_the_value_after_the_move(case):
     if got is not None:
         state.apply(batch)
         assert state.decision() == moved
-        assert got == pytest.approx(state.value(), rel=1e-9)
-        assert state.f == state.value()
+        assert got == pytest.approx(
+            state.tables.costs.non_switching(state.placement, state.selection), rel=1e-9
+        )
+        assert state.f == state.tables.costs.non_switching(state.placement, state.selection)
 
 
 def _state(s, placement, selection, margin):
@@ -746,7 +750,7 @@ def test_apply_leaves_the_state_a_fresh_state_of_its_decision_has(case):
             fresh = _state(s, state.placement, state.selection, margin)
             for name in ("used", "load", "users_on", "out", "wait", "f"):
                 assert getattr(state, name) == getattr(fresh, name), name
-            assert state.f == state.value()
+            assert state.f == state.tables.costs.non_switching(state.placement, state.selection)
 
 
 def _rotations(state):
@@ -1669,6 +1673,97 @@ def test_empty_small_slot_takes_the_enumerators_verdict(doc, verdict, searched):
     with pytest.raises(searched) as raised:
         _search_slot(s, 0)
     assert type(raised.value) is searched
+
+
+# Tight slots over the exact bound where the search alone finds no feasible
+# decision, as (m, n, seed) of random_doc: those with a decision, and those
+# the enumeration shows empty.
+_SEARCH_FAILURES = [(4, 5, 15), *((4, 8, seed) for seed in (3, 4, 11, 16, 27, 35, 38, 42, 45))]
+_EMPTY_SEARCH_FAILURES = [(4, 5, 9), (4, 5, 40), (4, 5, 74), (4, 5, 89), (4, 8, 7), (4, 8, 41)]
+
+
+@pytest.mark.parametrize("m, n, seed", _SEARCH_FAILURES)
+def test_solve_slot_enumerates_a_slot_the_search_leaves_without_a_decision(caplog, m, n, seed):
+    s = _validate(random_doc(seed, m=m, n=n, tight=True))
+    assert raw_decisions(s, 0) > mecsim_optimizer._EXACT_BOUND
+    with pytest.raises(ms.RoundingFailedError):
+        _search_slot(s, 0)
+    caplog.set_level(logging.DEBUG, logger="mecsim")
+    caplog.clear()
+    decision, _, report = ms.solve_slot(s, 0)
+    best, value = ms.best_slot_decision(s, 0)
+    assert decision == best
+    assert report == ms.SolverReport(iterations=0, objective=value, starts=0)
+    last = caplog.records[-1]
+    assert (last.name, last.levelno, last.getMessage()) == (
+        "mecsim", logging.DEBUG,
+        "slot 0: the search found no feasible decision; enumerating the slot",
+    )
+
+
+@pytest.mark.parametrize("m, n, seed", _EMPTY_SEARCH_FAILURES)
+def test_solve_slot_takes_the_enumerators_verdict_where_the_search_fails(m, n, seed):
+    s = _validate(random_doc(seed, m=m, n=n, tight=True))
+    assert raw_decisions(s, 0) > mecsim_optimizer._EXACT_BOUND
+    with pytest.raises(ms.RoundingFailedError):
+        _search_slot(s, 0)
+    with pytest.raises(ms.InfeasibleError) as verdict:
+        ms.best_slot_decision(s, 0)
+    with pytest.raises(ms.InfeasibleError) as raised:
+        ms.solve_slot(s, 0)
+    assert type(raised.value) is type(verdict.value)
+
+
+def test_solve_slot_past_the_enumeration_budget_raises_the_search_failure():
+    # moderate (5, 10) seed 0: the search finds no decision, and its 5^10
+    # placements are past the enumeration budget
+    s = _validate(moderate_doc([0, 5, 10], m=5, n=10))
+    with pytest.raises(ms.OracleTooLargeError):
+        ms.best_slot_decision(s, 0)
+    with pytest.raises(ms.RoundingFailedError, match="no feasible integral decision found"):
+        ms.solve_slot(s, 0)
+
+
+def _tight_storage_scenario():
+    doc = json.loads((REPO_ROOT / "configs" / "tight_storage.json").read_text(encoding="utf-8"))
+    return ms.generate(ms.GeneratorConfig.from_mapping(doc["generator"]))
+
+
+def test_solve_slot_solves_every_slot_of_the_storage_tight_config():
+    # 3 clouds and 10 users, with the services filling 98% of storage: the
+    # search alone finds no decision on any of the 8 slots
+    s = _tight_storage_scenario()
+    for t in range(s.num_slots):
+        with pytest.raises(ms.RoundingFailedError):
+            _search_slot(s, t)
+        decision, _, report = ms.solve_slot(s, t)
+        best, value = ms.best_slot_decision(s, t)
+        assert decision == best and report.objective == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 8), st.sampled_from([0.0, 1e-6]))
+@example(3, 8, 1e-6)  # tight (4, 8) seed 3, where the search alone finds nothing
+def test_solve_slot_answers_as_the_enumeration_does_on_tight_slots(seed, n, margin):
+    # Tight 4-cloud slots over the exact bound and within the enumeration
+    # budget: a decision no better than the optimum, or the empty verdict
+    # exactly when the enumeration gives it; never RoundingFailedError.
+    s = _validate(random_doc(seed, m=4, n=n, tight=True))
+    assume(raw_decisions(s, 0) > mecsim_optimizer._EXACT_BOUND)
+    try:
+        _, optimum = ms.best_slot_decision(s, 0, margin=margin)
+    except ms.OracleTooLargeError:
+        assume(False)
+    except ms.InfeasibleError:
+        optimum = None
+    try:
+        decision, _, report = ms.solve_slot(s, 0, config=ms.SolverConfig(margin=margin))
+    except ms.InfeasibleError:
+        assert optimum is None
+        return
+    assert optimum is not None
+    assert ms.decision_feasible(s, 0, decision, margin)
+    assert report.objective >= optimum - 1e-9 * (1.0 + optimum)
 
 
 def test_search_reaches_the_optimum_on_the_small_families():
