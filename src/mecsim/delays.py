@@ -9,6 +9,9 @@ result is the same float as the literal nested loop over those terms: on
 indicator matrices, the float ``_IndexCosts`` gives. A public function
 taking a slot ``t`` raises ValueError unless it is an integer in
 ``range(s.num_slots)``, through ``station_loads`` or ``communication_delay``.
+Each public function raises DimensionMismatchError unless its matrices are
+(clouds, users) and ValueError on a weight that is not a finite number
+>= 0 (``_as_weights``).
 """
 
 from __future__ import annotations
@@ -41,6 +44,16 @@ def _as_decision_matrix(s: Scenario, name: str, matrix: np.ndarray) -> np.ndarra
     return out
 
 
+def _as_weights(s: Scenario, name: str, matrix: np.ndarray) -> np.ndarray:
+    """``_as_decision_matrix``, and ValueError unless every weight is a
+    finite number >= 0: a NaN, an inf or a negative weight would be valued
+    as a number."""
+    out = _as_decision_matrix(s, name, matrix)
+    if not (np.isfinite(out).all() and (out >= 0.0).all()):
+        raise ValueError(f"{name} weights must be finite and >= 0")
+    return out
+
+
 def _sequential_sum(terms: np.ndarray) -> float:
     """Left-to-right sum of the terms in row-major order.
 
@@ -54,7 +67,7 @@ def station_loads(s: Scenario, t: int, y: np.ndarray) -> np.ndarray:
     """Demand-weighted load per station: load[j] = sum_k c_k(t) * y[j, k],
     added user by user from the left."""
     check_slot(s, t)
-    terms = np.asarray(y, dtype=float) * s.demand[t]
+    terms = _as_weights(s, "y", y) * s.demand[t]
     return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
 
 
@@ -64,8 +77,8 @@ def switching_delay(s: Scenario, x_now: np.ndarray, x_prev: np.ndarray) -> float
     sum_k s_k * sum_i max(x_now[i,k] - x_prev[i,k], 0): each user pays its
     service size for newly acquired placement mass; removals are free.
     """
-    x_now = _as_decision_matrix(s, "x_now", x_now)
-    x_prev = _as_decision_matrix(s, "x_prev", x_prev)
+    x_now = _as_weights(s, "x_now", x_now)
+    x_prev = _as_weights(s, "x_prev", x_prev)
     diff = x_now - x_prev
     # per user, the positive differences added cloud by cloud
     gained = np.add.accumulate(np.where(diff > 0.0, diff, 0.0), axis=0)[-1]
@@ -79,7 +92,7 @@ def queuing_delay(s: Scenario, t: int, y: np.ndarray) -> float:
     Returns +inf as soon as any station carrying selection weight has
     load_j >= C_j (the queue never drains).
     """
-    y = _as_decision_matrix(s, "y", y)
+    y = _as_weights(s, "y", y)
     slack = s.bs_capacity - station_loads(s, t, y)
     full = slack <= 0.0
     if full.any() and (y[full] > 0.0).any():
@@ -96,8 +109,8 @@ def communication_delay(s: Scenario, t: int, x: np.ndarray, y: np.ndarray) -> fl
     sum_k sum_i sum_j y[j,k] * x[i,k] * latency[t][i][j].
     """
     check_slot(s, t)
-    x = _as_decision_matrix(s, "x", x)
-    y = _as_decision_matrix(s, "y", y)
+    x = _as_weights(s, "x", x)
+    y = _as_weights(s, "y", y)
     terms = (y.T[:, None, :] * x.T[:, :, None]) * s.link_latency[t]
     return _sequential_sum(terms)
 

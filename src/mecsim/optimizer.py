@@ -155,8 +155,9 @@ def objective_gradient(
     grad_x[i,k] = sum_j y[j,k] * lat[i,j]
     grad_y[j,k] = 1/(C_j - L_j) + c_k * Y_j / (C_j - L_j)^2 + sum_i x[i,k] * lat[i,j]
     with L_j the demand-weighted load and Y_j the total selection weight on j.
-    Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``
-    and DimensionMismatchError unless x and y are (clouds, users).
+    Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
+    DimensionMismatchError unless x and y are (clouds, users) and, through
+    ``station_loads``, ValueError on a y weight not finite and >= 0.
     """
     check_slot(s, t)
     x = _as_decision_matrix(s, "x", x)
@@ -1194,6 +1195,8 @@ def solve_slot(
     warm_start: SlotDecision | None = None,
     rng_seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
+    *,
+    _exact: oracle._ExactSlots | None = None,
 ) -> tuple[SlotDecision, FractionalDecision, SolverReport]:
     """The slot's best integral decision: exact on small slots, searched on
     the rest.
@@ -1216,7 +1219,11 @@ def solve_slot(
     value both paths minimize. The solve is deterministic and reads only
     ``s``, ``t``, ``warm_start`` and ``config``. ``rng_seed`` is unused: it
     stays only because the benchmark's workloads (``perfbench/workloads.py``)
-    still pass it.
+    still pass it. ``_exact`` is the controller memo's exact-slot cache of
+    ``s`` at ``config.margin`` (``oracle._ExactSlots``), which a small slot
+    is enumerated through and the offline DP reads; without it the small
+    slot is enumerated through a cache of its own. A cache of another
+    scenario or margin raises ValueError.
 
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``
     and what ``check_decision`` raises for a malformed warm start. Raises
@@ -1231,11 +1238,13 @@ def solve_slot(
     if warm_start is not None:
         check_decision(s, warm_start)
     if _enumerated(s, t):
+        if _exact is None:
+            _exact = oracle._ExactSlots(s, config.margin)
+        else:
+            _exact.check(s, config.margin)
         # t is checked above and the margin by SolverConfig; the raw count is
         # at most _EXACT_BOUND <= ENUMERATION_BUDGET
-        decision, value = oracle._slot_optimum(
-            s, t, None, config.margin, oracle.ENUMERATION_BUDGET
-        )
+        decision, value = oracle._slot_optimum(_exact, t, None, oracle.ENUMERATION_BUDGET)
         report = SolverReport(iterations=0, objective=value, starts=0)
     else:
         try:

@@ -11,6 +11,17 @@ Decisions are valued in array passes, ``_IndexCosts``'s table forms, which
 form the same floats as its per-decision sums; a selection's queuing delay
 comes from the station loads its walk summed. ``argmin`` returns the first
 minimum, so the tie rule holds.
+
+The placements do not depend on the slot, so an ``_ExactSlots`` cache,
+bound to one scenario and one margin, walks them once and forms each
+slot's selections and value layer on first use; every budget check is
+made on its sides. The controller's memo (``policy._solve``) carries one,
+so in ``compare`` the placements are walked once and each enumerated
+slot's layer is formed once, by the online rows' solves, and read by the
+oracle row's DP: on each ``compare-small`` scenario 1 placement walk and
+17 layers (the 16 slots' and the DP's pinned slot 0), against 17 walks and
+32 layers when every exact solve and the DP walked their own. A call
+without a memo forms its own cache, which ends with the call.
 """
 
 from __future__ import annotations
@@ -91,51 +102,110 @@ def _fitting(
     return out
 
 
-def _sides(s: Scenario, slots: range, margin: float, budget: int) -> tuple[list, list, list]:
-    """The feasible placements, the feasible selections of each slot in
-    ``slots`` and, per slot, each selection's station loads, once they fit
-    ``budget`` as ``ENUMERATION_BUDGET`` says. ``margin`` must have passed
-    ``check_margin`` and the raw counts ``_check_raw_counts``; the
-    placements are counted only until (slots - 1) * P^2 alone is over the
-    budget.
+class _ExactSlots:
+    """The exact solvers' sides of one scenario at one margin, each formed
+    on first use and kept: the storage-feasible placements, walked once
+    (``_fitting``), and per slot its feasible selections with their station
+    loads (``_fitting_sums``) and its ``_slot_layer``. Placements and
+    selections do not depend on each other, so every slot reads the one
+    walk. The controller's memo carries one instance, so the slots the
+    online runs enumerate are the layers the offline DP reads.
 
-    Raises OracleTooLargeError over the budget and InfeasibleError for an
-    empty side: NoInteriorPointError for an empty selection side when
-    ``margin`` is positive and some selection fits with loads up to
-    capacity.
+    ``margin`` must have passed ``check_margin``; ``check`` refuses any
+    other scenario or margin.
     """
-    # (slots - 1) * P^2 alone is over the budget once P passes this
-    most = math.isqrt(budget // (len(slots) - 1)) if len(slots) > 1 else math.inf
-    placements = _fitting(
-        [range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity, most
+
+    __slots__ = (
+        "s", "margin", "rows", "_limit", "_placements", "_most", "_selections", "_layers"
     )
-    if len(placements) > most:
-        p = len(placements)
-        raise OracleTooLargeError(
-            f"at least {(len(slots) - 1) * p * p} values to compute exceed the budget of {budget}"
-        )
-    if not placements:
-        raise InfeasibleError(
-            f"no feasible decision at slot {slots[0]}: no storage-feasible placement exists"
-        )
-    limit = station_limit(s.bs_capacity, margin).tolist()
-    selections, loads = [], []
-    for t in slots:
-        found = _fitting_sums(s.coverage[t], s.demand[t].tolist(), limit)
-        if not found:
-            # the LP's margin-0 test: does a selection fit with loads up to C?
-            if margin > 0.0 and _fitting(s.coverage[t], s.demand[t], s.bs_capacity, most=0):
-                raise NoInteriorPointError(
-                    f"no feasible decision at slot {t}: only loads at station capacity fit"
-                )
-            raise InfeasibleError(f"no feasible decision at slot {t}")
-        selections.append([selection for selection, _ in found])
-        loads.append([load for _, load in found])
-    p = len(placements)
-    work = p * (sum(map(len, selections)) + (len(slots) - 1) * p)
-    if work > budget:
-        raise OracleTooLargeError(f"{work} values to compute exceed the budget of {budget}")
-    return placements, selections, loads
+
+    def __init__(self, s: Scenario, margin: float) -> None:
+        self.s, self.margin = s, margin
+        self._limit = station_limit(s.bs_capacity, margin).tolist()
+        # the kept walk, the stop it ran with, and as an array when complete
+        self._placements: list | None = None
+        self._most = -1
+        self.rows: np.ndarray | None = None
+        self._selections: dict[int, tuple[list, list]] = {}
+        self._layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def check(self, s: Scenario, margin: float) -> None:
+        """Raise ValueError unless this cache is of ``s`` at ``margin``."""
+        if s is not self.s or margin != self.margin:
+            raise ValueError("the exact-slot cache belongs to another scenario or margin")
+
+    def selections(self, t: int) -> tuple[list, list]:
+        """Slot t's feasible selections and each one's station loads.
+
+        Raises InfeasibleError for an empty side: NoInteriorPointError when
+        the margin is positive and some selection fits with loads up to
+        capacity.
+        """
+        found = self._selections.get(t)
+        if found is None:
+            s = self.s
+            walk = _fitting_sums(s.coverage[t], s.demand[t].tolist(), self._limit)
+            if not walk:
+                # the LP's margin-0 test: does a selection fit with loads up to C?
+                if self.margin > 0.0 and _fitting(s.coverage[t], s.demand[t], s.bs_capacity, most=0):
+                    raise NoInteriorPointError(
+                        f"no feasible decision at slot {t}: only loads at station capacity fit"
+                    )
+                raise InfeasibleError(f"no feasible decision at slot {t}")
+            found = self._selections[t] = (
+                [selection for selection, _ in walk], [load for _, load in walk]
+            )
+        return found
+
+    def sides(self, slots: range, budget: int) -> list[tuple[int, ...]]:
+        """The feasible placements, once the sides of ``slots`` fit
+        ``budget`` as ``ENUMERATION_BUDGET`` says. The raw counts must have
+        passed ``_check_raw_counts``; the placements are counted only until
+        (slots - 1) * P^2 alone is over the budget.
+
+        Raises OracleTooLargeError over the budget and InfeasibleError for
+        an empty side, the placements' first and then each slot's in order
+        (see ``selections``).
+        """
+        # (slots - 1) * P^2 alone is over the budget once P passes this
+        most = math.isqrt(budget // (len(slots) - 1)) if len(slots) > 1 else math.inf
+        placements = self._placements
+        if placements is None or self._most < min(len(placements), most):
+            # no walk is kept, or the kept one was cut before this stop
+            s = self.s
+            placements = _fitting(
+                [range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity, most
+            )
+            self._placements, self._most = placements, most
+            self.rows = np.array(placements) if len(placements) <= most else None
+        # a walk stopped at ``most`` would have counted this many
+        p = min(len(placements), most + 1)
+        if p > most:
+            raise OracleTooLargeError(
+                f"at least {(len(slots) - 1) * p * p} values to compute exceed the budget of {budget}"
+            )
+        if not placements:
+            raise InfeasibleError(
+                f"no feasible decision at slot {slots[0]}: no storage-feasible placement exists"
+            )
+        count = 0
+        for t in slots:
+            count += len(self.selections(t)[0])
+        work = p * (count + (len(slots) - 1) * p)
+        if work > budget:
+            raise OracleTooLargeError(f"{work} values to compute exceed the budget of {budget}")
+        return placements
+
+    def layer(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_slot_layer`` of slot t over every placement; the sides of t
+        must have fit the budget (``sides``). Every reader shares the two
+        arrays, so none may write to them."""
+        found = self._layers.get(t)
+        if found is None:
+            found = self._layers[t] = _slot_layer(
+                _IndexCosts(self.s, t), self.rows, *self.selections(t)
+            )
+        return found
 
 
 def _slot_layer(
@@ -181,22 +251,24 @@ def best_slot_decision(
         check_decision(s, x_prev)
     check_margin(margin)
     _check_raw_counts(s, range(t, t + 1), budget)
-    return _slot_optimum(s, t, x_prev, margin, budget)
+    return _slot_optimum(_ExactSlots(s, margin), t, x_prev, budget)
 
 
 def _slot_optimum(
-    s: Scenario, t: int, x_prev: SlotDecision | None, margin: float, budget: int
+    exact: _ExactSlots, t: int, x_prev: SlotDecision | None, budget: int
 ) -> tuple[SlotDecision, float]:
-    """``best_slot_decision`` once its arguments are checked and the slot's
-    raw counts are within ``budget``."""
-    placements, (selections,), (loads,) = _sides(s, range(t, t + 1), margin, budget)
-    costs = _IndexCosts(s, t)
-    rows = np.array(placements)
-    values, best = _slot_layer(costs, rows, selections, loads)
+    """``best_slot_decision`` of ``exact``'s scenario and margin, read
+    through ``exact``, once its arguments are checked and the slot's raw
+    counts are within ``budget``."""
+    placements = exact.sides(range(t, t + 1), budget)
+    values, best = exact.layer(t)
     if x_prev is not None:
-        values = values + costs.switching_table(rows, np.array([x_prev.placement]))[:, 0]
+        switching = _IndexCosts(exact.s, t).switching_table(
+            exact.rows, np.array([x_prev.placement])
+        )
+        values = values + switching[:, 0]
     pi = int(values.argmin())
-    return SlotDecision(placements[pi], selections[best[pi]]), float(values[pi])
+    return SlotDecision(placements[pi], exact.selections(t)[0][best[pi]]), float(values[pi])
 
 
 def offline_optimal(
@@ -204,6 +276,8 @@ def offline_optimal(
     margin: float = DEFAULT_MARGIN,
     budget: int = ENUMERATION_BUDGET,
     first_decision: SlotDecision | None = None,
+    *,
+    _exact: _ExactSlots | None = None,
 ) -> tuple[list[SlotDecision], float]:
     """Minimal total delay over the whole horizon, by dynamic programming.
 
@@ -212,28 +286,37 @@ def offline_optimal(
     remaining slots are optimized around it. Raises ValueError unless
     ``margin`` passes ``check_margin``, and as ``check_decision`` does for a
     malformed ``first_decision``; the budget is as ``ENUMERATION_BUDGET``
-    says.
+    says. ``_exact`` is the controller memo's cache of ``s`` at ``margin``,
+    whose slots the online runs may have formed already; without it the
+    call forms its own, and one of another scenario or margin raises
+    ValueError.
     """
     if first_decision is not None:
         check_decision(s, first_decision)
     check_margin(margin)
+    if _exact is None:
+        _exact = _ExactSlots(s, margin)
+    else:
+        _exact.check(s, margin)
     _check_raw_counts(s, range(s.num_slots), budget)
-    placements, selections, loads = _sides(s, range(s.num_slots), margin, budget)
-    rows = np.array(placements)
-    costs = [_IndexCosts(s, t) for t in range(s.num_slots)]
+    placements = _exact.sides(range(s.num_slots), budget)
+    rows = _exact.rows
+    selections = [_exact.selections(t)[0] for t in range(s.num_slots)]
+    costs = _IndexCosts(s, 0)
     # The switching cost between two placements does not depend on the slot:
     # switch[p, q] is the cost of moving from placement q to placement p.
-    switch = costs[0].switching_table(rows, rows) if s.num_slots > 1 else None
+    switch = costs.switching_table(rows, rows) if s.num_slots > 1 else None
 
-    if first_decision is not None:
+    if first_decision is None:
+        values, best = _exact.layer(0)
+    else:
         p0, y0 = first_decision.placement, first_decision.selection
         if p0 not in placements or y0 not in selections[0]:
             raise InfeasibleError("pinned slot-0 decision is not feasible")
         # slot 0's layer is the common pass over the pinned selection alone
-        loads[0] = [loads[0][selections[0].index(y0)]]
+        load = _exact.selections(0)[1][selections[0].index(y0)]
         selections[0] = [y0]
-    values, best = _slot_layer(costs[0], rows, selections[0], loads[0])
-    if first_decision is not None:
+        values, best = _slot_layer(costs, rows, selections[0], [load])
         # the pinned decision is slot 0's only finite entry, so every
         # transition out of slot 0 arrives from it
         values[[p != p0 for p in placements]] = math.inf
@@ -242,7 +325,7 @@ def offline_optimal(
     # placement p; back[t - 1][p]: the placement at slot t - 1 it arrives from
     picks, back = [best], []
     for t in range(1, s.num_slots):
-        ns, best = _slot_layer(costs[t], rows, selections[t], loads[t])
+        ns, best = _exact.layer(t)
         arrive = values[None, :] + switch
         values = arrive.min(axis=1) + ns
         picks.append(best)

@@ -174,13 +174,15 @@ def brute_best(doc, t, prev_placement=None, margin=1e-6):
     return best
 
 
-def brute_sequence(doc, margin=1e-6, limit=2_000_000):
+def brute_sequence(doc, margin=1e-6, limit=2_000_000, first=None):
     """Exact minimum-total decision sequence by full enumeration.
 
     Enumerates every per-slot feasible decision combination across the whole
     horizon (slot 0 pays no switching cost) and returns
-    (list of (placement, selection), total). Refuses to run past ``limit``
-    candidate sequences so tests fail loudly instead of hanging.
+    (list of (placement, selection), total), or None when some slot has no
+    feasible decision. ``first``, a (placement, selection) pair, pins slot 0
+    to it; the sequence is None when it is not feasible. Refuses to run past
+    ``limit`` candidate sequences so tests fail loudly instead of hanging.
     """
     m = doc["num_clouds"]
     n = doc["num_users"]
@@ -195,6 +197,8 @@ def brute_sequence(doc, margin=1e-6, limit=2_000_000):
             ):
                 if _decision_ok(doc, t, placement, selection, margin):
                     options.append((placement, selection))
+        if t == 0 and first is not None:
+            options = [option for option in options if option == first]
         if not options:
             return None
         per_slot.append(options)

@@ -382,6 +382,37 @@ def test_compare_solves_each_enumerated_slot_once(tmp_path, monkeypatch):
     assert len(slots) == len(set(slots))
 
 
+@pytest.mark.parametrize("seed", [9, 13, 3])
+def test_compare_walks_the_placements_once_and_forms_each_slot_layer_once(
+    tmp_path, monkeypatch, seed
+):
+    # The compare-small scenarios: every slot is enumerated by the online
+    # rows, and the offline DP reads their slot layers. One placement walk
+    # and one selection walk per slot serve every row; the layers are the
+    # 16 slots' and the DP's pinned slot 0. Without the shared exact-slot
+    # cache the counts were 17 placement walks, 49 fitting walks and 32
+    # layers.
+    s = ms.generate(ms.GeneratorConfig(
+        seed=seed, grid_width=3, grid_height=1, num_users=3, num_slots=16
+    ))
+    scenario = tmp_path / "scenario.json"
+    ms.save_scenario(s, scenario)
+    calls = {"_fitting": 0, "_fitting_sums": 0, "_slot_layer": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(ms.oracle, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ms.oracle, name, counted)
+    assert main(["compare", "--scenario", str(scenario), "--beta", "0,1,inf",
+                 "--seed", "5", "--out", str(tmp_path / "cmp")]) == 0
+    assert calls == {
+        "_fitting": 1,
+        "_fitting_sums": 1 + s.num_slots,
+        "_slot_layer": s.num_slots + 1,
+    }
+
+
 @pytest.mark.parametrize(
     "betas, policies",
     [

@@ -392,9 +392,17 @@ def _decision_entries():
         frac = ms.FractionalDecision(weights, weights)
         return lambda s: ms.round_decision(s, 0, frac, 0)
 
+    good = ms.SlotDecision((0, 1), (0, 1)).placement_matrix(3)
+
+    def weighted(entry, index, value):
+        bad = good.copy()
+        bad[index] = value
+        return lambda s: entry(s, bad)
+
     short_error = (ms.DimensionMismatchError, "covers 1 users, expected 2")
     far_error = (ValueError, r"outside range\(3\)")
     shape_error = (ms.DimensionMismatchError, r"must have shape \(3, 2\)")
+    weight_error = (ValueError, "weights must be finite and >= 0")
     return {
         "best_slot_decision-short": (
             lambda s: ms.best_slot_decision(s, 0, x_prev=short), short_error
@@ -419,6 +427,36 @@ def _decision_entries():
             lambda s: ms.objective_gradient(s, 0, np.zeros((2, 2)), np.zeros((2, 2))),
             shape_error,
         ),
+        "queuing_delay-nan": (
+            weighted(lambda s, y: ms.queuing_delay(s, 0, y), (2, 0), np.nan), weight_error
+        ),
+        "queuing_delay-negative": (
+            weighted(lambda s, y: ms.queuing_delay(s, 0, y), (2, 0), -1.0), weight_error
+        ),
+        "communication_delay-inf": (
+            weighted(lambda s, x: ms.communication_delay(s, 0, x, good), (0, 0), np.inf),
+            weight_error,
+        ),
+        "communication_delay-negative-y": (
+            weighted(lambda s, y: ms.communication_delay(s, 0, good, y), (1, 1), -0.5),
+            weight_error,
+        ),
+        "non_switching_delay-nan": (
+            weighted(lambda s, y: ms.non_switching_delay(s, 0, good, y), (0, 1), np.nan),
+            weight_error,
+        ),
+        "total_delay-inf": (
+            weighted(lambda s, x: ms.total_delay(s, 0, x, good, good), (1, 0), np.inf),
+            weight_error,
+        ),
+        "switching_delay-negative": (
+            weighted(lambda s, x: ms.switching_delay(s, good, x), (2, 1), -1.0), weight_error
+        ),
+        "station_loads-nan": (
+            weighted(lambda s, y: station_loads(s, 0, y), (0, 0), np.nan), weight_error
+        ),
+        "station_loads-3x1": (lambda s: station_loads(s, 0, np.ones((3, 1))), shape_error),
+        "station_loads-2": (lambda s: station_loads(s, 0, np.ones(2)), shape_error),
     }
 
 
@@ -426,7 +464,9 @@ def _decision_entries():
 def test_malformed_decision_is_rejected_where_it_enters(entry):
     # Unchecked, a short x_prev loses its missing users' switching cost, a
     # cloud 7 is priced as a move, a wrong-shape FractionalDecision is
-    # rounded and the other calls fail inside NumPy.
+    # rounded, a NaN, inf or negative weight is valued as a number (a -1.0
+    # gave a queuing delay of 0.131), a (3, 1) y broadcasts to loads
+    # [2, 2, 2] and the other calls fail inside NumPy.
     call, (error, message) = _decision_entries()[entry]
     with pytest.raises(error, match=message):
         call(ms.validate_scenario(make_doc()))

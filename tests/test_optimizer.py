@@ -1636,7 +1636,7 @@ def test_solve_slot_searches_a_large_slot_without_enumerating(monkeypatch):
     def refused(*args):
         raise AssertionError("enumerated a slot over the exact bound")
 
-    monkeypatch.setattr(ms.oracle, "_sides", refused)
+    monkeypatch.setattr(ms.oracle, "_fitting", refused)
     s = online_large_scenario()
     decision, _, report = ms.solve_slot(s, 0)
     assert report.starts >= 1
@@ -1789,9 +1789,9 @@ def test_search_returns_no_worse_than_a_seed_it_built(doc_seed, pick):
     assert raw_decisions(s, 0) > mecsim_optimizer._EXACT_BOUND
     margin = ms.DEFAULT_CONFIG.margin
     try:
-        placements, (selections,), _ = ms.oracle._sides(
-            s, range(1), margin, ms.oracle.ENUMERATION_BUDGET
-        )
+        exact = ms.oracle._ExactSlots(s, margin)
+        placements = exact.sides(range(1), ms.oracle.ENUMERATION_BUDGET)
+        selections, _ = exact.selections(0)
     except ms.InfeasibleError:
         assume(False)
     rng = np.random.default_rng(pick)

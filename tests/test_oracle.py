@@ -17,7 +17,7 @@ import reference as ref
 from conftest import moderate_doc, random_doc, small_horizon_family
 from mecsim.delays import _IndexCosts
 from mecsim.model import _tally, station_limit
-from mecsim.oracle import _fitting, _fitting_sums, _sides, _slot_layer
+from mecsim.oracle import _ExactSlots, _fitting, _fitting_sums, _slot_layer
 
 
 def _two_cloud_doc(bs, slots=1, lat=None, size=2.0):
@@ -232,7 +232,9 @@ def test_slot_layer_is_exactly_the_first_minimum_of_the_literal_values(case):
     # == rather than approx: a reordered sum would pass a relative tolerance
     s, margin, x_prev = case
     try:
-        placements, (selections,), (loads,) = _sides(s, range(1), margin, ms.ENUMERATION_BUDGET)
+        exact = _ExactSlots(s, margin)
+        placements = exact.sides(range(1), ms.ENUMERATION_BUDGET)
+        selections, loads = exact.selections(0)
     except ms.InfeasibleError:
         with pytest.raises(ms.InfeasibleError):
             ms.best_slot_decision(s, 0, x_prev=x_prev, margin=margin)
@@ -340,7 +342,9 @@ def test_first_decision_pinning():
     # on the horizon family, pin the last feasible slot-0 decision
     for s in small_horizon_family():
         margin = ms.DEFAULT_CONFIG.margin
-        placements, (selections,), _ = _sides(s, range(1), margin, ms.ENUMERATION_BUDGET)
+        exact = _ExactSlots(s, margin)
+        placements = exact.sides(range(1), ms.ENUMERATION_BUDGET)
+        selections, _ = exact.selections(0)
         cases.append((s, ms.SlotDecision(placements[-1], selections[-1])))
     for s, pinned in cases:
         decisions, pinned_total = ms.offline_optimal(s, first_decision=pinned)
@@ -485,3 +489,122 @@ def test_infeasible_pinned_first_decision_raises():
     # station 1 cannot carry the user's demand of 1.0
     with pytest.raises(ms.InfeasibleError, match="pinned slot-0 decision"):
         ms.offline_optimal(s, first_decision=ms.SlotDecision((0,), (1,)))
+
+
+@st.composite
+def _tiny_horizon_case(draw):
+    """A horizon of M 1-3 clouds, N 1-2 users and T 1-3 slots, storage and
+    station room near full, a margin of 0 or the default, and slot 0 free or
+    pinned to a placement and a covered selection."""
+    m, n, slots = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    positive = st.floats(0.5, 1.5)
+    sizes = draw(st.lists(positive, min_size=n, max_size=n))
+    demand = [draw(st.lists(positive, min_size=n, max_size=n)) for _ in range(slots)]
+    room = st.floats(0.8, 1.6)
+    doc = {
+        "num_clouds": m,
+        "num_users": n,
+        "num_slots": slots,
+        "bs_capacity": [draw(room) * max(map(sum, demand)) for _ in range(m)],
+        "cloud_capacity": [draw(room) * sum(sizes) for _ in range(m)],
+        "service_size": sizes,
+        "link_latency": [
+            [draw(st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m)) for _ in range(m)]
+            for _ in range(slots)
+        ],
+        "coverage": [
+            [sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))) for _ in range(n)]
+            for _ in range(slots)
+        ],
+        "demand": demand,
+    }
+    first = None
+    if draw(st.booleans()):
+        first = ms.SlotDecision(
+            draw(st.tuples(*[st.integers(0, m - 1)] * n)),
+            tuple(draw(st.sampled_from(cov)) for cov in doc["coverage"][0]),
+        )
+    return doc, draw(st.sampled_from([0.0, ms.DEFAULT_CONFIG.margin])), first
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tiny_horizon_case())
+def test_offline_optimal_equals_sequence_enumeration_on_tiny_horizons(case):
+    doc, margin, first = case
+    s = ms.validate_scenario(doc)
+    pinned = None if first is None else (first.placement, first.selection)
+    brute = ref.brute_sequence(doc, margin=margin, first=pinned)
+    if brute is None:
+        with pytest.raises(ms.InfeasibleError):
+            ms.offline_optimal(s, margin=margin, first_decision=first)
+        return
+    fresh = ms.offline_optimal(s, margin=margin, first_decision=first)
+    assert fresh[1] == pytest.approx(brute[1], rel=1e-9)
+    assert fresh[1] == _dp_order_total(s, fresh[0])
+    # online runs fill a memo's exact-slot cache; the DP reading it returns
+    # the fresh call's decisions and total
+    config = ms.SolverConfig(margin=margin)
+    solved: dict = {}
+    for beta in (0.0, 1.0, math.inf):
+        try:
+            ms.run_policy(s, ms.Policy.threshold(beta), config=config, solved=solved)
+        except ms.InfeasibleError:
+            pass
+    exact = ms.policy._exact_slots(s, config, solved)
+    assert ms.offline_optimal(s, margin=margin, first_decision=first, _exact=exact) == fresh
+
+
+def test_exact_slot_cache_is_scoped_to_its_scenario_and_margin(monkeypatch):
+    doc = random_doc(1, m=3, n=2, slots=3)
+    s, twin = ms.validate_scenario(doc), ms.validate_scenario(doc)
+    margin = ms.DEFAULT_CONFIG.margin
+    exact = _ExactSlots(s, margin)
+    refused = "belongs to another scenario or margin"
+    with pytest.raises(ValueError, match=refused):
+        ms.solve_slot(twin, 0, _exact=exact)
+    with pytest.raises(ValueError, match=refused):
+        ms.solve_slot(s, 0, config=ms.SolverConfig(margin=0.0), _exact=exact)
+    with pytest.raises(ValueError, match=refused):
+        ms.offline_optimal(twin, margin=margin, _exact=exact)
+    with pytest.raises(ValueError, match=refused):
+        ms.offline_optimal(s, margin=0.0, _exact=exact)
+    # a memo's cache refuses another scenario's DP
+    solved: dict = {}
+    ms.run_policy(s, ms.Policy.always(), solved=solved)
+    with pytest.raises(ValueError, match=refused):
+        ms.run_policy(twin, ms.Policy.oracle(), solved=solved)
+    # no cache outlives its call: each call without one walks again
+    walks = []
+    real = ms.oracle._fitting
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ms.oracle, "_fitting", counted)
+    for _ in range(2):
+        ms.solve_slot(s, 0)
+        ms.best_slot_decision(s, 0)
+        ms.offline_optimal(s)
+    assert len(walks) == 6
+
+
+def test_exact_slot_cache_walks_a_cut_walk_again_for_a_larger_stop():
+    # test_offline_budget_guard_stops_counting_placements's scenario: the
+    # DP's walk stops at P = 1001 under the default budget, at 2001 under
+    # 4e6, and a slot solve needs all 58,347 placements
+    s = ms.generate(ms.GeneratorConfig(
+        seed=3, grid_width=3, grid_height=3, num_users=5, num_slots=2
+    ))
+    margin = ms.DEFAULT_CONFIG.margin
+    exact = _ExactSlots(s, margin)
+    with pytest.raises(ms.OracleTooLargeError, match="at least 1002001 values"):
+        ms.offline_optimal(s, margin=margin, _exact=exact)
+    with pytest.raises(ms.OracleTooLargeError, match="at least 4004001 values"):
+        ms.offline_optimal(s, margin=margin, budget=4 * 10**6, _exact=exact)
+    assert ms.oracle._slot_optimum(exact, 1, None, ms.ENUMERATION_BUDGET) == (
+        ms.best_slot_decision(s, 1)
+    )
+    # the full walk now kept answers a smaller stop as a fresh walk would
+    with pytest.raises(ms.OracleTooLargeError, match="at least 1002001 values"):
+        ms.offline_optimal(s, margin=margin, _exact=exact)
