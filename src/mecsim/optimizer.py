@@ -33,9 +33,9 @@ prices only the stations it touches and sums ``f`` over every user, so a
 state is always a fresh state of its decision.
 Two-user moves are valued in one NumPy pass per step: on small slots the full
 rescan of any two users to any two spots, otherwise every plain exchange
-over (N, N) arrays. Single probes value only three-user rotations. Every
-search state is feasible, so the one-user scan and the kicks test only a
-move's targets. Float-safe lower bounds ("floors") skip the scans that
+over the pairs whose stations cover each other. Single probes value only
+three-user rotations. Every search state is feasible, so the one-user scan
+and the kicks test only a move's targets. Float-safe lower bounds ("floors") skip the scans that
 cannot win: a user whose one-user moves all value at or above the least
 value found so far is not walked, and the exchange pass and the rotation
 probes run only when some move of theirs could pass the step's bar. A
@@ -66,7 +66,7 @@ from functools import cached_property
 import numpy as np
 
 from . import oracle
-from .delays import _as_decision_matrix, _IndexCosts, station_loads
+from .delays import _as_decision_matrix, _as_weights, _IndexCosts, station_loads
 from .errors import (
     InfeasibleError,
     NoInteriorPointError,
@@ -156,11 +156,12 @@ def objective_gradient(
     grad_y[j,k] = 1/(C_j - L_j) + c_k * Y_j / (C_j - L_j)^2 + sum_i x[i,k] * lat[i,j]
     with L_j the demand-weighted load and Y_j the total selection weight on j.
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
-    DimensionMismatchError unless x and y are (clouds, users) and, through
-    ``station_loads``, ValueError on a y weight not finite and >= 0.
+    DimensionMismatchError unless x and y are (clouds, users) and
+    ValueError on an x weight, or (through ``station_loads``) a y weight,
+    not finite and >= 0.
     """
     check_slot(s, t)
-    x = _as_decision_matrix(s, "x", x)
+    x = _as_weights(s, "x", x)
     y = _as_decision_matrix(s, "y", y)
     lat = s.link_latency[t]
     demand = s.demand[t]
@@ -498,29 +499,33 @@ class _SearchState:
 
     Plain lists keep probes cheap. ``f`` is the non-switching delay of the
     current decision, and the state keeps each station's ``out`` and
-    ``wait`` terms. ``apply`` sums every tally again with ``_tally``,
-    prices only the stations a batch touches again and recomputes ``f`` in
-    one loop over every user (``_settle``), the floats
-    ``_IndexCosts.non_switching`` gives. So every tally, term and ``f`` is
-    a fresh state's, and no state carries rounding from the moves that led
-    to it. A probe values a batch of per-user (cloud, station) reassignments,
-    distinct users each, as ``f`` plus the change in the terms of the
-    stations and users it touches, without applying it; batches that break
-    storage, coverage or the station limit are rejected without evaluation.
-    The scans find the first best move of a kind with the same arithmetic:
-    ``best_single_move`` by a walk in latency order, ``best_pair_move`` over
-    the full two-user rescan and ``best_exchange`` over the plain exchanges
-    in one array pass each. ``probe`` itself serves only rotations. The
-    slot's static data is read from the solve's ``_SlotTables``.
+    ``wait`` terms and its floor drop ``drops`` (see ``floors``). ``apply``
+    sums every tally again with ``_tally``, prices only the stations a
+    batch touches again, their drops too, and recomputes ``f`` in one loop
+    over every user (``_settle``), the floats ``_IndexCosts.non_switching``
+    gives. A station no batch touched keeps its load, count and term, so
+    every tally, term, drop and ``f`` is a fresh state's, and no state
+    carries rounding from the moves that led to it. A probe values a batch
+    of per-user (cloud, station) reassignments, distinct users each, as
+    ``f`` plus the change in the terms of the stations and users it
+    touches, without applying it; batches that break storage, coverage or
+    the station limit are rejected without evaluation. The scans find the
+    first best move of a kind with the same arithmetic: ``best_single_move``
+    by a walk in latency order, ``best_pair_move`` over the full two-user
+    rescan and ``best_exchange`` over the plain exchanges of users whose
+    stations cover each other, in one array pass each. ``probe`` itself
+    serves only rotations. The slot's static data is read from the solve's
+    ``_SlotTables``.
     ``user_floors`` and ``floors`` bound the values of one user's moves, of
     all exchanges and of all rotations from below, with slack for rounding;
     the search skips a scan whose floor is at or above what it must beat.
-    ``best_single_move`` forms each user's floor inline, the same float.
+    ``best_single_move`` forms each user's floor inline, the same float,
+    and ``floors`` reads the kept drops.
     """
 
     __slots__ = (
         "tables", "m", "n", "cov", "placement", "selection",
-        "used", "load", "users_on", "out", "wait", "f",
+        "used", "load", "users_on", "out", "wait", "drops", "f",
     )
 
     def __init__(
@@ -537,22 +542,31 @@ class _SearchState:
         )
         self.out = [0.0] * m
         self.wait = [0.0] * m
+        self.drops = [0.0] * m
         self._settle(range(m))
 
     def _settle(self, stations: Iterable[int]) -> None:
         """Price the given stations from their tallies and value the
         decision. A station's ``out`` is its queue term on / (C - L), 0.0
-        when empty, and its ``wait`` is 1 / (C - L). ``f`` is the queuing
-        total plus the communication total, both summed user by user in one
-        loop: the floats ``_IndexCosts.non_switching`` gives."""
-        costs = self.tables.costs
-        bs_cap, load, users_on, out, wait = (
-            costs.bs_cap, self.load, self.users_on, self.out, self.wait
+        when empty, its ``wait`` is 1 / (C - L) and its ``drops`` the most
+        an exchange or a rotation lowers its term, out - on / (C - (L -
+        gap)), 0.0 when empty (see ``floors``). ``f`` is the queuing total
+        plus the communication total, both summed user by user in one loop:
+        the floats ``_IndexCosts.non_switching`` gives."""
+        costs, gap = self.tables.costs, self.tables.gap
+        bs_cap = costs.bs_cap
+        load, users_on, out, wait, drops = (
+            self.load, self.users_on, self.out, self.wait, self.drops
         )
         for j in stations:
-            room = bs_cap[j] - load[j]
+            c, v = bs_cap[j], load[j]
+            room = c - v
             on = users_on[j]
-            out[j] = on / room if on else 0.0
+            if on:
+                q = out[j] = on / room
+                drops[j] = q - on / (c - (v - gap))
+            else:
+                out[j] = drops[j] = 0.0
             wait[j] = 1.0 / room if room > 0.0 else math.inf
         lat = costs.lat
         queuing = communication = 0.0
@@ -627,7 +641,9 @@ class _SearchState:
         hold exactly in floats. An exchange lowers one station's load, a
         rotation at most two, as the changes sum to 0 over at most three
         stations. So a value is at least f less the largest drop
-        q - on / (C - (L - gap)), or less the two largest.
+        q - on / (C - (L - gap)), or less the two largest. Each station's
+        drop is kept in ``drops`` by ``_settle``, 0.0 on an empty station,
+        so this only sorts them.
 
         The slack 1e-9 * (1 + f) covers the rest of the rounding, at margin
         0 too, where a station's room C - L can be one ulp. A value or a
@@ -638,12 +654,7 @@ class _SearchState:
         and rising terms, at most 2f or rising by more than the rounding
         they bring. So rounding moves a value or a floor by about 1e-14 * f.
         """
-        gap = self.tables.gap
-        drops = [
-            q - on / (c - (v - gap)) if on else 0.0
-            for q, on, c, v in zip(self.out, self.users_on, self.tables.costs.bs_cap, self.load)
-        ]
-        second, first = sorted(drops + [0.0])[-2:]
+        second, first = sorted(self.drops + [0.0])[-2:]
         low = self.f - 1e-9 * (1.0 + self.f)
         return low - first, low - (first + second)
 
@@ -664,12 +675,13 @@ class _SearchState:
         subtract, so for one user and station the value never falls as
         lat[i][j] grows: the first cloud with room in (lat[i][j], i) order
         holds the least. One walk per user and covered station values only
-        that move, and the first user whose least value is strictly lowest
-        holds the first minimum. Of that user's moves only the ties of its
-        least value are then valued: per station, the run of clouds with room
-        in (latency, index) order whose value is the least. The first tie in
-        probe order, the least (cloud, coverage position), is the first
-        minimum. The state is feasible (``_SearchState``), so only the
+        that move, with the station's terms formed inline, and the first
+        user whose least value is strictly lowest holds the first minimum.
+        Only for that user are its stations' terms listed, and of its moves
+        only the ties of its least value are then valued: per station, the
+        run of clouds with room in (latency, index) order whose value is the
+        least. The first tie in probe order, the least (cloud, coverage
+        position), is the first minimum. The state is feasible (``_SearchState``), so only the
         targets' room is tested. A user whose floor, the float
         ``user_floors`` gives, formed inline, is at or above the least value
         so far cannot hold the first minimum, and is not walked.
@@ -678,28 +690,30 @@ class _SearchState:
         order, cloud_cap, limit = tables.cloud_order, tables.cloud_cap, tables.limit
         lat, bs_cap, nearest = costs.lat, costs.bs_cap, tables.nearest
         f, out, used, load, users_on = self.f, self.out, self.used, self.load, self.users_on
+        placement, selection, sizes, demand = (
+            self.placement, self.selection, costs.sizes, costs.demand
+        )
         low = f - 1e-9 * (1.0 + f)  # as in user_floors
-        best = None  # (least value, user, the user's terms)
-        for k in range(self.n):
-            i0, j0 = self.placement[k], self.selection[k]
+        best = None  # (least value, user)
+        for k, stations in enumerate(self.cov):
+            i0, j0 = placement[k], selection[k]
             lat0, out0 = lat[i0][j0], out[j0]
             if best is not None and low + ((nearest[k] - lat0) - out0) >= best[0]:
                 continue
-            size, c = costs.sizes[k], costs.demand[k]
+            size, c = sizes[k], demand[k]
             on0 = users_on[j0]
             leave = (on0 - 1) / (bs_cap[j0] - (load[j0] + (0.0 - c))) if on0 - 1 else 0.0
-            # per covered station with room for the user: (j, leave, out_j, arrive)
-            stations = []
-            for j in self.cov[k]:
+            least = None
+            for j in stations:
                 if j == j0:
-                    stations.append((j, 0.0, 0.0, out0))
+                    leave_j = out_j = 0.0
+                    arrive = out0
                 else:
                     arrive_load = load[j] + (0.0 + c)
-                    if arrive_load <= limit[j]:
-                        arrive = (users_on[j] + 1) / (bs_cap[j] - arrive_load)
-                        stations.append((j, leave, out[j], arrive))
-            least = None
-            for j, leave_j, out_j, arrive in stations:
+                    if arrive_load > limit[j]:
+                        continue
+                    leave_j, out_j = leave, out[j]
+                    arrive = (users_on[j] + 1) / (bs_cap[j] - arrive_load)
                 for i in order[j]:
                     if i == i0:
                         if j == j0:
@@ -713,10 +727,25 @@ class _SearchState:
                         least = value
                     break
             if least is not None and (best is None or least < best[0]):
-                best = (least, k, i0, j0, lat0, out0, size, stations)
+                best = (least, k)
         if best is None:
             return None
-        least, k, i0, j0, lat0, out0, size, stations = best
+        least, k = best
+        i0, j0 = placement[k], selection[k]
+        lat0, out0 = lat[i0][j0], out[j0]
+        size, c = sizes[k], demand[k]
+        on0 = users_on[j0]
+        leave = (on0 - 1) / (bs_cap[j0] - (load[j0] + (0.0 - c))) if on0 - 1 else 0.0
+        # per covered station with room for the user: (j, leave, out_j, arrive)
+        stations = []
+        for j in self.cov[k]:
+            if j == j0:
+                stations.append((j, 0.0, 0.0, out0))
+            else:
+                arrive_load = load[j] + (0.0 + c)
+                if arrive_load <= limit[j]:
+                    arrive = (users_on[j] + 1) / (bs_cap[j] - arrive_load)
+                    stations.append((j, leave, out[j], arrive))
         ties = []  # (cloud, coverage position, station) of each move of least value
         for position, (j, leave_j, out_j, arrive) in enumerate(stations):
             for i in order[j]:
@@ -798,36 +827,42 @@ class _SearchState:
         f + ((((0.0 - q_ja) + q'_ja) - q_jb) + q'_jb), with
         q_j = on_j / (C_j - L_j) and the primed terms at loads
         L_ja + (c_b - c_a) and L_jb + (c_a - c_b). An exchange on one station
-        values exactly f and can never improve. Storage moves by s_b - s_a
-        on a's cloud, by 0.0 when a and b share it.
+        values exactly f and can never improve, and one where a station
+        does not cover the other user is infeasible. So the pass takes the
+        pairs a < b on different stations that cover each other, in (a, b)
+        order, and tests storage and load and prices the terms only on
+        those. Storage moves by s_b - s_a on a's cloud and by its exact
+        negation s_a - s_b on b's, by 0.0 when a and b share a cloud; load
+        moves by c_b - c_a on a's station and by c_a - c_b on b's. The q
+        terms are the stations' ``out``, on / (C - L) on an occupied one.
         """
         covered, size_gap, demand_gap, cloud_cap, bs_cap, limit, upper = (
             self.tables.exchange_arrays
         )
         pl = np.array(self.placement)
         sel = np.array(self.selection)
-        used = np.array(self.used)[pl]
-        cap = cloud_cap[pl]
-        load = np.array(self.load)[sel]
-        room = bs_cap[sel]
-        lim = limit[sel]
-        on = np.array(self.users_on)[sel]
         # [a, b]: b's station covers a, and a's station covers b
         reach = covered[:, sel]
-        ok = upper & (sel[:, None] != sel[None, :]) & reach & reach.T
-        size_gap = np.where(pl[:, None] == pl[None, :], 0.0, size_gap)
-        ok &= used[:, None] + size_gap <= cap[:, None]
-        ok &= used[None, :] + size_gap.T <= cap[None, :]
-        load_a = load[:, None] + demand_gap
-        load_b = load[None, :] + demand_gap.T
-        ok &= (load_a <= lim[:, None]) & (load_b <= lim[None, :])
-        a, b = np.nonzero(ok)
-        if not a.size:
+        a, b = np.nonzero(upper & (sel[:, None] != sel[None, :]) & reach & reach.T)
+        pa, pb, ja, jb = pl[a], pl[b], sel[a], sel[b]
+        # s_b - s_a moves onto a's cloud and its exact negation onto b's
+        moved = np.where(pa == pb, 0.0, size_gap[a, b])
+        used = np.array(self.used)
+        ok = (used[pa] + moved <= cloud_cap[pa]) & (used[pb] - moved <= cloud_cap[pb])
+        load = np.array(self.load)
+        shift = demand_gap[a, b]  # c_b - c_a, and its exact negation
+        load_a = load[ja] + shift
+        load_b = load[jb] - shift
+        ok &= (load_a <= limit[ja]) & (load_b <= limit[jb])
+        w = np.flatnonzero(ok)
+        if not w.size:
             return None
-        q = on / (room - load)
+        a, b, ja, jb = a[w], b[w], ja[w], jb[w]
+        on = np.array(self.users_on)
+        q = np.array(self.out)  # on / (C - L) on each station a user sits on
         delta = (
-            ((0.0 - q[a]) + on[a] / (room[a] - load_a[a, b])) - q[b]
-        ) + on[b] / (room[b] - load_b[a, b])
+            ((0.0 - q[ja]) + on[ja] / (bs_cap[ja] - load_a[w])) - q[jb]
+        ) + on[jb] / (bs_cap[jb] - load_b[w])
         values = self.f + delta
         w = int(np.argmin(values))
         a, b = int(a[w]), int(b[w])

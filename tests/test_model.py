@@ -427,6 +427,16 @@ def _decision_entries():
             lambda s: ms.objective_gradient(s, 0, np.zeros((2, 2)), np.zeros((2, 2))),
             shape_error,
         ),
+        # unchecked, the NaN gave a NaN grad_y column and the -1.0 a
+        # grad_y[0, 0] of -1.877
+        "objective_gradient-nan-x": (
+            weighted(lambda s, x: ms.objective_gradient(s, 0, x, good), (2, 0), np.nan),
+            weight_error,
+        ),
+        "objective_gradient-negative-x": (
+            weighted(lambda s, x: ms.objective_gradient(s, 0, x, good), (2, 0), -1.0),
+            weight_error,
+        ),
         "queuing_delay-nan": (
             weighted(lambda s, y: ms.queuing_delay(s, 0, y), (2, 0), np.nan), weight_error
         ),

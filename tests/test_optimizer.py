@@ -636,6 +636,35 @@ def test_exchange_scan_is_the_first_probe_minimum(case):
 
 
 @settings(max_examples=300, deadline=None)
+@given(_tie_case())
+def test_exchange_scan_breaks_ties_as_probe_does(case):
+    doc, placement, selection = case
+    s = _validate(doc)
+    for margin in (1e-6, 0.0):
+        state = _state(s, placement, selection, margin)
+        assert state.best_exchange() == _first_probe(state, _exchanges(state))
+
+
+def test_exchange_scan_along_a_large_cold_solve(monkeypatch):
+    # Slot 0 of the online-large benchmark scenario (M=16, N=40): every
+    # exchange pass of the search is checked against every probe.
+    s = online_large_scenario()
+    scan = _SearchState.best_exchange
+    checked = 0
+
+    def checking(self):
+        nonlocal checked
+        got = scan(self)
+        assert got == _first_probe(self, _exchanges(self))
+        checked += 1
+        return got
+
+    monkeypatch.setattr(_SearchState, "best_exchange", checking)
+    ms.solve_slot(s, 0)
+    assert checked >= 10
+
+
+@settings(max_examples=300, deadline=None)
 @given(_search_case())
 def test_pair_scan_is_the_first_probe_minimum(case):
     # The 1/8 grid makes clouds and stations shared across a batch common.
@@ -748,9 +777,39 @@ def test_apply_leaves_the_state_a_fresh_state_of_its_decision_has(case):
             if not state.apply(batch):
                 assert (state.placement, state.selection) == before
             fresh = _state(s, state.placement, state.selection, margin)
-            for name in ("used", "load", "users_on", "out", "wait", "f"):
+            for name in ("used", "load", "users_on", "out", "wait", "drops", "f"):
                 assert getattr(state, name) == getattr(fresh, name), name
             assert state.f == state.tables.costs.non_switching(state.placement, state.selection)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_case(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8))
+def test_kept_floor_drops_are_a_fresh_states(case, seeds):
+    # ``_settle`` prices only the stations a move touches again; every
+    # station's kept drop, and so each floor, is still the float a fresh
+    # state of the decision computes. The case's batch, kept within
+    # coverage, is often refused; each seed then picks a random one-user
+    # move or exchange that ``probe`` passes.
+    doc, placement, selection, batch = case
+    s = _validate(doc)
+    for margin in (1e-6, 0.0):
+        tables = _SlotTables(s, 0, margin)
+        state = _SearchState(tables, tuple(placement), tuple(selection))
+
+        def check():
+            fresh = _SearchState(tables, tuple(state.placement), tuple(state.selection))
+            assert state.drops == fresh.drops
+            assert state.floors() == fresh.floors()
+
+        state.apply([(k, i, j) for k, i, j in batch if j in state.cov[k]])
+        check()
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            moves = _exchanges(state) if rng.integers(2) else _single_moves(state)
+            feasible = [move for move in moves if state.probe(move) is not None]
+            if feasible:
+                assert state.apply(feasible[int(rng.integers(len(feasible)))])
+                check()
 
 
 def _rotations(state):
