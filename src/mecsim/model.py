@@ -203,10 +203,8 @@ class ControllerState:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", check_beta(self.beta))
-        slot = self.last_migration_slot
-        if _integer(slot) is None or slot < 0:
-            raise ValueError(f"last_migration_slot must be an integer >= 0, got {_echo(slot)}")
-        object.__setattr__(self, "last_migration_slot", _integer(slot))
+        slot = _nonnegative_integer("last_migration_slot", self.last_migration_slot)
+        object.__setattr__(self, "last_migration_slot", slot)
         _finite_nonnegative("accumulated_t2", self.accumulated_t2)
         object.__setattr__(self, "accumulated_t2", _number(self.accumulated_t2))
 
@@ -246,6 +244,15 @@ def _real(value: Any) -> float | None:
         return float(_number(value))
     except (TypeError, OverflowError):  # None, or an int past a float's range
         return None
+
+
+def _nonnegative_integer(name: str, value: Any) -> int:
+    """``value`` as the int ``_integer`` gives; ValueError unless it is
+    one and >= 0."""
+    out = _integer(value)
+    if out is None or out < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {_echo(value)}")
+    return out
 
 
 def _finite_nonnegative(name: str, value: Any) -> float:

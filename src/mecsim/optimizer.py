@@ -14,7 +14,8 @@ fractional point (repaired under storage and capacity), from a greedy
 per-user assignment, and from the warm start pushed back into coverage and
 capacity by greedy repair. The best local optimum then takes a few seeded
 perturbation restarts. A slot where no search seed survives is enumerated
-after all when it is within ``oracle.ENUMERATION_BUDGET``.
+after all, through the same exact-slot cache, when it is within
+``oracle.ENUMERATION_BUDGET``.
 The rounding's column CDFs are built once per solve and drawn from for
 every seed; a draw is checked on plain-list tallies, which sum as
 ``decision_feasible`` does, pick by pick: it is dropped at the first cloud
@@ -79,6 +80,7 @@ from .model import (
     FractionalDecision,
     Scenario,
     SlotDecision,
+    _nonnegative_integer,
     _tally,
     check_decision,
     check_margin,
@@ -676,12 +678,13 @@ class _SearchState:
         lat[i][j] grows: the first cloud with room in (lat[i][j], i) order
         holds the least. One walk per user and covered station values only
         that move, with the station's terms formed inline, and the first
-        user whose least value is strictly lowest holds the first minimum.
-        Only for that user are its stations' terms listed, and of its moves
-        only the ties of its least value are then valued: per station, the
-        run of clouds with room in (latency, index) order whose value is the
-        least. The first tie in probe order, the least (cloud, coverage
-        position), is the first minimum. The state is feasible (``_SearchState``), so only the
+        user whose least value is strictly lowest holds the first minimum;
+        its own terms are kept from this pass as it takes the lead. Of that
+        user's moves only the ties of its least value are then valued, each
+        station's terms formed inline again: per station, the run of clouds
+        with room in (latency, index) order whose value is the least. The
+        first tie in probe order, the least (cloud, coverage position), is
+        the first minimum. The state is feasible (``_SearchState``), so only the
         targets' room is tested. A user whose floor, the float
         ``user_floors`` gives, formed inline, is at or above the least value
         so far cannot hold the first minimum, and is not walked.
@@ -694,7 +697,7 @@ class _SearchState:
             self.placement, self.selection, costs.sizes, costs.demand
         )
         low = f - 1e-9 * (1.0 + f)  # as in user_floors
-        best = None  # (least value, user)
+        best = None  # (least value, user, and the user's terms below)
         for k, stations in enumerate(self.cov):
             i0, j0 = placement[k], selection[k]
             lat0, out0 = lat[i0][j0], out[j0]
@@ -727,27 +730,21 @@ class _SearchState:
                         least = value
                     break
             if least is not None and (best is None or least < best[0]):
-                best = (least, k)
+                best = (least, k, i0, j0, lat0, out0, size, c, leave)
         if best is None:
             return None
-        least, k = best
-        i0, j0 = placement[k], selection[k]
-        lat0, out0 = lat[i0][j0], out[j0]
-        size, c = sizes[k], demand[k]
-        on0 = users_on[j0]
-        leave = (on0 - 1) / (bs_cap[j0] - (load[j0] + (0.0 - c))) if on0 - 1 else 0.0
-        # per covered station with room for the user: (j, leave, out_j, arrive)
-        stations = []
-        for j in self.cov[k]:
+        least, k, i0, j0, lat0, out0, size, c, leave = best
+        ties = []  # (cloud, coverage position, station) of each move of least value
+        for position, j in enumerate(self.cov[k]):
             if j == j0:
-                stations.append((j, 0.0, 0.0, out0))
+                leave_j = out_j = 0.0
+                arrive = out0
             else:
                 arrive_load = load[j] + (0.0 + c)
-                if arrive_load <= limit[j]:
-                    arrive = (users_on[j] + 1) / (bs_cap[j] - arrive_load)
-                    stations.append((j, leave, out[j], arrive))
-        ties = []  # (cloud, coverage position, station) of each move of least value
-        for position, (j, leave_j, out_j, arrive) in enumerate(stations):
+                if arrive_load > limit[j]:
+                    continue
+                leave_j, out_j = leave, out[j]
+                arrive = (users_on[j] + 1) / (bs_cap[j] - arrive_load)
             for i in order[j]:
                 if i == i0:
                     if j == j0:
@@ -1130,11 +1127,12 @@ def round_decision(
     plain-list tallies, which give ``decision_feasible``'s verdict on it;
     the first one that fits becomes the ``SlotDecision`` returned.
 
-    Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
-    DimensionMismatchError unless both matrices are (clouds, users) and
-    ValueError on a non-finite weight.
+    Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``
+    and ``rng_seed`` an integer >= 0, DimensionMismatchError unless both
+    matrices are (clouds, users) and ValueError on a non-finite weight.
     """
     check_slot(s, t)
+    rng_seed = _nonnegative_integer("rng_seed", rng_seed)
     x = _as_decision_matrix(s, "x", frac.x)
     y = _as_decision_matrix(s, "y", frac.y)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -1237,28 +1235,29 @@ def solve_slot(
     the rest.
 
     A slot ``_enumerated`` accepts, of at most ``_EXACT_BOUND`` raw
-    decisions, is solved by enumeration: the decision is
-    ``best_slot_decision``'s, the first minimum in lexicographic order.
-    There the warm start is unused, so the controller's memo keys the slot
-    without one, and the report
-    has the optimum as ``objective`` and 0 iterations, starts, rounding
-    attempts and repair actions. An empty small slot takes the
-    enumeration's verdict. A larger slot goes to the discrete search
-    (``_search_slot``). When no search seed yields a feasible decision, the
-    slot is enumerated after all, within ``ENUMERATION_BUDGET``: its
-    decision and report are then the small slot's, and an empty slot takes
-    the enumeration's verdict. The fractional decision is the decision's
-    ``placement_matrix`` and ``selection_matrix``.
+    decisions, is solved by enumeration (``oracle._slot_optimum``): the
+    decision is ``best_slot_decision``'s, the first minimum in
+    lexicographic order. There the warm start is unused, so the
+    controller's memo keys the slot without one, and the report has the
+    optimum as ``objective`` and 0 iterations, starts, rounding attempts
+    and repair actions. An empty small slot takes the enumeration's
+    verdict. A larger slot goes to the discrete search (``_search_slot``).
+    When no search seed yields a feasible decision, the slot is enumerated
+    after all, the same way, once its raw counts pass
+    ``oracle._check_raw_counts`` and its sides fit ``ENUMERATION_BUDGET``:
+    its decision and report are then the small slot's, and an empty slot
+    takes the enumeration's verdict. The fractional decision is the
+    decision's ``placement_matrix`` and ``selection_matrix``.
     ``report.objective`` is the decision's non-switching delay as
     ``_IndexCosts``, the one valuation of integral decisions, gives it: the
     value both paths minimize. The solve is deterministic and reads only
     ``s``, ``t``, ``warm_start`` and ``config``. ``rng_seed`` is unused: it
     stays only because the benchmark's workloads (``perfbench/workloads.py``)
     still pass it. ``_exact`` is the controller memo's exact-slot cache of
-    ``s`` at ``config.margin`` (``oracle._ExactSlots``), which a small slot
-    is enumerated through and the offline DP reads; without it the small
-    slot is enumerated through a cache of its own. A cache of another
-    scenario or margin raises ValueError.
+    ``s`` at ``config.margin`` (``oracle._ExactSlots``), which every
+    enumeration of the slot reads and the offline DP reads too; without it
+    the solve forms a cache of its own. A cache of another scenario or
+    margin raises ValueError.
 
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``
     and what ``check_decision`` raises for a malformed warm start. Raises
@@ -1272,14 +1271,15 @@ def solve_slot(
     check_slot(s, t)
     if warm_start is not None:
         check_decision(s, warm_start)
+    if _exact is None:
+        _exact = oracle._ExactSlots(s, config.margin)
+    else:
+        _exact.check(s, config.margin)
+    # t is checked above and the margin by SolverConfig
+    budget = oracle.ENUMERATION_BUDGET
     if _enumerated(s, t):
-        if _exact is None:
-            _exact = oracle._ExactSlots(s, config.margin)
-        else:
-            _exact.check(s, config.margin)
-        # t is checked above and the margin by SolverConfig; the raw count is
-        # at most _EXACT_BOUND <= ENUMERATION_BUDGET
-        decision, value = oracle._slot_optimum(_exact, t, None, oracle.ENUMERATION_BUDGET)
+        # the raw count is at most _EXACT_BOUND <= ENUMERATION_BUDGET
+        decision, value = oracle._slot_optimum(_exact, t, None, budget)
         report = SolverReport(iterations=0, objective=value, starts=0)
     else:
         try:
@@ -1287,7 +1287,8 @@ def solve_slot(
         except RoundingFailedError as failed:
             _log.debug("slot %d: the search found no feasible decision; enumerating the slot", t)
             try:
-                decision, value = oracle.best_slot_decision(s, t, margin=config.margin)
+                oracle._check_raw_counts(s, range(t, t + 1), budget)
+                decision, value = oracle._slot_optimum(_exact, t, None, budget)
             except OracleTooLargeError:
                 raise failed from None
             report = SolverReport(iterations=0, objective=value, starts=0)

@@ -15,13 +15,17 @@ minimum, so the tie rule holds.
 The placements do not depend on the slot, so an ``_ExactSlots`` cache,
 bound to one scenario and one margin, walks them once and forms each
 slot's selections and value layer on first use; every budget check is
-made on its sides. The controller's memo (``policy._solve``) carries one,
-so in ``compare`` the placements are walked once and each enumerated
-slot's layer is formed once, by the online rows' solves, and read by the
-oracle row's DP: on each ``compare-small`` scenario 1 placement walk and
-17 layers (the 16 slots' and the DP's pinned slot 0), against 17 walks and
-32 layers when every exact solve and the DP walked their own. A call
-without a memo forms its own cache, which ends with the call.
+made on its sides. It keeps only a complete walk: one the DP's P^2 stop
+cuts raises and leaves nothing behind. Every run has a controller memo
+(``policy._solve``), which carries one cache and hands it to every slot
+solve, the search's enumeration fallback included, and to the offline
+DP. So in a run, and across the rows of ``compare``, the placements are
+walked once and each enumerated slot's layer is formed once and read
+again by the oracle row's DP: on each ``compare-small`` scenario 1
+placement walk and 17 layers (the 16 slots' and the DP's pinned slot 0),
+against 17 walks and 32 layers when every exact solve and the DP walked
+their own. A public call without a cache forms its own, which ends with
+the call.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .model import (
     DEFAULT_MARGIN,
     Scenario,
     SlotDecision,
+    _nonnegative_integer,
     check_decision,
     check_margin,
     check_slot,
@@ -105,26 +110,24 @@ def _fitting(
 class _ExactSlots:
     """The exact solvers' sides of one scenario at one margin, each formed
     on first use and kept: the storage-feasible placements, walked once
-    (``_fitting``), and per slot its feasible selections with their station
-    loads (``_fitting_sums``) and its ``_slot_layer``. Placements and
-    selections do not depend on each other, so every slot reads the one
-    walk. The controller's memo carries one instance, so the slots the
-    online runs enumerate are the layers the offline DP reads.
+    (``_fitting``) and kept with ``rows`` only when the walk is complete,
+    and per slot its feasible selections with their station loads
+    (``_fitting_sums``) and its ``_slot_layer``. Placements and selections
+    do not depend on each other, so every slot reads the one walk. The
+    controller's memo carries one instance, so the slots the online runs
+    enumerate are the layers the offline DP reads.
 
     ``margin`` must have passed ``check_margin``; ``check`` refuses any
     other scenario or margin.
     """
 
-    __slots__ = (
-        "s", "margin", "rows", "_limit", "_placements", "_most", "_selections", "_layers"
-    )
+    __slots__ = ("s", "margin", "rows", "_limit", "_placements", "_selections", "_layers")
 
     def __init__(self, s: Scenario, margin: float) -> None:
         self.s, self.margin = s, margin
         self._limit = station_limit(s.bs_capacity, margin).tolist()
-        # the kept walk, the stop it ran with, and as an array when complete
+        # the complete placement walk, and as an array, once made
         self._placements: list | None = None
-        self._most = -1
         self.rows: np.ndarray | None = None
         self._selections: dict[int, tuple[list, list]] = {}
         self._layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -161,7 +164,8 @@ class _ExactSlots:
         """The feasible placements, once the sides of ``slots`` fit
         ``budget`` as ``ENUMERATION_BUDGET`` says. The raw counts must have
         passed ``_check_raw_counts``; the placements are counted only until
-        (slots - 1) * P^2 alone is over the budget.
+        (slots - 1) * P^2 alone is over the budget. A walk cut there keeps
+        nothing; a complete one is kept, with ``rows``, for every later call.
 
         Raises OracleTooLargeError over the budget and InfeasibleError for
         an empty side, the placements' first and then each slot's in order
@@ -170,14 +174,13 @@ class _ExactSlots:
         # (slots - 1) * P^2 alone is over the budget once P passes this
         most = math.isqrt(budget // (len(slots) - 1)) if len(slots) > 1 else math.inf
         placements = self._placements
-        if placements is None or self._most < min(len(placements), most):
-            # no walk is kept, or the kept one was cut before this stop
+        if placements is None:
             s = self.s
             placements = _fitting(
                 [range(s.num_clouds)] * s.num_users, s.service_size, s.cloud_capacity, most
             )
-            self._placements, self._most = placements, most
-            self.rows = np.array(placements) if len(placements) <= most else None
+            if len(placements) <= most:
+                self._placements, self.rows = placements, np.array(placements)
         # a walk stopped at ``most`` would have counted this many
         p = min(len(placements), most + 1)
         if p > most:
@@ -242,14 +245,16 @@ def best_slot_decision(
 
     Minimizes the non-switching delay, plus the switching cost against
     ``x_prev`` when given. Returns the decision and its value. Raises
-    ValueError unless ``t`` is an integer in ``range(s.num_slots)`` and
-    ``margin`` passes ``check_margin``, and as ``check_decision`` does for a
-    malformed ``x_prev``; the budget is as ``ENUMERATION_BUDGET`` says.
+    ValueError unless ``t`` is an integer in ``range(s.num_slots)``,
+    ``margin`` passes ``check_margin`` and ``budget`` is an integer >= 0,
+    and as ``check_decision`` does for a malformed ``x_prev``; the budget is
+    as ``ENUMERATION_BUDGET`` says.
     """
     check_slot(s, t)
     if x_prev is not None:
         check_decision(s, x_prev)
     check_margin(margin)
+    budget = _nonnegative_integer("budget", budget)
     _check_raw_counts(s, range(t, t + 1), budget)
     return _slot_optimum(_ExactSlots(s, margin), t, x_prev, budget)
 
@@ -284,16 +289,17 @@ def offline_optimal(
     Slot 0 pays no switching cost; later slots pay it against the previous
     placement. With ``first_decision`` the slot-0 decision is pinned and the
     remaining slots are optimized around it. Raises ValueError unless
-    ``margin`` passes ``check_margin``, and as ``check_decision`` does for a
-    malformed ``first_decision``; the budget is as ``ENUMERATION_BUDGET``
-    says. ``_exact`` is the controller memo's cache of ``s`` at ``margin``,
-    whose slots the online runs may have formed already; without it the
-    call forms its own, and one of another scenario or margin raises
-    ValueError.
+    ``margin`` passes ``check_margin`` and ``budget`` is an integer >= 0,
+    and as ``check_decision`` does for a malformed ``first_decision``; the
+    budget is as ``ENUMERATION_BUDGET`` says. ``_exact`` is the controller
+    memo's cache of ``s`` at ``margin``, whose slots the online runs may
+    have formed already; without it the call forms its own, and one of
+    another scenario or margin raises ValueError.
     """
     if first_decision is not None:
         check_decision(s, first_decision)
     check_margin(margin)
+    budget = _nonnegative_integer("budget", budget)
     if _exact is None:
         _exact = _ExactSlots(s, margin)
     else:

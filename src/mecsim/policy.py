@@ -26,10 +26,13 @@ solver config; nothing in it is random, and a slot the solver enumerates
 runs every policy with one ``solved`` mapping: each enumerated slot is
 solved once, each other distinct (slot, warm start) once, and the decision,
 or the infeasibility, is shared by every row that needs it. The mapping
-also carries the oracle's exact-slot cache (``oracle._ExactSlots``), so
-the placements are walked once per ``compare`` and each enumerated slot's
+also carries the oracle's exact-slot cache (``oracle._ExactSlots``), which
+every solve reads, the search's enumeration fallback included, so the
+placements are walked once per ``compare`` and each enumerated slot's
 value layer is formed once and read again by the oracle row's DP: 1 walk
 and 17 layers on a ``compare-small`` scenario, against 17 and 32 without it.
+``run_policy`` makes a mapping when given none, so a lone run walks the
+placements once too.
 An online run's outcomes depend on its policy only through the beta it runs
 at, so ``compare`` also runs each distinct rule once: ``always`` shares the
 run of threshold beta = 0 and ``never`` that of beta = inf. Each row is the
@@ -152,13 +155,8 @@ Solved = dict[
 _EXACT = "exact slots"
 
 
-def _exact_slots(
-    s: Scenario, config: SolverConfig, solved: Solved | None
-) -> oracle_mod._ExactSlots | None:
-    """The exact-slot cache ``solved`` carries, added on first use; None
-    without a memo, so that the oracle forms its own."""
-    if solved is None:
-        return None
+def _exact_slots(s: Scenario, config: SolverConfig, solved: Solved) -> oracle_mod._ExactSlots:
+    """The exact-slot cache ``solved`` carries, added on first use."""
     if _EXACT not in solved:
         solved[_EXACT] = oracle_mod._ExactSlots(s, config.margin)
     return solved[_EXACT]
@@ -178,14 +176,14 @@ def _solve(
 
     An InfeasibleError is kept and raised again; RoundingFailedError
     propagates unkept. One mapping belongs to one scenario and one config;
-    an enumerated slot is solved through its exact-slot cache.
+    every solve reads its exact-slot cache, the search's enumeration
+    fallback too.
     """
-    enumerated = _enumerated(s, t)
     if solved is None:
         solved = {}
-    key = (t, None if enumerated else warm_start)
+    key = (t, None if _enumerated(s, t) else warm_start)
     if key not in solved:
-        exact = _exact_slots(s, config, solved) if enumerated else None
+        exact = _exact_slots(s, config, solved)
         try:
             solved[key] = solve_slot(s, t, warm_start=key[1], config=config, _exact=exact)[0]
         except InfeasibleError as exc:
@@ -260,7 +258,7 @@ def step(
 
 
 def _run_oracle(
-    s: Scenario, first: SlotOutcome, config: SolverConfig, solved: Solved | None
+    s: Scenario, first: SlotOutcome, config: SolverConfig, solved: Solved
 ) -> list[SlotOutcome]:
     sequence, _ = oracle_mod.offline_optimal(
         s, margin=config.margin, first_decision=first.decision,
@@ -292,8 +290,11 @@ def run_policy(
     decision-for-decision. Every online policy then runs through ``step``
     at ``policy.beta``. Runs on the same scenario and config may share one
     ``solved`` mapping (see ``initial_slot``) and return what each returns
-    alone.
+    alone; without one the run makes its own, so its solves and the
+    oracle's DP share one exact-slot cache and walk the placements once.
     """
+    if solved is None:
+        solved = {}
     first = initial_slot(s, config=config, solved=solved)
     if policy.kind == "oracle":
         return _run_oracle(s, first, config, solved)

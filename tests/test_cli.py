@@ -382,21 +382,41 @@ def test_compare_solves_each_enumerated_slot_once(tmp_path, monkeypatch):
     assert len(slots) == len(set(slots))
 
 
-@pytest.mark.parametrize("seed", [9, 13, 3])
+def _compare_small(seed):
+    def build(path):
+        ms.save_scenario(ms.generate(ms.GeneratorConfig(
+            seed=seed, grid_width=3, grid_height=1, num_users=3, num_slots=16
+        )), path)
+    return build
+
+
+def _tight_storage(path):
+    config = str(REPO_ROOT / "configs" / "tight_storage.json")
+    assert main(["generate", "--config", config, "--out", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(pytest.param(_compare_small(seed), id=str(seed)) for seed in (9, 13, 3)),
+        pytest.param(_tight_storage, id="tight_storage"),
+    ],
+)
 def test_compare_walks_the_placements_once_and_forms_each_slot_layer_once(
-    tmp_path, monkeypatch, seed
+    tmp_path, monkeypatch, build
 ):
     # The compare-small scenarios: every slot is enumerated by the online
     # rows, and the offline DP reads their slot layers. One placement walk
     # and one selection walk per slot serve every row; the layers are the
     # 16 slots' and the DP's pinned slot 0. Without the shared exact-slot
     # cache the counts were 17 placement walks, 49 fitting walks and 32
-    # layers.
-    s = ms.generate(ms.GeneratorConfig(
-        seed=seed, grid_width=3, grid_height=1, num_users=3, num_slots=16
-    ))
+    # layers. On the storage-tight config every slot is past the exact
+    # bound, the search finds no decision on any, and each one is
+    # enumerated after all through the same cache: 1 placement walk, where
+    # enumerating each fallback through a cache of its own made 3.
     scenario = tmp_path / "scenario.json"
-    ms.save_scenario(s, scenario)
+    build(scenario)
+    s = ms.load_scenario(scenario)
     calls = {"_fitting": 0, "_fitting_sums": 0, "_slot_layer": 0}
     for name in calls:
         def counted(*args, _real=getattr(ms.oracle, name), _name=name, **kwargs):

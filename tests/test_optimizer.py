@@ -1330,6 +1330,19 @@ def test_round_integral_point_returned_unchanged():
     assert repairs == 0
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, -1], ids=["bool", "float", "negative"])
+def test_round_seed_must_be_an_integer_at_least_zero(seed):
+    # unchecked, True drew as seed 1 and 1.5 raised NumPy's TypeError
+    s = _validate(make_doc())
+    d = ms.SlotDecision((0, 2), (1, 2))
+    frac = ms.FractionalDecision(x=d.placement_matrix(3), y=d.selection_matrix(3))
+    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+        ms.round_decision(s, 0, frac, rng_seed=seed)
+    assert ms.round_decision(s, 0, frac, rng_seed=np.int64(1)) == (
+        ms.round_decision(s, 0, frac, rng_seed=1)
+    )
+
+
 def test_round_is_deterministic_per_seed_and_feasible():
     doc = random_doc(5, tight=True)
     s = _validate(doc)

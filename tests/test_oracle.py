@@ -268,6 +268,30 @@ def _dp_order_total(s, decisions):
     return total
 
 
+@pytest.mark.parametrize(
+    "budget", [1e6, float("nan"), True, "1000000", -1],
+    ids=["float", "nan", "bool", "string", "negative"],
+)
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda s, budget: ms.offline_optimal(s, budget=budget),
+        lambda s, budget: ms.best_slot_decision(s, 0, budget=budget),
+    ],
+    ids=["offline_optimal", "best_slot_decision"],
+)
+def test_budget_must_be_an_integer_at_least_zero(solve, budget):
+    # unchecked, a float budget reached math.isqrt's TypeError in the DP,
+    # NaN compared false and lifted every limit, True counted as 1 and a
+    # string raised TypeError
+    s = ms.generate(ms.GeneratorConfig(
+        seed=9, grid_width=3, grid_height=1, num_users=3, num_slots=4
+    ))
+    with pytest.raises(ValueError, match="budget must be an integer >= 0"):
+        solve(s, budget)
+    assert solve(s, np.int64(10**6)) == solve(s, 10**6)
+
+
 def test_slot_enumeration_budget_guard():
     doc = random_doc(0, m=3, n=3)
     s = ms.validate_scenario(doc)
@@ -492,11 +516,12 @@ def test_infeasible_pinned_first_decision_raises():
 
 
 @st.composite
-def _tiny_horizon_case(draw):
-    """A horizon of M 1-3 clouds, N 1-2 users and T 1-3 slots, storage and
-    station room near full, a margin of 0 or the default, and slot 0 free or
-    pinned to a placement and a covered selection."""
-    m, n, slots = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+def _tiny_horizon_case(draw, max_users=2):
+    """A horizon of M 1-3 clouds, N 1 to ``max_users`` users and T 1-3
+    slots, storage and station room near full, a margin of 0 or the default,
+    and slot 0 free or pinned to a placement and a covered selection."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, max_users))
+    slots = draw(st.integers(1, 3))
     positive = st.floats(0.5, 1.5)
     sizes = draw(st.lists(positive, min_size=n, max_size=n))
     demand = [draw(st.lists(positive, min_size=n, max_size=n)) for _ in range(slots)]
@@ -589,22 +614,117 @@ def test_exact_slot_cache_is_scoped_to_its_scenario_and_margin(monkeypatch):
     assert len(walks) == 6
 
 
-def test_exact_slot_cache_walks_a_cut_walk_again_for_a_larger_stop():
+def test_exact_slot_cache_keeps_no_cut_walk(monkeypatch):
     # test_offline_budget_guard_stops_counting_placements's scenario: the
     # DP's walk stops at P = 1001 under the default budget, at 2001 under
-    # 4e6, and a slot solve needs all 58,347 placements
+    # 4e6, and a slot solve needs all 58,347 placements. A cut walk raises
+    # and leaves nothing, so each call walks afresh until one walk is
+    # complete; that one is kept and answers every later call.
     s = ms.generate(ms.GeneratorConfig(
         seed=3, grid_width=3, grid_height=3, num_users=5, num_slots=2
     ))
+    walks = []
+    real = ms.oracle._fitting
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ms.oracle, "_fitting", counted)
     margin = ms.DEFAULT_CONFIG.margin
     exact = _ExactSlots(s, margin)
     with pytest.raises(ms.OracleTooLargeError, match="at least 1002001 values"):
         ms.offline_optimal(s, margin=margin, _exact=exact)
+    assert (len(walks), exact.rows) == (1, None)
     with pytest.raises(ms.OracleTooLargeError, match="at least 4004001 values"):
         ms.offline_optimal(s, margin=margin, budget=4 * 10**6, _exact=exact)
+    assert (len(walks), exact.rows) == (2, None)
     assert ms.oracle._slot_optimum(exact, 1, None, ms.ENUMERATION_BUDGET) == (
         ms.best_slot_decision(s, 1)
     )
-    # the full walk now kept answers a smaller stop as a fresh walk would
+    assert len(exact.rows) == 58347
+    # the complete walk answers a smaller stop as a fresh walk would
+    walked = len(walks)
     with pytest.raises(ms.OracleTooLargeError, match="at least 1002001 values"):
         ms.offline_optimal(s, margin=margin, _exact=exact)
+    assert len(walks) == walked
+
+
+def test_a_run_without_a_memo_walks_the_placements_once(monkeypatch):
+    # the compare-small seed-9 scenario: the run's own memo carries one
+    # exact-slot cache for its slot solves and the oracle's DP, where each
+    # of them walked its own before (2 walks)
+    s = ms.generate(ms.GeneratorConfig(
+        seed=9, grid_width=3, grid_height=1, num_users=3, num_slots=16
+    ))
+    walks = []
+    real = ms.oracle._fitting
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ms.oracle, "_fitting", counted)
+    outcomes = ms.run_policy(s, ms.Policy.oracle())
+    assert len(walks) == 1
+    assert outcomes == ms.run_policy(s, ms.Policy.oracle(), solved={})
+
+
+@st.composite
+def _cache_calls(draw):
+    """A tiny horizon (N up to 4 users) and a sequence of exact solves on
+    it, each (name, slot or budget, pinned): slot solves, DPs at budgets
+    from 0 to (T - 1) * (M^N)^2, so that some walks are cut at their P^2
+    stop, or at the default budget, and slot optima, the last two with or
+    without the case's pinned decision."""
+    doc, margin, first = draw(_tiny_horizon_case(max_users=4))
+    slots, raw = doc["num_slots"], doc["num_clouds"] ** doc["num_users"]
+    slot = st.integers(0, slots - 1)
+    budget = st.one_of(
+        st.integers(0, max(1, slots - 1) * raw**2), st.just(ms.ENUMERATION_BUDGET)
+    )
+    call = st.one_of(
+        st.tuples(st.just("solve_slot"), slot, st.just(False)),
+        st.tuples(st.just("offline_optimal"), budget, st.booleans()),
+        st.tuples(st.just("_slot_optimum"), slot, st.booleans()),
+    )
+    return doc, margin, first, draw(st.lists(call, min_size=1, max_size=6))
+
+
+def _exact_call(s, config, first, exact, name, arg, pinned):
+    """One drawn exact solve through ``exact``, or a fresh one when it is
+    None: its result, or the type and message of what it raised."""
+    first = first if pinned else None
+    try:
+        if name == "solve_slot":
+            decision, _, report = ms.solve_slot(s, arg, config=config, _exact=exact)
+            return decision, report
+        if name == "offline_optimal":
+            return ms.offline_optimal(
+                s, margin=config.margin, budget=arg, first_decision=first, _exact=exact
+            )
+        exact = exact or _ExactSlots(s, config.margin)
+        return ms.oracle._slot_optimum(exact, arg, first, ms.ENUMERATION_BUDGET)
+    except (ms.InfeasibleError, ms.OracleTooLargeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cache_calls())
+# 81 placements fit: a DP at budget 1000 is cut at P = 23 before and after
+# a slot solve keeps the complete walk
+@example((
+    random_doc(1, m=3, n=4, slots=3), ms.DEFAULT_CONFIG.margin, None,
+    [("offline_optimal", 1000, False), ("solve_slot", 1, False),
+     ("offline_optimal", 1000, False), ("_slot_optimum", 2, False),
+     ("offline_optimal", ms.ENUMERATION_BUDGET, False)],
+))
+def test_exact_slot_cache_answers_any_call_order_as_fresh_calls(case):
+    doc, margin, first, calls = case
+    s = ms.validate_scenario(doc)
+    config = ms.SolverConfig(margin=margin)
+    exact = _ExactSlots(s, config.margin)
+    for call in calls:
+        assert _exact_call(s, config, first, exact, *call) == (
+            _exact_call(s, config, first, None, *call)
+        )
