@@ -13,9 +13,11 @@ distinct rule (``always`` is the threshold rule at beta = 0 and ``never`` at
 beta = inf, so their rows share those runs), one solve per distinct (slot,
 warm start) across all rows, one per slot where the solver enumerates
 (it reads no warm start there), and one scenario digest. The run cache,
-keyed by the beta an online rule runs at, and the solve memo live in
-``cmd_compare`` beside the loop over its rows; the oracle row is run
-outside the run cache, since ``Policy.oracle()`` also holds beta inf. Each
+keyed by the beta an online rule runs at, and the solve memo, a
+``policy.Solved`` of the scenario at the solver's margin in which
+``solve_slot`` keeps its solves, live in ``cmd_compare`` beside the loop
+over its rows; the oracle row is run outside the run cache, since
+``Policy.oracle()`` also holds beta inf. Each
 row is written by ``_write_run``, as ``run`` writes it. The argument parser
 is built on the first ``main`` call and reused by later calls in the
 process.
@@ -301,11 +303,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     policies.append(Policy.always())
     policies.append(Policy.never())
 
-    # Each distinct (slot, warm start) is solved once across all rows. An
+    # Each distinct (slot, warm start) is solved once across all rows, and
+    # the solves are kept in ``solved``, bound to this scenario and margin. An
     # online rule's outcomes depend on it only through the beta it runs at
     # (always 0, never inf), so ``runs`` maps that beta to them and each
     # distinct rule is run once.
-    solved: Solved = {}
+    solved = Solved(scenario, solver.margin)
     runs: dict[float, list[SlotOutcome]] = {}
     rows = []
     for policy in policies:

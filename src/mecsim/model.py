@@ -202,6 +202,10 @@ class ControllerState:
     beta: float
 
     def __post_init__(self):
+        if not isinstance(self.prev_decision, SlotDecision):
+            raise ValueError(
+                f"prev_decision must be a SlotDecision, got {_echo(self.prev_decision)}"
+            )
         object.__setattr__(self, "beta", check_beta(self.beta))
         slot = _nonnegative_integer("last_migration_slot", self.last_migration_slot)
         object.__setattr__(self, "last_migration_slot", slot)
@@ -428,13 +432,15 @@ def check_slot(s: Scenario, t: Any) -> None:
 
 
 def check_decision(s: Scenario, d: SlotDecision) -> None:
-    """Raise DimensionMismatchError unless ``d`` has one entry per user, and
-    ValueError unless each of its clouds and stations is in
-    ``range(s.num_clouds)``.
+    """Raise ValueError unless ``d`` is a ``SlotDecision`` and each of its
+    clouds and stations is in ``range(s.num_clouds)``, and
+    DimensionMismatchError unless it has one entry per user.
 
     Without it a short decision would be zipped short and an index outside
     the clouds would be priced as a move; entries are >= 0 by construction.
     """
+    if not isinstance(d, SlotDecision):
+        raise ValueError(f"a decision must be a SlotDecision, got {_echo(d)}")
     if d.num_users != s.num_users:
         raise DimensionMismatchError(
             f"decision covers {d.num_users} users, expected {s.num_users}"

@@ -6,13 +6,15 @@ capacity margin. A slot of at most ``_EXACT_BOUND`` raw decisions is
 enumerated by the oracle, which was no slower than the search there: its
 pruned walk lists only the placements and selections that fit, and the
 arguments ``solve_slot`` checked are not checked again. ``_enumerated``
-is that test; the controller's memo (``policy._solve``) reads it too, as
-the enumeration reads no warm start. When the enumeration finds the slot
-empty, its error stands. A discrete local search does the rest of the
-work. It starts from fixed-seed randomized roundings of the uniform
-fractional point (repaired under storage and capacity), from a greedy
-per-user assignment, and from the warm start pushed back into coverage and
-capacity by greedy repair. The best local optimum then takes a few seeded
+is that test. ``solve_slot`` keeps each solve in its exact-slot cache
+(``oracle._ExactSlots``), keyed by the slot and the warm start, or by the
+slot alone where it enumerates, as the enumeration reads no warm start; a
+key already kept returns the kept result. When the enumeration finds the
+slot empty, its error stands, and is kept. A discrete local search does
+the rest of the work. It starts from fixed-seed randomized roundings of
+the uniform fractional point (repaired under storage and capacity), from
+a greedy per-user assignment, and from the warm start pushed back into
+coverage and capacity by greedy repair. The best local optimum then takes a few seeded
 perturbation restarts. A slot where no search seed survives is enumerated
 after all, through the same exact-slot cache, when it is within
 ``oracle.ENUMERATION_BUDGET``.
@@ -1237,10 +1239,9 @@ def solve_slot(
     A slot ``_enumerated`` accepts, of at most ``_EXACT_BOUND`` raw
     decisions, is solved by enumeration (``oracle._slot_optimum``): the
     decision is ``best_slot_decision``'s, the first minimum in
-    lexicographic order. There the warm start is unused, so the
-    controller's memo keys the slot without one, and the report has the
-    optimum as ``objective`` and 0 iterations, starts, rounding attempts
-    and repair actions. An empty small slot takes the enumeration's
+    lexicographic order. There the warm start is unused, and the report
+    has the optimum as ``objective`` and 0 iterations, starts, rounding
+    attempts and repair actions. An empty small slot takes the enumeration's
     verdict. A larger slot goes to the discrete search (``_search_slot``).
     When no search seed yields a feasible decision, the slot is enumerated
     after all, the same way, once its raw counts pass
@@ -1253,11 +1254,18 @@ def solve_slot(
     value both paths minimize. The solve is deterministic and reads only
     ``s``, ``t``, ``warm_start`` and ``config``. ``rng_seed`` is unused: it
     stays only because the benchmark's workloads (``perfbench/workloads.py``)
-    still pass it. ``_exact`` is the controller memo's exact-slot cache of
-    ``s`` at ``config.margin`` (``oracle._ExactSlots``), which every
-    enumeration of the slot reads and the offline DP reads too; without it
-    the solve forms a cache of its own. A cache of another scenario or
-    margin raises ValueError.
+    still pass it.
+
+    ``_exact`` is the run's exact-slot cache of ``s`` at ``config.margin``
+    (``oracle._ExactSlots``, the controller's ``policy.Solved``); without
+    it the solve forms a cache of its own, which ends with the call. A
+    cache of another scenario or margin raises ValueError before anything
+    kept in it is read. Every enumeration of the slot reads the cache, and
+    the offline DP reads it too. The cache keeps the solve's return, or its
+    InfeasibleError, under (t, warm start), or (t, None) on an enumerated
+    slot, and a later call with that key returns the kept tuple, or raises
+    the kept error again, without solving. A kept return is shared, so no
+    caller may write to its arrays. A RoundingFailedError is not kept.
 
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``
     and what ``check_decision`` raises for a malformed warm start. Raises
@@ -1275,11 +1283,31 @@ def solve_slot(
         _exact = oracle._ExactSlots(s, config.margin)
     else:
         _exact.check(s, config.margin)
-    # t is checked above and the margin by SolverConfig
+    key = (t, None if _enumerated(s, t) else warm_start)
+    found = _exact.solves.get(key)
+    if found is None:
+        try:
+            found = _solve_fresh(s, t, warm_start=key[1], config=config, exact=_exact)
+        except InfeasibleError as exc:
+            found = exc
+        _exact.solves[key] = found
+    if isinstance(found, InfeasibleError):
+        raise found
+    return found
+
+
+def _solve_fresh(
+    s: Scenario, t: int, *, warm_start: SlotDecision | None,
+    config: SolverConfig, exact: oracle._ExactSlots,
+) -> tuple[SlotDecision, FractionalDecision, SolverReport]:
+    """``solve_slot``'s work on a key its cache does not hold yet, once the
+    arguments and the cache are checked: ``warm_start`` is None on an
+    enumerated slot."""
+    # t is checked by solve_slot and the margin by SolverConfig
     budget = oracle.ENUMERATION_BUDGET
     if _enumerated(s, t):
         # the raw count is at most _EXACT_BOUND <= ENUMERATION_BUDGET
-        decision, value = oracle._slot_optimum(_exact, t, None, budget)
+        decision, value = oracle._slot_optimum(exact, t, None, budget)
         report = SolverReport(iterations=0, objective=value, starts=0)
     else:
         try:
@@ -1288,7 +1316,7 @@ def solve_slot(
             _log.debug("slot %d: the search found no feasible decision; enumerating the slot", t)
             try:
                 oracle._check_raw_counts(s, range(t, t + 1), budget)
-                decision, value = oracle._slot_optimum(_exact, t, None, budget)
+                decision, value = oracle._slot_optimum(exact, t, None, budget)
             except OracleTooLargeError:
                 raise failed from None
             report = SolverReport(iterations=0, objective=value, starts=0)

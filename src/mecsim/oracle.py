@@ -16,16 +16,17 @@ The placements do not depend on the slot, so an ``_ExactSlots`` cache,
 bound to one scenario and one margin, walks them once and forms each
 slot's selections and value layer on first use; every budget check is
 made on its sides. It keeps only a complete walk: one the DP's P^2 stop
-cuts raises and leaves nothing behind. Every run has a controller memo
-(``policy._solve``), which carries one cache and hands it to every slot
-solve, the search's enumeration fallback included, and to the offline
-DP. So in a run, and across the rows of ``compare``, the placements are
-walked once and each enumerated slot's layer is formed once and read
-again by the oracle row's DP: on each ``compare-small`` scenario 1
-placement walk and 17 layers (the 16 slots' and the DP's pinned slot 0),
-against 17 walks and 32 layers when every exact solve and the DP walked
-their own. A public call without a cache forms its own, which ends with
-the call.
+cuts raises and leaves nothing behind. The cache also keeps each
+``solve_slot`` return, or its InfeasibleError, under its (slot, warm
+start) key, so it is the controller's memo (``policy.Solved``). Every run
+has one: it hands it to every slot solve, the search's enumeration
+fallback included, and to the offline DP. So in a run, and across the
+rows of ``compare``, the placements are walked once and each enumerated
+slot's layer is formed once and read again by the oracle row's DP: on each
+``compare-small`` scenario 1 placement walk and 17 layers (the 16 slots'
+and the DP's pinned slot 0), against 17 walks and 32 layers when every
+exact solve and the DP walked their own. A public call without a cache
+forms its own, which ends with the call.
 """
 
 from __future__ import annotations
@@ -113,15 +114,20 @@ class _ExactSlots:
     (``_fitting``) and kept with ``rows`` only when the walk is complete,
     and per slot its feasible selections with their station loads
     (``_fitting_sums``) and its ``_slot_layer``. Placements and selections
-    do not depend on each other, so every slot reads the one walk. The
-    controller's memo carries one instance, so the slots the online runs
-    enumerate are the layers the offline DP reads.
+    do not depend on each other, so every slot reads the one walk.
+    ``solves`` holds ``solve_slot``'s returns and InfeasibleErrors by key
+    (see ``solve_slot``). One instance is the controller's memo
+    (``policy.Solved``), so the slots the online runs enumerate are the
+    layers the offline DP reads.
 
     ``margin`` must have passed ``check_margin``; ``check`` refuses any
-    other scenario or margin.
+    other scenario or margin, and every reader calls it, or forms the
+    cache itself, before it reads anything kept.
     """
 
-    __slots__ = ("s", "margin", "rows", "_limit", "_placements", "_selections", "_layers")
+    __slots__ = (
+        "s", "margin", "rows", "solves", "_limit", "_placements", "_selections", "_layers"
+    )
 
     def __init__(self, s: Scenario, margin: float) -> None:
         self.s, self.margin = s, margin
@@ -131,6 +137,8 @@ class _ExactSlots:
         self.rows: np.ndarray | None = None
         self._selections: dict[int, tuple[list, list]] = {}
         self._layers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # (slot, warm start or None) -> solve_slot's return, or its InfeasibleError
+        self.solves: dict = {}
 
     def check(self, s: Scenario, margin: float) -> None:
         """Raise ValueError unless this cache is of ``s`` at ``margin``."""

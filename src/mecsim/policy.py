@@ -21,18 +21,18 @@ Three corner cases hold for every policy:
 this package gives no handler.
 
 A slot's solve reads only the scenario, the slot, its warm start and the
-solver config; nothing in it is random, and a slot the solver enumerates
-(``optimizer._enumerated``) does not read its warm start. So ``compare``
-runs every policy with one ``solved`` mapping: each enumerated slot is
-solved once, each other distinct (slot, warm start) once, and the decision,
-or the infeasibility, is shared by every row that needs it. The mapping
-also carries the oracle's exact-slot cache (``oracle._ExactSlots``), which
-every solve reads, the search's enumeration fallback included, so the
-placements are walked once per ``compare`` and each enumerated slot's
-value layer is formed once and read again by the oracle row's DP: 1 walk
-and 17 layers on a ``compare-small`` scenario, against 17 and 32 without it.
-``run_policy`` makes a mapping when given none, so a lone run walks the
-placements once too.
+solver config, and nothing in it is random. So ``compare`` runs every
+policy with one memo, a ``Solved``: the exact-slot cache
+(``oracle._ExactSlots``) of the scenario at the config's margin, in which
+``solve_slot`` keeps each solve. ``solve_slot`` solves each slot it
+enumerates once and each other distinct (slot, warm start) once, and the
+decision, or the infeasibility, is shared by every row that needs it. A
+memo of another scenario or margin raises ValueError. Every solve reads
+the cache, the search's enumeration fallback included, so the placements
+are walked once per ``compare`` and each enumerated slot's value layer is
+formed once and read again by the oracle row's DP: 1 walk and 17 layers on
+a ``compare-small`` scenario, against 17 and 32 without it. ``run_policy``
+makes a memo when given none, so a lone run walks the placements once too.
 An online run's outcomes depend on its policy only through the beta it runs
 at, so ``compare`` also runs each distinct rule once: ``always`` shares the
 run of threshold beta = 0 and ``never`` that of beta = inf. Each row is the
@@ -62,7 +62,7 @@ from .model import (
     check_slot,
     decision_feasible,
 )
-from .optimizer import DEFAULT_CONFIG, SolverConfig, _enumerated, solve_slot
+from .optimizer import DEFAULT_CONFIG, SolverConfig, solve_slot
 
 __all__ = [
     "Policy",
@@ -146,52 +146,8 @@ def _outcome(
     )
 
 
-# (slot, warm start or None) -> the slot solve's decision, or its InfeasibleError;
-# and _EXACT -> the exact-slot cache the enumerated solves and the offline DP share
-Solved = dict[
-    tuple[int, SlotDecision | None] | str,
-    SlotDecision | InfeasibleError | oracle_mod._ExactSlots,
-]
-_EXACT = "exact slots"
-
-
-def _exact_slots(s: Scenario, config: SolverConfig, solved: Solved) -> oracle_mod._ExactSlots:
-    """The exact-slot cache ``solved`` carries, added on first use."""
-    if _EXACT not in solved:
-        solved[_EXACT] = oracle_mod._ExactSlots(s, config.margin)
-    return solved[_EXACT]
-
-
-def _solve(
-    s: Scenario,
-    t: int,
-    warm_start: SlotDecision | None,
-    config: SolverConfig,
-    solved: Solved | None,
-) -> SlotDecision:
-    """``solve_slot``'s decision, taken from ``solved`` when it holds the
-    slot's key and added to it otherwise. The key is (slot, warm start), or
-    (slot, None) on a slot ``_enumerated`` accepts, which is solved without
-    the warm start it would not read.
-
-    An InfeasibleError is kept and raised again; RoundingFailedError
-    propagates unkept. One mapping belongs to one scenario and one config;
-    every solve reads its exact-slot cache, the search's enumeration
-    fallback too.
-    """
-    if solved is None:
-        solved = {}
-    key = (t, None if _enumerated(s, t) else warm_start)
-    if key not in solved:
-        exact = _exact_slots(s, config, solved)
-        try:
-            solved[key] = solve_slot(s, t, warm_start=key[1], config=config, _exact=exact)[0]
-        except InfeasibleError as exc:
-            solved[key] = exc
-    found = solved[key]
-    if isinstance(found, InfeasibleError):
-        raise found
-    return found
+# the memo that runs on one scenario and margin share (see the module docstring)
+Solved = oracle_mod._ExactSlots
 
 
 def initial_slot(
@@ -203,12 +159,13 @@ def initial_slot(
 ) -> SlotOutcome:
     """Solve slot 0; there is no prior placement, so switching is 0.
 
-    ``solved`` shares solves between runs on the same scenario and config;
-    without it the slot is solved afresh. ``rng_seed`` is unused: it keeps
+    ``solved`` is the memo, a ``Solved(s, config.margin)`` that runs on the
+    scenario share; ``solve_slot`` reads and keeps the slot's solve there,
+    and without it solves afresh. ``rng_seed`` is unused: it keeps
     its positional place only because the benchmark's workloads
     (``perfbench/workloads.py``) still pass it, and goes once they do not.
     """
-    decision = _solve(s, 0, None, config, solved)
+    decision = solve_slot(s, 0, config=config, _exact=solved)[0]
     return _outcome(0, _IndexCosts(s, 0), decision, decision, 0.0, False, False, 0.0)
 
 
@@ -233,7 +190,7 @@ def step(
     candidate, t1 = None, math.inf
     if forced or not math.isinf(state.beta):
         try:
-            candidate = _solve(s, t, prev, config, solved)
+            candidate = solve_slot(s, t, warm_start=prev, config=config, _exact=solved)[0]
         except InfeasibleError as exc:
             if forced:
                 raise  # nothing to stay on and nothing to move to
@@ -262,7 +219,7 @@ def _run_oracle(
 ) -> list[SlotOutcome]:
     sequence, _ = oracle_mod.offline_optimal(
         s, margin=config.margin, first_decision=first.decision,
-        _exact=_exact_slots(s, config, solved),
+        _exact=solved,
     )
     outcomes = [first]
     for t in range(1, s.num_slots):
@@ -289,12 +246,13 @@ def run_policy(
     Slot 0 is solved identically for every policy, so runs are comparable
     decision-for-decision. Every online policy then runs through ``step``
     at ``policy.beta``. Runs on the same scenario and config may share one
-    ``solved`` mapping (see ``initial_slot``) and return what each returns
+    ``solved`` memo (see ``initial_slot``) and return what each returns
     alone; without one the run makes its own, so its solves and the
     oracle's DP share one exact-slot cache and walk the placements once.
+    A memo of another scenario or margin raises ValueError.
     """
     if solved is None:
-        solved = {}
+        solved = Solved(s, config.margin)
     first = initial_slot(s, config=config, solved=solved)
     if policy.kind == "oracle":
         return _run_oracle(s, first, config, solved)

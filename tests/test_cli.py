@@ -348,13 +348,13 @@ def _compare_scenario(tmp_path: Path) -> str:
 def test_compare_solves_each_slot_and_warm_start_once(tmp_path, monkeypatch):
     scenario = _compare_scenario(tmp_path)
     keys = []
-    real = ms.policy.solve_slot
+    real = ms.optimizer._solve_fresh
 
     def counting(s, t, warm_start=None, **kwargs):
         keys.append((t, warm_start))
         return real(s, t, warm_start=warm_start, **kwargs)
 
-    monkeypatch.setattr(ms.policy, "solve_slot", counting)
+    monkeypatch.setattr(ms.optimizer, "_solve_fresh", counting)
     rc = main(["compare", "--scenario", scenario, "--beta", "0,1,inf",
                "--seed", "5", "--out", str(tmp_path / "cmp")])
     assert rc == 0
@@ -370,13 +370,13 @@ def test_compare_solves_each_enumerated_slot_once(tmp_path, monkeypatch):
     s = ms.load_scenario(scenario)
     assert all(raw_decisions(s, t) <= _EXACT_BOUND for t in range(s.num_slots))
     slots = []
-    real = ms.policy.solve_slot
+    real = ms.optimizer._solve_fresh
 
     def counting(s, t, **kwargs):
         slots.append(t)
         return real(s, t, **kwargs)
 
-    monkeypatch.setattr(ms.policy, "solve_slot", counting)
+    monkeypatch.setattr(ms.optimizer, "_solve_fresh", counting)
     assert main(["compare", "--scenario", scenario, "--beta", "0,1,inf",
                  "--seed", "5", "--out", str(tmp_path / "cmp")]) == 0
     assert len(slots) == len(set(slots))

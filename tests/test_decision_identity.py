@@ -59,7 +59,7 @@ def test_compare_decisions_are_unchanged():
     ))
     policies = [ms.Policy.threshold(beta) for beta in (0.0, 1.0, math.inf)]
     policies += [ms.Policy.always(), ms.Policy.never(), ms.Policy.oracle()]
-    solved: dict = {}
+    solved = ms.policy.Solved(s, ms.DEFAULT_CONFIG.margin)
     decisions = [
         o.decision
         for policy in policies

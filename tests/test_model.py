@@ -482,6 +482,25 @@ def test_malformed_decision_is_rejected_where_it_enters(entry):
         call(ms.validate_scenario(make_doc()))
 
 
+_DECISION_TYPE_ENTRIES = {
+    "check_decision": ms.model.check_decision,
+    "solve_slot": lambda s, d: ms.solve_slot(s, 0, warm_start=d),
+    "step": lambda s, d: ms.step(s, 1, _state(prev_decision=d)),
+    "offline_optimal": lambda s, d: ms.offline_optimal(s, first_decision=d),
+    "best_slot_decision": lambda s, d: ms.best_slot_decision(s, 0, x_prev=d),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DECISION_TYPE_ENTRIES))
+@pytest.mark.parametrize("decision", [((0, 1), (0, 1)), [(0, 1), (0, 1)]], ids=["tuple", "list"])
+def test_decision_that_is_not_a_slot_decision_is_rejected(entry, decision):
+    # unchecked, a tuple or list raised AttributeError on .num_users, and a
+    # ControllerState held one until step read it
+    s = ms.validate_scenario(make_doc())
+    with pytest.raises(ValueError, match="must be a SlotDecision"):
+        _DECISION_TYPE_ENTRIES[entry](s, decision)
+
+
 @pytest.mark.parametrize("margin", [True, "0", 10**400])
 def test_margin_has_one_rule(margin):
     # a bool margin would be read as 1.0, a string one fail in a comparison

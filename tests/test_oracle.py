@@ -484,7 +484,7 @@ def test_offline_fits_the_default_budget_beyond_three_users(num_users, seed):
     assert (decisions, total) == ms.offline_optimal(s, budget=10**12)
     policies = [ms.Policy.threshold(beta) for beta in (0.0, 1.0, math.inf)]
     policies += [ms.Policy.always(), ms.Policy.never()]
-    solved: dict = {}
+    solved = ms.policy.Solved(s, ms.DEFAULT_CONFIG.margin)
     for policy in policies:
         outcomes = ms.run_policy(s, policy, solved=solved)
         assert total <= sum(o.delay.total for o in outcomes) + 1e-9
@@ -569,14 +569,13 @@ def test_offline_optimal_equals_sequence_enumeration_on_tiny_horizons(case):
     # online runs fill a memo's exact-slot cache; the DP reading it returns
     # the fresh call's decisions and total
     config = ms.SolverConfig(margin=margin)
-    solved: dict = {}
+    solved = ms.policy.Solved(s, margin)
     for beta in (0.0, 1.0, math.inf):
         try:
             ms.run_policy(s, ms.Policy.threshold(beta), config=config, solved=solved)
         except ms.InfeasibleError:
             pass
-    exact = ms.policy._exact_slots(s, config, solved)
-    assert ms.offline_optimal(s, margin=margin, first_decision=first, _exact=exact) == fresh
+    assert ms.offline_optimal(s, margin=margin, first_decision=first, _exact=solved) == fresh
 
 
 def test_exact_slot_cache_is_scoped_to_its_scenario_and_margin(monkeypatch):
@@ -593,11 +592,17 @@ def test_exact_slot_cache_is_scoped_to_its_scenario_and_margin(monkeypatch):
         ms.offline_optimal(twin, margin=margin, _exact=exact)
     with pytest.raises(ValueError, match=refused):
         ms.offline_optimal(s, margin=0.0, _exact=exact)
-    # a memo's cache refuses another scenario's DP
-    solved: dict = {}
+    # a memo a run filled refuses another scenario's DP, and an online run
+    # on another scenario or at another margin before it reads a kept solve
+    solved = ms.policy.Solved(s, margin)
     ms.run_policy(s, ms.Policy.always(), solved=solved)
     with pytest.raises(ValueError, match=refused):
         ms.run_policy(twin, ms.Policy.oracle(), solved=solved)
+    other = ms.validate_scenario(random_doc(2, m=3, n=2, slots=3))
+    with pytest.raises(ValueError, match=refused):
+        ms.run_policy(other, ms.Policy.always(), solved=solved)
+    with pytest.raises(ValueError, match=refused):
+        ms.run_policy(s, ms.Policy.threshold(1.0), ms.SolverConfig(margin=0.0), solved=solved)
     # no cache outlives its call: each call without one walks again
     walks = []
     real = ms.oracle._fitting
@@ -667,7 +672,9 @@ def test_a_run_without_a_memo_walks_the_placements_once(monkeypatch):
     monkeypatch.setattr(ms.oracle, "_fitting", counted)
     outcomes = ms.run_policy(s, ms.Policy.oracle())
     assert len(walks) == 1
-    assert outcomes == ms.run_policy(s, ms.Policy.oracle(), solved={})
+    assert outcomes == ms.run_policy(
+        s, ms.Policy.oracle(), solved=ms.policy.Solved(s, ms.DEFAULT_CONFIG.margin)
+    )
 
 
 @st.composite
@@ -675,8 +682,8 @@ def _cache_calls(draw):
     """A tiny horizon (N up to 4 users) and a sequence of exact solves on
     it, each (name, slot or budget, pinned): slot solves, DPs at budgets
     from 0 to (T - 1) * (M^N)^2, so that some walks are cut at their P^2
-    stop, or at the default budget, and slot optima, the last two with or
-    without the case's pinned decision."""
+    stop, or at the default budget, and slot optima, each with or without
+    the case's pinned decision (a slot solve's warm start)."""
     doc, margin, first = draw(_tiny_horizon_case(max_users=4))
     slots, raw = doc["num_slots"], doc["num_clouds"] ** doc["num_users"]
     slot = st.integers(0, slots - 1)
@@ -684,7 +691,7 @@ def _cache_calls(draw):
         st.integers(0, max(1, slots - 1) * raw**2), st.just(ms.ENUMERATION_BUDGET)
     )
     call = st.one_of(
-        st.tuples(st.just("solve_slot"), slot, st.just(False)),
+        st.tuples(st.just("solve_slot"), slot, st.booleans()),
         st.tuples(st.just("offline_optimal"), budget, st.booleans()),
         st.tuples(st.just("_slot_optimum"), slot, st.booleans()),
     )
@@ -697,7 +704,9 @@ def _exact_call(s, config, first, exact, name, arg, pinned):
     first = first if pinned else None
     try:
         if name == "solve_slot":
-            decision, _, report = ms.solve_slot(s, arg, config=config, _exact=exact)
+            decision, _, report = ms.solve_slot(
+                s, arg, warm_start=first, config=config, _exact=exact
+            )
             return decision, report
         if name == "offline_optimal":
             return ms.offline_optimal(

@@ -263,15 +263,15 @@ def test_shared_memo_keeps_an_infeasible_candidate(monkeypatch, caplog):
     s = ms.validate_scenario(_infeasible_candidate_doc())
     config = ms.SolverConfig(margin=0.5)
     solved_slots = []
-    real = ms.policy.solve_slot
+    real = ms.optimizer._solve_fresh
 
     def counting(s, t, *args, **kwargs):
         solved_slots.append(t)
         return real(s, t, *args, **kwargs)
 
-    monkeypatch.setattr(ms.policy, "solve_slot", counting)
+    monkeypatch.setattr(ms.optimizer, "_solve_fresh", counting)
     caplog.set_level(logging.INFO, logger="mecsim")
-    solved = {}
+    solved = ms.policy.Solved(s, config.margin)
     for policy in (ms.Policy.threshold(1.0), ms.Policy.always()):
         outcomes = ms.run_policy(s, policy, config=config, solved=solved)
         assert not outcomes[1].migrated, policy.kind
@@ -295,20 +295,57 @@ def test_shared_runs_solve_an_enumerated_slot_once_and_a_searched_one_per_warm_s
     exact = {t for t in range(s.num_slots) if raw_decisions(s, t) <= _EXACT_BOUND}
     assert 0 < len(exact) < s.num_slots
     keys = []
-    real = ms.policy.solve_slot
+    real = ms.optimizer._solve_fresh
 
     def counting(s, t, warm_start=None, **kwargs):
         keys.append((t, warm_start))
         return real(s, t, warm_start=warm_start, **kwargs)
 
-    monkeypatch.setattr(ms.policy, "solve_slot", counting)
-    solved = {}
+    monkeypatch.setattr(ms.optimizer, "_solve_fresh", counting)
+    solved = ms.policy.Solved(s, ms.DEFAULT_CONFIG.margin)
     for beta in (0.0, 1.0, math.inf):
         ms.run_policy(s, ms.Policy.threshold(beta), solved=solved)
     slots = [t for t, _ in keys]
     assert all(slots.count(t) == 1 for t in exact)
     assert len(keys) == len(set(keys))
     assert any(slots.count(t) > 1 for t in set(slots) - exact)
+
+
+def _same_solve(kept, fresh):
+    (d, frac, report), (d0, frac0, report0) = kept, fresh
+    return (d, report) == (d0, report0) and all(
+        np.array_equal(a, b) for a, b in ((frac.x, frac0.x), (frac.y, frac0.y))
+    )
+
+
+def test_kept_solves_equal_fresh_ones_on_exact_and_searched_slots():
+    # the scenario above: per slot, cold and warm from the previous slot's
+    # decision, a solve kept in the memo is the fresh call's, and a second
+    # call returns the kept one
+    s = ms.generate(ms.GeneratorConfig(seed=3, grid_width=3, grid_height=1,
+                                       num_users=6, num_slots=16))
+    exact = {t for t in range(s.num_slots) if raw_decisions(s, t) <= _EXACT_BOUND}
+    assert 0 < len(exact) < s.num_slots
+    solved = ms.policy.Solved(s, ms.DEFAULT_CONFIG.margin)
+    prev = None
+    for t in range(s.num_slots):
+        for warm_start in dict.fromkeys((None, prev)):
+            kept = ms.solve_slot(s, t, warm_start=warm_start, _exact=solved)
+            assert _same_solve(kept, ms.solve_slot(s, t, warm_start=warm_start)), t
+            assert ms.solve_slot(s, t, warm_start=warm_start, _exact=solved) is kept
+        prev = ms.solve_slot(s, t, _exact=solved)[0]
+
+
+def test_kept_infeasible_solve_is_raised_again():
+    s = ms.validate_scenario(_infeasible_candidate_doc())
+    config = ms.SolverConfig(margin=0.5)
+    with pytest.raises(ms.InfeasibleError) as fresh:
+        ms.solve_slot(s, 1, config=config)
+    solved = ms.policy.Solved(s, config.margin)
+    for _ in range(2):
+        with pytest.raises(ms.InfeasibleError) as kept:
+            ms.solve_slot(s, 1, config=config, _exact=solved)
+        assert (type(kept.value), str(kept.value)) == (type(fresh.value), str(fresh.value))
 
 
 def test_forced_slot_with_an_infeasible_candidate_raises():
