@@ -9,8 +9,9 @@ arguments ``solve_slot`` checked are not checked again. ``_enumerated``
 is that test. ``solve_slot`` keeps each solve in its exact-slot cache
 (``oracle._ExactSlots``), keyed by the slot and the warm start, or by the
 slot alone where it enumerates, as the enumeration reads no warm start; a
-key already kept returns the kept result. When the enumeration finds the
-slot empty, its error stands, and is kept. A discrete local search does
+key already kept returns the kept result, whose arrays are read-only. When
+the enumeration finds the slot empty, its error stands, and is kept: a later
+call raises a new error of its type and message. A discrete local search does
 the rest of the work. It starts from fixed-seed randomized roundings of
 the uniform fractional point (repaired under storage and capacity), from
 a greedy per-user assignment, and from the warm start pushed back into
@@ -50,10 +51,12 @@ descents: a descent depends only on its decision and the slot, so a search
 that starts at or reaches a decision an earlier search of the solve
 descended from stops there with that descent's local optimum. Greedy
 repair and the greedy start price a user's stations with one helper. When
-the uniform point cannot be repaired, one zero-cost LP, its constraint
-matrices built in CSC form, supplies the point to round; on a searched
-slot it also tells an empty slot from one with no point clear of the
-margin. That LP is the only use of SciPy, imported when it runs.
+the uniform point cannot be repaired, one zero-cost LP supplies the point
+to round; on a searched slot it also tells an empty slot from one with no
+point clear of the margin. It is handed to HiGHS's dual simplex through
+SciPy's HiGHS binding, with the model and options ``linprog`` would pass,
+so HiGHS returns ``linprog``'s vertex without ``linprog``'s wrapping. That
+LP is the only use of SciPy, imported when it runs.
 """
 
 from __future__ import annotations
@@ -260,52 +263,97 @@ def _feasible_point_via_lp(
     bounds. When the LP is empty, the same LP with no margin tells
     NoInteriorPointError (only loads at capacity fit) from InfeasibleError.
 
-    Each column of either matrix holds one entry, so both are built in CSC
-    form directly: the arrays ``csc_array`` forms from the dense blocks
-    [[I (x) s, 0], [0, I (x) c]] and I_2 (x) (1_M (x) I_N), as sizes and
-    demands are positive and no entry drops.
+    The LP goes to HiGHS's dual simplex through SciPy's HiGHS binding
+    (``scipy.optimize._highspy._core``), as ``linprog(method="highs-ds")``
+    would pass it, without ``linprog``'s wrapping: the same rows, bounds
+    and options, so the same vertex. Rows are storage (M), capacity (M),
+    then the x and y column sums (N each); each column holds two entries,
+    its storage or capacity row and its user's sum row, the matrix
+    ``linprog`` forms from the stacked inequality and equality blocks.
+    HiGHS's status is read as ``linprog`` reads it: optimal gives the
+    point, infeasible or a model error means an empty LP, and anything else
+    raises RuntimeError naming the status. So does a point off its bounds
+    or rows by more than ``linprog``'s check allows (sqrt(1e-9) * 10).
     """
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_array
+    from scipy.optimize._highspy import _core as highs
 
     m, n = s.num_clouds, s.num_users
-    covered = np.zeros((m, n))
+    cols = 2 * m * n
+    upper = np.zeros((2, m, n))
+    upper[0] = 1.0
     for k, stations in enumerate(s.coverage[t]):
-        covered[list(stations), k] = 1.0
+        upper[1, list(stations), k] = 1.0
+    upper = upper.ravel()
     # column r * n + k of x, and M * N plus that of y, is cloud r and user k
-    indptr = np.arange(2 * m * n + 1, dtype=np.int32)
-    a_ub = csc_array((
-        np.concatenate([np.tile(s.service_size, m), np.tile(s.demand[t], m)]),
-        np.repeat(np.arange(2 * m, dtype=np.int32), n),
-        indptr,
-    ), shape=(2 * m, 2 * m * n))
     users = np.tile(np.arange(n, dtype=np.int32), m)
-    a_eq = csc_array((
-        np.ones(2 * m * n), np.concatenate([users, n + users]), indptr,
-    ), shape=(2 * n, 2 * m * n))
-    upper = np.concatenate([np.ones(m * n), covered.ravel()])
+    index = np.stack([
+        np.repeat(np.arange(2 * m, dtype=np.int32), n),
+        2 * m + np.concatenate([users, n + users]),
+    ], axis=1).ravel()
+    value = np.stack([
+        np.concatenate([np.tile(s.service_size, m), np.tile(s.demand[t], m)]),
+        np.ones(cols),
+    ], axis=1).ravel()
+    row_lower = np.concatenate([np.full(2 * m, -highs.kHighsInf), np.ones(2 * n)])
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.solver = "simplex"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    tol = math.sqrt(1e-9) * 10
+    model_status = highs.HighsModelStatus
 
-    def solve(station_margin: float):
-        return linprog(
-            np.zeros(2 * m * n),
-            A_ub=a_ub,
-            b_ub=np.concatenate([s.cloud_capacity, s.bs_capacity - station_margin]),
-            A_eq=a_eq,
-            b_eq=np.ones(2 * n),
-            bounds=np.stack([np.zeros_like(upper), upper], axis=1),
-            method="highs-ds",
+    def solve(station_margin: float) -> np.ndarray | None:
+        """The vertex HiGHS finds, or None when the LP is empty."""
+        row_upper = np.concatenate(
+            [s.cloud_capacity, s.bs_capacity - station_margin, np.ones(2 * n)]
         )
+        lp = highs._Highs()
+        if lp.passOptions(options) == highs.HighsStatus.kError:
+            status = lp.getModelStatus()
+        # the binding reads each array through a pointer: their lengths are
+        # the column, row and entry counts passed with them
+        elif lp.passModel(
+            cols, 2 * (m + n), 2 * cols, highs.MatrixFormat.kColwise,
+            highs.ObjSense.kMinimize, 0.0, np.zeros(cols), np.zeros(cols), upper,
+            row_lower, row_upper, np.arange(0, 2 * cols + 1, 2, dtype=np.int32),
+            index, value, np.zeros(cols, dtype=np.int32),  # every column continuous
+        ) == highs.HighsStatus.kError:
+            status = model_status.kModelError
+        else:
+            lp.run()
+            status = lp.getModelStatus()
+        if status in (model_status.kInfeasible, model_status.kModelError):
+            return None
+        if status != model_status.kOptimal:
+            raise RuntimeError(
+                f"LP solver failed: HiGHS model status {lp.modelStatusToString(status)}"
+            )
+        solution = lp.getSolution()
+        point = np.array(solution.col_value)
+        rows = np.array(solution.row_value)
+        slack = row_upper - rows
+        if not (
+            np.isfinite(point).all() and np.isfinite(rows).all()
+            and (point >= -tol).all() and (point <= upper + tol).all()
+            and (slack[: 2 * m] >= -tol).all()
+            and (np.abs(slack[2 * m:]) <= tol).all()
+        ):
+            raise RuntimeError(
+                f"LP solver failed: HiGHS's point misses its bounds or rows by more than {tol:.2E}"
+            )
+        return point
 
-    result = solve(margin)
-    if result.status == 2:
-        if margin > 0.0 and solve(0.0).status == 0:
+    point = solve(margin)
+    if point is None:
+        if margin > 0.0 and solve(0.0) is not None:
             raise NoInteriorPointError(
                 f"slot {t} has no point clear of station capacity by the margin"
             )
         raise InfeasibleError(f"no fractional decision satisfies slot {t} constraints")
-    if result.status != 0:
-        raise RuntimeError(f"LP solver failed: {result.message}")
-    point = np.clip(result.x, 0.0, 1.0).reshape(2, m, n)
+    point = np.clip(point, 0.0, 1.0).reshape(2, m, n)
     return point[0], point[1]
 
 
@@ -1264,8 +1312,10 @@ def solve_slot(
     the offline DP reads it too. The cache keeps the solve's return, or its
     InfeasibleError, under (t, warm start), or (t, None) on an enumerated
     slot, and a later call with that key returns the kept tuple, or raises
-    the kept error again, without solving. A kept return is shared, so no
-    caller may write to its arrays. A RoundingFailedError is not kept.
+    a new error of the kept error's type and message, without solving; the
+    kept error is never raised, so the cache holds no traceback. A kept
+    return is shared, so its arrays are read-only (writing to them raises
+    ValueError). A RoundingFailedError is not kept.
 
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``
     and what ``check_decision`` raises for a malformed warm start. Raises
@@ -1289,10 +1339,12 @@ def solve_slot(
         try:
             found = _solve_fresh(s, t, warm_start=key[1], config=config, exact=_exact)
         except InfeasibleError as exc:
-            found = exc
+            # kept as a copy that is never raised, so it holds no frames
+            _exact.solves[key] = type(exc)(*exc.args)
+            raise
         _exact.solves[key] = found
-    if isinstance(found, InfeasibleError):
-        raise found
+    elif isinstance(found, InfeasibleError):
+        raise type(found)(*found.args)
     return found
 
 
@@ -1322,6 +1374,9 @@ def _solve_fresh(
             report = SolverReport(iterations=0, objective=value, starts=0)
     m = s.num_clouds
     frac = FractionalDecision(x=decision.placement_matrix(m), y=decision.selection_matrix(m))
+    # solve_slot hands every caller of the key these arrays
+    frac.x.setflags(write=False)
+    frac.y.setflags(write=False)
     return decision, frac, report
 
 

@@ -90,49 +90,132 @@ def test_lp_points_satisfy_constraints_tightly():
         assert np.all(load <= np.asarray(doc["bs_capacity"]) - 1e-6 + 1e-8)
 
 
-def test_lp_matrices_are_the_dense_kron_constructions(monkeypatch):
-    # The CSC arrays handed to linprog are those of the dense blocks, so
-    # HiGHS gets the same input and returns the same vertex.
-    import scipy.optimize
-    from scipy.sparse import csc_array
+def _linprog_outcome(s, t, margin):
+    """What ``_feasible_point_via_lp`` gave when it called ``linprog``:
+    ``linprog(method="highs-ds")`` on the dense Kronecker blocks, with the
+    point clipped to [0, 1], or the error type an empty LP gave."""
+    from scipy.optimize import linprog
 
-    linprog = scipy.optimize.linprog
-    calls = []
+    m, n = s.num_clouds, s.num_users
+    covered = np.zeros((m, n))
+    for k, stations in enumerate(s.coverage[t]):
+        covered[list(stations), k] = 1.0
+    upper = np.concatenate([np.ones(m * n), covered.ravel()])
+    rows = np.eye(m)
 
-    def recorded(c, **kwargs):
-        calls.append((c, kwargs))
-        return linprog(c, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", recorded)
-    solved = 0
-    for seed, (m, n) in itertools.product(range(6), [(2, 1), (3, 4), (5, 7)]):
-        s = _validate(random_doc(seed, m=m, n=n, tight=seed % 2 == 1))
-        calls.clear()
-        try:
-            _feasible_point_via_lp(s, 0, 1e-6)
-        except ms.InfeasibleError:
-            pass
-        rows = np.eye(m)
-        dense = {
-            "A_ub": np.block([
+    def solve(station_margin):
+        return linprog(
+            np.zeros(2 * m * n),
+            A_ub=np.block([
                 [np.kron(rows, s.service_size), np.zeros((m, m * n))],
-                [np.zeros((m, m * n)), np.kron(rows, s.demand[0])],
+                [np.zeros((m, m * n)), np.kron(rows, s.demand[t])],
             ]),
-            "A_eq": np.kron(np.eye(2), np.kron(np.ones(m), np.eye(n))),
-        }
-        for c, kwargs in calls:
-            for name, matrix in dense.items():
-                got, want = kwargs[name], csc_array(matrix)
-                assert got.shape == want.shape
-                for part in ("indptr", "indices", "data"):
-                    a, b = getattr(got, part), getattr(want, part)
-                    assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
-            sparse, from_dense = linprog(c, **kwargs), linprog(c, **{**kwargs, **dense})
-            assert sparse.status == from_dense.status
-            if sparse.status == 0:
-                assert np.array_equal(sparse.x, from_dense.x)
-                solved += 1
-    assert solved >= 12  # not vacuous: most of the 18 LPs have a vertex
+            b_ub=np.concatenate([s.cloud_capacity, s.bs_capacity - station_margin]),
+            A_eq=np.kron(np.eye(2), np.kron(np.ones(m), np.eye(n))),
+            b_eq=np.ones(2 * n),
+            bounds=np.stack([np.zeros_like(upper), upper], axis=1),
+            method="highs-ds",
+        )
+
+    result = solve(margin)
+    if result.status == 2:
+        if margin > 0.0 and solve(0.0).status == 0:
+            return ms.NoInteriorPointError
+        return ms.InfeasibleError
+    assert result.status == 0, result.message
+    point = np.clip(result.x, 0.0, 1.0).reshape(2, m, n)
+    return point[0], point[1]
+
+
+def _assert_lp_outcome_is_linprogs(s, t, margin):
+    """The direct HiGHS solve's point equals ``linprog``'s under
+    ``np.array_equal``, or both raise the same error type; True when there
+    is a point."""
+    want = _linprog_outcome(s, t, margin)
+    try:
+        got = _feasible_point_via_lp(s, t, margin)
+    except ms.InfeasibleError as err:
+        assert type(err) is want, (t, margin)
+        return False
+    assert isinstance(want, tuple), (t, margin, want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)), (t, margin)
+    return True
+
+
+def test_lp_matrices_are_the_dense_kron_constructions():
+    # HiGHS gets the LP linprog forms from the dense blocks, so it returns
+    # the same vertex: on 18 random_doc slots and online-large's 5 LP slots
+    big = online_large_scenario()
+    lp_slots = [t for t in range(big.num_slots) if _uniform_point(big, t, 1e-6) is None]
+    assert lp_slots == [7, 8, 9, 10, 11]
+    cases = [
+        (_validate(random_doc(seed, m=m, n=n, tight=seed % 2 == 1)), 0)
+        for seed, (m, n) in itertools.product(range(6), [(2, 1), (3, 4), (5, 7)])
+    ] + [(big, t) for t in lp_slots]
+    for margin in (1e-6, 0.0):
+        solved = sum(_assert_lp_outcome_is_linprogs(s, t, margin) for s, t in cases)
+        assert solved == len(cases)  # not vacuous: each of the 23 has a vertex
+
+
+@st.composite
+def _lp_case(draw):
+    """A small slot whose LP is often tight or empty: sizes and demands on
+    a 1/8 grid, each capacity an even share of the total its kind holds
+    moved by a multiple of 1/8 (at least 1/8 is left), coverage of every
+    station less up to M - 1 of them, and a margin of 0, the default or
+    1/8."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    eighths = st.integers(1, 16).map(lambda v: v / 8.0)
+    sizes = draw(st.lists(eighths, min_size=n, max_size=n))
+    demand = draw(st.lists(eighths, min_size=n, max_size=n))
+
+    def capacities(total):
+        moves = st.integers(-16, 16).map(lambda v: max(total / m + v / 8.0, 0.125))
+        return draw(st.lists(moves, min_size=m, max_size=m))
+
+    doc = {
+        "num_clouds": m,
+        "num_users": n,
+        "num_slots": 1,
+        "cloud_capacity": capacities(sum(sizes)),
+        "bs_capacity": capacities(sum(demand)),
+        "service_size": sizes,
+        "link_latency": [np.zeros((m, m)).tolist()],
+        "coverage": [[
+            sorted(set(range(m)) - draw(st.sets(st.integers(0, m - 1), max_size=m - 1)))
+            for _ in range(n)
+        ]],
+        "demand": [demand],
+    }
+    return doc, draw(st.sampled_from([0.0, 1e-6, 0.125]))
+
+
+def _one_station_doc(bs):
+    """One cloud and station with storage 2.0 and capacity ``bs``, two
+    users of size and demand 1.0."""
+    return make_doc(
+        num_clouds=1, num_slots=1, bs_capacity=[bs], cloud_capacity=[2.0],
+        link_latency=[[[0.0]]], coverage=[[[0], [0]]], demand=[[1.0, 1.0]],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lp_case())
+@example((_one_station_doc(2.0), 1e-6))  # NoInteriorPointError: loads fit at capacity
+@example((_one_station_doc(1.5), 0.0))  # InfeasibleError
+@example((_one_station_doc(2.5), 1e-6))  # a point
+def test_lp_point_is_linprogs_on_small_tight_slots(case):
+    doc, margin = case
+    _assert_lp_outcome_is_linprogs(_validate(doc), 0, margin)
+
+
+def test_an_lp_solve_writes_nothing_to_stdout(capfd):
+    # HiGHS's banner and log go to fd 1 unless its output is switched off
+    _feasible_point_via_lp(_validate(_lp_fallback_doc()), 0, 1e-6)
+    with pytest.raises(ms.NoInteriorPointError):
+        _feasible_point_via_lp(_validate(_one_station_doc(2.0)), 0, 1e-6)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_lp_infeasible_when_storage_cannot_fit():
@@ -144,13 +227,92 @@ def test_lp_infeasible_when_storage_cannot_fit():
 
 
 def test_a_failed_lp_solve_raises_runtime_error(monkeypatch):
-    # neither "optimal" (0) nor "infeasible" (2): HiGHS's numerical trouble
-    import scipy.optimize
+    # neither optimal nor infeasible (nor a model error): HiGHS's trouble
+    from scipy.optimize._highspy import _core
 
-    failed = SimpleNamespace(status=4, message="numerical difficulties")
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
-    with pytest.raises(RuntimeError, match="LP solver failed: numerical difficulties"):
+    class Failing(_core._Highs):
+        def getModelStatus(self):
+            return _core.HighsModelStatus.kSolveError
+
+    monkeypatch.setattr(_core, "_Highs", Failing)
+    with pytest.raises(RuntimeError, match="LP solver failed: HiGHS model status Solve error"):
         _feasible_point_via_lp(_validate(_lp_fallback_doc()), 0, 1e-6)
+
+
+def test_an_lp_model_highs_refuses_reads_as_an_empty_lp(monkeypatch):
+    # linprog reads HiGHS's model error as infeasible (its status 2)
+    from scipy.optimize._highspy import _core
+
+    class Refusing(_core._Highs):
+        def passModel(self, *args):
+            return _core.HighsStatus.kError
+
+    monkeypatch.setattr(_core, "_Highs", Refusing)
+    with pytest.raises(ms.InfeasibleError) as err:
+        _feasible_point_via_lp(_validate(_lp_fallback_doc()), 0, 1e-6)
+    assert type(err.value) is ms.InfeasibleError
+
+
+def test_options_highs_refuses_raise_runtime_error(monkeypatch):
+    # no model is passed or run, so the status is HiGHS's "Not Set"
+    from scipy.optimize._highspy import _core
+
+    class Refusing(_core._Highs):
+        def passOptions(self, options):
+            return _core.HighsStatus.kError
+
+    monkeypatch.setattr(_core, "_Highs", Refusing)
+    with pytest.raises(RuntimeError, match="LP solver failed: HiGHS model status Not Set"):
+        _feasible_point_via_lp(_validate(_lp_fallback_doc()), 0, 1e-6)
+
+
+def _highs_replacing(kind, index, value):
+    """A ``_Highs`` whose solution has one column or row value replaced:
+    ``kind`` is "col" or "row"."""
+    from scipy.optimize._highspy import _core
+
+    class Highs(_core._Highs):
+        def getSolution(self):
+            solution = super().getSolution()
+            values = {"col": list(solution.col_value), "row": list(solution.row_value)}
+            values[kind][index] = value
+            return SimpleNamespace(col_value=values["col"], row_value=values["row"])
+
+    return Highs
+
+
+# _lp_fallback_doc's rows: storage 0-1 (5.0), capacity 2-3 (1.5 - margin),
+# x sums 4-5 and y sums 6-7 (1.0); every column lies in [0, 1]
+@pytest.mark.parametrize("kind, index, value", [
+    ("col", 0, -1e-3),
+    ("col", 0, 1.0 + 1e-3),
+    ("col", 0, np.nan),
+    ("row", 0, 5.0 + 1e-3),
+    ("row", 2, np.nan),
+    ("row", 4, 1.0 + 1e-3),
+    ("row", 7, 1.0 - 1e-3),
+])
+def test_an_lp_point_off_its_bounds_or_rows_raises_runtime_error(monkeypatch, kind, index, value):
+    # linprog's post-solve check, kept: sqrt(1e-9) * 10 = 3.16e-4 is allowed
+    from scipy.optimize._highspy import _core
+
+    monkeypatch.setattr(_core, "_Highs", _highs_replacing(kind, index, value))
+    with pytest.raises(RuntimeError, match="misses its bounds or rows by more than 3.16E-04"):
+        _feasible_point_via_lp(_validate(_lp_fallback_doc()), 0, 1e-6)
+
+
+@pytest.mark.parametrize("kind, index, value", [
+    ("col", 0, -3e-4),
+    ("col", 0, 1.0 + 3e-4),
+    ("row", 0, 5.0 + 3e-4),
+    ("row", 4, 1.0 - 3e-4),
+])
+def test_an_lp_point_within_the_check_tolerance_passes(monkeypatch, kind, index, value):
+    from scipy.optimize._highspy import _core
+
+    monkeypatch.setattr(_core, "_Highs", _highs_replacing(kind, index, value))
+    x, y = _feasible_point_via_lp(_validate(_lp_fallback_doc()), 0, 1e-6)
+    assert x.min() >= 0.0 and y.max() <= 1.0  # clipped into [0, 1]
 
 
 def _lp_fallback_doc():

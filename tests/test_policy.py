@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -346,6 +347,41 @@ def test_kept_infeasible_solve_is_raised_again():
         with pytest.raises(ms.InfeasibleError) as kept:
             ms.solve_slot(s, 1, config=config, _exact=solved)
         assert (type(kept.value), str(kept.value)) == (type(fresh.value), str(fresh.value))
+
+
+def test_kept_infeasible_solve_is_raised_with_a_fixed_traceback():
+    # the kept error is never raised itself: each raise is a new error, so
+    # its traceback does not grow and the memo keeps no frames
+    s = ms.validate_scenario(_infeasible_candidate_doc())
+    config = ms.SolverConfig(margin=0.5)
+    solved = ms.policy.Solved(s, config.margin)
+    depths = []
+    for _ in range(4):
+        with pytest.raises(ms.InfeasibleError) as err:
+            ms.solve_slot(s, 1, config=config, _exact=solved)
+        depths.append(len(traceback.extract_tb(err.value.__traceback__)))
+    assert depths[1:] == [depths[1]] * 3 and depths[1] < depths[0], depths
+    kept = [v for v in solved.solves.values() if isinstance(v, ms.InfeasibleError)]
+    assert len(kept) == 1 and kept[0].__traceback__ is None
+
+
+def test_kept_solve_arrays_are_read_only():
+    # an exact and a searched slot of the scenario above: writing to a kept
+    # fractional decision raises, and the next call returns it unchanged
+    s = ms.generate(ms.GeneratorConfig(seed=3, grid_width=3, grid_height=1,
+                                       num_users=6, num_slots=16))
+    exact = [t for t in range(s.num_slots) if raw_decisions(s, t) <= _EXACT_BOUND]
+    searched = [t for t in range(s.num_slots) if t not in exact]
+    solved = ms.policy.Solved(s, ms.DEFAULT_CONFIG.margin)
+    for t in (exact[0], searched[0]):
+        kept = ms.solve_slot(s, t, _exact=solved)
+        for name in ("x", "y"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(kept[1], name)[:] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(kept[1], name)[0, 0] += 1.0
+        assert ms.solve_slot(s, t, _exact=solved) is kept
+        assert _same_solve(kept, ms.solve_slot(s, t)), t
 
 
 def test_forced_slot_with_an_infeasible_candidate_raises():
