@@ -29,12 +29,12 @@ or station over its limit, and the first draw that fits becomes the seed's
 The search values each probed move as the current objective plus the
 change in the terms of the stations and users the move touches. Each step
 walks the one-user moves in latency order: a move's value never falls as
-its link latency grows, so per user and covered station only the nearest
-cloud with room can hold the least value. Of the winning user's moves only
-those that tie its least value are then valued, to find the first minimum
-in probe order. Applying a move sums every tally again in user order,
-prices only the stations it touches and sums ``f`` over every user, so a
-state is always a fresh state of its decision.
+its link latency grows, so per user and covered station the nearest cloud
+with room is the first move of least value, and the walk keeps the first
+move of least value in (user, coverage-order station, latency-order cloud)
+order. Applying a move sums every tally again in user order, prices only
+the stations it touches and values ``f`` through ``_IndexCosts`` at the
+new loads, so a state is always a fresh state of its decision.
 Two-user moves are valued in one NumPy pass per step: on small slots the full
 rescan of any two users to any two spots, otherwise every plain exchange
 over the pairs whose stations cover each other. Single probes value only
@@ -550,20 +550,21 @@ class _SearchState:
     s_k, and j is k's station or has room for c_k.
 
     Plain lists keep probes cheap. ``f`` is the non-switching delay of the
-    current decision, and the state keeps each station's ``out`` and
-    ``wait`` terms and its floor drop ``drops`` (see ``floors``). ``apply``
-    sums every tally again with ``_tally``, prices only the stations a
-    batch touches again, their drops too, and recomputes ``f`` in one loop
-    over every user (``_settle``), the floats ``_IndexCosts.non_switching``
-    gives. A station no batch touched keeps its load, count and term, so
+    current decision, and the state keeps each station's ``out`` term and
+    its floor drop ``drops`` (see ``floors``). ``apply`` sums every tally
+    again with ``_tally``, prices only the stations a batch touches again,
+    their drops too, and values ``f`` through ``_IndexCosts`` at the new
+    loads (``_settle``), the float ``_IndexCosts.non_switching`` gives. A
+    station no batch touched keeps its load, count and term, so
     every tally, term, drop and ``f`` is a fresh state's, and no state
     carries rounding from the moves that led to it. A probe values a batch
     of per-user (cloud, station) reassignments, distinct users each, as
     ``f`` plus the change in the terms of the stations and users it
     touches, without applying it; batches that break storage, coverage or
     the station limit are rejected without evaluation. The scans find the
-    first best move of a kind with the same arithmetic: ``best_single_move``
-    by a walk in latency order, ``best_pair_move`` over the full two-user
+    first best move of a kind, each in its own order, with the same
+    arithmetic: ``best_single_move`` by a walk in latency order,
+    ``best_pair_move`` over the full two-user
     rescan and ``best_exchange`` over the plain exchanges of users whose
     stations cover each other, in one array pass each. ``probe`` itself
     serves only rotations. The slot's static data is read from the solve's
@@ -577,7 +578,7 @@ class _SearchState:
 
     __slots__ = (
         "tables", "m", "n", "cov", "placement", "selection",
-        "used", "load", "users_on", "out", "wait", "drops", "f",
+        "used", "load", "users_on", "out", "drops", "f",
     )
 
     def __init__(
@@ -593,39 +594,31 @@ class _SearchState:
             m, placement, selection, tables.costs.sizes, tables.costs.demand
         )
         self.out = [0.0] * m
-        self.wait = [0.0] * m
         self.drops = [0.0] * m
         self._settle(range(m))
 
     def _settle(self, stations: Iterable[int]) -> None:
         """Price the given stations from their tallies and value the
         decision. A station's ``out`` is its queue term on / (C - L), 0.0
-        when empty, its ``wait`` is 1 / (C - L) and its ``drops`` the most
-        an exchange or a rotation lowers its term, out - on / (C - (L -
-        gap)), 0.0 when empty (see ``floors``). ``f`` is the queuing total
-        plus the communication total, both summed user by user in one loop:
-        the floats ``_IndexCosts.non_switching`` gives."""
+        when empty, and its ``drops`` the most an exchange or a rotation
+        lowers that term, out - on / (C - (L - gap)), 0.0 when empty (see
+        ``floors``). ``f`` is the queuing total at the state's loads plus
+        the communication total, both from ``_IndexCosts``: ``_tally`` sums
+        the loads in user order from 0.0, as ``_IndexCosts.queuing`` does,
+        so ``f`` is the float ``_IndexCosts.non_switching`` gives."""
         costs, gap = self.tables.costs, self.tables.gap
         bs_cap = costs.bs_cap
-        load, users_on, out, wait, drops = (
-            self.load, self.users_on, self.out, self.wait, self.drops
-        )
+        load, users_on, out, drops = self.load, self.users_on, self.out, self.drops
         for j in stations:
             c, v = bs_cap[j], load[j]
-            room = c - v
             on = users_on[j]
             if on:
-                q = out[j] = on / room
+                q = out[j] = on / (c - v)
                 drops[j] = q - on / (c - (v - gap))
             else:
                 out[j] = drops[j] = 0.0
-            wait[j] = 1.0 / room if room > 0.0 else math.inf
-        lat = costs.lat
-        queuing = communication = 0.0
-        for i, j in zip(self.placement, self.selection):
-            queuing += wait[j]
-            communication += lat[i][j]
-        self.f = queuing + communication
+        placement, selection = self.placement, self.selection
+        self.f = costs._queuing_at(selection, load) + costs.communication(placement, selection)
 
     def probe(self, batch: list[tuple[int, int, int]]) -> float | None:
         tables, costs = self.tables, self.tables.costs
@@ -712,8 +705,9 @@ class _SearchState:
 
     def best_single_move(self) -> tuple[float, tuple[int, int, int]] | None:
         """First minimum of ``probe([(k, i, j)])`` over every one-user move
-        but staying put, in (user, cloud, coverage-order station) order, as
-        (value, move); None when no such move is feasible.
+        but staying put, in (user, coverage-order station, cloud in
+        ``cloud_order``) order, as (value, move); None when no such move is
+        feasible.
 
         Each value is the float ``probe`` computes:
         f + (((((0.0 + (lat[i][j] - lat0)) - out0) + leave) - out_j) + arrive),
@@ -725,19 +719,14 @@ class _SearchState:
         On the user's own station j0, arrive is out0: the load after the move
         is L + ((0.0 - c) + c), which is L. Every step is a float add or
         subtract, so for one user and station the value never falls as
-        lat[i][j] grows: the first cloud with room in (lat[i][j], i) order
-        holds the least. One walk per user and covered station values only
-        that move, with the station's terms formed inline, and the first
-        user whose least value is strictly lowest holds the first minimum;
-        its own terms are kept from this pass as it takes the lead. Of that
-        user's moves only the ties of its least value are then valued, each
-        station's terms formed inline again: per station, the run of clouds
-        with room in (latency, index) order whose value is the least. The
-        first tie in probe order, the least (cloud, coverage position), is
-        the first minimum. The state is feasible (``_SearchState``), so only the
-        targets' room is tested. A user whose floor, the float
-        ``user_floors`` gives, formed inline, is at or above the least value
-        so far cannot hold the first minimum, and is not walked.
+        lat[i][j] grows: the station's first cloud with room in (lat[i][j],
+        i) order is its first move of least value. One walk per user and
+        covered station values only that move, with the station's terms
+        formed inline, and keeps it when its value is strictly the lowest so
+        far. The state is feasible (``_SearchState``), so only the targets'
+        room is tested. A user whose floor, the float ``user_floors`` gives,
+        formed inline, is at or above the least value so far cannot hold the
+        first minimum, and is not walked.
         """
         tables, costs = self.tables, self.tables.costs
         order, cloud_cap, limit = tables.cloud_order, tables.cloud_cap, tables.limit
@@ -747,7 +736,7 @@ class _SearchState:
             self.placement, self.selection, costs.sizes, costs.demand
         )
         low = f - 1e-9 * (1.0 + f)  # as in user_floors
-        best = None  # (least value, user, and the user's terms below)
+        best = None  # (least value, move)
         for k, stations in enumerate(self.cov):
             i0, j0 = placement[k], selection[k]
             lat0, out0 = lat[i0][j0], out[j0]
@@ -756,7 +745,6 @@ class _SearchState:
             size, c = sizes[k], demand[k]
             on0 = users_on[j0]
             leave = (on0 - 1) / (bs_cap[j0] - (load[j0] + (0.0 - c))) if on0 - 1 else 0.0
-            least = None
             for j in stations:
                 if j == j0:
                     leave_j = out_j = 0.0
@@ -776,39 +764,10 @@ class _SearchState:
                     value = f + (
                         ((((0.0 + (lat[i][j] - lat0)) - out0) + leave_j) - out_j) + arrive
                     )
-                    if least is None or value < least:
-                        least = value
+                    if best is None or value < best[0]:
+                        best = (value, (k, i, j))
                     break
-            if least is not None and (best is None or least < best[0]):
-                best = (least, k, i0, j0, lat0, out0, size, c, leave)
-        if best is None:
-            return None
-        least, k, i0, j0, lat0, out0, size, c, leave = best
-        ties = []  # (cloud, coverage position, station) of each move of least value
-        for position, j in enumerate(self.cov[k]):
-            if j == j0:
-                leave_j = out_j = 0.0
-                arrive = out0
-            else:
-                arrive_load = load[j] + (0.0 + c)
-                if arrive_load > limit[j]:
-                    continue
-                leave_j, out_j = leave, out[j]
-                arrive = (users_on[j] + 1) / (bs_cap[j] - arrive_load)
-            for i in order[j]:
-                if i == i0:
-                    if j == j0:
-                        continue
-                elif used[i] + (0.0 + size) > cloud_cap[i]:
-                    continue
-                value = f + (
-                    ((((0.0 + (lat[i][j] - lat0)) - out0) + leave_j) - out_j) + arrive
-                )
-                if value != least:
-                    break
-                ties.append((i, position, j))
-        i, _, j = min(ties)
-        return least, (k, i, j)
+        return best
 
     def best_pair_move(self) -> tuple[float, list[tuple[int, int, int]]] | None:
         """First minimum of ``probe([(a, i1, j1), (b, i2, j2)])`` over the
@@ -929,7 +888,7 @@ class _SearchState:
         every other tally is the sum it was, or a sum of fewer of the same
         positive terms in the same order, which rounds no higher.
         ``_settle`` then prices the stations the batch touched again and
-        sums ``f`` over every user."""
+        values ``f`` at the new loads."""
         placement, selection = self.placement, self.selection
         old = [(k, placement[k], selection[k]) for k, _, _ in batch]
         for k, i, j in batch:

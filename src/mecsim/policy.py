@@ -11,8 +11,9 @@ Three corner cases hold for every policy:
 
 - A slot is *forced* when staying is infeasible at margin 0 (coverage lost
   or a station at capacity). It migrates whatever beta says; ``forced`` is set.
-- When the candidate solve is infeasible but staying works, the slot stays
-  with T1 = inf, at beta = 0 too.
+- When the candidate solve is infeasible, or its search finds no decision
+  (``RoundingFailedError``), but staying works, the slot stays with
+  T1 = inf, at beta = 0 too.
 - At beta = inf the comparison can never favour the candidate, so a
   candidate is solved only on forced slots. T1 is inf whenever no
   candidate was solved.
@@ -51,7 +52,7 @@ from dataclasses import dataclass, replace
 
 from . import oracle as oracle_mod
 from .delays import _IndexCosts
-from .errors import InfeasibleError
+from .errors import InfeasibleError, RoundingFailedError
 from .model import (
     ControllerState,
     DelayBreakdown,
@@ -191,10 +192,11 @@ def step(
     if forced or not math.isinf(state.beta):
         try:
             candidate = solve_slot(s, t, warm_start=prev, config=config, _exact=solved)[0]
-        except InfeasibleError as exc:
+        except (InfeasibleError, RoundingFailedError) as exc:
             if forced:
                 raise  # nothing to stay on and nothing to move to
-            _log.info("slot %d: the candidate is infeasible, staying: %s", t, exc)
+            found = "is infeasible" if isinstance(exc, InfeasibleError) else "was not found"
+            _log.info("slot %d: the candidate %s, staying: %s", t, found, exc)
         else:
             t1 = costs.switching(candidate.placement, prev.placement)
 

@@ -8,7 +8,11 @@ decision as it was. Each digest covers the decisions of one run:
   ``compare-small`` (3x1 grid, N=3, 16 slots);
 - the exact path where storage and station room bind: ``best_slot_decision``
   on tight 4-cloud, 5-user slots and ``offline_optimal`` on the small
-  horizon family.
+  horizon family;
+- the search's families, solved cold: the moderate and tight (5, 10)
+  slots, the tight (4, 8) slots, the 12 ``online-large`` slots and the
+  3x1-grid generator slots at N = 8, 10 and 12. They run the full pair
+  rescan, rotations, kicks and the enumeration fallback.
 A digest that moves means the decisions moved: either the change is not
 the pure speed-up it claims, or it changes results on purpose and says so.
 
@@ -25,7 +29,13 @@ import math
 import numpy as np
 
 import mecsim as ms
-from conftest import online_large_scenario, perfbench_workloads, random_doc, small_horizon_family
+from conftest import (
+    moderate_doc,
+    online_large_scenario,
+    perfbench_workloads,
+    random_doc,
+    small_horizon_family,
+)
 from mecsim.cli import main
 
 
@@ -107,4 +117,39 @@ def test_exact_path_where_pruning_bites_is_unchanged():
         outputs.append(([(d.placement, d.selection) for d in decisions], total))
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == (
         "fec9297b5cbaba1be2a1c111005bbe9fa07aa64af900b66a5f5e68ff0db9e845"
+    )
+
+
+def _search_families():
+    """(scenario, slot) of each slot of the search's families."""
+    for seed in range(80):
+        yield ms.validate_scenario(moderate_doc([seed, 5, 10], m=5, n=10)), 0
+        yield ms.validate_scenario(random_doc(seed, m=5, n=10, tight=True)), 0
+    for seed in range(60):
+        yield ms.validate_scenario(random_doc(seed, m=4, n=8, tight=True)), 0
+    large = online_large_scenario()
+    yield from ((large, t) for t in range(large.num_slots))
+    for n in (8, 10, 12):
+        for seed in (9, 13, 3):
+            s = ms.generate(ms.GeneratorConfig(
+                seed=seed, grid_width=3, grid_height=1, num_users=n, num_slots=16
+            ))
+            yield from ((s, t) for t in range(s.num_slots))
+
+
+def test_search_family_decisions_are_unchanged():
+    # Each cold solve's decision and repr'd value, or the name of the error
+    # it raises: searched slots, slots the search leaves to enumeration and
+    # slots refused as infeasible.
+    outputs = []
+    for s, t in _search_families():
+        try:
+            decision, _, report = ms.solve_slot(s, t)
+        except (ms.InfeasibleError, ms.RoundingFailedError) as error:
+            outputs.append(type(error).__name__)
+        else:
+            outputs.append((decision.placement, decision.selection, repr(report.objective)))
+    assert len(outputs) == 376
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == (
+        "344f7dada6ea1c100c381c46774debaa826a98c54ea011bea90fa11028e0bf1c"
     )

@@ -595,13 +595,15 @@ def _first_probe(state, batches):
 
 
 def _single_moves(state):
-    """Every one-user move but staying put, in (user, cloud,
-    coverage-order station) order."""
+    """Every one-user move but staying put, in (user, coverage-order
+    station, cloud by (latency, index)) order, the order of the search's
+    one-user walk."""
+    lat = state.tables.costs.lat
     return [
         [(k, i, j)]
         for k in range(state.n)
-        for i in range(state.m)
         for j in state.cov[k]
+        for i in sorted(range(state.m), key=lambda i: (lat[i][j], i))
         if (i, j) != (state.placement[k], state.selection[k])
     ]
 
@@ -764,6 +766,32 @@ def test_single_move_scan_breaks_ties_as_probe_does(case):
         assert _as_batch(state.best_single_move()) == _first_probe(
             state, _single_moves(state)
         )
+
+
+# one user on cloud 2 and station 2; moving it to (cloud 1, station 0) or
+# to (cloud 0, station 1) values the same, as the two stations are alike
+_CROSS_STATION_TIE = {
+    "num_clouds": 3,
+    "num_users": 1,
+    "num_slots": 1,
+    "cloud_capacity": [2.0, 2.0, 2.0],
+    "bs_capacity": [3.0, 3.0, 3.0],
+    "service_size": [1.0],
+    "link_latency": [[[4.0, 0.5, 4.0], [0.5, 4.0, 4.0], [4.0, 4.0, 1.0]]],
+    "coverage": [[[0, 1, 2]]],
+    "demand": [[1.0]],
+}
+
+
+def test_single_move_scan_breaks_a_cross_station_tie_by_station_first():
+    # Of two tied moves to different stations, the scan takes the one to
+    # the station earlier in coverage order, not the one to the lower cloud.
+    s = _validate(_CROSS_STATION_TIE)
+    for margin in (1e-6, 0.0):
+        state = _state(s, [2], [2], margin)
+        value = state.probe([(0, 1, 0)])
+        assert value is not None and value == state.probe([(0, 0, 1)])
+        assert state.best_single_move() == (value, (0, 1, 0))
 
 
 def test_single_move_scan_along_a_large_cold_solve(monkeypatch):
@@ -939,7 +967,7 @@ def test_apply_leaves_the_state_a_fresh_state_of_its_decision_has(case):
             if not state.apply(batch):
                 assert (state.placement, state.selection) == before
             fresh = _state(s, state.placement, state.selection, margin)
-            for name in ("used", "load", "users_on", "out", "wait", "drops", "f"):
+            for name in ("used", "load", "users_on", "out", "drops", "f"):
                 assert getattr(state, name) == getattr(fresh, name), name
             assert state.f == state.tables.costs.non_switching(state.placement, state.selection)
 

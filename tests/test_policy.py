@@ -395,6 +395,44 @@ def test_forced_slot_with_an_infeasible_candidate_raises():
             ms.run_policy(s, policy)
 
 
+def _failing_after_slot_0(monkeypatch):
+    """Make every candidate solve after slot 0 raise the search's
+    ``RoundingFailedError``, as on a slot past the enumeration budget where
+    no search seed survives."""
+    real = ms.policy.solve_slot
+
+    def failing(s, t, *args, **kwargs):
+        if t > 0:
+            raise ms.RoundingFailedError(f"no feasible decision at slot {t}")
+        return real(s, t, *args, **kwargs)
+
+    monkeypatch.setattr(ms.policy, "solve_slot", failing)
+
+
+def test_stay_kept_when_the_candidate_search_finds_nothing(monkeypatch, caplog):
+    s = ms.validate_scenario(_static_doc(slots=2))
+    _failing_after_slot_0(monkeypatch)
+    caplog.set_level(logging.INFO, logger="mecsim")
+    for policy in (ms.Policy.threshold(1.0), ms.Policy.always()):
+        caplog.clear()
+        outcomes = ms.run_policy(s, policy)
+        assert not outcomes[1].migrated and not outcomes[1].forced, policy.kind
+        assert outcomes[1].decision == outcomes[0].decision, policy.kind
+        assert outcomes[1].t1_candidate == math.inf, policy.kind
+        assert [(r.name, r.levelno) for r in caplog.records] == [("mecsim", logging.INFO)]
+        assert caplog.records[0].getMessage() == (
+            "slot 1: the candidate was not found, staying: no feasible decision at slot 1"
+        )
+
+
+def test_forced_slot_with_a_failed_candidate_search_raises(monkeypatch):
+    s = ms.validate_scenario(_coverage_loss_doc())  # slot 1 is forced
+    _failing_after_slot_0(monkeypatch)
+    for policy in (ms.Policy.threshold(1.0), ms.Policy.never()):
+        with pytest.raises(ms.RoundingFailedError, match="slot 1"):
+            ms.run_policy(s, policy)
+
+
 def test_step_logs_its_rare_paths(caplog):
     caplog.set_level(logging.INFO, logger="mecsim")
     s = ms.validate_scenario(_coverage_loss_doc())
