@@ -23,8 +23,9 @@ The rounding's column CDFs are built once per solve and drawn from for
 every seed; a draw is checked on plain-list tallies, which sum as
 ``decision_feasible`` does, pick by pick: it is dropped at the first cloud
 or station over its limit, and the first draw that fits becomes the seed's
-``SlotDecision``. The search states and greedy repair tally with
-``decision_feasible``'s ``model._tally``.
+``SlotDecision``. Greedy repair tallies with ``decision_feasible``'s
+``model._tally``; the search states sum each cloud and station over its
+user list in user order, the same floats.
 
 The search values each probed move as the current objective plus the
 change in the terms of the stations and users the move touches. Each step
@@ -32,16 +33,18 @@ walks the one-user moves in latency order: a move's value never falls as
 its link latency grows, so per user and covered station the nearest cloud
 with room is the first move of least value, and the walk keeps the first
 move of least value in (user, coverage-order station, latency-order cloud)
-order. Applying a move sums every tally again in user order, prices only
-the stations it touches and values ``f`` through ``_IndexCosts`` at the
-new loads, so a state is always a fresh state of its decision.
-Two-user moves are valued in one NumPy pass per step: on small slots the full
-rescan of any two users to any two spots, otherwise every plain exchange
-over the pairs whose stations cover each other. Single probes value only
+order. A state keeps each cloud's and each station's users in user
+order; applying a move sums again only the clouds and stations it touches,
+prices only those stations and folds ``f`` from the kept queue prices and
+latencies in user order, so a state is always a fresh state of its
+decision. Two-user moves are valued once per step: on small slots the full
+rescan of any two users to any two spots in one NumPy pass, otherwise every
+plain exchange by a walk over each user's covering partners, read from the
+station lists. Single probes value only
 three-user rotations. Every search state is feasible, so the one-user scan
 and the kicks test only a move's targets. Float-safe lower bounds ("floors") skip the scans that
 cannot win: a user whose one-user moves all value at or above the least
-value found so far is not walked, and the exchange pass and the rotation
+value found so far is not walked, and the exchange walk and the rotation
 probes run only when some move of theirs could pass the step's bar. A
 floor is a real lower bound on the value, less a slack of 1e-9 * (1 + f)
 that covers the rounding, so a skip never drops a move that would have
@@ -64,7 +67,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -364,9 +367,8 @@ class _SlotTables:
     storage and station limits, the coverage sets and which move scans the
     search runs (``scan_pairs``, ``rotations``), and ``gap``, the most an
     exchange or a rotation lowers a station's load. The clouds' latency
-    order, each user's ``nearest`` latency, the exchange arrays and the pair
-    enumeration are built on first use, so each is built at most once per
-    solve.
+    order, each user's ``nearest`` latency and the pair enumeration are
+    built on first use, so each is built at most once per solve.
 
     ``descents`` is the solve's record of ``_local_search``: it maps each
     decision (placement, selection) of a descent that ended at a local
@@ -409,24 +411,6 @@ class _SlotTables:
         """Per user, the least latency of any cloud to a covered station."""
         lat, order = self.costs.lat, self.cloud_order
         return [min(lat[order[j][0]][j] for j in stations) for stations in self.cov]
-
-    @cached_property
-    def exchange_arrays(self) -> tuple[np.ndarray, ...]:
-        """The static per-user arrays of ``_SearchState.best_exchange``."""
-        covered = np.zeros((self.n, self.m), dtype=bool)
-        for k, stations in enumerate(self.cov):
-            covered[k, list(stations)] = True
-        sizes = np.array(self.costs.sizes)
-        demand = np.array(self.costs.demand)
-        return (
-            covered,
-            sizes[None, :] - sizes[:, None],    # [a, b] = s_b - s_a
-            demand[None, :] - demand[:, None],  # [a, b] = c_b - c_a
-            np.array(self.cloud_cap),
-            np.array(self.costs.bs_cap),
-            np.array(self.limit),
-            np.triu(np.ones((self.n, self.n), dtype=bool), 1),
-        )
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, ...]:
@@ -539,24 +523,29 @@ class _SearchState:
     """Integral decision with the bookkeeping of the discrete search.
 
     Every state is feasible: each seed passes ``_Rounding.fits`` or
-    ``decision_feasible``, which sum as the state's own ``model._tally``
-    does, or is built under the same limits (the greedy start), and
-    ``apply`` keeps every limit met. It sums the tallies again in user
-    order, which can round one bit above the sum a move was checked at, and
-    refuses a move whose new tallies break a limit. So
+    ``decision_feasible``, which sum as ``model._tally`` does, or is built
+    under the same limits (the greedy start), and ``apply`` keeps every
+    limit met. It sums the touched tallies again in user order, which can
+    round one bit above the sum a move was checked at, and refuses a move
+    whose new tallies break a limit. So
     leaving a cloud or a station never breaks its limit, no queue term
     divides by a station's room at or below zero, and a one-user move
     (k, i, j) passes ``probe`` exactly when i is k's cloud or has room for
     s_k, and j is k's station or has room for c_k.
 
     Plain lists keep probes cheap. ``f`` is the non-switching delay of the
-    current decision, and the state keeps each station's ``out`` term and
-    its floor drop ``drops`` (see ``floors``). ``apply`` sums every tally
-    again with ``_tally``, prices only the stations a batch touches again,
-    their drops too, and values ``f`` through ``_IndexCosts`` at the new
-    loads (``_settle``), the float ``_IndexCosts.non_switching`` gives. A
-    station no batch touched keeps its load, count and term, so
-    every tally, term, drop and ``f`` is a fresh state's, and no state
+    current decision. The state keeps each cloud's and each station's users
+    in ascending user order (``cloud_users``, ``station_users``), each
+    user's link latency ``user_lat``, and per station its queue price
+    ``recip`` = 1.0 / (C - L), its ``out`` term on / (C - L) and its floor
+    drop ``drops`` (see ``floors``), each 0.0 on an empty station. Each
+    tally is its list's left sum in user order from 0.0, the float
+    ``model._tally`` gives, so ``apply`` sums again only the clouds and
+    stations a batch touches and prices only those stations again
+    (``_settle``); ``f`` is folded from the kept prices and latencies, the
+    float ``_IndexCosts.non_switching`` gives. A station no batch touched
+    keeps its list, tallies and terms, so
+    every kept field and ``f`` is a fresh state's, and no state
     carries rounding from the moves that led to it. A probe values a batch
     of per-user (cloud, station) reassignments, distinct users each, as
     ``f`` plus the change in the terms of the stations and users it
@@ -564,9 +553,9 @@ class _SearchState:
     the station limit are rejected without evaluation. The scans find the
     first best move of a kind, each in its own order, with the same
     arithmetic: ``best_single_move`` by a walk in latency order,
-    ``best_pair_move`` over the full two-user
-    rescan and ``best_exchange`` over the plain exchanges of users whose
-    stations cover each other, in one array pass each. ``probe`` itself
+    ``best_pair_move`` over the full two-user rescan in one array pass, and
+    ``best_exchange`` by a walk over each user's covering partners, read
+    from the station lists. ``probe`` itself
     serves only rotations. The slot's static data is read from the solve's
     ``_SlotTables``.
     ``user_floors`` and ``floors`` bound the values of one user's moves, of
@@ -577,8 +566,8 @@ class _SearchState:
     """
 
     __slots__ = (
-        "tables", "m", "n", "cov", "placement", "selection",
-        "used", "load", "users_on", "out", "drops", "f",
+        "tables", "m", "n", "cov", "placement", "selection", "cloud_users", "station_users",
+        "user_lat", "used", "load", "users_on", "recip", "out", "drops", "f",
     )
 
     def __init__(
@@ -590,35 +579,67 @@ class _SearchState:
         self.cov = tables.cov
         self.placement = list(placement)
         self.selection = list(selection)
-        self.used, self.load, self.users_on = _tally(
-            m, placement, selection, tables.costs.sizes, tables.costs.demand
-        )
+        lat = tables.costs.lat
+        self.user_lat = [lat[i][j] for i, j in zip(placement, selection)]
+        self.cloud_users: list[list[int]] = [[] for _ in range(m)]
+        self.station_users: list[list[int]] = [[] for _ in range(m)]
+        for k, (i, j) in enumerate(zip(placement, selection)):
+            self.cloud_users[i].append(k)
+            self.station_users[j].append(k)
+        self.used = [0.0] * m
+        self.load = [0.0] * m
+        self.users_on = [0] * m
+        self.recip = [0.0] * m
         self.out = [0.0] * m
         self.drops = [0.0] * m
+        self._resum(range(m), range(m))
         self._settle(range(m))
+
+    def _resum(self, clouds: Iterable[int], stations: Iterable[int]) -> None:
+        """Sum the given clouds' storage and stations' loads and users again
+        from their lists, each a left sum in user order from 0.0."""
+        sizes, demand = self.tables.costs.sizes, self.tables.costs.demand
+        for i in clouds:
+            total = 0.0
+            for k in self.cloud_users[i]:
+                total += sizes[k]
+            self.used[i] = total
+        for j in stations:
+            users = self.station_users[j]
+            total = 0.0
+            for k in users:
+                total += demand[k]
+            self.load[j] = total
+            self.users_on[j] = len(users)
 
     def _settle(self, stations: Iterable[int]) -> None:
         """Price the given stations from their tallies and value the
-        decision. A station's ``out`` is its queue term on / (C - L), 0.0
-        when empty, and its ``drops`` the most an exchange or a rotation
-        lowers that term, out - on / (C - (L - gap)), 0.0 when empty (see
-        ``floors``). ``f`` is the queuing total at the state's loads plus
-        the communication total, both from ``_IndexCosts``: ``_tally`` sums
-        the loads in user order from 0.0, as ``_IndexCosts.queuing`` does,
-        so ``f`` is the float ``_IndexCosts.non_switching`` gives."""
-        costs, gap = self.tables.costs, self.tables.gap
-        bs_cap = costs.bs_cap
-        load, users_on, out, drops = self.load, self.users_on, self.out, self.drops
+        decision. A station's ``recip`` is 1.0 / (C - L) and its ``out`` the
+        queue term on / (C - L), both 0.0 when empty, and its ``drops`` the
+        most an exchange or a rotation lowers that term,
+        out - on / (C - (L - gap)), 0.0 when empty (see ``floors``). ``f`` is
+        the left sum in user order from 0.0 of each user's station's
+        ``recip``, plus that of each user's ``user_lat``: the loads are
+        left sums in user order, as ``_IndexCosts.queuing`` sums them, so
+        ``f`` is the float ``_IndexCosts.non_switching`` gives."""
+        bs_cap, gap = self.tables.costs.bs_cap, self.tables.gap
+        load, users_on = self.load, self.users_on
+        recip, out, drops = self.recip, self.out, self.drops
         for j in stations:
             c, v = bs_cap[j], load[j]
             on = users_on[j]
             if on:
-                q = out[j] = on / (c - v)
+                room = c - v
+                recip[j] = 1.0 / room
+                q = out[j] = on / room
                 drops[j] = q - on / (c - (v - gap))
             else:
-                out[j] = drops[j] = 0.0
-        placement, selection = self.placement, self.selection
-        self.f = costs._queuing_at(selection, load) + costs.communication(placement, selection)
+                recip[j] = out[j] = drops[j] = 0.0
+        queuing = communication = 0.0
+        for j, latency in zip(self.selection, self.user_lat):
+            queuing += recip[j]
+            communication += latency
+        self.f = queuing + communication
 
     def probe(self, batch: list[tuple[int, int, int]]) -> float | None:
         tables, costs = self.tables, self.tables.costs
@@ -834,77 +855,95 @@ class _SearchState:
         q_j = on_j / (C_j - L_j) and the primed terms at loads
         L_ja + (c_b - c_a) and L_jb + (c_a - c_b). An exchange on one station
         values exactly f and can never improve, and one where a station
-        does not cover the other user is infeasible. So the pass takes the
-        pairs a < b on different stations that cover each other, in (a, b)
-        order, and tests storage and load and prices the terms only on
-        those. Storage moves by s_b - s_a on a's cloud and by its exact
-        negation s_a - s_b on b's, by 0.0 when a and b share a cloud; load
-        moves by c_b - c_a on a's station and by c_a - c_b on b's. The q
-        terms are the stations' ``out``, on / (C - L) on an occupied one.
+        does not cover the other user is infeasible. So for each user a the
+        walk takes, from the lists of a's other covered stations, the users
+        b > a whose coverage holds a's station, and tests storage and load
+        and prices the terms only on those. Storage moves by s_b - s_a on
+        a's cloud and by its exact negation s_a - s_b on b's, and not at all
+        when a and b share a cloud, where the feasible state's storage
+        holds; load moves by c_b - c_a on a's station and by c_a - c_b on
+        b's. The q terms are the stations' ``out``. A walked pair is kept
+        when its value is strictly the lowest so far, or equal to it with
+        the kept pair's a and a lower b, so the kept pair is the first
+        minimum in (a, b) order.
         """
-        covered, size_gap, demand_gap, cloud_cap, bs_cap, limit, upper = (
-            self.tables.exchange_arrays
-        )
-        pl = np.array(self.placement)
-        sel = np.array(self.selection)
-        # [a, b]: b's station covers a, and a's station covers b
-        reach = covered[:, sel]
-        a, b = np.nonzero(upper & (sel[:, None] != sel[None, :]) & reach & reach.T)
-        pa, pb, ja, jb = pl[a], pl[b], sel[a], sel[b]
-        # s_b - s_a moves onto a's cloud and its exact negation onto b's
-        moved = np.where(pa == pb, 0.0, size_gap[a, b])
-        used = np.array(self.used)
-        ok = (used[pa] + moved <= cloud_cap[pa]) & (used[pb] - moved <= cloud_cap[pb])
-        load = np.array(self.load)
-        shift = demand_gap[a, b]  # c_b - c_a, and its exact negation
-        load_a = load[ja] + shift
-        load_b = load[jb] - shift
-        ok &= (load_a <= limit[ja]) & (load_b <= limit[jb])
-        w = np.flatnonzero(ok)
-        if not w.size:
+        tables, costs = self.tables, self.tables.costs
+        sizes, demand, bs_cap = costs.sizes, costs.demand, costs.bs_cap
+        cloud_cap, limit, covsets = tables.cloud_cap, tables.limit, tables.covsets
+        placement, selection, station_users = self.placement, self.selection, self.station_users
+        f, used, load, users_on, out = self.f, self.used, self.load, self.users_on, self.out
+        best = None  # (least value, a, b)
+        for a, stations in enumerate(self.cov):
+            ia, ja = placement[a], selection[a]
+            for jb in stations:
+                if jb == ja:
+                    continue
+                for b in station_users[jb]:
+                    if b <= a or ja not in covsets[b]:
+                        continue
+                    ib = placement[b]
+                    if ia != ib:
+                        moved = sizes[b] - sizes[a]
+                        if used[ia] + moved > cloud_cap[ia] or used[ib] - moved > cloud_cap[ib]:
+                            continue
+                    shift = demand[b] - demand[a]
+                    load_a = load[ja] + shift
+                    load_b = load[jb] - shift
+                    if load_a > limit[ja] or load_b > limit[jb]:
+                        continue
+                    value = f + (
+                        (((0.0 - out[ja]) + users_on[ja] / (bs_cap[ja] - load_a)) - out[jb])
+                        + users_on[jb] / (bs_cap[jb] - load_b)
+                    )
+                    if best is None or value < best[0] or (
+                        value == best[0] and a == best[1] and b < best[2]
+                    ):
+                        best = (value, a, b)
+        if best is None:
             return None
-        a, b, ja, jb = a[w], b[w], ja[w], jb[w]
-        on = np.array(self.users_on)
-        q = np.array(self.out)  # on / (C - L) on each station a user sits on
-        delta = (
-            ((0.0 - q[ja]) + on[ja] / (bs_cap[ja] - load_a[w])) - q[jb]
-        ) + on[jb] / (bs_cap[jb] - load_b[w])
-        values = self.f + delta
-        w = int(np.argmin(values))
-        a, b = int(a[w]), int(b[w])
-        return float(values[w]), [
-            (a, self.placement[b], self.selection[b]),
-            (b, self.placement[a], self.selection[a]),
-        ]
+        value, a, b = best
+        return value, [(a, placement[b], selection[b]), (b, placement[a], selection[a])]
+
+    def _move(self, batch: list[tuple[int, int, int]]) -> None:
+        """Move each user of the batch to its (cloud, station) in the
+        decision, the user lists and ``user_lat``; no tally changes."""
+        lat = self.tables.costs.lat
+        placement, selection, user_lat = self.placement, self.selection, self.user_lat
+        cloud_users, station_users = self.cloud_users, self.station_users
+        for k, i, j in batch:
+            cloud_users[placement[k]].remove(k)
+            station_users[selection[k]].remove(k)
+            insort(cloud_users[i], k)
+            insort(station_users[j], k)
+            placement[k], selection[k] = i, j
+            user_lat[k] = lat[i][j]
 
     def apply(self, batch: list[tuple[int, int, int]]) -> bool:
         """Make the batch's moves and return True, unless a tally summed
         again breaks its limit: then put the moved users back and return
         False.
 
-        Every tally is summed again by ``_tally``, user by user in user
-        order from 0.0, so every tally is a fresh state's. Only the tallies
-        of the clouds and stations the batch moves users to are tested:
-        every other tally is the sum it was, or a sum of fewer of the same
-        positive terms in the same order, which rounds no higher.
-        ``_settle`` then prices the stations the batch touched again and
-        values ``f`` at the new loads."""
-        placement, selection = self.placement, self.selection
-        old = [(k, placement[k], selection[k]) for k, _, _ in batch]
-        for k, i, j in batch:
-            placement[k] = i
-            selection[k] = j
-        costs = self.tables.costs
-        used, load, users_on = _tally(self.m, placement, selection, costs.sizes, costs.demand)
-        cloud_cap, limit = self.tables.cloud_cap, self.tables.limit
+        The clouds and stations the batch moves users from or to are summed
+        again from their lists (``_resum``), user by user in user order from
+        0.0, so every tally is a fresh state's. Only the tallies of the
+        clouds and stations the batch moves users to are tested: every
+        other tally is the sum it was, or a sum of fewer of the same
+        positive terms in the same order, which rounds no higher. A refused
+        batch's users go back to their lists and the touched tallies are
+        summed again, to the floats they had. ``_settle`` then prices the
+        stations the batch touched again and folds ``f``."""
+        old = [(k, self.placement[k], self.selection[k]) for k, _, _ in batch]
+        clouds = {i for _, i, _ in old + batch}
+        stations = {j for _, _, j in old + batch}
+        self._move(batch)
+        self._resum(clouds, stations)
+        cloud_cap, limit, used, load = self.tables.cloud_cap, self.tables.limit, self.used, self.load
         for _, i, j in batch:
             if used[i] > cloud_cap[i] or load[j] > limit[j]:
-                for k, i0, j0 in old:
-                    placement[k] = i0
-                    selection[k] = j0
+                self._move(old)
+                self._resum(clouds, stations)
                 return False
-        self.used, self.load, self.users_on = used, load, users_on
-        self._settle({j for _, _, j in old + batch})
+        self._settle(stations)
         return True
 
     def decision(self) -> SlotDecision:
@@ -923,9 +962,9 @@ def _local_search(
     three users rotating their assignments. Rotations matter when tight
     storage makes good decisions permutations of each other. Each step takes
     the first best move in that order: one-user moves come from one
-    ``best_single_move`` scan, two-user moves from one ``best_pair_move`` or
-    ``best_exchange`` pass, and only rotations from ``probe``. The exchange
-    pass and the rotation probes are skipped when their floor
+    ``best_single_move`` walk, two-user moves from one ``best_pair_move``
+    pass or one ``best_exchange`` walk, and only rotations from ``probe``.
+    The exchange walk and the rotation probes are skipped when their floor
     (``_SearchState.floors``) is at or above the bar a move must pass, so
     no move they could return would be taken; a NaN floor skips nothing.
 

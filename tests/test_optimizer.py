@@ -837,7 +837,7 @@ def test_exchange_scan_breaks_ties_as_probe_does(case):
 
 def test_exchange_scan_along_a_large_cold_solve(monkeypatch):
     # Slot 0 of the online-large benchmark scenario (M=16, N=40): every
-    # exchange pass of the search is checked against every probe.
+    # exchange scan of the search is checked against every probe.
     s = online_large_scenario()
     scan = _SearchState.best_exchange
     checked = 0
@@ -957,6 +957,8 @@ _RESUM_AT_CAPACITY = {
 @given(_apply_case())
 # at margin 0, user 1 arriving on station 0 sums again to its capacity
 @example((_RESUM_AT_CAPACITY, (0, 0, 0), (0, 1, 0), [[(1, 0, 0)]]))
+# users 0 and 2 leave station 0 empty: its kept terms go back to 0.0
+@example((_RESUM_AT_CAPACITY, (0, 0, 0), (0, 1, 0), [[(0, 0, 1), (2, 0, 1)]]))
 def test_apply_leaves_the_state_a_fresh_state_of_its_decision_has(case):
     doc, placement, selection, batches = case
     s = _validate(doc)
@@ -967,9 +969,36 @@ def test_apply_leaves_the_state_a_fresh_state_of_its_decision_has(case):
             if not state.apply(batch):
                 assert (state.placement, state.selection) == before
             fresh = _state(s, state.placement, state.selection, margin)
-            for name in ("used", "load", "users_on", "out", "drops", "f"):
+            for name in (
+                "cloud_users", "station_users", "user_lat",
+                "used", "load", "users_on", "recip", "out", "drops", "f",
+            ):
                 assert getattr(state, name) == getattr(fresh, name), name
             assert state.f == state.tables.costs.non_switching(state.placement, state.selection)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_apply_case())
+@example((_RESUM_AT_CAPACITY, (0, 0, 0), (0, 1, 0), [[(1, 0, 0)]]))
+def test_exchange_scan_and_single_move_scan_after_each_applied_or_refused_batch(case):
+    # The scans read the kept lists, tallies and terms that ``apply``
+    # updates; after every batch, applied or refused, each still returns the
+    # first strict probe minimum of its moves. The scans assume a feasible
+    # state, as every search state is, so a start that breaks a limit at
+    # this margin (a near-capacity station at margin 1e-6) is skipped.
+    doc, placement, selection, batches = case
+    s = _validate(doc)
+    start = ms.SlotDecision(tuple(placement), tuple(selection))
+    for margin in (1e-6, 0.0):
+        if not ms.decision_feasible(s, 0, start, margin):
+            continue
+        state = _state(s, placement, selection, margin)
+        for batch in batches:
+            state.apply(batch)
+            assert state.best_exchange() == _first_probe(state, _exchanges(state))
+            assert _as_batch(state.best_single_move()) == _first_probe(
+                state, _single_moves(state)
+            )
 
 
 @settings(max_examples=300, deadline=None)
@@ -1085,7 +1114,7 @@ def _step_bar(state):
 
 def test_skipped_exchange_passes_would_not_have_won(monkeypatch):
     # Slot 0 of the online-large benchmark scenario (M=16, N=40): each
-    # exchange pass the floor skips is run here; no exchange it finds would
+    # exchange scan the floor skips is run here; no exchange it finds would
     # have passed the step's bar.
     s = online_large_scenario()
     floors = _SearchState.floors
@@ -1108,7 +1137,7 @@ def test_skipped_exchange_passes_would_not_have_won(monkeypatch):
 
 def test_cold_large_solve_skips_most_exchange_passes(monkeypatch):
     # On slot 0 of the online-large benchmark scenario every search step ran
-    # one exchange pass; the exchange floor shows most of them cannot win.
+    # one exchange scan; the exchange floor shows most of them cannot win.
     s = online_large_scenario()
     steps = passes = 0
     floors, exchange = _SearchState.floors, _SearchState.best_exchange
@@ -1154,8 +1183,9 @@ def test_pair_scan_along_a_small_cold_solve(monkeypatch):
 
 
 def test_cold_solve_does_not_probe_exchanges_one_by_one(monkeypatch):
-    # One array pass per search step values the plain exchanges; probing
-    # them pair by pair took 125,168 probe calls on this slot.
+    # One walk per search step over each user's covering partners, read
+    # from the station lists, values the plain exchanges; probing them pair
+    # by pair took 125,168 probe calls on this slot.
     s = online_large_scenario()
     calls = 0
     probe = _SearchState.probe
