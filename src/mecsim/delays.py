@@ -124,13 +124,14 @@ class _IndexCosts:
     value many decisions at once and give the same floats.
     """
 
-    __slots__ = ("sizes", "demand", "bs_cap", "lat")
+    __slots__ = ("sizes", "demand", "bs_cap", "lat", "lat_array")
 
     def __init__(self, s: Scenario, t: int) -> None:
         self.sizes = s.service_size.tolist()
         self.demand = s.demand[t].tolist()
         self.bs_cap = s.bs_capacity.tolist()
-        self.lat = s.link_latency[t].tolist()
+        self.lat_array = s.link_latency[t]
+        self.lat = self.lat_array.tolist()
 
     def queuing(self, selection: Sequence[int]) -> float:
         """Each user's 1 / (C_j - load_j) at its station j."""
@@ -181,7 +182,7 @@ class _IndexCosts:
         ``selections``, a (P, S) table. User k's latencies are added to every
         entry at once, in user order onto 0.0: elementwise IEEE adds in the
         order ``communication`` makes them, so the same floats."""
-        lat = np.asarray(self.lat)
+        lat = self.lat_array
         table = np.zeros((len(placements), len(selections)))
         for k in range(placements.shape[1]):
             table += lat[placements[:, k, None], selections[:, k]]

@@ -20,12 +20,14 @@ perturbation restarts. A slot where no search seed survives is enumerated
 after all, through the same exact-slot cache, when it is within
 ``oracle.ENUMERATION_BUDGET``.
 The rounding's column CDFs are built once per solve and drawn from for
-every seed; a draw is checked on plain-list tallies, which sum as
-``decision_feasible`` does, pick by pick: it is dropped at the first cloud
-or station over its limit, and the first draw that fits becomes the seed's
-``SlotDecision``. Greedy repair tallies with ``decision_feasible``'s
-``model._tally``; the search states sum each cloud and station over its
-user list in user order, the same floats.
+every seed. A draw's fit depends only on the picks of the columns whose
+pick varies with the uniform, its key, and each key is checked once per
+build on plain-list tallies, which sum as ``decision_feasible`` does, pick
+by pick: the check stops at the first cloud or station over its limit.
+The first draw that fits becomes the seed's ``SlotDecision``. Greedy
+repair tallies with ``decision_feasible``'s ``model._tally``; the search
+states sum each cloud and station over its user list in user order, the
+same floats.
 
 The search values each probed move as the current objective plus the
 change in the terms of the stations and users the move touches. Each step
@@ -52,7 +54,8 @@ been taken. The slot's static data is built once per solve and shared by
 all its searches and kicks, together with a record of the solve's
 descents: a descent depends only on its decision and the slot, so a search
 that starts at or reaches a decision an earlier search of the solve
-descended from stops there with that descent's local optimum. Greedy
+descended from stops there with that descent's local optimum. A kick
+hands the state it moved to its descent, which starts from it. Greedy
 repair and the greedy start price a user's stations with one helper. When
 the uniform point cannot be repaired, one zero-cost LP supplies the point
 to round; on a searched slot it also tells an empty slot from one with no
@@ -68,7 +71,7 @@ import logging
 import math
 import operator
 from bisect import bisect_right, insort
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -950,12 +953,13 @@ class _SearchState:
         return SlotDecision(tuple(self.placement), tuple(self.selection))
 
 
-def _local_search(
-    tables: _SlotTables, d: SlotDecision
-) -> tuple[SlotDecision, float, int]:
-    """Best-improvement descent over integral decisions; returns the local
-    optimum, its value and the number of moves applied, at most
-    ``_MAX_MOVES``.
+def _local_search(state: _SearchState) -> tuple[SlotDecision, float, int]:
+    """Best-improvement descent over integral decisions from the state's
+    decision; returns the local optimum, its value and the number of moves
+    applied, at most ``_MAX_MOVES``. The descent moves the state itself, so
+    a caller hands over a state it no longer needs: a fresh one, or the
+    one ``_kick`` returns, which ``apply`` left a fresh state of its
+    decision.
 
     Moves: one user to any feasible (cloud, station); two users jointly to
     any pair (full rescans only while cheap, plain exchanges otherwise); and
@@ -969,18 +973,19 @@ def _local_search(
     no move they could return would be taken; a NaN floor skips nothing.
 
     The steps from a decision depend only on it and the slot tables, so a
-    start in ``tables.descents`` returns the recorded result, and a descent
-    that reaches a recorded decision after ``moves`` moves ends with its
-    optimum after ``moves + rest``, where continuing would end, while that
-    stays within the cap. A descent also ends where ``apply`` refuses its
+    start in ``tables.descents`` returns the recorded result, whatever
+    moves brought the state there, and a descent that reaches a recorded
+    decision after ``moves`` moves ends with its optimum after
+    ``moves + rest``, where continuing would end, while that stays within
+    the cap. A descent also ends where ``apply`` refuses its
     best move. A descent that ends at a local optimum records every
     decision on its path; one stopped by the cap records none.
     """
+    tables = state.tables
     descents = tables.descents
-    key = (d.placement, d.selection)
+    key = (tuple(state.placement), tuple(state.selection))
     if key in descents:
         return descents[key]
-    state = _SearchState(tables, d.placement, d.selection)
     n = state.n
     path = [key]
     while len(path) <= _MAX_MOVES:
@@ -1034,8 +1039,10 @@ def _local_search(
 
 def _kick(
     tables: _SlotTables, d: SlotDecision, rng: np.random.Generator
-) -> SlotDecision:
-    """Reassign two random users to random feasible spots, for restarts.
+) -> _SearchState:
+    """Reassign two random users of ``d`` to random feasible spots, for
+    restarts; returns the state it moved, for ``_local_search`` to descend
+    from.
 
     A mover's options are the (cloud, station) pairs ``probe`` passes,
     listed by their room (see ``_SearchState``) in (cloud, coverage-order
@@ -1057,7 +1064,7 @@ def _kick(
         ]
         i, j = options[int(rng.integers(len(options)))]
         state.apply([(k, i, j)])
-    return state.decision()
+    return state
 
 
 def _column_cdfs(columns: np.ndarray) -> list[list[float]]:
@@ -1087,6 +1094,15 @@ class _Rounding:
     to coverage, as ``_column_cdfs`` builds them: the x CDFs in one call,
     the y CDFs in one call per coverage size, since each row of a (g, L)
     array reduces exactly as a lone (1, L) row does.
+
+    A draw's 2n uniforms pick user k's cloud by u[2k] and its station by
+    u[2k + 1]; these are the columns' slots. ``bisect_right`` over a CDF
+    that ends at 1.0 gives one pick for every uniform in [0, 1) exactly
+    when each entry is <= 0.0 or >= 1.0: the count of entries <= 0.0,
+    kept in ``fixed``. The other columns' slots are ``vary``, and the picks
+    there are a draw's key. A draw's fit depends on its key alone, so the
+    build keeps the ``fits`` verdict of each key seen (``verdicts``), and
+    every seed drawn from it shares them.
     """
 
     def __init__(self, tables: _SlotTables, x: np.ndarray, y: np.ndarray) -> None:
@@ -1101,14 +1117,20 @@ class _Rounding:
             rows = y[np.array([cov[k] for k in users]), np.array(users)[:, None]]
             for k, cdf in zip(users, _column_cdfs(rows)):
                 self.y_cdf[k] = cdf
+        cdfs = [cdf for pair in zip(self.x_cdf, self.y_cdf) for cdf in pair]
+        self.fixed = np.array([bisect_right(cdf, 0.0) for cdf in cdfs], dtype=np.intp)
+        self.vary = np.array([
+            slot for slot, cdf in enumerate(cdfs) if not all(v <= 0.0 or v >= 1.0 for v in cdf)
+        ], dtype=np.intp)
+        self.vary_cdf = [cdfs[slot] for slot in self.vary]
+        self.verdicts: dict[tuple[int, ...], bool] = {}
 
-    def picks(self, u: list[float]) -> tuple[Iterator[int], Iterator[int]]:
-        """The draw of 2n uniforms, as lazy (placement, selection): user k's
-        cloud is picked by u[2k] and its station by u[2k + 1]."""
-        return (
-            map(bisect_right, self.x_cdf, u[0::2]),
-            map(operator.getitem, self.tables.cov, map(bisect_right, self.y_cdf, u[1::2])),
-        )
+    def picks(self, key: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        """The draw of a key, as (placement, selection)."""
+        picks = self.fixed.copy()
+        picks[self.vary] = key
+        both = picks.tolist()
+        return both[0::2], list(map(operator.getitem, self.tables.cov, both[1::2]))
 
     def fits(self, placement: Iterable[int], selection: Iterable[int]) -> bool:
         """Whether a draw's storage and load meet every limit. The tallies
@@ -1131,22 +1153,27 @@ class _Rounding:
         return True
 
     def draw(self, rng_seed: int) -> tuple[SlotDecision, int, int]:
-        """``round_decision`` of the point for ``rng_seed``. An attempt's
-        picks are made lazily, as ``fits`` reads them; only the first draw
-        that fits, or the last one when none does, is formed whole. ``fits``
+        """``round_decision`` of the point for ``rng_seed``. Each attempt
+        takes its 2n uniforms and picks only its key; ``fits`` runs on the
+        draw of a key not seen before, and only the draw returned, or the
+        last one repaired when none fits, is formed as a decision. ``fits``
         is a draw's whole check: its picks lie in ``range(M)`` and in the
         user's coverage, as every CDF ends at 1.0."""
-        tables = self.tables
+        tables, verdicts = self.tables, self.verdicts
+        vary, vary_cdf = self.vary, self.vary_cdf
         rng = np.random.default_rng(rng_seed)
         for attempt in range(1, _MAX_ATTEMPTS + 1):
-            u = rng.random(2 * tables.n).tolist()
-            if self.fits(*self.picks(u)):
-                return SlotDecision(*map(tuple, self.picks(u))), attempt, 0
+            key = tuple(map(bisect_right, vary_cdf, rng.random(2 * tables.n)[vary].tolist()))
+            fit = verdicts.get(key)
+            if fit is None:
+                fit = verdicts[key] = self.fits(*self.picks(key))
+            if fit:
+                return SlotDecision(*map(tuple, self.picks(key))), attempt, 0
         _log.debug(
             "slot %d: no feasible draw in %d attempts; repairing the last greedily",
             tables.t, _MAX_ATTEMPTS,
         )
-        last = SlotDecision(*map(tuple, self.picks(u)))
+        last = SlotDecision(*map(tuple, self.picks(key)))
         repaired, moves = _greedy_repair(tables, last)
         return repaired, _MAX_ATTEMPTS, moves
 
@@ -1172,8 +1199,10 @@ def round_decision(
     in one call, the cloud then the station for each user in turn, and
     picks entries with ``bisect_right``: the same stream and the same picks
     as one ``rng.choice(len(p), p=p)`` per column. A draw is checked on
-    plain-list tallies, which give ``decision_feasible``'s verdict on it;
-    the first one that fits becomes the ``SlotDecision`` returned.
+    plain-list tallies, which give ``decision_feasible``'s verdict on it,
+    once per distinct key (the picks of the columns whose pick varies),
+    and the seeds drawn from one build share the verdicts; the first draw
+    that fits becomes the ``SlotDecision`` returned.
 
     Raises ValueError unless ``t`` is an integer in ``range(s.num_slots)``
     and ``rng_seed`` an integer >= 0, DimensionMismatchError unless both
@@ -1391,13 +1420,14 @@ def _search_slot(
     uniform point (of the zero-cost LP point when the uniform point cannot
     be repaired), the greedy indicator, and the warm start after greedy
     repair. A seed whose rounding or repair fails is dropped. Each distinct
-    seed is searched (``_local_search``); the best local optimum, the first
-    on ties, then takes ``_KICK_ROUNDS`` seeded kicks, each followed by a
-    search. The winner is checked once more with ``decision_feasible``; its
-    value is the search's own ``_IndexCosts`` value. Raises InfeasibleError
-    (NoInteriorPointError when only loads at capacity fit) when the relaxed
-    slot is empty, and RoundingFailedError when no seed yields a feasible
-    decision or the winner fails the check.
+    seed is searched (``_local_search``) from a fresh state; the best local
+    optimum, the first on ties, then takes ``_KICK_ROUNDS`` seeded kicks,
+    each followed by a search from the kicked state. The winner is checked
+    once more with ``decision_feasible``; its value is the search's own
+    ``_IndexCosts`` value. Raises InfeasibleError (NoInteriorPointError
+    when only loads at capacity fit) when the relaxed slot is empty, and
+    RoundingFailedError when no seed yields a feasible decision or the
+    winner fails the check.
     """
     tables = _SlotTables(s, t, config.margin)
     point = _uniform_point(s, t, config.margin)
@@ -1437,14 +1467,14 @@ def _search_slot(
         if key in seen:
             continue
         seen.add(key)
-        improved, value, steps = _local_search(tables, d)
+        improved, value, steps = _local_search(_SearchState(tables, d.placement, d.selection))
         iterations += steps
         if best is None or value < best[1]:
             best = (improved, value)
     if best is not None:
         rng = np.random.default_rng(_KICK_SEED)
         for _ in range(_KICK_ROUNDS):
-            improved, value, steps = _local_search(tables, _kick(tables, best[0], rng))
+            improved, value, steps = _local_search(_kick(tables, best[0], rng))
             iterations += steps
             if value < best[1] - 1e-12:
                 best = (improved, value)

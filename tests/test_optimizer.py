@@ -710,8 +710,23 @@ def test_kick_picks_among_the_options_probe_passes(case, seed):
     for margin in (1e-6, 0.0):
         tables = _SlotTables(s, 0, margin)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _kick(tables, d, rng) == _probe_kick(tables, d, reference_rng)
+        assert _kick(tables, d, rng).decision() == _probe_kick(tables, d, reference_rng)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_case(), st.integers(0, 2**32 - 1))
+@example((_ONE_CLOUD, [0, 0, 0], [0, 0, 0], [(0, 0, 0)]), 0)
+@example((_ONE_USER, [0], [0], [(0, 2, 2)]), 0)
+def test_kick_hands_over_a_fresh_state_of_its_decision(case, seed):
+    # _local_search descends from the state _kick returns, so it must be
+    # the state a fresh build of the kicked decision gives, field by field
+    doc, placement, selection, _ = case
+    s = _validate(doc)
+    d = ms.SlotDecision(tuple(placement), tuple(selection))
+    for margin in (1e-6, 0.0):
+        state = _kick(_SlotTables(s, 0, margin), d, np.random.default_rng(seed))
+        _assert_fresh_state(s, state, margin)
 
 
 @st.composite
@@ -968,13 +983,19 @@ def test_apply_leaves_the_state_a_fresh_state_of_its_decision_has(case):
             before = state.placement[:], state.selection[:]
             if not state.apply(batch):
                 assert (state.placement, state.selection) == before
-            fresh = _state(s, state.placement, state.selection, margin)
-            for name in (
-                "cloud_users", "station_users", "user_lat",
-                "used", "load", "users_on", "recip", "out", "drops", "f",
-            ):
-                assert getattr(state, name) == getattr(fresh, name), name
-            assert state.f == state.tables.costs.non_switching(state.placement, state.selection)
+            _assert_fresh_state(s, state, margin)
+
+
+def _assert_fresh_state(s, state, margin):
+    """Every kept field of ``state`` is the one a fresh state of its
+    decision has, and ``f`` is the decision's ``_IndexCosts`` value."""
+    fresh = _state(s, state.placement, state.selection, margin)
+    for name in (
+        "cloud_users", "station_users", "user_lat",
+        "used", "load", "users_on", "recip", "out", "drops", "f",
+    ):
+        assert getattr(state, name) == getattr(fresh, name), name
+    assert state.f == state.tables.costs.non_switching(state.placement, state.selection)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1247,15 +1268,18 @@ def test_cold_small_solve_scans_no_decision_twice(monkeypatch):
 
 def test_recorded_descents_equal_fresh_descents(monkeypatch):
     # Every search of the solves, kicked starts included, against the same
-    # descent on fresh slot tables, whose record is empty.
+    # descent from a fresh state on fresh slot tables, whose record is
+    # empty. The state's decision is taken before its descent moves it.
     search = mecsim_optimizer._local_search
     calls = reused = 0
 
-    def checked(tables, d):
+    def checked(state):
         nonlocal calls, reused
+        tables, d = state.tables, state.decision()
         before = len(tables.descents)
-        got = search(tables, d)
-        assert got == search(_SlotTables(tables.s, tables.t, tables.margin), d)
+        got = search(state)
+        fresh = _SlotTables(tables.s, tables.t, tables.margin)
+        assert got == search(_SearchState(fresh, d.placement, d.selection))
         calls += 1
         # a descent that ran its whole path adds moves + 1 decisions
         reused += len(tables.descents) - before < got[2] + 1
@@ -1281,11 +1305,15 @@ def test_descent_stopped_by_the_move_cap_records_nothing(monkeypatch):
     s = _validate(doc)
     start = ms.SlotDecision((2, 2, 2, 2), (0, 0, 0, 0))
     tables = _SlotTables(s, 0, 1e-6)
-    optimum, value, moves = mecsim_optimizer._local_search(tables, start)
+    optimum, value, moves = mecsim_optimizer._local_search(
+        _SearchState(tables, start.placement, start.selection)
+    )
     assert moves == 2 and len(tables.descents) == 3
     monkeypatch.setattr(mecsim_optimizer, "_MAX_MOVES", 1)
     capped = _SlotTables(s, 0, 1e-6)
-    stopped, stopped_value, stopped_moves = mecsim_optimizer._local_search(capped, start)
+    stopped, stopped_value, stopped_moves = mecsim_optimizer._local_search(
+        _SearchState(capped, start.placement, start.selection)
+    )
     assert stopped_moves == 1
     assert stopped != optimum and stopped_value > value
     assert capped.descents == {}
@@ -1486,6 +1514,105 @@ def test_draw_stops_attempts_where_the_full_tally_would_fail_them():
                     attempts.add(got[1])
     assert 1 in attempts and mecsim_optimizer._MAX_ATTEMPTS in attempts
     assert any(1 < a < mecsim_optimizer._MAX_ATTEMPTS for a in attempts)
+
+
+# weights whose column CDF has an entry of 1e-17, and one of the largest
+# float below 1.0: neither is <= 0.0 or >= 1.0, so each column varies
+_ONE_POINT_EDGES = {"tiny": (1e-17, 1.0), "near-one": (math.nextafter(1.0, 0.0), 2.0**-53)}
+
+
+def _edge_case():
+    """make_doc at margin 0, a one-hot point but for user 0's x column and
+    user 1's y column, which carry the two edges."""
+    x = np.array([[*_ONE_POINT_EDGES["tiny"], 0.0], [0.0, 1.0, 0.0]]).T
+    y = np.array([[0.0, 0.0, 1.0], [*_ONE_POINT_EDGES["near-one"], 0.0]]).T
+    return make_doc(), 0.0, ms.FractionalDecision(x=x, y=y)
+
+
+@st.composite
+def _mostly_integral_case(draw):
+    """A ``random_doc`` (tight or not) or ``moderate_doc`` slot, a margin (0
+    or the default) and a fractional point whose columns are one-hot but
+    for up to three users': one column of each, x or y, takes random
+    weights or one of ``_ONE_POINT_EDGES`` on two of its entries."""
+    seed = draw(st.integers(0, 2**16))
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 8))
+    doc = draw(st.sampled_from([
+        lambda: random_doc(seed, m=m, n=n),
+        lambda: random_doc(seed, m=m, n=n, tight=True),
+        lambda: moderate_doc(seed, m=m, n=n),
+    ]))()
+    margin = draw(st.sampled_from([0.0, ms.DEFAULT_CONFIG.margin]))
+    cov = doc["coverage"][0]
+    x, y = np.zeros((m, n)), np.zeros((m, n))
+    for k in range(n):
+        x[draw(st.integers(0, m - 1)), k] = 1.0
+        y[draw(st.sampled_from(cov[k])), k] = 1.0
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        side, rows = draw(st.sampled_from([(x, list(range(m))), (y, cov[k])]))
+        side[:, k] = 0.0
+        kind = draw(st.sampled_from(["random", *_ONE_POINT_EDGES]))
+        if kind == "random":
+            for r in rows:
+                side[r, k] = draw(st.floats(0.0, 1.0))
+        else:
+            pair = st.lists(st.sampled_from(rows), min_size=2, max_size=2, unique=True)
+            a, b = sorted(draw(pair))
+            side[a, k], side[b, k] = _ONE_POINT_EDGES[kind]
+    return doc, margin, ms.FractionalDecision(x=x, y=y)
+
+
+def test_one_point_edges_count_as_varying():
+    doc, margin, frac = _edge_case()
+    rounding = _Rounding(_SlotTables(_validate(doc), 0, margin), frac.x, frac.y)
+    assert rounding.x_cdf[0][0] == 1e-17
+    assert rounding.y_cdf[1][0] == math.nextafter(1.0, 0.0)
+    # user 0's cloud and user 1's station; every other column is one-hot
+    assert rounding.vary.tolist() == [0, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mostly_integral_case(), st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3))
+@example(_edge_case(), [0, 1, 2])
+def test_draw_with_shared_verdicts_matches_the_samplers(case, seeds):
+    # one build drawn from for several seeds, as solve_slot draws its seeds,
+    # so later draws read verdicts the earlier ones left
+    doc, margin, frac = case
+    s = _validate(doc)
+    rounding = _Rounding(_SlotTables(s, 0, margin), frac.x, frac.y)
+    # a column varies exactly when two uniforms in [0, 1) pick apart: the
+    # least and the greatest, as bisect_right's pick never falls as u grows
+    cdfs = [cdf for pair in zip(rounding.x_cdf, rounding.y_cdf) for cdf in pair]
+    assert rounding.vary.tolist() == [
+        slot for slot, cdf in enumerate(cdfs)
+        if bisect_right(cdf, 0.0) != bisect_right(cdf, math.nextafter(1.0, 0.0))
+    ]
+    config = ms.SolverConfig(margin=margin)
+    for seed in seeds:
+        got = _outcome(rounding.draw, seed)
+        assert got == _outcome(_choice_round, s, 0, frac, seed, config)
+        assert got == _outcome(_full_tally_draw, rounding, seed)
+
+
+def test_one_build_checks_each_key_once():
+    # Slot 7 of online-large rounds the zero-cost LP vertex: all but a few
+    # columns are one-point, so most attempts repeat a key already checked.
+    s = online_large_scenario()
+    margin = ms.DEFAULT_CONFIG.margin
+    assert _uniform_point(s, 7, margin) is None
+    rounding = _Rounding(_SlotTables(s, 7, margin), *_feasible_point_via_lp(s, 7, margin))
+    fits, checked = rounding.fits, []
+
+    def recorded(placement, selection):
+        draw = tuple(placement), tuple(selection)
+        checked.append(draw)
+        return fits(*draw)
+
+    rounding.fits = recorded
+    attempts = sum(rounding.draw(seed)[1] for seed in mecsim_optimizer._CANDIDATE_SEEDS)
+    # a key's draw is its fixed picks and its varying ones: one draw per key
+    assert len(checked) == len(set(checked)) == len(rounding.verdicts)
+    assert attempts > 3 * len(checked)
 
 
 def _solve_slot_draws(monkeypatch, s, margin):
