@@ -22,7 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .model import DelayBreakdown, Scenario, check_slot
+from .model import DelayBreakdown, Scenario, _tally, check_slot
 
 __all__ = [
     "switching_delay",
@@ -134,11 +134,9 @@ class _IndexCosts:
         self.lat = self.lat_array.tolist()
 
     def queuing(self, selection: Sequence[int]) -> float:
-        """Each user's 1 / (C_j - load_j) at its station j."""
-        load = [0.0] * len(self.bs_cap)
-        for k, j in enumerate(selection):
-            load[j] += self.demand[k]
-        return self._queuing_at(selection, load)
+        """Each user's 1 / (C_j - load_j) at its station j, with the loads
+        summed by ``model._tally``, the sums ``decision_feasible`` tests."""
+        return self._queuing_at(selection, _tally(len(self.bs_cap), selection, self.demand))
 
     def queuing_table(
         self, selections: Sequence[Sequence[int]], loads: Sequence[list]

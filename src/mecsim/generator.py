@@ -85,7 +85,7 @@ class GeneratorConfig:
             raise ParseError("config section generator must be a mapping")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
-            raise ParseError(f"unknown generator field: {sorted(unknown)[0]}")
+            raise ParseError(f"unknown generator field: {sorted(map(str, unknown))[0]}")
         if "seed" not in doc:
             raise ParseError("missing required field: generator.seed")
         return cls(**doc)

@@ -383,9 +383,8 @@ def decision_feasible(
     is an integer in ``range(s.num_slots)`` and ``margin`` passes
     ``check_margin``.
 
-    Storage and load are ``_tally``'s sums, user by user in user order
-    from 0.0 on plain lists: the floats ``np.bincount`` forms, without its
-    fixed cost on a few users. The search's states keep the same tallies.
+    Storage and load are tested last, by ``_fits``, which the rounding
+    calls on its draws too.
     """
     check_slot(s, t)
     check_margin(margin)
@@ -398,27 +397,30 @@ def decision_feasible(
     ):
         return False
 
-    storage, load, _ = _tally(
-        s.num_clouds, d.placement, d.selection, s.service_size.tolist(), s.demand[t].tolist()
+    return _fits(
+        d.placement, d.selection, s.service_size.tolist(), s.demand[t].tolist(),
+        s.cloud_capacity.tolist(), station_limit(s.bs_capacity, margin).tolist(),
     )
-    if any(u > cap for u, cap in zip(storage, s.cloud_capacity.tolist())):
-        return False
-    limit = station_limit(s.bs_capacity, margin).tolist()
-    return all(u <= cap for u, cap in zip(load, limit))
 
 
-def _tally(m: int, placement, selection, sizes, demand) -> tuple[list, list, list]:
-    """Storage per cloud, and load and users per station, over ``m`` clouds
-    and stations: summed user by user in user order from 0.0, the sums
-    ``decision_feasible`` tests."""
-    used = [0.0] * m
-    load = [0.0] * m
-    users_on = [0] * m
-    for i, j, size, c in zip(placement, selection, sizes, demand):
-        used[i] += size
-        load[j] += c
-        users_on[j] += 1
-    return used, load, users_on
+def _fits(placement, selection, sizes, demand, cloud_cap: list, limit: list) -> bool:
+    """Whether each cloud's storage is within ``cloud_cap`` and each
+    station's load within ``limit``, both summed by ``_tally``: the one fit
+    test of whole integral decisions, whose clouds and stations lie in
+    ``range(len(cloud_cap))``. The sums are the floats ``np.bincount``
+    forms, without its fixed cost on a few users."""
+    return all(map(operator.le, _tally(len(cloud_cap), placement, sizes), cloud_cap)) and all(
+        map(operator.le, _tally(len(limit), selection, demand), limit)
+    )
+
+
+def _tally(m: int, owners, weights) -> list[float]:
+    """Per cloud or station in ``range(m)``, the ``weights`` of the users
+    ``owners`` assigns to it, summed user by user in user order from 0.0."""
+    sums = [0.0] * m
+    for r, w in zip(owners, weights):
+        sums[r] += w
+    return sums
 
 
 def check_slot(s: Scenario, t: Any) -> None:

@@ -22,10 +22,9 @@ after all, through the same exact-slot cache, when it is within
 The rounding's column CDFs are built once per solve and drawn from for
 every seed. A draw's fit depends only on the picks of the columns whose
 pick varies with the uniform, its key, and each key is checked once per
-build on plain-list tallies, which sum as ``decision_feasible`` does, pick
-by pick: the check stops at the first cloud or station over its limit.
+build by ``model._fits``, the fit test ``decision_feasible`` ends with.
 The first draw that fits becomes the seed's ``SlotDecision``. Greedy
-repair tallies with ``decision_feasible``'s ``model._tally``; the search
+repair tallies the side it drains with ``model._tally``; the search
 states sum each cloud and station over its user list in user order, the
 same floats.
 
@@ -91,6 +90,7 @@ from .model import (
     FractionalDecision,
     Scenario,
     SlotDecision,
+    _fits,
     _nonnegative_integer,
     _tally,
     check_decision,
@@ -525,9 +525,9 @@ def _greedy_indicator(tables: _SlotTables) -> SlotDecision | None:
 class _SearchState:
     """Integral decision with the bookkeeping of the discrete search.
 
-    Every state is feasible: each seed passes ``_Rounding.fits`` or
-    ``decision_feasible``, which sum as ``model._tally`` does, or is built
-    under the same limits (the greedy start), and ``apply`` keeps every
+    Every state is feasible: each seed passes ``model._fits``, on its own
+    in the rounding or last in ``decision_feasible``, or is built under the
+    same limits (the greedy start), and ``apply`` keeps every
     limit met. It sums the touched tallies again in user order, which can
     round one bit above the sum a move was checked at, and refuses a move
     whose new tallies break a limit. So
@@ -1101,8 +1101,8 @@ class _Rounding:
     when each entry is <= 0.0 or >= 1.0: the count of entries <= 0.0,
     kept in ``fixed``. The other columns' slots are ``vary``, and the picks
     there are a draw's key. A draw's fit depends on its key alone, so the
-    build keeps the ``fits`` verdict of each key seen (``verdicts``), and
-    every seed drawn from it shares them.
+    build keeps the ``model._fits`` verdict of each key's draw
+    (``verdicts``), and every seed drawn from it shares them.
     """
 
     def __init__(self, tables: _SlotTables, x: np.ndarray, y: np.ndarray) -> None:
@@ -1132,41 +1132,23 @@ class _Rounding:
         both = picks.tolist()
         return both[0::2], list(map(operator.getitem, self.tables.cov, both[1::2]))
 
-    def fits(self, placement: Iterable[int], selection: Iterable[int]) -> bool:
-        """Whether a draw's storage and load meet every limit. The tallies
-        are summed user by user as ``model._tally`` sums them for
-        ``decision_feasible``, so on a draw within coverage the two give the
-        same verdict. The check stops at the first cloud or station over its
-        limit and reads no more of the draw: running sums of positive
-        weights never fall, so the full tally breaks that limit too."""
-        tables = self.tables
-        sizes, demand, cloud_cap, limit = (
-            tables.costs.sizes, tables.costs.demand, tables.cloud_cap, tables.limit
-        )
-        used = [0.0] * tables.m
-        load = [0.0] * tables.m
-        for i, j, size, c in zip(placement, selection, sizes, demand):
-            used[i] += size
-            load[j] += c
-            if used[i] > cloud_cap[i] or load[j] > limit[j]:
-                return False
-        return True
-
     def draw(self, rng_seed: int) -> tuple[SlotDecision, int, int]:
         """``round_decision`` of the point for ``rng_seed``. Each attempt
-        takes its 2n uniforms and picks only its key; ``fits`` runs on the
-        draw of a key not seen before, and only the draw returned, or the
-        last one repaired when none fits, is formed as a decision. ``fits``
-        is a draw's whole check: its picks lie in ``range(M)`` and in the
-        user's coverage, as every CDF ends at 1.0."""
+        takes its 2n uniforms and picks only its key; ``model._fits`` runs
+        on the draw of a key not seen before, and only the draw returned, or
+        the last one repaired when none fits, is formed as a decision.
+        ``_fits`` is a draw's whole check, the verdict ``decision_feasible``
+        gives: its picks lie in ``range(M)`` and in the user's coverage, as
+        every CDF ends at 1.0."""
         tables, verdicts = self.tables, self.verdicts
         vary, vary_cdf = self.vary, self.vary_cdf
+        fit_args = tables.costs.sizes, tables.costs.demand, tables.cloud_cap, tables.limit
         rng = np.random.default_rng(rng_seed)
         for attempt in range(1, _MAX_ATTEMPTS + 1):
             key = tuple(map(bisect_right, vary_cdf, rng.random(2 * tables.n)[vary].tolist()))
             fit = verdicts.get(key)
             if fit is None:
-                fit = verdicts[key] = self.fits(*self.picks(key))
+                fit = verdicts[key] = _fits(*self.picks(key), *fit_args)
             if fit:
                 return SlotDecision(*map(tuple, self.picks(key))), attempt, 0
         _log.debug(
@@ -1198,8 +1180,8 @@ def round_decision(
     builds once for all its seeds). An attempt then takes 2n uniform draws
     in one call, the cloud then the station for each user in turn, and
     picks entries with ``bisect_right``: the same stream and the same picks
-    as one ``rng.choice(len(p), p=p)`` per column. A draw is checked on
-    plain-list tallies, which give ``decision_feasible``'s verdict on it,
+    as one ``rng.choice(len(p), p=p)`` per column. A draw is checked by
+    ``model._fits``, which gives ``decision_feasible``'s verdict on it,
     once per distinct key (the picks of the columns whose pick varies),
     and the seeds drawn from one build share the verdicts; the first draw
     that fits becomes the ``SlotDecision`` returned.
@@ -1226,8 +1208,9 @@ def _greedy_repair(tables: _SlotTables, d: SlotDecision) -> tuple[SlotDecision, 
     gives up its heaviest user that has room elsewhere. A moved placement
     goes to the cloud with the least latency to the user's station, a moved
     selection to the station of least price (``_station_prices``) plus
-    latency from the user's cloud. Storage and loads are ``model._tally``'s
-    sums, as ``decision_feasible`` forms them.
+    latency from the user's cloud. Each drain tallies only its own side,
+    storage or loads, with ``model._tally``, the sums ``decision_feasible``
+    tests.
     Every move targets a resource with room left, so total violation
     strictly decreases. Raises RoundingFailedError when a violation has no
     outlet.
@@ -1251,7 +1234,7 @@ def _greedy_repair(tables: _SlotTables, d: SlotDecision) -> tuple[SlotDecision, 
         ]
         return min(options)[1] if options else None
 
-    load = _tally(m, placement, selection, sizes, demand)[1]
+    load = _tally(m, selection, demand)
     for k in range(n):
         if selection[k] in tables.covsets[k]:
             continue
@@ -1265,12 +1248,12 @@ def _greedy_repair(tables: _SlotTables, d: SlotDecision) -> tuple[SlotDecision, 
         selection[k] = j
         moves += 1
 
-    for side, owner, weights, cap, room, what in (
-        (0, placement, sizes, tables.cloud_cap, cloud_room, "storage overload on cloud"),
-        (1, selection, demand, tables.limit, station_room, "capacity overload on station"),
+    for owner, weights, cap, room, what in (
+        (placement, sizes, tables.cloud_cap, cloud_room, "storage overload on cloud"),
+        (selection, demand, tables.limit, station_room, "capacity overload on station"),
     ):
         for _ in range(2 * m * n + 1):
-            used = _tally(m, placement, selection, sizes, demand)[side]
+            used = _tally(m, owner, weights)
             if all(map(operator.le, used, cap)):
                 break
             # the first most overloaded one, as np.argmax picks it

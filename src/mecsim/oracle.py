@@ -70,7 +70,8 @@ def _fitting_sums(choices, weights: list, limit: list) -> list[tuple[tuple[int, 
     one user at a time and drops a prefix at the first index over its
     limit: weights are positive, so a sum never falls and a dropped prefix
     has no fitting extension. The sums run in user order from 0.0, the adds
-    ``decision_feasible`` makes (and ``np.bincount`` would)."""
+    ``model._tally`` makes for ``decision_feasible`` (and ``np.bincount``
+    would)."""
     # an index a tuple does not touch keeps its 0.0, which then fits its
     # limit, so only the touched indices need a test
     if not all(cap >= 0.0 for cap in limit):

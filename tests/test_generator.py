@@ -121,6 +121,9 @@ def test_config_from_mapping_rejects_bad_fields():
         ms.GeneratorConfig.from_mapping({"seed": 1, "speed_range": [0.5, 0.1]})
     with pytest.raises(ms.ParseError):
         ms.GeneratorConfig.from_mapping({"seed": 1, "mystery": 2})
+    # unknown keys of mixed types are named in str order, not compared as is
+    with pytest.raises(ms.ParseError, match="unknown generator field: 1"):
+        ms.GeneratorConfig.from_mapping({"seed": 0, 1: 0, "x": 0})
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from conftest import (
     raw_decisions,
     small_horizon_family,
 )
-from mecsim.model import _tally, station_limit
+from mecsim.model import _fits, _tally, station_limit
 from mecsim.optimizer import (
     _feasible_point_via_lp,
     _greedy_indicator,
@@ -367,7 +367,7 @@ def test_solve_slot_logs_its_rare_paths(caplog, monkeypatch):
     # No draw passes the check, so each of the three seed roundings falls
     # back to greedy repair, and the search result is dropped.
     monkeypatch.setattr("mecsim.optimizer.decision_feasible", lambda *args: False)
-    monkeypatch.setattr(_Rounding, "fits", lambda *args: False)
+    monkeypatch.setattr("mecsim.optimizer._fits", lambda *args: False)
     with pytest.raises(ms.RoundingFailedError):
         _search_slot(s, 0)
     assert [(r.name, r.levelno) for r in caplog.records] == [
@@ -988,13 +988,17 @@ def test_apply_leaves_the_state_a_fresh_state_of_its_decision_has(case):
 
 def _assert_fresh_state(s, state, margin):
     """Every kept field of ``state`` is the one a fresh state of its
-    decision has, and ``f`` is the decision's ``_IndexCosts`` value."""
+    decision has, its tallies are ``model._tally``'s, and ``f`` is the
+    decision's ``_IndexCosts`` value."""
     fresh = _state(s, state.placement, state.selection, margin)
     for name in (
         "cloud_users", "station_users", "user_lat",
         "used", "load", "users_on", "recip", "out", "drops", "f",
     ):
         assert getattr(state, name) == getattr(fresh, name), name
+    costs = state.tables.costs
+    assert state.used == _tally(state.m, state.placement, costs.sizes)
+    assert state.load == _tally(state.m, state.selection, costs.demand)
     assert state.f == state.tables.costs.non_switching(state.placement, state.selection)
 
 
@@ -1459,12 +1463,16 @@ def _at_the_limits(margin, over):
 @example(_at_the_limits(ms.DEFAULT_CONFIG.margin, over=False))
 @example(_at_the_limits(ms.DEFAULT_CONFIG.margin, over=True))
 def test_draw_check_agrees_with_decision_feasible(case):
+    # the rounding's check: _fits over the slot tables' lists
     doc, margin, placement, selection = case
     s = _validate(doc)
-    x, y = _uniform_interior(doc)
-    rounding = _Rounding(_SlotTables(s, 0, margin), x, y)
+    tables = _SlotTables(s, 0, margin)
     decision = ms.SlotDecision(placement, selection)
-    assert rounding.fits(placement, selection) == ms.decision_feasible(s, 0, decision, margin)
+    fit = _fits(
+        placement, selection, tables.costs.sizes, tables.costs.demand,
+        tables.cloud_cap, tables.limit,
+    )
+    assert fit == ms.decision_feasible(s, 0, decision, margin)
 
 
 def _full_tally_draw(rounding, seed):
@@ -1479,9 +1487,8 @@ def _full_tally_draw(rounding, seed):
             stations[bisect_right(cdf, v)]
             for stations, cdf, v in zip(tables.cov, rounding.y_cdf, u[1::2])
         )
-        used, load, _ = _tally(
-            tables.m, placement, selection, tables.costs.sizes, tables.costs.demand
-        )
+        used = _tally(tables.m, placement, tables.costs.sizes)
+        load = _tally(tables.m, selection, tables.costs.demand)
         if all(map(operator.le, used, tables.cloud_cap)) and all(
             map(operator.le, load, tables.limit)
         ):
@@ -1594,21 +1601,21 @@ def test_draw_with_shared_verdicts_matches_the_samplers(case, seeds):
         assert got == _outcome(_full_tally_draw, rounding, seed)
 
 
-def test_one_build_checks_each_key_once():
+def test_one_build_checks_each_key_once(monkeypatch):
     # Slot 7 of online-large rounds the zero-cost LP vertex: all but a few
     # columns are one-point, so most attempts repeat a key already checked.
     s = online_large_scenario()
     margin = ms.DEFAULT_CONFIG.margin
     assert _uniform_point(s, 7, margin) is None
     rounding = _Rounding(_SlotTables(s, 7, margin), *_feasible_point_via_lp(s, 7, margin))
-    fits, checked = rounding.fits, []
+    checked = []
 
-    def recorded(placement, selection):
+    def recorded(placement, selection, *limits):
         draw = tuple(placement), tuple(selection)
         checked.append(draw)
-        return fits(*draw)
+        return _fits(*draw, *limits)
 
-    rounding.fits = recorded
+    monkeypatch.setattr("mecsim.optimizer._fits", recorded)
     attempts = sum(rounding.draw(seed)[1] for seed in mecsim_optimizer._CANDIDATE_SEEDS)
     # a key's draw is its fixed picks and its varying ones: one draw per key
     assert len(checked) == len(set(checked)) == len(rounding.verdicts)
@@ -2183,6 +2190,41 @@ def test_solve_slot_answers_as_the_enumeration_does_on_tight_slots(seed, n, marg
     assert optimum is not None
     assert ms.decision_feasible(s, 0, decision, margin)
     assert report.objective >= optimum - 1e-9 * (1.0 + optimum)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.sampled_from([(4, 5), (4, 6), (3, 8)]), st.booleans()
+)
+def test_solve_slot_against_the_enumerator_as_oracle(seed, shape, tight):
+    # random_doc slots over the exact bound, so solve_slot searches them, at
+    # both margins where the enumeration budget holds: never
+    # RoundingFailedError, the empty verdict exactly when the enumeration
+    # gives it, and otherwise a feasible decision whose objective is its
+    # _IndexCosts value and no better than the optimum
+    m, n = shape
+    s = _validate(random_doc(seed, m=m, n=n, tight=tight))
+    assert raw_decisions(s, 0) > mecsim_optimizer._EXACT_BOUND
+    costs = mecsim_optimizer._IndexCosts(s, 0)
+    checked = 0
+    for margin in (ms.DEFAULT_CONFIG.margin, 0.0):
+        try:
+            _, optimum = ms.best_slot_decision(s, 0, margin=margin)
+        except ms.OracleTooLargeError:
+            continue
+        except ms.InfeasibleError:
+            optimum = None
+        checked += 1
+        try:
+            decision, _, report = ms.solve_slot(s, 0, config=ms.SolverConfig(margin=margin))
+        except ms.InfeasibleError:
+            assert optimum is None
+            continue
+        assert optimum is not None
+        assert ms.decision_feasible(s, 0, decision, margin)
+        assert report.objective == costs.non_switching(decision.placement, decision.selection)
+        assert report.objective >= optimum - 1e-9 * (1.0 + abs(optimum))
+    assume(checked)
 
 
 def test_search_reaches_the_optimum_on_the_small_families():

@@ -186,7 +186,7 @@ def test_fitting_sums_are_the_full_tallys(case):
     weights, limit = weights.tolist(), limit.tolist()
     expected = []
     for combo in itertools.product(*choices):
-        used = _tally(len(limit), combo, combo, weights, weights)[0]
+        used = _tally(len(limit), combo, weights)
         if all(map(operator.le, used, limit)):
             expected.append((combo, used))
     assert _fitting_sums(choices, weights, limit) == expected
